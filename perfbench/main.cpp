@@ -3,9 +3,9 @@
 //   perfbench --workload NAME --seed N --seconds S --trace 0|1 [--out DIR]
 //
 // --trace 0 measures the end-to-end metrics with telemetry off: set-up is
-// timed setup_reps times, then the whole workload runs through
-// exp::Runner::run again and again until S seconds have passed, and each
-// time metric is the median over those runs.  --trace 1 runs the workload
+// timed setup_reps times, the workload's warm-up passes run, then the
+// whole workload runs through exp::Runner::run again and again until S
+// seconds have passed, and each time metric is the median over those runs.  --trace 1 runs the workload
 // once untraced and once traced, replays it through the public protocol
 // API for tick and round counts, times every layer with fixed op counts,
 // and prints the reconcile report.  Either way the last stdout line is one
@@ -157,34 +157,44 @@ void run_untraced(const Args& args, const Workload& workload) {
   }
 
   std::vector<double> walls;
+  int runs = 0;
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;
   bool correct = true;
   bool identical = true;
   std::uint64_t tx_total = 0;
   std::uint64_t digest = 0;
-  const auto start = std::chrono::steady_clock::now();
-  do {
+  // Every pass, warm-up or timed, is checked and must repeat pass 0 bit
+  // for bit.
+  const auto run_checked = [&] {
     const RunOutcome run = run_workload(workload, args.out_dir);
     report_failures(run);
-    if (walls.empty()) {
+    if (runs == 0) {
       tx_total = run.tx_total;
       digest = run.digest;
     } else if (run.tx_total != tx_total || run.digest != digest) {
-      std::cout << "  FAILED run " << walls.size()
+      std::cout << "  FAILED run " << runs
                 << " is not a bit-identical repeat of run 0\n";
       identical = false;
     }
-    walls.push_back(run.wall_s);
+    ++runs;
     attempted += run.replicates;
     failed += run.failed;
     correct = correct && run.failures.empty();
+    return run.wall_s;
+  };
+  for (int warmup = 0; warmup < workload.warmup_runs; ++warmup) {
+    run_checked();
+  }
+  const auto start = std::chrono::steady_clock::now();
+  do {
+    walls.push_back(run_checked());
   } while (seconds_since(start) < args.seconds);
   const double peak_mb = peak_rss_mb();
 
   std::cout << "perfbench " << workload.name << " seed=" << args.seed
             << " threads=" << workload.threads << " runs=" << walls.size()
-            << "\n"
+            << " (+" << workload.warmup_runs << " warm-up)\n"
             << "  wall_s        " << number(median(walls)) << " s  (median of";
   for (const double wall : walls) std::cout << " " << wall;
   std::cout << ")\n"

@@ -46,6 +46,9 @@ struct Workload {
   std::uint64_t snapshot_every_ticks = 0;
   /// Set-ups timed per run; setup_s is their median.
   int setup_reps = 3;
+  /// Passes run and checked before the timed ones; their wall time stays
+  /// out of the median.
+  int warmup_runs = 0;
   /// The traced mode also runs the workload on one thread and requires
   /// the same records digest.
   bool check_single_thread = false;

@@ -142,7 +142,15 @@ Workload make_workload(const std::string& name, std::uint64_t seed) {
     // over 2500 replicates of each of these cells.
     for (auto& cell : w.scenario.cells) cell.radius_multiplier = 2.0;
     w.stream_records = true;
-    w.snapshot_every_ticks = 200000;
+    // Every snapshot is an fsync.  At 200 000 ticks the sweep wrote about
+    // 390 of them, which added about 0.7 s to a 3.5 s pass and made the
+    // wall time follow the disk load of other tenants.  At 2 000 000 ticks
+    // the longest boyd replicates still write about 16, so the write path
+    // stays exercised at a negligible cost.
+    w.snapshot_every_ticks = 2000000;
+    // The first pass of a process ran about 20% slower (idle CPU while the
+    // pool, allocator arenas and output files settle).
+    w.warmup_runs = 1;
     w.setup_reps = 15;
     w.check_single_thread = true;
   } else if (name == "multilevel-512k") {
