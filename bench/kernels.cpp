@@ -43,7 +43,6 @@
 
 #include "core/decentralized.hpp"
 #include "core/hierarchy_protocol.hpp"
-#include "exp/thread_pool.hpp"
 #include "gossip/geographic.hpp"
 #include "gossip/pairwise.hpp"
 #include "graph/geometric_graph.hpp"
@@ -56,6 +55,7 @@
 #include "sim/field.hpp"
 #include "support/cli.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace gg = geogossip;
 
@@ -122,7 +122,7 @@ double engine_check(const Protocol& protocol, double initial_norm) {
 /// from the same harness source.
 template <typename Graph = gg::graph::GeometricGraph>
 Graph sample_graph(std::size_t n, double mult, gg::Rng& rng,
-                   const gg::exp::ThreadPool* pool = nullptr,
+                   const gg::ThreadPool* pool = nullptr,
                    bool eager_mirror = false) {
   if constexpr (requires { typename Graph::BuildOptions; }) {
     typename Graph::BuildOptions options;
@@ -269,7 +269,7 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{256, 1024, 4096, 16384};
   const std::vector<std::size_t> e2e_ns{1024, 4096};
 
-  gg::exp::ThreadPool hw_pool;  // hardware concurrency, for the _mt builds
+  gg::ThreadPool hw_pool;  // hardware concurrency, for the _mt builds
 
   for (const std::size_t n : micro_ns) {
     // Every kernel gets its own fixed-seed stream: the self-timed build

@@ -95,7 +95,8 @@ TrialOutcome run_protocol_trial_impl(ProtocolKind kind,
                                      const std::vector<double>& x0, Rng& rng,
                                      const TrialOptions& options,
                                      const sim::CheckpointPolicy& checkpoints,
-                                     std::string_view resume) {
+                                     std::string_view resume,
+                                     unsigned route_lanes) {
   GG_CHECK_ARG(x0.size() == graph.node_count(),
                "x0 size must match the graph");
   const double sum_before = sum_of(x0);
@@ -115,7 +116,8 @@ TrialOutcome run_protocol_trial_impl(ProtocolKind kind,
       return from_run(run, sum_before, sum_of(protocol.values()));
     }
     case ProtocolKind::kDimakisGeographic: {
-      gossip::GeographicGossip protocol(graph, x0, rng, options.geographic);
+      gossip::GeographicGossip protocol(graph, x0, rng, options.geographic,
+                                        route_lanes);
       const auto run =
           sim::run_to_epsilon(protocol, rng, run_config, checkpoints, resume);
       return from_run(run, sum_before, sum_of(protocol.values()));
@@ -197,12 +199,13 @@ TrialOutcome run_protocol_trial(ProtocolKind kind,
                                 const std::vector<double>& x0, Rng& rng,
                                 const TrialOptions& options,
                                 const sim::CheckpointPolicy& checkpoints,
-                                std::string_view resume) {
+                                std::string_view resume,
+                                unsigned route_lanes) {
   obs::Span span("protocol_run", "n",
                  static_cast<std::int64_t>(graph.node_count()), "kind",
                  static_cast<std::int64_t>(kind));
   const TrialOutcome outcome = run_protocol_trial_impl(
-      kind, graph, x0, rng, options, checkpoints, resume);
+      kind, graph, x0, rng, options, checkpoints, resume, route_lanes);
   report_trial(outcome);
   return outcome;
 }

@@ -185,12 +185,16 @@ ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed);
 /// Checkpoint-aware variant: `checkpoints` snapshots the trial mid-flight
 /// at the policy's cadence and a non-empty `resume` payload continues a
 /// snapshotted trial of the same (cell, seed) bit-identically.  Probe
-/// cells ignore both (no engine state).  Exposed for tests and custom
-/// drivers; Runner::run wires it to a SnapshotStore when
-/// RunnerOptions::snapshot_dir is set.
+/// cells ignore both (no engine state).  `route_lanes` threads, the
+/// caller's included, may route inside the trial (see
+/// core::run_protocol_trial); the result is the same at every count.
+/// Exposed for tests and custom experiment programs; Runner::run wires it
+/// to a SnapshotStore when RunnerOptions::snapshot_dir is set, and lends
+/// each replicate the workers its task stream cannot occupy.
 ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed,
                               const sim::CheckpointPolicy& checkpoints,
-                              std::string_view resume);
+                              std::string_view resume,
+                              unsigned route_lanes = 1);
 
 /// Sorted union of metric keys across the cells of a summary — the column
 /// set used by both the console metrics table and the CSV sink.

@@ -6,12 +6,18 @@
 
 #include "obs/telemetry.hpp"
 #include "routing/greedy.hpp"
+#include "routing/route_lanes.hpp"
 #include "support/check.hpp"
 #include "support/snapshot.hpp"
 
 namespace geogossip::gossip {
 
 namespace {
+
+/// Attempts predicted per tick.  Prediction costs three draws per attempt
+/// whether or not the tick gets that far; attempts past this many route
+/// inline.
+constexpr std::uint32_t kMaxPredictedAttempts = 64;
 
 /// One bump per protocol-level outcome; the member tallies stay the
 /// protocol's own metrics, these feed the sweep-wide telemetry totals.
@@ -36,10 +42,19 @@ using graph::NodeId;
 
 GeographicGossip::GeographicGossip(const graph::GeometricGraph& graph,
                                    std::vector<double> x0, Rng& rng,
-                                   const GeographicOptions& options)
+                                   const GeographicOptions& options,
+                                   unsigned route_lanes)
     : ValueProtocol(graph, std::move(x0), rng), options_(options) {
   if (options_.rejection_sampling) estimate_acceptance();
+  if (route_lanes > 1) {
+    predicted_.resize(
+        std::min(options_.max_rejections, kMaxPredictedAttempts - 1) + 1);
+    lanes_ = std::make_unique<routing::RouteLanes>(graph, route_lanes,
+                                                   predicted_.size());
+  }
 }
+
+GeographicGossip::~GeographicGossip() = default;
 
 void GeographicGossip::estimate_acceptance() {
   const std::size_t n = graph_->node_count();
@@ -181,13 +196,41 @@ void GeographicGossip::estimate_acceptance() {
   }
 }
 
+void GeographicGossip::prefetch_attempts(NodeId source) {
+  // Replays sample_target's draws on a copy of the stream, assuming every
+  // attempt is rejected: two uniforms for the target, then the Bernoulli
+  // draw.  An attempt that goes otherwise ends the tick (accepted) or
+  // skips its Bernoulli draw (self-target, failed route); either way
+  // sample_target's later targets stop matching and it routes them inline.
+  const auto& region = graph_->region();
+  Rng ahead = *rng_;
+  for (Vec2& target : predicted_) {
+    target = {ahead.uniform(region.lo().x, region.hi().x),
+              ahead.uniform(region.lo().y, region.hi().y)};
+    if (options_.rejection_sampling) (void)ahead.next_double();
+  }
+  lanes_->publish(source, predicted_);
+}
+
+routing::RouteResult GeographicGossip::route_attempt(NodeId source,
+                                                     Vec2 target,
+                                                     std::uint32_t attempt) {
+  if (lanes_ != nullptr) {
+    if (const auto route = lanes_->take(attempt, source, target)) {
+      routing::report_route(*route);
+      return *route;
+    }
+  }
+  return routing::route_to_position(*graph_, source, target);
+}
+
 NodeId GeographicGossip::sample_target(NodeId source) {
   const auto& region = graph_->region();
   for (std::uint32_t attempt = 0; attempt <= options_.max_rejections;
        ++attempt) {
     const Vec2 target{rng_->uniform(region.lo().x, region.hi().x),
                       rng_->uniform(region.lo().y, region.hi().y)};
-    const auto route = routing::route_to_position(*graph_, source, target);
+    const auto route = route_attempt(source, target, attempt);
     meter_.add(sim::TxCategory::kLongRange, route.hops);
     if (!route.arrived()) {
       ++failed_routes_;
@@ -213,7 +256,9 @@ NodeId GeographicGossip::sample_target(NodeId source) {
 
 void GeographicGossip::on_tick(const sim::Tick& tick) {
   const NodeId source = tick.node;
+  if (lanes_ != nullptr) prefetch_attempts(source);
   const NodeId target = sample_target(source);
+  if (lanes_ != nullptr) lanes_->retire();
   if (target == source) return;
 
   // Return route: target routes the reply to the sender's (known) position.

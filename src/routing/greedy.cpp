@@ -97,21 +97,16 @@ inline NodeId greedy_step(const GeometricGraph& g,
   return merged;
 }
 
-/// Telemetry tap at route granularity: one counter bump per finished
-/// route, not per hop, so routing telemetry costs nothing on the per-hop
-/// path and a handful of adds per route when enabled.
-void report_route(const RouteResult& result, std::uint64_t pruned) {
-  if (!obs::enabled()) return;
-  static const auto c_routes = obs::counter("routing.routes");
-  static const auto c_hops = obs::counter("routing.hops");
-  static const auto c_pruned = obs::counter("routing.pruned_candidates");
-  static const auto c_dead = obs::counter("routing.dead_ends");
-  static const auto c_budget = obs::counter("routing.hop_budget_exceeded");
-  obs::add(c_routes);
-  obs::add(c_hops, result.hops);
-  obs::add(c_pruned, pruned);
-  if (result.status == RouteStatus::kDeadEnd) obs::add(c_dead);
-  if (result.status == RouteStatus::kHopBudget) obs::add(c_budget);
+/// Stamps a route's final state and, unless the caller reports it itself,
+/// feeds it to the telemetry tap.
+RouteResult& finish_route(RouteResult& result, RouteStatus status,
+                          NodeId final_node, std::uint64_t pruned,
+                          const RouteOptions& options) {
+  result.status = status;
+  result.final_node = final_node;
+  result.pruned = pruned;
+  if (options.report) report_route(result);
+  return result;
 }
 
 /// Pre-sizes a caller-supplied trace for the whole route up front; one
@@ -125,6 +120,23 @@ void prepare_trace(std::vector<NodeId>* trace, std::uint32_t budget,
 }
 
 }  // namespace
+
+/// Telemetry tap at route granularity: one counter bump per finished
+/// route, not per hop, so routing telemetry costs nothing on the per-hop
+/// path and a handful of adds per route when enabled.
+void report_route(const RouteResult& result) {
+  if (!obs::enabled()) return;
+  static const auto c_routes = obs::counter("routing.routes");
+  static const auto c_hops = obs::counter("routing.hops");
+  static const auto c_pruned = obs::counter("routing.pruned_candidates");
+  static const auto c_dead = obs::counter("routing.dead_ends");
+  static const auto c_budget = obs::counter("routing.hop_budget_exceeded");
+  obs::add(c_routes);
+  obs::add(c_hops, result.hops);
+  obs::add(c_pruned, result.pruned);
+  if (result.status == RouteStatus::kDeadEnd) obs::add(c_dead);
+  if (result.status == RouteStatus::kHopBudget) obs::add(c_budget);
+}
 
 RouteResult route_to_node(const GeometricGraph& g, NodeId source,
                           NodeId destination, const RouteOptions& options) {
@@ -147,27 +159,21 @@ RouteResult route_to_node(const GeometricGraph& g, NodeId source,
   std::uint64_t pruned = 0;
   while (current != destination) {
     if (result.hops >= budget) {
-      result.status = RouteStatus::kHopBudget;
-      result.final_node = current;
-      report_route(result, pruned);
-      return result;
+      return finish_route(result, RouteStatus::kHopBudget, current, pruned,
+                          options);
     }
     const NodeId next =
         greedy_step(g, positions, current, target, cur_sq, pruned);
     if (next == current) {
-      result.status = RouteStatus::kDeadEnd;
-      result.final_node = current;
-      report_route(result, pruned);
-      return result;
+      return finish_route(result, RouteStatus::kDeadEnd, current, pruned,
+                          options);
     }
     current = next;
     ++result.hops;
     if (options.trace != nullptr) options.trace->push_back(current);
   }
-  result.status = RouteStatus::kArrived;
-  result.final_node = current;
-  report_route(result, pruned);
-  return result;
+  return finish_route(result, RouteStatus::kArrived, current, pruned,
+                      options);
 }
 
 RouteResult route_to_position(const GeometricGraph& g, NodeId source,
@@ -191,16 +197,12 @@ RouteResult route_to_position(const GeometricGraph& g, NodeId source,
     if (next == current) {
       // Local minimum w.r.t. the target position: this IS the destination
       // for position-targeted routing.
-      result.status = RouteStatus::kArrived;
-      result.final_node = current;
-      report_route(result, pruned);
-      return result;
+      return finish_route(result, RouteStatus::kArrived, current, pruned,
+                          options);
     }
     if (result.hops >= budget) {
-      result.status = RouteStatus::kHopBudget;
-      result.final_node = current;
-      report_route(result, pruned);
-      return result;
+      return finish_route(result, RouteStatus::kHopBudget, current, pruned,
+                          options);
     }
     current = next;
     ++result.hops;

@@ -1,7 +1,7 @@
 // Work-stealing thread pool for fanning independent batches of work out
 // across std::thread workers.  Lives in support/ (not exp/) because both
 // the experiment runner AND the graph-construction layer parallelize over
-// it; exp/thread_pool.hpp remains as a thin forwarding header.
+// it.
 //
 // The pool is batch-oriented: run() seeds every task index into per-worker
 // deques round-robin, workers pop from the back of their own deque and steal

@@ -16,8 +16,8 @@
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sink.hpp"
-#include "exp/thread_pool.hpp"
 #include "support/check.hpp"
+#include "support/thread_pool.hpp"
 
 namespace geogossip::exp {
 namespace {

@@ -2,8 +2,11 @@
 // rejection sampling, and path averaging.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <string>
 
 #include "gossip/geographic.hpp"
 #include "gossip/pairwise.hpp"
@@ -189,6 +192,87 @@ TEST(Geographic, DisabledRejectionSamplingSkipsEstimation) {
                             options);
   EXPECT_TRUE(protocol.acceptance().empty());
 }
+
+// ------------------------------------------------------ GeographicLanes ----
+
+struct LaneCase {
+  const char* name;
+  std::size_t n;
+  GeographicOptions options;
+};
+
+// Test listings print the name, not the struct's bytes (a pointer).
+void PrintTo(const LaneCase& input, std::ostream* out) { *out << input.name; }
+
+struct LaneRun {
+  sim::RunResult result;
+  std::vector<double> values;
+  std::uint64_t exchanges = 0;
+  std::uint64_t rejections = 0;
+  std::uint64_t failed_routes = 0;
+};
+
+LaneRun run_with_lanes(const LaneCase& input, unsigned lanes) {
+  const auto g = make_graph(input.n, 120);
+  Rng rng(121);
+  auto x0 = make_field(g, rng);
+  GeographicGossip protocol(g, x0, rng, input.options, lanes);
+  sim::RunConfig config;
+  config.epsilon = 1e-2;
+  config.max_ticks = 20'000;
+  LaneRun run;
+  run.result = sim::run_to_epsilon(protocol, rng, config);
+  run.values.assign(protocol.values().begin(), protocol.values().end());
+  run.exchanges = protocol.exchanges();
+  run.rejections = protocol.rejections();
+  run.failed_routes = protocol.failed_routes();
+  return run;
+}
+
+class GeographicLanes : public ::testing::TestWithParam<LaneCase> {};
+
+TEST_P(GeographicLanes, RunToEpsilonIsBitIdenticalAtAnyLaneCount) {
+  const LaneRun serial = run_with_lanes(GetParam(), 1);
+  ASSERT_GT(serial.exchanges, 0u);
+  for (const unsigned lanes : {2u, 4u}) {
+    const LaneRun laned = run_with_lanes(GetParam(), lanes);
+    EXPECT_EQ(laned.result.converged, serial.result.converged) << lanes;
+    EXPECT_EQ(laned.result.ticks, serial.result.ticks) << lanes;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(laned.result.final_error),
+              std::bit_cast<std::uint64_t>(serial.result.final_error))
+        << lanes;
+    EXPECT_EQ(laned.result.transmissions.by_category,
+              serial.result.transmissions.by_category)
+        << lanes;
+    EXPECT_EQ(laned.values, serial.values) << lanes;
+    EXPECT_EQ(laned.exchanges, serial.exchanges) << lanes;
+    EXPECT_EQ(laned.rejections, serial.rejections) << lanes;
+    EXPECT_EQ(laned.failed_routes, serial.failed_routes) << lanes;
+  }
+}
+
+GeographicOptions no_rejection_budget() {
+  GeographicOptions options;
+  options.max_rejections = 0;
+  return options;
+}
+
+GeographicOptions no_rejection_sampling() {
+  GeographicOptions options;
+  options.rejection_sampling = false;
+  return options;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, GeographicLanes,
+    ::testing::Values(
+        // One node in 24 is the source, so self-targets (which skip their
+        // Bernoulli draw and leave the predictions behind) are common.
+        LaneCase{"self_targets_n24", 24, {}},
+        LaneCase{"max_rejections_0", 512, no_rejection_budget()},
+        LaneCase{"rejection_sampling_off", 512, no_rejection_sampling()},
+        LaneCase{"n512", 512, {}}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // ------------------------------------------------------- PathAveraging ----
 

@@ -111,24 +111,33 @@ TEST(Telemetry, SpansRecordNamesArgsAndOrderedTimestamps) {
 
 TEST(Telemetry, CounterTotalsBitIdenticalAcrossThreadCounts) {
   ObsGuard guard;
-  gg::obs::set_enabled(true);
-  gg::exp::RunnerOptions serial;
-  serial.threads = 1;
-  gg::exp::Runner(serial).run(tiny_scenario());
-  const auto counters_1 = gg::obs::snapshot().counters;
-
-  gg::obs::reset();
-  gg::exp::RunnerOptions parallel;
-  parallel.threads = 4;
-  gg::exp::Runner(parallel).run(tiny_scenario());
-  const auto counters_4 = gg::obs::snapshot().counters;
-  gg::obs::set_enabled(false);
+  const auto counters_at = [](unsigned threads,
+                              const gg::exp::Scenario& scenario) {
+    gg::obs::reset();
+    gg::obs::set_enabled(true);
+    gg::exp::RunnerOptions options;
+    options.threads = threads;
+    gg::exp::Runner(options).run(scenario);
+    gg::obs::set_enabled(false);
+    return gg::obs::snapshot().counters;
+  };
+  const auto counters_1 = counters_at(1, tiny_scenario());
+  const auto counters_4 = counters_at(4, tiny_scenario());
 
   // Exact integer merge: not approximately equal — EQUAL, key for key.
   EXPECT_EQ(counters_1, counters_4);
   EXPECT_GT(counters_1.at("routing.routes"), 0u);
   EXPECT_GT(counters_1.at("routing.hops"), 0u);
   EXPECT_EQ(counters_1.at("trial.count"), 6u);
+
+  // One Dimakis replicate: at 4 threads the Runner lends it 4 route lanes,
+  // whose speculative routes must not reach the routing.* counters.
+  gg::exp::Scenario lone = tiny_scenario();
+  lone.name = "obs-lone-dimakis";
+  lone.replicates = 1;
+  lone.cells.resize(1);
+  lone.cells[0].n = 512;
+  EXPECT_EQ(counters_at(1, lone), counters_at(4, lone));
 }
 
 TEST(Telemetry, RunnerSpansNestForTheTraceExporter) {
