@@ -6,8 +6,6 @@
 #include "obs/telemetry.hpp"
 #include "gossip/path_averaging.hpp"
 #include "sim/engine.hpp"
-#include "sim/field.hpp"
-#include "stats/summary.hpp"
 #include "support/check.hpp"
 #include "support/string_util.hpp"
 
@@ -208,54 +206,6 @@ TrialOutcome run_protocol_trial(ProtocolKind kind,
       kind, graph, x0, rng, options, checkpoints, resume, route_lanes);
   report_trial(outcome);
   return outcome;
-}
-
-SweepPoint sweep_point(ProtocolKind kind, std::size_t n,
-                       double radius_multiplier, std::uint32_t seeds,
-                       std::uint64_t master_seed,
-                       const TrialOptions& options) {
-  GG_CHECK_ARG(seeds >= 1, "sweep_point: seeds >= 1");
-
-  stats::Quantiles tx_quantiles;
-  stats::RunningStat control_share;
-  std::uint32_t converged = 0;
-
-  for (std::uint32_t seed = 0; seed < seeds; ++seed) {
-    Rng rng(derive_seed(master_seed, seed));
-    const auto graph =
-        graph::GeometricGraph::sample(n, radius_multiplier, rng);
-
-    // Mixed field: spike + gaussian — spike stresses worst-case locality,
-    // the gaussian part keeps the norm spread across nodes.
-    auto x0 = sim::gaussian_field(n, rng);
-    x0[rng.below(n)] += std::sqrt(static_cast<double>(n));
-    sim::center_and_normalize(x0);
-
-    const auto outcome = run_protocol_trial(kind, graph, x0, rng, options);
-    if (outcome.converged) {
-      ++converged;
-      const auto total = outcome.transmissions.total();
-      tx_quantiles.push(static_cast<double>(total));
-      if (total > 0) {
-        control_share.push(
-            static_cast<double>(
-                outcome.transmissions[sim::TxCategory::kControl]) /
-            static_cast<double>(total));
-      }
-    }
-  }
-
-  SweepPoint point;
-  point.n = n;
-  point.converged_fraction =
-      static_cast<double>(converged) / static_cast<double>(seeds);
-  if (tx_quantiles.count() > 0) {
-    point.median_tx = tx_quantiles.median();
-    point.q25_tx = tx_quantiles.quantile(0.25);
-    point.q75_tx = tx_quantiles.quantile(0.75);
-  }
-  point.mean_control_share = control_share.mean();
-  return point;
 }
 
 }  // namespace geogossip::core

@@ -85,23 +85,6 @@ TrialOutcome run_protocol_trial(ProtocolKind kind,
                                 std::string_view resume,
                                 unsigned route_lanes = 1);
 
-/// Aggregate over seeds: median / quartiles of total transmissions.
-struct SweepPoint {
-  std::size_t n = 0;
-  double median_tx = 0.0;
-  double q25_tx = 0.0;
-  double q75_tx = 0.0;
-  double converged_fraction = 0.0;
-  double mean_control_share = 0.0;  ///< control tx / total tx
-};
-
-/// Runs `seeds` independent trials of `kind` at size n (fresh graph and
-/// spike+gaussian-mixed field per seed) and aggregates.
-SweepPoint sweep_point(ProtocolKind kind, std::size_t n,
-                       double radius_multiplier, std::uint32_t seeds,
-                       std::uint64_t master_seed,
-                       const TrialOptions& options = {});
-
 }  // namespace geogossip::core
 
 #endif  // GEOGOSSIP_CORE_CONVERGENCE_HPP

@@ -40,12 +40,6 @@ int BucketGrid::bucket_of(Vec2 p) const noexcept {
   return row_of(p) * side_ + col_of(p);
 }
 
-void BucketGrid::for_each_within(
-    Vec2 p, double radius,
-    const std::function<void(std::uint32_t)>& fn) const {
-  for_each_within(p, radius, [&fn](std::uint32_t idx) { fn(idx); });
-}
-
 std::vector<std::uint32_t> BucketGrid::within(Vec2 p, double radius) const {
   std::vector<std::uint32_t> out;
   // Upper bound on candidates: each scanned row's buckets are contiguous

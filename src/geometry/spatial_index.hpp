@@ -6,15 +6,13 @@
 //
 // for_each_within is a template over the visitor so the per-candidate call
 // inlines (graph construction visits every near pair; an indirect call per
-// pair dominated the build).  A std::function overload remains for
-// ABI-stable callers that need type erasure.
+// pair dominated the build).
 #ifndef GEOGOSSIP_GEOMETRY_SPATIAL_INDEX_HPP
 #define GEOGOSSIP_GEOMETRY_SPATIAL_INDEX_HPP
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -37,9 +35,7 @@ class BucketGrid {
   const std::vector<Vec2>& points() const noexcept { return *points_; }
 
   /// Invokes fn(index) for every point with distance(p, point) <= radius.
-  /// The query point itself is reported too if it is in the set.  The
-  /// visitor call inlines; use the std::function overload only when type
-  /// erasure is required.
+  /// The query point itself is reported too if it is in the set.
   template <typename Visitor>
   void for_each_within(Vec2 p, double radius, Visitor&& fn) const {
     GG_CHECK_ARG(radius >= 0.0, "for_each_within: radius must be >= 0");
@@ -61,10 +57,6 @@ class BucketGrid {
       }
     }
   }
-
-  /// Type-erased overload (ABI-stable; prefer the template in hot paths).
-  void for_each_within(Vec2 p, double radius,
-                       const std::function<void(std::uint32_t)>& fn) const;
 
   /// Number of points with distance(p, point) <= radius (the query point
   /// itself included when indexed) — pass 1 of the two-pass CSR build is

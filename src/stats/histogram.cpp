@@ -1,87 +1,10 @@
 #include "stats/histogram.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "support/check.hpp"
-#include "support/string_util.hpp"
 
 namespace geogossip::stats {
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  GG_CHECK_ARG(lo < hi, "Histogram requires lo < hi");
-  GG_CHECK_ARG(bins >= 1, "Histogram requires at least one bin");
-}
-
-void Histogram::add(double value) noexcept { add_n(value, 1); }
-
-void Histogram::add_n(double value, std::uint64_t n) noexcept {
-  total_ += n;
-  if (value < lo_) {
-    underflow_ += n;
-    return;
-  }
-  if (value >= hi_) {
-    overflow_ += n;
-    return;
-  }
-  const double scaled =
-      (value - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size());
-  auto bin = static_cast<std::size_t>(scaled);
-  if (bin >= counts_.size()) bin = counts_.size() - 1;  // FP edge guard
-  counts_[bin] += n;
-}
-
-std::uint64_t Histogram::count(std::size_t bin) const {
-  GG_CHECK_ARG(bin < counts_.size(), "Histogram bin out of range");
-  return counts_[bin];
-}
-
-double Histogram::bin_center(std::size_t bin) const {
-  GG_CHECK_ARG(bin < counts_.size(), "Histogram bin out of range");
-  return lo_ + (static_cast<double>(bin) + 0.5) * bin_width();
-}
-
-double Histogram::bin_width() const noexcept {
-  return (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
-double Histogram::fraction(std::size_t bin) const {
-  GG_CHECK_ARG(bin < counts_.size(), "Histogram bin out of range");
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_[bin]) / static_cast<double>(total_);
-}
-
-double Histogram::density(std::size_t bin) const {
-  return fraction(bin) / bin_width();
-}
-
-double Histogram::cdf(std::size_t bin) const {
-  GG_CHECK_ARG(bin < counts_.size(), "Histogram bin out of range");
-  if (total_ == 0) return 0.0;
-  std::uint64_t cumulative = underflow_;
-  for (std::size_t b = 0; b <= bin; ++b) cumulative += counts_[b];
-  return static_cast<double>(cumulative) / static_cast<double>(total_);
-}
-
-std::string Histogram::to_string(std::size_t max_bar) const {
-  std::uint64_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const auto bar_len = static_cast<std::size_t>(
-        std::llround(static_cast<double>(counts_[b]) /
-                     static_cast<double>(peak) *
-                     static_cast<double>(max_bar)));
-    os << format_fixed(bin_center(b), 4) << " | "
-       << std::string(bar_len, '#') << ' ' << counts_[b] << '\n';
-  }
-  if (underflow_ != 0) os << "underflow: " << underflow_ << '\n';
-  if (overflow_ != 0) os << "overflow: " << overflow_ << '\n';
-  return os.str();
-}
 
 double tv_distance_from_uniform(const std::vector<std::uint64_t>& counts) {
   GG_CHECK_ARG(!counts.empty(), "tv_distance_from_uniform: no categories");

@@ -1,54 +1,12 @@
-// Fixed-bin histogram with text rendering, used by the occupancy and
-// rejection-sampling experiments (E8, E9).
+// Uniformity statistics over category counts, used by the
+// rejection-sampling experiment (E9).
 #ifndef GEOGOSSIP_STATS_HISTOGRAM_HPP
 #define GEOGOSSIP_STATS_HISTOGRAM_HPP
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace geogossip::stats {
-
-class Histogram {
- public:
-  /// Uniform bins over [lo, hi); values outside are counted in underflow /
-  /// overflow.  Requires lo < hi and bins >= 1.
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double value) noexcept;
-  void add_n(double value, std::uint64_t n) noexcept;
-
-  std::size_t bin_count() const noexcept { return counts_.size(); }
-  std::uint64_t count(std::size_t bin) const;
-  std::uint64_t underflow() const noexcept { return underflow_; }
-  std::uint64_t overflow() const noexcept { return overflow_; }
-  std::uint64_t total() const noexcept { return total_; }
-
-  /// Bin midpoint.
-  double bin_center(std::size_t bin) const;
-  double bin_width() const noexcept;
-
-  /// Fraction of all observations (including under/overflow) in this bin.
-  double fraction(std::size_t bin) const;
-
-  /// Empirical probability density at the bin (fraction / width).
-  double density(std::size_t bin) const;
-
-  /// Cumulative fraction of observations <= upper edge of `bin`
-  /// (underflow included).
-  double cdf(std::size_t bin) const;
-
-  /// Horizontal bar rendering, one line per bin.
-  std::string to_string(std::size_t max_bar = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
 
 /// Total-variation distance between an empirical distribution over k
 /// categories (counts) and the uniform distribution over those categories.

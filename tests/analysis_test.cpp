@@ -1,10 +1,9 @@
-// Tests for the analysis module: bound curves, spectral-gap estimation,
-// exponent fitting.
+// Tests for the analysis module: spectral-gap estimation, exponent
+// fitting.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "analysis/bounds.hpp"
 #include "analysis/exponent_fit.hpp"
 #include "analysis/mixing.hpp"
 #include "graph/geometric_graph.hpp"
@@ -13,63 +12,6 @@
 
 namespace geogossip::analysis {
 namespace {
-
-// ---------------------------------------------------------------- bounds ----
-
-TEST(Bounds, Lemma1SeriesDecaysGeometrically) {
-  const std::vector<double> ts{0, 10, 20, 40};
-  const auto series = lemma1_series(50, ts);
-  ASSERT_EQ(series.ys.size(), 4u);
-  EXPECT_DOUBLE_EQ(series.ys[0], 1.0);
-  for (std::size_t i = 1; i < series.ys.size(); ++i) {
-    EXPECT_LT(series.ys[i], series.ys[i - 1]);
-  }
-  EXPECT_NEAR(series.ys[1], std::pow(0.99, 10), 1e-12);
-}
-
-TEST(Bounds, TailSeriesCapsAtOne) {
-  const auto series = corollary_tail_series(50, {0, 1000}, 0.1);
-  EXPECT_DOUBLE_EQ(series.ys[0], 1.0);
-  EXPECT_LT(series.ys[1], 1.0);
-}
-
-TEST(Bounds, Lemma2SeriesHasNoiseFloor) {
-  const auto series = lemma2_series(64, {0, 1e5, 1e6}, 1.0, 1e-6);
-  // At huge t the envelope approaches the floor n^(a/2) 8 sqrt(2) n^1.5 eps.
-  const double floor = std::pow(64.0, 0.5) * 8.0 * std::sqrt(2.0) *
-                       std::pow(64.0, 1.5) * 1e-6;
-  EXPECT_NEAR(series.ys[2], floor, floor * 0.01);
-  EXPECT_GT(series.ys[0], series.ys[2]);
-}
-
-TEST(Bounds, StepsToEpsilonMatchesDirectSolve) {
-  const double t = lemma1_steps_to_epsilon(100, 1e-3, 1e-2);
-  // Check the defining inequality at t and its violation slightly below.
-  const double rho = 1.0 - 1.0 / 200.0;
-  EXPECT_LE(std::pow(rho, t) / 1e-6, 1e-2 * 1.0001);
-  EXPECT_GT(std::pow(rho, 0.9 * t) / 1e-6, 1e-2);
-  // Linear in n (up to the log factor): 2x n -> ~2x steps.
-  EXPECT_NEAR(lemma1_steps_to_epsilon(200, 1e-3, 1e-2) / t, 2.0, 0.02);
-}
-
-TEST(Bounds, PredictionSeriesOrdering) {
-  // Boyd dominates Dimakis already at n = 10^4; the paper's
-  // (log n/eps)^(log log n) factor keeps its curve above Dimakis' until
-  // n ~ 10^9..10^10 at unit constants — the asymptotic win is real but the
-  // crossover is far out (EXPERIMENTS.md E5 discussion).
-  const std::vector<double> ns{1e4, 1e6, 1e8};
-  const auto boyd = boyd_series(ns, 1e-3, 1.0);
-  const auto dimakis = dimakis_series(ns, 1e-3, 1.0);
-  for (std::size_t i = 0; i < ns.size(); ++i) {
-    EXPECT_GT(boyd.ys[i], dimakis.ys[i]);
-  }
-  const std::vector<double> far{1e10, 1e12, 1e14};
-  const auto dimakis_far = dimakis_series(far, 1e-3, 1.0);
-  const auto narayanan_far = narayanan_series(far, 1e-3, 1.0);
-  for (std::size_t i = 0; i < far.size(); ++i) {
-    EXPECT_GT(dimakis_far.ys[i], narayanan_far.ys[i]);
-  }
-}
 
 // ---------------------------------------------------------------- mixing ----
 

@@ -10,6 +10,7 @@
 #include "core/convergence.hpp"
 #include "core/decentralized.hpp"
 #include "core/hierarchy_protocol.hpp"
+#include "exp/runner.hpp"
 #include "geometry/sampling.hpp"
 #include "gossip/pairwise.hpp"
 #include "gossip/spanning_tree.hpp"
@@ -61,13 +62,21 @@ TEST(EdgeCases, SingleNodeSpanningTree) {
 // -------------------------------------------------- zero-convergence agg ----
 
 TEST(EdgeCases, SweepPointHandlesTotalNonConvergence) {
-  core::TrialOptions options;
-  options.eps = 1e-9;
-  options.max_ticks = 100;  // hopeless
-  const auto point = core::sweep_point(core::ProtocolKind::kBoydPairwise,
-                                       256, 2.0, 3, 2001, options);
-  EXPECT_DOUBLE_EQ(point.converged_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(point.median_tx, 0.0);
+  exp::Scenario scenario;
+  scenario.name = "hopeless";
+  scenario.replicates = 3;
+  scenario.master_seed = 2001;
+  exp::Cell& cell = scenario.add(core::ProtocolKind::kBoydPairwise, 256);
+  cell.radius_multiplier = 2.0;
+  cell.options.eps = 1e-9;
+  cell.options.max_ticks = 100;  // hopeless
+  exp::RunnerOptions options;
+  options.threads = 3;
+  const auto summary = exp::Runner(options).run(scenario);
+  ASSERT_EQ(summary.cells.size(), 1u);
+  EXPECT_EQ(summary.cells[0].replicates, 3u);
+  EXPECT_DOUBLE_EQ(summary.cells[0].converged_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(summary.cells[0].median_tx, 0.0);
 }
 
 // ------------------------------------------------------- file-backed CSV ----

@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "core/convergence.hpp"
+#include "exp/runner.hpp"
 #include "geometry/sampling.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/geometric_graph.hpp"
@@ -76,35 +77,43 @@ TEST(Integration, ScalingExponentOrderingMatchesTheory) {
   // unit constants sit beyond simulable n (EXPERIMENTS.md E5).  What must
   // hold at test scale: the affine one-level protocol's fitted exponent is
   // far below Dimakis' ~1.5-1.65, and Boyd's is the largest of the three.
-  TrialOptions options;
-  options.eps = 1e-3;
+  const std::vector<ProtocolKind> kinds{ProtocolKind::kAffineOneLevel,
+                                        ProtocolKind::kDimakisGeographic,
+                                        ProtocolKind::kBoydPairwise};
+  const std::vector<std::size_t> ns{512, 2048, 8192};
+  exp::Scenario scenario;
+  scenario.name = "scaling-exponent-ordering";
+  scenario.replicates = 2;
+  scenario.master_seed = 930;
+  for (const ProtocolKind kind : kinds) {
+    for (const std::size_t n : ns) scenario.add(kind, n).options.eps = 1e-3;
+  }
+  exp::RunnerOptions runner_options;
+  runner_options.threads = 4;
+  const auto summary = exp::Runner(runner_options).run(scenario);
 
-  const auto exponent_for = [&](ProtocolKind kind,
-                                const std::vector<std::size_t>& ns) {
+  std::vector<double> exponents;
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
     std::vector<double> xs;
     std::vector<double> medians;
-    for (const std::size_t n : ns) {
-      const auto point = sweep_point(kind, n, 1.2, 2, 930, options);
-      EXPECT_GT(point.converged_fraction, 0.5)
-          << protocol_kind_name(kind) << " n=" << n;
-      xs.push_back(static_cast<double>(n));
-      medians.push_back(point.median_tx);
+    for (std::size_t i = 0; i < ns.size(); ++i) {
+      const exp::CellSummary& cs = summary.cells[k * ns.size() + i];
+      EXPECT_GT(cs.converged_fraction, 0.5)
+          << cs.cell.label << " n=" << cs.cell.n;
+      xs.push_back(static_cast<double>(cs.cell.n));
+      medians.push_back(cs.median_tx);
     }
-    return stats::fit_power_law(xs, medians).exponent;
-  };
-
-  const double affine =
-      exponent_for(ProtocolKind::kAffineOneLevel, {512, 2048, 8192});
-  const double dimakis =
-      exponent_for(ProtocolKind::kDimakisGeographic, {512, 2048, 8192});
-  const double boyd =
-      exponent_for(ProtocolKind::kBoydPairwise, {512, 2048, 8192});
+    exponents.push_back(stats::fit_power_law(xs, medians).exponent);
+  }
+  const double affine = exponents[0];
+  const double dimakis = exponents[1];
+  const double boyd = exponents[2];
 
   EXPECT_LT(affine, 1.35);   // measured ~1.2 (approaching 1.5 only as the
                              // quadratic in-square term grows)
   EXPECT_GT(dimakis, affine + 0.15);  // measured gap ~0.28
-  EXPECT_GT(boyd, 1.55);     // measured ~1.72, heading for 2
-  EXPECT_GT(dimakis, 1.40);  // measured ~1.48, the n^1.5 row
+  EXPECT_GT(boyd, 1.55);     // measured ~1.6, heading for 2
+  EXPECT_GT(dimakis, 1.40);  // measured ~1.5, the n^1.5 row
 }
 
 TEST(Integration, ProtocolKindRoundTrip) {
@@ -117,20 +126,6 @@ TEST(Integration, ProtocolKindRoundTrip) {
               kind);
   }
   EXPECT_THROW(parse_protocol_kind("nope"), ArgumentError);
-}
-
-TEST(Integration, SweepPointAggregates) {
-  TrialOptions options;
-  options.eps = 3e-2;
-  const auto point = sweep_point(ProtocolKind::kAffineMultilevel, 512, 2.0,
-                                 4, 908, options);
-  EXPECT_EQ(point.n, 512u);
-  EXPECT_GT(point.converged_fraction, 0.7);
-  EXPECT_GT(point.median_tx, 0.0);
-  EXPECT_LE(point.q25_tx, point.median_tx);
-  EXPECT_LE(point.median_tx, point.q75_tx);
-  EXPECT_GE(point.mean_control_share, 0.0);
-  EXPECT_LT(point.mean_control_share, 1.0);
 }
 
 TEST(Integration, UnreachableEpsilonReportsNonConvergence) {

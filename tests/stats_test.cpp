@@ -126,39 +126,7 @@ TEST(SummaryHelpers, VectorForms) {
   EXPECT_THROW(variance_of({1.0}), ArgumentError);
 }
 
-// ------------------------------------------------------------ Histogram ----
-
-TEST(Histogram, BinAssignmentAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-1.0);
-  h.add(10.0);  // hi edge is exclusive -> overflow
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_width(), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
-}
-
-TEST(Histogram, FractionDensityCdf) {
-  Histogram h(0.0, 2.0, 2);
-  h.add_n(0.5, 3);
-  h.add_n(1.5, 1);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.75);
-  EXPECT_DOUBLE_EQ(h.density(0), 0.75);
-  EXPECT_DOUBLE_EQ(h.cdf(0), 0.75);
-  EXPECT_DOUBLE_EQ(h.cdf(1), 1.0);
-}
-
-TEST(Histogram, ToStringShowsBars) {
-  Histogram h(0.0, 1.0, 2);
-  h.add_n(0.25, 10);
-  const std::string text = h.to_string(10);
-  EXPECT_NE(text.find("##########"), std::string::npos);
-}
+// ----------------------------------------------------------- Uniformity ----
 
 TEST(HistogramUniformity, TvAndChiSquared) {
   EXPECT_DOUBLE_EQ(tv_distance_from_uniform({10, 10, 10, 10}), 0.0);
