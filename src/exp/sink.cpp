@@ -1,13 +1,13 @@
 #include "exp/sink.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <sstream>
 
 #include "exp/schema.hpp"
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
+#include "support/json.hpp"
 #include "support/retry.hpp"
 
 namespace geogossip::exp {
@@ -270,45 +270,6 @@ void write_sinks(const SweepSummary& summary, const std::string& csv_path,
                  const std::string& json_path) {
   if (!csv_path.empty()) CsvSink(csv_path).write(summary);
   if (!json_path.empty()) JsonLinesSink(json_path).write(summary);
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const unsigned char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace geogossip::exp

@@ -95,10 +95,6 @@ class JsonLinesSink final : public Sink {
   std::ostream* out_;
 };
 
-/// Escapes a string for embedding inside a JSON string literal (quotes,
-/// backslashes, control characters).
-std::string json_escape(const std::string& text);
-
 /// Convenience for drivers: writes `summary` to the given CSV and/or
 /// JSON-lines paths; an empty path skips that sink.
 void write_sinks(const SweepSummary& summary, const std::string& csv_path,

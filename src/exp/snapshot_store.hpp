@@ -3,10 +3,10 @@
 // A long replicate periodically serializes its full trajectory state (see
 // sim::CheckpointPolicy); SnapshotStore gives each (cell_index, replicate)
 // slot one file under a snapshot directory and persists every snapshot
-// torn-write-safely: bytes land in a "<file>.tmp" side file, are fsync'd,
-// and rename(2) flips them in — the live snapshot is never overwritten in
-// place, so a crash at ANY byte offset leaves either the previous snapshot
-// or the new one intact, never a hybrid.
+// torn-write-safely through atomic_write_file: bytes land in a temp
+// sibling, are fsync'd, and rename(2) flips them in — the live snapshot is
+// never overwritten in place, so a crash at ANY byte offset leaves either
+// the previous snapshot or the new one intact, never a hybrid.
 //
 // Files self-identify with (schema, scenario, master_seed, cell_index,
 // replicate, seed) plus an FNV-1a checksum of the payload.  try_load
@@ -35,9 +35,9 @@ struct LoadedSnapshot {
 class SnapshotStore {
  public:
   /// Creates `dir` (and parents) if absent; throws IoError on failure.
-  /// Also sweeps orphaned "*.tmp" debris left by crashed writers — but
-  /// only files older than `stale_tmp_age_seconds`, because in fleet mode
-  /// several workers share one snapshot directory and a fresh .tmp may be
+  /// Also sweeps orphaned temp files left by crashed writers — but only
+  /// files older than `stale_tmp_age_seconds`, because in fleet mode
+  /// several workers share one snapshot directory and a fresh temp may be
   /// another worker's in-flight save.  Pass 0 to sweep unconditionally
   /// (single-writer directories, tests).
   SnapshotStore(std::string dir, std::string scenario,

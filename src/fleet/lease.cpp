@@ -10,6 +10,7 @@
 
 #include "fleet/plan.hpp"
 #include "obs/telemetry.hpp"
+#include "support/atomic_file.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
 #include "support/logging.hpp"

@@ -9,11 +9,8 @@
 #include <system_error>
 #include <thread>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 #include "exp/schema.hpp"
+#include "support/atomic_file.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
 #include "support/logging.hpp"
@@ -63,14 +60,6 @@ std::string ticket_content(std::uint32_t batch) {
   out += ",\"generation\":0,\"owner\":\"\",\"ttl_seconds\":0,"
          "\"acquired_unix_ms\":0,\"expires_unix_ms\":0,\"heartbeat\":\"\"}\n";
   return out;
-}
-
-int process_id() {
-#if defined(__unix__) || defined(__APPLE__)
-  return static_cast<int>(::getpid());
-#else
-  return 0;
-#endif
 }
 
 /// Splits "batch-<id>.g<gen>.<owner>.jsonl"; false on anything else.
@@ -140,23 +129,6 @@ std::string heartbeat_path(const std::string& fleet_dir,
 std::string worker_stats_path(const std::string& fleet_dir,
                               const std::string& owner) {
   return hb_dir(fleet_dir) + "/" + owner + ".stats.json";
-}
-
-void atomic_write_file(const std::string& path, const std::string& content) {
-  const std::string tmp =
-      path + ".tmp." + std::to_string(process_id());
-  retry_io(RetryPolicy{}, "fleet: writing " + path, [&] {
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out.is_open()) return false;
-      out << content;
-      out.flush();
-      if (!out.good()) return false;
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    return !ec;
-  });
 }
 
 FleetPlan plan_for(const exp::Scenario& scenario, std::uint32_t batches) {

@@ -75,12 +75,6 @@ std::string heartbeat_path(const std::string& fleet_dir,
 std::string worker_stats_path(const std::string& fleet_dir,
                               const std::string& owner);
 
-/// Writes `content` to `path` atomically (unique temp sibling + rename),
-/// retrying transient failures.  The temp name embeds the pid so two
-/// electors rewriting identical tickets never interleave one temp file.
-/// Throws IoError when the bounded retries run out.
-void atomic_write_file(const std::string& path, const std::string& content);
-
 // --------------------------------------------------------------- plan ----
 
 /// The plan a scenario implies for a given batch count.

@@ -15,6 +15,7 @@
 #include "fleet/plan.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/telemetry.hpp"
+#include "support/atomic_file.hpp"
 #include "support/check.hpp"
 #include "support/logging.hpp"
 #include "support/retry.hpp"
@@ -225,8 +226,7 @@ WorkerReport run_worker(const exp::Scenario& scenario,
         std::error_code ec;
         for (const auto& entry : fs::directory_iterator(
                  snaps_dir(options.fleet_dir), ec)) {
-          if (entry.path().filename().string().find(".tmp") !=
-              std::string::npos) {
+          if (is_temp_file(entry.path().filename().string())) {
             std::error_code remove_ec;
             fs::remove(entry.path(), remove_ec);
           }

@@ -1,47 +1,18 @@
 #include "obs/heartbeat.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include "obs/memory.hpp"
+#include "support/atomic_file.hpp"
 #include "support/check.hpp"
+#include "support/json.hpp"
 #include "support/logging.hpp"
-#include "support/retry.hpp"
 
 namespace geogossip::obs {
 
 namespace {
-
-/// Heartbeat lines carry a few free-form strings (scenario, worker,
-/// lease); keep the escaping local rather than dragging in the sink's
-/// JSON helpers.
-std::string json_escape_min(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::int64_t unix_millis_now() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -59,9 +30,11 @@ Heartbeat::Heartbeat(Options options)
   // A crashed predecessor can leave its half-written temp behind; the
   // temp name is derived from our (unique-per-writer) path, so the
   // debris is ours to sweep.
-  std::error_code ec;
-  if (std::filesystem::remove(options_.path + ".tmp", ec)) {
-    log_warn("heartbeat: swept stale temp file " + options_.path + ".tmp");
+  for (const std::string& tmp : temp_siblings(options_.path)) {
+    std::error_code ec;
+    if (std::filesystem::remove(tmp, ec)) {
+      log_warn("heartbeat: swept stale temp file " + tmp);
+    }
   }
   std::string image;
   {
@@ -139,7 +112,7 @@ void Heartbeat::loop() {
 
 std::string Heartbeat::compose_locked() {
   std::string line = "{\"record\":\"heartbeat\",\"scenario\":\"";
-  line += json_escape_min(options_.scenario);
+  line += json_escape(options_.scenario);
   line += "\",\"shard_index\":";
   line += std::to_string(options_.shard_index);
   line += ",\"shard_count\":";
@@ -158,12 +131,12 @@ std::string Heartbeat::compose_locked() {
   line += std::to_string(unix_millis_now());
   if (!options_.worker.empty()) {
     line += ",\"worker\":\"";
-    line += json_escape_min(options_.worker);
+    line += json_escape(options_.worker);
     line += "\"";
   }
   if (!lease_.empty()) {
     line += ",\"lease\":\"";
-    line += json_escape_min(lease_);
+    line += json_escape(lease_);
     line += "\"";
   }
   line += ",\"seq\":";
@@ -175,25 +148,15 @@ std::string Heartbeat::compose_locked() {
 }
 
 void Heartbeat::commit(const std::string& image) {
-  // Write the whole image to a sibling temp file and rename it over the
-  // target: readers either see the previous complete file or the new
-  // one, never a prefix of a line.  Transient failures (shared-fs blips)
-  // are retried; a final failure is logged, never thrown — heartbeats
-  // must not kill the host sweep.
-  const std::string tmp = options_.path + ".tmp";
-  retry_io_or_log(
-      RetryPolicy{}, "heartbeat: committing " + options_.path, [&] {
-        {
-          std::ofstream out(tmp, std::ios::trunc);
-          if (!out.is_open()) return false;
-          out << image;
-          out.flush();
-          if (!out.good()) return false;
-        }
-        std::error_code ec;
-        std::filesystem::rename(tmp, options_.path, ec);
-        return !ec;
-      });
+  // Readers either see the previous complete file or the new one, never a
+  // prefix of a line.  A commit that still fails after the helper's
+  // retries is logged, never thrown — heartbeats must not kill the host
+  // sweep.
+  try {
+    atomic_write_file(options_.path, image);
+  } catch (const IoError& error) {
+    log_error(error.what());
+  }
 }
 
 }  // namespace geogossip::obs

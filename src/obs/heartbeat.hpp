@@ -4,7 +4,7 @@
 // appends one JSON line — shard coordinates, completed/total replicate
 // counts, the most recently started (cell, replicate), the process RSS
 // high-water and the flush wall-clock timestamp — and commits the WHOLE
-// file via write-temp-then-rename, so a reader (the fleet coordinator
+// file via atomic_write_file (temp sibling, fsync, rename), so a reader (the fleet coordinator
 // deciding whether a lease owner is alive, or a human tailing a remote
 // run) never observes a torn line: every line of the file parses, always.
 //
@@ -50,9 +50,9 @@ class Heartbeat {
     std::string worker;
   };
 
-  /// Sweeps a stale `path + ".tmp"` left by a crashed predecessor, writes
-  /// the first beat immediately (a scheduler learns the writer is alive
-  /// without waiting a full interval), then starts the timer thread.
+  /// Sweeps stale temp siblings of `path` left by a crashed predecessor,
+  /// writes the first beat immediately (a scheduler learns the writer is
+  /// alive without waiting a full interval), then starts the timer thread.
   /// Throws ArgumentError on an empty path or a non-positive interval.
   explicit Heartbeat(Options options);
   /// stop()s if the caller has not.

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "support/check.hpp"
+#include "support/json.hpp"
 
 namespace geogossip::obs {
 
@@ -21,34 +22,6 @@ void append_us(std::string& out, std::uint64_t ns) {
   std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03u", ns / 1000,
                 static_cast<unsigned>(ns % 1000));
   out += buf;
-}
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -68,7 +41,7 @@ void write_chrome_trace(std::ostream& out, const Snapshot& snap,
   out << "{\"traceEvents\":[\n";
   line += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
           "\"args\":{\"name\":\"";
-  append_escaped(line, process_name);
+  line += json_escape(process_name);
   line += "\"}}";
   out << line;
   out << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
@@ -76,7 +49,7 @@ void write_chrome_trace(std::ostream& out, const Snapshot& snap,
   for (const Event& event : snap.events) {
     line.clear();
     line += ",\n{\"name\":\"";
-    append_escaped(line, event.name);
+    line += json_escape(event.name);
     line += "\",\"ph\":\"X\",\"pid\":";
     line += std::to_string(kPid);
     line += ",\"tid\":";
@@ -92,7 +65,7 @@ void write_chrome_trace(std::ostream& out, const Snapshot& snap,
       bool first = true;
       if (event.key_a != nullptr) {
         line += "\"";
-        append_escaped(line, event.key_a);
+        line += json_escape(event.key_a);
         line += "\":";
         line += std::to_string(event.arg_a);
         first = false;
@@ -100,7 +73,7 @@ void write_chrome_trace(std::ostream& out, const Snapshot& snap,
       if (event.key_b != nullptr) {
         if (!first) line += ",";
         line += "\"";
-        append_escaped(line, event.key_b);
+        line += json_escape(event.key_b);
         line += "\":";
         line += std::to_string(event.arg_b);
       }
@@ -117,7 +90,7 @@ void write_chrome_trace(std::ostream& out, const Snapshot& snap,
     first = false;
     line.clear();
     line += "\"";
-    append_escaped(line, name);
+    line += json_escape(name);
     line += "\":";
     line += std::to_string(value);
     out << line;

@@ -1,6 +1,7 @@
 #include "support/json.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
@@ -230,6 +231,45 @@ JsonValue JsonParser::parse_number() {
     value.is_uint = errno == 0 && end == token.c_str() + token.size();
   }
   return value;
+}
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const unsigned char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace geogossip

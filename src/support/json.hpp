@@ -1,4 +1,5 @@
-// Minimal strict JSON reader shared by the durable-state readers.
+// Minimal strict JSON reader shared by the durable-state readers, and the
+// one string escaper their writers use.
 //
 // This library writes all of its durable JSON itself (replicate records,
 // heartbeat lines, fleet lease/plan/done files), so a small strict parser
@@ -74,6 +75,11 @@ class JsonParser {
 inline JsonValue parse_json(std::string_view text) {
   return JsonParser(text).parse();
 }
+
+/// Escapes `text` for embedding inside a JSON string literal: quotes,
+/// backslashes and control characters.  JsonParser reads the result back
+/// to `text` exactly.
+std::string json_escape(std::string_view text);
 
 }  // namespace geogossip
 

@@ -615,14 +615,6 @@ TEST(Sinks, JsonLinesReplicateRecordsStreamOnePerReplicate) {
             std::string::npos);
 }
 
-TEST(Sinks, JsonEscapeHandlesQuotesBackslashesAndControls) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(json_escape(std::string("a\x01") + "b"), "a\\u0001b");
-}
-
 // --------------------------------------------------------- resume & shard ----
 
 /// Renders a summary through the CSV sink: byte equality here IS the

@@ -247,7 +247,6 @@ TEST(Heartbeat, EveryLineParsesAndNoTempFileRemains) {
   const auto dir = std::filesystem::path(::testing::TempDir());
   const auto path = (dir / "obs_heartbeat_test.jsonl").string();
   std::filesystem::remove(path);
-  std::filesystem::remove(path + ".tmp");
 
   {
     gg::obs::Heartbeat::Options options;
@@ -264,8 +263,12 @@ TEST(Heartbeat, EveryLineParsesAndNoTempFileRemains) {
     EXPECT_GE(heartbeat.beats(), 2u);  // initial + final at minimum
   }
 
-  // Committed via rename: the temp image must be gone, the target present.
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  // Committed via rename: no temp sibling may remain, the target is present.
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_FALSE(entry.path().filename().string().starts_with(
+        "obs_heartbeat_test.jsonl.tmp"))
+        << entry.path();
+  }
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
   std::string line;

@@ -7,6 +7,7 @@
 // crash/resume path.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include "exp/snapshot_store.hpp"
 #include "geometry/sampling.hpp"
 #include "graph/geometric_graph.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/field.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -406,6 +408,39 @@ TEST(SnapshotStore, ForeignFileWithBadMagicRestarts) {
   const exp::SnapshotStore store(test_dir("magic"), "tiny", 7);
   spit(store.path_for(0, 0), "not a snapshot at all");
   EXPECT_FALSE(store.try_load(0, 0, 11).has_value());
+}
+
+TEST(SnapshotStore, SweepsOnlyStaleTempsAndCountsOrphans) {
+  const std::string dir = test_dir("stale_tmp");
+  const std::string slot = exp::SnapshotStore(dir, "tiny", 7).path_for(0, 0);
+  // Two writers died mid-save of one slot: one long ago, one just now
+  // (possibly still alive in another fleet worker).
+  const std::string old_tmp = slot + ".tmp.111";
+  const std::string fresh_tmp = slot + ".tmp.222";
+  spit(old_tmp, "torn");
+  spit(fresh_tmp, "in flight");
+  std::filesystem::last_write_time(
+      old_tmp, std::filesystem::file_time_type::clock::now() -
+                   std::chrono::hours(1));
+
+  obs::reset();
+  obs::set_enabled(true);
+  const exp::SnapshotStore store(dir, "tiny", 7);  // default 300 s gate
+  EXPECT_FALSE(std::filesystem::exists(old_tmp));
+  EXPECT_TRUE(std::filesystem::exists(fresh_tmp));
+  // No committed snapshot beside the orphan: the replicate restarts.
+  EXPECT_FALSE(store.try_load(0, 0, 11).has_value());
+  obs::set_enabled(false);
+  const auto counters = obs::snapshot().counters;
+  obs::reset();
+#if !defined(GEOGOSSIP_OBS_DISABLE)
+  EXPECT_EQ(counters.at("snapshot.stale_tmp_swept"), 1u);
+  EXPECT_EQ(counters.at("snapshot.orphan_tmp"), 1u);
+#endif
+
+  // Once the slot's record is durable, remove() clears its temps too.
+  store.remove(0, 0);
+  EXPECT_FALSE(std::filesystem::exists(fresh_tmp));
 }
 
 // ------------------------------------------------------- JSONL schema ----

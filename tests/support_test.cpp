@@ -1,5 +1,5 @@
-// Unit tests for the support module: RNG, checks, strings, CSV, CLI,
-// logging, tables.
+// Unit tests for the support module: RNG, checks, strings, CSV, JSON,
+// CLI, logging, tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +9,7 @@
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
+#include "support/json.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
 #include "support/string_util.hpp"
@@ -303,6 +304,21 @@ TEST(Csv, EnforcesDiscipline) {
   EXPECT_THROW(csv.header({"again"}), CheckError);
   csv.field("1");
   EXPECT_THROW(csv.end_row(), CheckError);  // width mismatch
+}
+
+// ----------------------------------------------------------------- json ----
+
+TEST(Sinks, JsonEscapeHandlesQuotesBackslashesAndControls) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
+  EXPECT_EQ(json_escape(std::string("a\x01") + "b"), "a\\u0001b");
+  // The parser reads every escape back to the original bytes.
+  std::string all_controls;
+  for (char c = 0; c < 0x20; ++c) all_controls += c;
+  const std::string text = "q\"b\\" + all_controls + "z";
+  EXPECT_EQ(parse_json("\"" + json_escape(text) + "\"").text, text);
 }
 
 // ------------------------------------------------------------------ cli ----
