@@ -1,8 +1,7 @@
 // Self-timed perf-kernel harness: times the simulator's hot paths across n
-// and emits JSON, with no external benchmark dependency (unlike
-// micro_kernels, which needs Google Benchmark and is skipped when the
-// library is absent).  The committed BENCH_*.json trajectory is produced by
-// this binary so perf regressions are visible PR over PR.
+// and emits JSON, with no external benchmark dependency.  The committed
+// BENCH_*.json trajectory is produced by this binary so perf regressions
+// are visible PR over PR.
 //
 // Kernels:
 //   graph_build            GeometricGraph::sample — two-pass CSR straight

@@ -24,10 +24,12 @@
 //   # flattened (cell, replicate) stream; output paths auto-suffixed)
 //   parallel_sweep --scenario=e5-scaling-xl --shard=0/2 --json-replicates=xl.jsonl
 //   parallel_sweep --scenario=e5-scaling-xl --shard=1/2 --json-replicates=xl.jsonl
-//   # then fold the shard files into the summaries a single uninterrupted
-//   # run would emit (tools/merge_replicates.py validates + canonicalizes)
+//   # then fold the shard files into the summaries and the canonical
+//   # record file a single uninterrupted run would emit (exit 1 unless
+//   # the records cover the scenario exactly)
 //   parallel_sweep --scenario=e5-scaling-xl --merge-only
-//       --resume=xl.shard-0-of-2.jsonl,xl.shard-1-of-2.jsonl --csv=xl.csv
+//       --resume=xl.shard-0-of-2.jsonl,xl.shard-1-of-2.jsonl
+//       --json-replicates=xl.jsonl --csv=xl.csv
 //
 // Long replicates can additionally checkpoint MID-flight: --snapshot-dir
 // (+ --snapshot-every) periodically persists each running replicate's full

@@ -4,7 +4,9 @@
 #include <filesystem>
 #include <iostream>
 #include <random>
+#include <sstream>
 #include <utility>
+#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -17,6 +19,7 @@
 #include "obs/heartbeat.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
+#include "support/atomic_file.hpp"
 #include "support/logging.hpp"
 #include "support/string_util.hpp"
 
@@ -85,6 +88,17 @@ void print_checkpoint_warnings(const CheckpointStats& stats) {
   if (stats.torn_tail) {
     log_warn("resume: tolerated a torn final line (killed writer)");
   }
+}
+
+/// Folds replicate-record files into one checkpoint for `scenario`,
+/// logging what the tolerance policy skipped.
+std::shared_ptr<Checkpoint> fold_records(
+    const Scenario& scenario, const std::vector<std::string>& files) {
+  auto checkpoint =
+      std::make_shared<Checkpoint>(scenario.name, scenario.master_seed);
+  for (const std::string& path : files) checkpoint->load_file(path);
+  print_checkpoint_warnings(checkpoint->stats());
+  return checkpoint;
 }
 
 /// Parses "--heartbeat=FILE,SECS" (",SECS" optional; split on the LAST
@@ -187,7 +201,9 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
   parser_.add_flag("json-replicates", &json_replicates_path_,
                    "stream one JSON-lines record per finished replicate to "
                    "this file (flushed per record; interrupted sweeps keep "
-                   "partial results and --resume picks them back up)");
+                   "partial results and --resume picks them back up).  "
+                   "With --merge-only/--fleet-merge: write the merged "
+                   "records here in (cell, replicate) order");
   parser_.add_flag("shard", &shard_spec_,
                    "run shard i of k (i/k): round-robin partition of the "
                    "(cell, replicate) stream; --csv/--json/--json-replicates "
@@ -199,9 +215,10 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
                    "replicates are skipped and re-ingested.  Resuming into "
                    "the same --json-replicates path appends only new records");
   parser_.add_flag("merge-only", &merge_only_,
-                   "run nothing: require --resume to cover the scenario "
-                   "completely and emit the merged summaries (exit 1 when "
-                   "replicates are missing)");
+                   "run nothing: require --resume to cover the scenario's "
+                   "cells x replicates exactly and emit the merged "
+                   "summaries and records (exit 1 when replicates are "
+                   "missing or records lie outside the scenario)");
   parser_.add_flag("mem-budget", &mem_budget_gb_,
                    "cap concurrent replicates by their memory hints to this "
                    "many GiB (0 = no cap; XL scenarios carry hints)");
@@ -253,8 +270,8 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
   parser_.add_flag("fleet-merge", &fleet_merge_,
                    "run nothing: fold every record file in --fleet-dir, "
                    "require full coverage, and emit the merged summaries "
-                   "(--csv/--json) — byte-identical to an uninterrupted "
-                   "single-process sweep");
+                   "(--csv/--json) and records (--json-replicates) — "
+                   "byte-identical to an uninterrupted single-process sweep");
 }
 
 std::optional<int> SweepCli::parse(int argc, char** argv) {
@@ -278,12 +295,6 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
   }
   if (merge_only_ && resume_spec_.empty()) {
     std::cerr << "--merge-only needs --resume=<shard files>\n";
-    return 1;
-  }
-  if (merge_only_ && !json_replicates_path_.empty()) {
-    std::cerr << "--merge-only runs nothing, so --json-replicates would "
-                 "write an empty file; use tools/merge_replicates.py to "
-                 "produce a merged record file\n";
     return 1;
   }
   if (mem_budget_gb_ < 0.0) {
@@ -336,14 +347,16 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
     if (!shard_spec_.empty()) return conflict("--shard");
     if (!resume_spec_.empty()) return conflict("--resume");
     if (merge_only_) return conflict("--merge-only (use --fleet-merge)");
-    if (!json_replicates_path_.empty()) return conflict("--json-replicates");
     if (!snapshot_dir_.empty()) return conflict("--snapshot-dir");
     if (!heartbeat_spec_.empty()) return conflict("--heartbeat");
     if (!fleet_merge_) {
       // Worker mode streams records into the fleet directory; summaries
-      // come from --fleet-merge afterwards.
+      // and the canonical record file come from --fleet-merge afterwards.
       if (!csv_path_.empty()) return conflict("--csv (merge emits it)");
       if (!json_path_.empty()) return conflict("--json (merge emits it)");
+      if (!json_replicates_path_.empty()) {
+        return conflict("--json-replicates (merge emits it)");
+      }
     }
     if (fleet_batches_flag_ < 0 || fleet_batches_flag_ > 0xFFFFFFFFll) {
       std::cerr << "--fleet-batches must be in [0, 2^32)\n";
@@ -389,10 +402,8 @@ RunnerOptions SweepCli::base_options() const {
 int SweepCli::run(Scenario scenario, std::ostream& out) {
   apply_overrides(scenario);
 
-  if (fleet_mode()) {
-    return fleet_merge_ ? run_fleet_merge(scenario, out)
-                        : run_fleet_worker(scenario, out);
-  }
+  if (merge_only_ || fleet_merge_) return run_merge(scenario, out);
+  if (fleet_mode()) return run_fleet_worker(scenario, out);
 
   // Per-shard output paths so k cooperating processes can share one
   // command line (identity when unsharded and no {shard} placeholder).
@@ -420,36 +431,16 @@ int SweepCli::run(Scenario scenario, std::ostream& out) {
   // into the same file must read it completely first.
   bool resume_into_same_file = false;
   if (!resume_spec_.empty()) {
-    auto checkpoint = std::make_shared<Checkpoint>(scenario.name,
-                                                   scenario.master_seed);
-    for (const auto& path : split(resume_spec_, ',')) {
-      if (path.empty()) continue;
-      checkpoint->load_file(path);
+    const std::vector<std::string> files = resume_files();
+    for (const std::string& path : files) {
       if (!json_replicates_path.empty() &&
           same_file(path, json_replicates_path)) {
         resume_into_same_file = true;
       }
     }
-    print_checkpoint_warnings(checkpoint->stats());
-    out << "resume: " << checkpoint->size()
+    checkpoint_ = fold_records(scenario, files);
+    out << "resume: " << checkpoint_->size()
         << " completed replicate(s) loaded\n";
-    if (merge_only_) {
-      const std::size_t tasks = scenario.cells.size() * scenario.replicates;
-      std::size_t missing = 0;
-      for (std::size_t task = 0; task < tasks; ++task) {
-        if (!checkpoint->contains(
-                task / scenario.replicates,
-                static_cast<std::uint32_t>(task % scenario.replicates))) {
-          ++missing;
-        }
-      }
-      if (missing > 0) {
-        std::cerr << "--merge-only: " << missing << " of " << tasks
-                  << " replicates missing from the resume files\n";
-        return 1;
-      }
-    }
-    checkpoint_ = std::move(checkpoint);
   }
 
   RunnerOptions options = base_options();
@@ -553,43 +544,74 @@ int SweepCli::run_fleet_worker(const Scenario& scenario, std::ostream& out) {
   return 0;
 }
 
-int SweepCli::run_fleet_merge(const Scenario& scenario, std::ostream& out) {
-  const auto plan = fleet::try_load_plan(fleet_dir_);
-  if (!plan) {
-    std::cerr << "--fleet-merge: no plan.json in " << fleet_dir_
-              << " — is this a fleet directory?\n";
-    return 1;
+std::vector<std::string> SweepCli::resume_files() const {
+  std::vector<std::string> files;
+  for (std::string& path : split(resume_spec_, ',')) {
+    if (!path.empty()) files.push_back(std::move(path));
   }
-  // batches = 0: adopt the plan's batch count, validate everything else.
-  fleet::validate_plan_match(*plan, fleet::plan_for(scenario, 0));
+  return files;
+}
 
-  auto checkpoint =
-      std::make_shared<Checkpoint>(scenario.name, scenario.master_seed);
-  const std::vector<std::string> files =
-      fleet::all_record_files(fleet_dir_);
-  for (const std::string& path : files) checkpoint->load_file(path);
-  print_checkpoint_warnings(checkpoint->stats());
-  const std::size_t done =
-      fleet::done_batches(fleet_dir_, plan->batches).size();
-  out << "fleet merge: " << checkpoint->size() << " replicate(s) from "
-      << files.size() << " record file(s), " << done << "/" << plan->batches
-      << " batches done\n";
-
-  const std::size_t tasks = scenario.cells.size() * scenario.replicates;
-  std::size_t missing = 0;
-  for (std::size_t task = 0; task < tasks; ++task) {
-    if (!checkpoint->contains(
-            task / scenario.replicates,
-            static_cast<std::uint32_t>(task % scenario.replicates))) {
-      ++missing;
+int SweepCli::run_merge(const Scenario& scenario, std::ostream& out) {
+  std::vector<std::string> files;
+  if (fleet_merge_) {
+    const auto plan = fleet::try_load_plan(fleet_dir_);
+    if (!plan) {
+      std::cerr << "--fleet-merge: no plan.json in " << fleet_dir_
+                << " — is this a fleet directory?\n";
+      return 1;
     }
+    // batches = 0: adopt the plan's batch count, validate everything else.
+    fleet::validate_plan_match(*plan, fleet::plan_for(scenario, 0));
+    files = fleet::all_record_files(fleet_dir_);
+    out << "fleet merge: "
+        << fleet::done_batches(fleet_dir_, plan->batches).size() << "/"
+        << plan->batches << " batches done\n";
+  } else {
+    files = resume_files();
   }
-  if (missing > 0) {
-    std::cerr << "--fleet-merge: " << missing << " of " << tasks
-              << " replicates missing — the fleet has not finished (or "
-                 "lost records); start a worker with --fleet-dir to "
-                 "complete it\n";
+  auto checkpoint = fold_records(scenario, files);
+  out << "merge: " << checkpoint->size() << " replicate(s) from "
+      << files.size() << " record file(s)\n";
+
+  // The records must cover the scenario's cells x replicates grid
+  // exactly: a record outside it (shards run with another --replicates,
+  // say) fails the merge as surely as a hole inside it.
+  const std::size_t cells = scenario.cells.size();
+  std::size_t stray = 0;
+  for (const auto& [key, result] : checkpoint->records()) {
+    if (key.first >= cells || key.second >= scenario.replicates) ++stray;
+  }
+  if (stray > 0) {
+    std::cerr << "merge: " << stray << " record(s) outside the " << cells
+              << " x " << scenario.replicates << " grid of '"
+              << scenario.name << "' (written with another --replicates?)\n";
     return 1;
+  }
+  const std::size_t tasks = cells * scenario.replicates;
+  if (checkpoint->size() < tasks) {
+    std::cerr << "merge: " << tasks - checkpoint->size() << " of " << tasks
+              << " replicates missing"
+              << (fleet_merge_ ? " — the fleet has not finished (or lost "
+                                 "records); start a worker with --fleet-dir "
+                                 "to complete it\n"
+                               : " from the --resume files\n");
+    return 1;
+  }
+
+  if (!json_replicates_path_.empty()) {
+    // The canonical record file: every record once, in (cell_index,
+    // replicate) order, committed atomically because the target may be
+    // one of the files just folded.
+    std::ostringstream records;
+    JsonLinesSink sink(records);
+    for (const auto& [key, result] : checkpoint->records()) {
+      sink.write_replicate(scenario.name, scenario.master_seed,
+                           scenario.cells[key.first], key.first, key.second,
+                           result);
+    }
+    atomic_write_file(json_replicates_path_, records.str());
+    out << "merge: wrote " << json_replicates_path_ << "\n";
   }
 
   // Aggregate through the SAME Runner path an uninterrupted run uses —
@@ -597,8 +619,7 @@ int SweepCli::run_fleet_merge(const Scenario& scenario, std::ostream& out) {
   // aggregation makes the merged summaries byte-identical to a
   // single-process sweep.
   checkpoint_ = std::move(checkpoint);
-  RunnerOptions options = base_options();
-  summary_ = Runner(options).run(scenario);
+  summary_ = Runner(base_options()).run(scenario);
   print_summary(out, summary_);
   write_sinks(summary_, csv_path_, json_path_);
   return 0;

@@ -23,6 +23,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "exp/checkpoint.hpp"
 #include "exp/runner.hpp"
@@ -51,10 +52,11 @@ class SweepCli {
   void apply_overrides(Scenario& scenario) const;
 
   /// Executes `scenario` with the full harness wiring — per-shard output
-  /// paths, resume-checkpoint loading (with --merge-only coverage
-  /// validation), streaming replicate records, heartbeat, mid-replicate
-  /// snapshots — prints the summary table to `out`, exports the telemetry
-  /// trace and writes the CSV/JSON sinks.  Returns the process exit code
+  /// paths, resume-checkpoint loading, streaming replicate records,
+  /// heartbeat, mid-replicate snapshots — prints the summary table to
+  /// `out`, exports the telemetry trace and writes the CSV/JSON sinks.
+  /// --merge-only and --fleet-merge run nothing: they fold, validate and
+  /// aggregate existing records instead.  Returns the process exit code
   /// (0 on success); the aggregates stay available via summary().
   int run(Scenario scenario, std::ostream& out);
 
@@ -76,7 +78,13 @@ class SweepCli {
 
  private:
   int run_fleet_worker(const Scenario& scenario, std::ostream& out);
-  int run_fleet_merge(const Scenario& scenario, std::ostream& out);
+  /// --merge-only (records from --resume) and --fleet-merge (records from
+  /// the fleet directory): folds the records, requires them to cover the
+  /// scenario's cells x replicates grid exactly, writes the canonical
+  /// record file to --json-replicates, and aggregates them.
+  int run_merge(const Scenario& scenario, std::ostream& out);
+  /// The non-empty paths of --resume.
+  std::vector<std::string> resume_files() const;
 
   ArgParser parser_;
   std::string program_;

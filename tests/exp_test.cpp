@@ -1,13 +1,17 @@
 // Tests for the experiment-orchestration subsystem (src/exp/): the
 // work-stealing thread pool, the deterministic replicate seed-stream, the
-// parallel runner's aggregation, the scenario registry, and the sinks.
+// parallel runner's aggregation, the scenario registry, the sinks, and
+// SweepCli's merge modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,6 +20,7 @@
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sink.hpp"
+#include "exp/sweep_cli.hpp"
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
 
@@ -896,6 +901,121 @@ TEST(Sharding, ShardResumedFromMergedFileRerunsNothing) {
     EXPECT_EQ(summary.resumed_replicates,
               (scenario.cells.size() * scenario.replicates + 1 - shard) / 2);
   }
+}
+
+// -------------------------------------------------------- merge modes ----
+
+/// Runs `scenario` through SweepCli with the given harness flags; returns
+/// the exit code of parse() or run().
+int run_cli(const Scenario& scenario, std::vector<std::string> args,
+            std::string* csv = nullptr) {
+  SweepCli cli("exp_test", "merge-mode fixture");
+  args.insert(args.begin(), "exp_test");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  const auto exit = cli.parse(static_cast<int>(argv.size()), argv.data());
+  if (exit) return *exit;
+  std::ostringstream out;
+  const int code = cli.run(scenario, out);
+  if (csv != nullptr) *csv = to_csv(cli.summary());
+  return code;
+}
+
+std::string merge_dir(const std::string& leaf) {
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   ("ggmerge_" + leaf);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// The records of an uninterrupted run in (cell_index, replicate) order.
+std::string index_order_records(const Scenario& scenario,
+                                std::string* csv) {
+  RunnerOptions options;
+  options.threads = 2;
+  options.keep_replicates = true;
+  const SweepSummary summary = Runner(options).run(scenario);
+  *csv = to_csv(summary);
+  std::ostringstream records;
+  JsonLinesSink sink(records);
+  for (const CellSummary& cs : summary.cells) {
+    for (std::uint32_t r = 0; r < cs.raw.size(); ++r) {
+      sink.write_replicate(scenario.name, scenario.master_seed, cs.cell,
+                           cs.cell_index, r, cs.raw[r]);
+    }
+  }
+  return records.str();
+}
+
+/// Runs `scenario` as shards 0/2 and 1/2 streaming records into `dir`;
+/// returns the two shard record files.
+std::vector<std::string> run_two_shards(const Scenario& scenario,
+                                        const std::string& dir) {
+  for (const char* shard : {"--shard=0/2", "--shard=1/2"}) {
+    EXPECT_EQ(run_cli(scenario, {"--threads=2", shard,
+                                 "--json-replicates=" + dir + "/s.jsonl"}),
+              0);
+  }
+  return {dir + "/s.shard-0-of-2.jsonl", dir + "/s.shard-1-of-2.jsonl"};
+}
+
+TEST(MergeOnly, CanonicalFileEqualsTheIndexOrderRecordsOfAnUninterruptedRun) {
+  const auto scenario = tiny_scenario(3);
+  const std::string dir = merge_dir("canonical");
+  const auto shards = run_two_shards(scenario, dir);
+  std::string merged_csv;
+  ASSERT_EQ(run_cli(scenario,
+                    {"--threads=2", "--merge-only",
+                     "--resume=" + shards[0] + "," + shards[1],
+                     "--json-replicates=" + dir + "/merged.jsonl"},
+                    &merged_csv),
+            0);
+  std::string clean_csv;
+  EXPECT_EQ(read_file(dir + "/merged.jsonl"),
+            index_order_records(scenario, &clean_csv));
+  EXPECT_EQ(merged_csv, clean_csv);
+}
+
+TEST(MergeOnly, AMissingPairExitsOne) {
+  const auto scenario = tiny_scenario(3);
+  const std::string dir = merge_dir("missing");
+  const auto shards = run_two_shards(scenario, dir);
+  EXPECT_EQ(run_cli(scenario, {"--merge-only", "--resume=" + shards[0],
+                               "--json-replicates=" + dir + "/out.jsonl"}),
+            1);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/out.jsonl"));
+}
+
+TEST(MergeOnly, ARecordOutsideTheGridExitsOne) {
+  // Records of a 3-replicate run cover the 2-replicate grid and then some:
+  // replicate 2 of every cell lies outside it.
+  const std::string dir = merge_dir("stray");
+  ASSERT_EQ(run_cli(tiny_scenario(3),
+                    {"--json-replicates=" + dir + "/r3.jsonl"}),
+            0);
+  EXPECT_EQ(run_cli(tiny_scenario(2),
+                    {"--merge-only", "--resume=" + dir + "/r3.jsonl"}),
+            1);
+}
+
+TEST(MergeOnly, RewritingOneOfTheResumeFilesKeepsEveryRecord) {
+  const auto scenario = tiny_scenario(3);
+  const std::string dir = merge_dir("in_place");
+  const auto shards = run_two_shards(scenario, dir);
+  ASSERT_EQ(run_cli(scenario, {"--merge-only",
+                               "--resume=" + shards[0] + "," + shards[1],
+                               "--json-replicates=" + shards[0]}),
+            0);
+  std::string clean_csv;
+  EXPECT_EQ(read_file(shards[0]), index_order_records(scenario, &clean_csv));
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // re-election and plan mismatch refusal), the solo-worker end-to-end
 // path, a kill-at-every-phase battery over hand-built on-disk states,
 // torn-snapshot fallback, and merge bit-identity against an
-// uninterrupted single-process run.
+// uninterrupted single-process run (through SweepCli's --fleet-merge).
 #include <gtest/gtest.h>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -13,6 +13,7 @@
 #include <unistd.h>
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -29,6 +30,7 @@
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sink.hpp"
+#include "exp/sweep_cli.hpp"
 #include "fleet/lease.hpp"
 #include "fleet/plan.hpp"
 #include "fleet/worker.hpp"
@@ -122,19 +124,32 @@ bool summaries_identical(const exp::SweepSummary& a,
   return true;
 }
 
+/// Runs `scenario` through exp::SweepCli with the given harness flags,
+/// requires success, and returns the aggregates.
+exp::SweepSummary run_cli(const exp::Scenario& scenario,
+                          std::vector<std::string> args) {
+  exp::SweepCli cli("fleet_test", "merge fixture");
+  args.insert(args.begin(), "fleet_test");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  EXPECT_FALSE(
+      cli.parse(static_cast<int>(argv.size()), argv.data()).has_value());
+  std::ostringstream out;
+  EXPECT_EQ(cli.run(scenario, out), 0) << out.str();
+  return cli.summary();
+}
+
 /// Folds every fleet record file and re-aggregates without executing
-/// anything — the merge path run_fleet_merge uses.
+/// anything: an operator's --fleet-merge.
 exp::SweepSummary merge_fleet(const std::string& fleet_dir,
-                              const exp::Scenario& scenario) {
-  auto checkpoint = std::make_shared<exp::Checkpoint>(scenario.name,
-                                                      scenario.master_seed);
-  for (const std::string& file : fleet::all_record_files(fleet_dir)) {
-    checkpoint->load_file(file);
+                              const exp::Scenario& scenario,
+                              const std::string& json_replicates = "") {
+  std::vector<std::string> args{"--threads=2", "--fleet-merge",
+                                "--fleet-dir=" + fleet_dir};
+  if (!json_replicates.empty()) {
+    args.push_back("--json-replicates=" + json_replicates);
   }
-  exp::RunnerOptions options;
-  options.threads = 2;
-  options.resume_from = checkpoint;
-  return exp::Runner(options).run(scenario);
+  return run_cli(scenario, std::move(args));
 }
 
 /// The complete-fleet cleanliness invariant: all batches done, no queue
@@ -443,6 +458,30 @@ TEST(FleetWorker, SoloWorkerCompletesTheFleetCleanly) {
   EXPECT_NE(stats.find("\"batches_completed\":2"), std::string::npos);
   EXPECT_NE(stats.find("\"fleet.lease_claimed\":"), std::string::npos);
   EXPECT_NE(stats.find("\"fleet.batch_completed\":"), std::string::npos);
+}
+
+TEST(FleetWorker, FleetMergeWritesTheSameRecordsAsMergeOnly) {
+  const std::string dir = test_dir("merge_records");
+  const exp::Scenario scenario = fleet_scenario();
+  std::ostringstream out;
+  ASSERT_TRUE(
+      fleet::run_worker(scenario, worker_options(dir, "solo", 2), out)
+          .fleet_complete);
+
+  const std::string fleet_records = dir + ".fleet-merge.jsonl";
+  merge_fleet(dir, scenario, fleet_records);
+  std::string resume;
+  for (const std::string& file : fleet::all_record_files(dir)) {
+    resume += resume.empty() ? file : "," + file;
+  }
+  const std::string merge_only_records = dir + ".merge-only.jsonl";
+  run_cli(scenario, {"--merge-only", "--resume=" + resume,
+                     "--json-replicates=" + merge_only_records});
+  const std::string bytes = slurp(fleet_records);
+  EXPECT_EQ(bytes, slurp(merge_only_records));
+  EXPECT_EQ(std::count(bytes.begin(), bytes.end(), '\n'),
+            static_cast<std::ptrdiff_t>(scenario.cells.size() *
+                                        scenario.replicates));
 }
 
 TEST(FleetWorker, MaxBatchesStopsEarlyAndASecondWorkerFinishes) {
