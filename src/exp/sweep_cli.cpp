@@ -69,10 +69,25 @@ bool same_file(const std::string& a, const std::string& b) {
   return ca == cb;
 }
 
-// Checkpoint anomalies go through the leveled logger, not bare stderr:
-// unattended sweeps read these from piped logs, where the timestamp and
-// severity prefix is what makes them correlatable with heartbeat files.
-void print_checkpoint_warnings(const CheckpointStats& stats) {
+/// The non-empty paths of a comma-separated --resume list.
+std::vector<std::string> resume_files(const std::string& spec) {
+  std::vector<std::string> files;
+  for (std::string& path : split(spec, ',')) {
+    if (!path.empty()) files.push_back(std::move(path));
+  }
+  return files;
+}
+
+/// Folds replicate-record files into one checkpoint for `scenario`.
+/// Anomalies go through the leveled logger, not bare stderr: unattended
+/// sweeps read these from piped logs, where the timestamp and severity
+/// prefix is what makes them correlatable with heartbeat files.
+std::shared_ptr<Checkpoint> fold_records(
+    const Scenario& scenario, const std::vector<std::string>& files) {
+  auto checkpoint =
+      std::make_shared<Checkpoint>(scenario.name, scenario.master_seed);
+  for (const std::string& path : files) checkpoint->load_file(path);
+  const CheckpointStats& stats = checkpoint->stats();
   if (stats.malformed > 0) {
     log_warn("resume: skipped ", stats.malformed,
              " malformed line(s) — those replicates will re-run");
@@ -88,16 +103,6 @@ void print_checkpoint_warnings(const CheckpointStats& stats) {
   if (stats.torn_tail) {
     log_warn("resume: tolerated a torn final line (killed writer)");
   }
-}
-
-/// Folds replicate-record files into one checkpoint for `scenario`,
-/// logging what the tolerance policy skipped.
-std::shared_ptr<Checkpoint> fold_records(
-    const Scenario& scenario, const std::vector<std::string>& files) {
-  auto checkpoint =
-      std::make_shared<Checkpoint>(scenario.name, scenario.master_seed);
-  for (const std::string& path : files) checkpoint->load_file(path);
-  print_checkpoint_warnings(checkpoint->stats());
   return checkpoint;
 }
 
@@ -431,7 +436,7 @@ int SweepCli::run(Scenario scenario, std::ostream& out) {
   // into the same file must read it completely first.
   bool resume_into_same_file = false;
   if (!resume_spec_.empty()) {
-    const std::vector<std::string> files = resume_files();
+    const std::vector<std::string> files = resume_files(resume_spec_);
     for (const std::string& path : files) {
       if (!json_replicates_path.empty() &&
           same_file(path, json_replicates_path)) {
@@ -544,14 +549,6 @@ int SweepCli::run_fleet_worker(const Scenario& scenario, std::ostream& out) {
   return 0;
 }
 
-std::vector<std::string> SweepCli::resume_files() const {
-  std::vector<std::string> files;
-  for (std::string& path : split(resume_spec_, ',')) {
-    if (!path.empty()) files.push_back(std::move(path));
-  }
-  return files;
-}
-
 int SweepCli::run_merge(const Scenario& scenario, std::ostream& out) {
   std::vector<std::string> files;
   if (fleet_merge_) {
@@ -568,7 +565,7 @@ int SweepCli::run_merge(const Scenario& scenario, std::ostream& out) {
         << fleet::done_batches(fleet_dir_, plan->batches).size() << "/"
         << plan->batches << " batches done\n";
   } else {
-    files = resume_files();
+    files = resume_files(resume_spec_);
   }
   auto checkpoint = fold_records(scenario, files);
   out << "merge: " << checkpoint->size() << " replicate(s) from "
@@ -611,7 +608,6 @@ int SweepCli::run_merge(const Scenario& scenario, std::ostream& out) {
                            result);
     }
     atomic_write_file(json_replicates_path_, records.str());
-    out << "merge: wrote " << json_replicates_path_ << "\n";
   }
 
   // Aggregate through the SAME Runner path an uninterrupted run uses —

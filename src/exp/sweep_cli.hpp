@@ -23,7 +23,6 @@
 #include <optional>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "exp/checkpoint.hpp"
 #include "exp/runner.hpp"
@@ -69,8 +68,6 @@ class SweepCli {
   /// is populated by run().
   RunnerOptions base_options() const;
 
-  bool merge_only() const noexcept { return merge_only_; }
-
   /// True when parse() selected fleet mode (--fleet-dir): run() will
   /// join the fleet as a worker (or merge it with --fleet-merge) instead
   /// of executing the scenario directly.
@@ -83,8 +80,6 @@ class SweepCli {
   /// scenario's cells x replicates grid exactly, writes the canonical
   /// record file to --json-replicates, and aggregates them.
   int run_merge(const Scenario& scenario, std::ostream& out);
-  /// The non-empty paths of --resume.
-  std::vector<std::string> resume_files() const;
 
   ArgParser parser_;
   std::string program_;
