@@ -113,11 +113,6 @@ bool is_blank(std::string_view line) noexcept {
 Checkpoint::Checkpoint(std::string scenario, std::uint64_t master_seed)
     : scenario_(std::move(scenario)), master_seed_(master_seed) {}
 
-bool Checkpoint::contains(std::size_t cell_index,
-                          std::uint32_t replicate) const {
-  return records_.count(Key{cell_index, replicate}) != 0;
-}
-
 const ReplicateResult* Checkpoint::find(std::size_t cell_index,
                                         std::uint32_t replicate) const {
   const auto it = records_.find(Key{cell_index, replicate});

@@ -68,7 +68,6 @@ class Checkpoint {
   const CheckpointStats& stats() const noexcept { return stats_; }
 
   std::size_t size() const noexcept { return records_.size(); }
-  bool contains(std::size_t cell_index, std::uint32_t replicate) const;
   /// The persisted result for a completed pair, or nullptr.
   const ReplicateResult* find(std::size_t cell_index,
                               std::uint32_t replicate) const;

@@ -1,6 +1,5 @@
 #include "exp/snapshot_store.hpp"
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -41,22 +40,11 @@ SnapshotStore::SnapshotStore(std::string dir, std::string scenario,
   // Sweep crash debris: a writer killed between fopen and rename leaves
   // its temp sibling behind forever.  Age-gate the sweep so we never
   // delete a sibling fleet worker's in-flight save.
-  const auto now = std::filesystem::file_time_type::clock::now();
-  const auto min_age = std::chrono::duration_cast<
-      std::filesystem::file_time_type::duration>(
-      std::chrono::duration<double>(stale_tmp_age_seconds));
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    if (!is_temp_file(entry.path().filename().string())) continue;
-    const auto mtime = entry.last_write_time(ec);
-    if (ec) continue;
-    if (now - mtime < min_age) continue;
-    std::error_code remove_ec;
-    if (std::filesystem::remove(entry.path(), remove_ec)) {
-      obs::add(obs::counter("snapshot.stale_tmp_swept"), 1);
-      log_warn("SnapshotStore: swept stale temp file '",
-               entry.path().string(), "' (crashed writer debris)");
-    }
+  for (const std::string& path :
+       sweep_stale_temps(dir_, stale_tmp_age_seconds)) {
+    obs::add(obs::counter("snapshot.stale_tmp_swept"), 1);
+    log_warn("SnapshotStore: swept stale temp file '", path,
+             "' (crashed writer debris)");
   }
 }
 

@@ -222,16 +222,7 @@ WorkerReport run_worker(const exp::Scenario& scenario,
       // SnapshotStore's age-gated sweep when the fleet finishes fast;
       // with every batch done there is no in-flight writer left to
       // protect, so sweep it all.
-      {
-        std::error_code ec;
-        for (const auto& entry : fs::directory_iterator(
-                 snaps_dir(options.fleet_dir), ec)) {
-          if (is_temp_file(entry.path().filename().string())) {
-            std::error_code remove_ec;
-            fs::remove(entry.path(), remove_ec);
-          }
-        }
-      }
+      sweep_stale_temps(snaps_dir(options.fleet_dir), 0.0);
       report.fleet_complete = true;
       break;
     }

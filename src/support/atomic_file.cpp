@@ -1,5 +1,6 @@
 #include "support/atomic_file.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
@@ -54,10 +55,6 @@ void atomic_write_file(const std::string& path, std::string_view content) {
   });
 }
 
-bool is_temp_file(std::string_view filename) {
-  return filename.find(kTempInfix) != std::string_view::npos;
-}
-
 std::vector<std::string> temp_siblings(const std::string& path) {
   const fs::path target(path);
   const std::string prefix =
@@ -73,6 +70,29 @@ std::vector<std::string> temp_siblings(const std::string& path) {
     }
   }
   return out;
+}
+
+std::vector<std::string> sweep_stale_temps(const std::string& dir,
+                                           double min_age_seconds) {
+  const auto min_age =
+      std::chrono::duration_cast<fs::file_time_type::duration>(
+          std::chrono::duration<double>(min_age_seconds));
+  const auto now = fs::file_time_type::clock::now();
+  std::vector<std::string> swept;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    std::error_code entry_ec;
+    if (!it->is_regular_file(entry_ec) ||
+        it->path().filename().string().find(kTempInfix) ==
+            std::string::npos) {
+      continue;
+    }
+    const auto mtime = it->last_write_time(entry_ec);
+    if (entry_ec || now - mtime < min_age) continue;
+    if (fs::remove(it->path(), entry_ec)) swept.push_back(it->path().string());
+  }
+  return swept;
 }
 
 }  // namespace geogossip

@@ -7,8 +7,9 @@
 // rename(2)-ing the temp over the target.  A reader therefore sees the
 // previous complete file or the new one, never a prefix, and a crash at
 // any byte leaves at worst a temp sibling behind — crash debris that
-// temp_siblings() and is_temp_file() find.  The pid in the temp name keeps
-// two processes rewriting one path from interleaving a single temp file.
+// temp_siblings() finds and sweep_stale_temps() removes.  The pid in the
+// temp name keeps two processes rewriting one path from interleaving a
+// single temp file.
 #ifndef GEOGOSSIP_SUPPORT_ATOMIC_FILE_HPP
 #define GEOGOSSIP_SUPPORT_ATOMIC_FILE_HPP
 
@@ -24,12 +25,14 @@ namespace geogossip {
 /// out.
 void atomic_write_file(const std::string& path, std::string_view content);
 
-/// True when `filename` (a bare name, no directory) is an
-/// atomic_write_file temp sibling of some target.
-bool is_temp_file(std::string_view filename);
-
 /// Every temp sibling of `path` now on disk, whichever process left it.
 std::vector<std::string> temp_siblings(const std::string& path);
+
+/// Removes the temp files in `dir` (of any target) last written at least
+/// `min_age_seconds` ago and returns their paths.  The age gate spares a
+/// live writer's temp in a directory other processes write to as well.
+std::vector<std::string> sweep_stale_temps(const std::string& dir,
+                                           double min_age_seconds);
 
 }  // namespace geogossip
 

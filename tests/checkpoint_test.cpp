@@ -71,8 +71,8 @@ TEST(Checkpoint, RoundTripsEveryPersistedField) {
 
   EXPECT_EQ(checkpoint.size(), 1u);
   EXPECT_EQ(checkpoint.stats().accepted, 1u);
-  EXPECT_TRUE(checkpoint.contains(2, 5));
-  EXPECT_FALSE(checkpoint.contains(2, 4));
+  EXPECT_NE(checkpoint.find(2, 5), nullptr);
+  EXPECT_EQ(checkpoint.find(2, 4), nullptr);
   const ReplicateResult* loaded = checkpoint.find(2, 5);
   ASSERT_NE(loaded, nullptr);
   // Bit-identical re-ingestion: every field survives the text round trip
@@ -147,8 +147,10 @@ TEST(Checkpoint, TruncationAtEveryByteOffsetNeverThrowsOrInventsRecords) {
     // prefixes never yield a record and never throw.
     const bool first_complete = cut + 1 >= first_line_end;
     const bool second_complete = cut + 1 >= full.size();
-    EXPECT_EQ(checkpoint.contains(0, 0), first_complete) << "cut=" << cut;
-    EXPECT_EQ(checkpoint.contains(0, 1), second_complete) << "cut=" << cut;
+    EXPECT_EQ(checkpoint.find(0, 0) != nullptr, first_complete)
+        << "cut=" << cut;
+    EXPECT_EQ(checkpoint.find(0, 1) != nullptr, second_complete)
+        << "cut=" << cut;
     EXPECT_EQ(checkpoint.size(), (first_complete ? 1u : 0u) +
                                      (second_complete ? 1u : 0u))
         << "cut=" << cut;
@@ -225,7 +227,7 @@ TEST(Checkpoint, WrongScenarioOrMasterSeedRecordsAreForeign) {
   sink.write_replicate("tiny", kSeed + 1, cell, 0, 2, full_result(13));
   const auto checkpoint = load_text(out.str());
   EXPECT_EQ(checkpoint.size(), 1u);
-  EXPECT_TRUE(checkpoint.contains(0, 0));
+  EXPECT_NE(checkpoint.find(0, 0), nullptr);
   EXPECT_EQ(checkpoint.stats().foreign, 2u);
 }
 

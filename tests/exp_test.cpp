@@ -906,7 +906,7 @@ TEST(Sharding, ShardResumedFromMergedFileRerunsNothing) {
 // -------------------------------------------------------- merge modes ----
 
 /// Runs `scenario` through SweepCli with the given harness flags; returns
-/// the exit code of parse() or run().
+/// the exit code of parse() or run(), and the run's CSV through `csv`.
 int run_cli(const Scenario& scenario, std::vector<std::string> args,
             std::string* csv = nullptr) {
   SweepCli cli("exp_test", "merge-mode fixture");
@@ -921,101 +921,73 @@ int run_cli(const Scenario& scenario, std::vector<std::string> args,
   return code;
 }
 
-std::string merge_dir(const std::string& leaf) {
-  const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   ("ggmerge_" + leaf);
+/// Writes the record files of shards 0/2 and 1/2 of `scenario` into a
+/// fresh temp directory and returns their paths.
+std::vector<std::string> shard_files(const Scenario& scenario,
+                                     const std::string& leaf) {
+  const auto dir =
+      std::filesystem::path(::testing::TempDir()) / ("ggmerge_" + leaf);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  return dir.string();
+  std::vector<std::string> files;
+  for (std::uint32_t shard = 0; shard < 2; ++shard) {
+    files.push_back((dir / ("s" + std::to_string(shard))).string());
+    std::ofstream(files.back(), std::ios::binary)
+        << run_streaming(scenario, 1, shard, 2).second;
+  }
+  return files;
 }
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
+  std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
 }
 
-/// The records of an uninterrupted run in (cell_index, replicate) order.
-std::string index_order_records(const Scenario& scenario,
-                                std::string* csv) {
-  RunnerOptions options;
-  options.threads = 2;
-  options.keep_replicates = true;
-  const SweepSummary summary = Runner(options).run(scenario);
-  *csv = to_csv(summary);
-  std::ostringstream records;
-  JsonLinesSink sink(records);
-  for (const CellSummary& cs : summary.cells) {
-    for (std::uint32_t r = 0; r < cs.raw.size(); ++r) {
-      sink.write_replicate(scenario.name, scenario.master_seed, cs.cell,
-                           cs.cell_index, r, cs.raw[r]);
-    }
-  }
-  return records.str();
-}
-
-/// Runs `scenario` as shards 0/2 and 1/2 streaming records into `dir`;
-/// returns the two shard record files.
-std::vector<std::string> run_two_shards(const Scenario& scenario,
-                                        const std::string& dir) {
-  for (const char* shard : {"--shard=0/2", "--shard=1/2"}) {
-    EXPECT_EQ(run_cli(scenario, {"--threads=2", shard,
-                                 "--json-replicates=" + dir + "/s.jsonl"}),
-              0);
-  }
-  return {dir + "/s.shard-0-of-2.jsonl", dir + "/s.shard-1-of-2.jsonl"};
-}
-
 TEST(MergeOnly, CanonicalFileEqualsTheIndexOrderRecordsOfAnUninterruptedRun) {
   const auto scenario = tiny_scenario(3);
-  const std::string dir = merge_dir("canonical");
-  const auto shards = run_two_shards(scenario, dir);
+  const auto shards = shard_files(scenario, "canonical");
   std::string merged_csv;
   ASSERT_EQ(run_cli(scenario,
-                    {"--threads=2", "--merge-only",
+                    {"--threads=1", "--merge-only",
                      "--resume=" + shards[0] + "," + shards[1],
-                     "--json-replicates=" + dir + "/merged.jsonl"},
+                     "--json-replicates=" + shards[0] + ".merged"},
                     &merged_csv),
             0);
-  std::string clean_csv;
-  EXPECT_EQ(read_file(dir + "/merged.jsonl"),
-            index_order_records(scenario, &clean_csv));
-  EXPECT_EQ(merged_csv, clean_csv);
+  // One thread runs the tasks in index order, so its stream is canonical.
+  const auto [clean, records] = run_streaming(scenario, 1);
+  EXPECT_EQ(read_file(shards[0] + ".merged"), records);
+  EXPECT_EQ(merged_csv, to_csv(clean));
 }
 
 TEST(MergeOnly, AMissingPairExitsOne) {
-  const auto scenario = tiny_scenario(3);
-  const std::string dir = merge_dir("missing");
-  const auto shards = run_two_shards(scenario, dir);
-  EXPECT_EQ(run_cli(scenario, {"--merge-only", "--resume=" + shards[0],
-                               "--json-replicates=" + dir + "/out.jsonl"}),
+  const auto shards = shard_files(tiny_scenario(3), "missing");
+  EXPECT_EQ(run_cli(tiny_scenario(3),
+                    {"--merge-only", "--resume=" + shards[0],
+                     "--json-replicates=" + shards[0] + ".merged"}),
             1);
-  EXPECT_FALSE(std::filesystem::exists(dir + "/out.jsonl"));
+  EXPECT_FALSE(std::filesystem::exists(shards[0] + ".merged"));
 }
 
 TEST(MergeOnly, ARecordOutsideTheGridExitsOne) {
-  // Records of a 3-replicate run cover the 2-replicate grid and then some:
-  // replicate 2 of every cell lies outside it.
-  const std::string dir = merge_dir("stray");
-  ASSERT_EQ(run_cli(tiny_scenario(3),
-                    {"--json-replicates=" + dir + "/r3.jsonl"}),
-            0);
+  // Shards of a 3-replicate run hold replicate 2 of every cell, which
+  // lies outside the 2-replicate grid.
+  const auto shards = shard_files(tiny_scenario(3), "stray");
   EXPECT_EQ(run_cli(tiny_scenario(2),
-                    {"--merge-only", "--resume=" + dir + "/r3.jsonl"}),
+                    {"--merge-only", "--resume=" + shards[0] + "," +
+                                         shards[1]}),
             1);
 }
 
 TEST(MergeOnly, RewritingOneOfTheResumeFilesKeepsEveryRecord) {
   const auto scenario = tiny_scenario(3);
-  const std::string dir = merge_dir("in_place");
-  const auto shards = run_two_shards(scenario, dir);
+  const auto shards = shard_files(scenario, "in_place");
   ASSERT_EQ(run_cli(scenario, {"--merge-only",
                                "--resume=" + shards[0] + "," + shards[1],
                                "--json-replicates=" + shards[0]}),
             0);
-  std::string clean_csv;
-  EXPECT_EQ(read_file(shards[0]), index_order_records(scenario, &clean_csv));
+  EXPECT_EQ(read_file(shards[0]), run_streaming(scenario, 1).second);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <unistd.h>
 #endif
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -443,10 +442,21 @@ TEST(FleetWorker, SoloWorkerCompletesTheFleetCleanly) {
   EXPECT_EQ(report.replicates_executed, 4u);
   expect_fleet_clean(dir, 2);
 
-  const exp::SweepSummary merged = merge_fleet(dir, scenario);
+  const exp::SweepSummary merged =
+      merge_fleet(dir, scenario, dir + ".fleet-merge.jsonl");
   EXPECT_EQ(merged.executed_replicates, 0u);
   EXPECT_EQ(merged.resumed_replicates, 4u);
   EXPECT_TRUE(summaries_identical(merged, reference));
+  // --fleet-merge writes the canonical record file --merge-only writes
+  // from the same record files.
+  std::string resume;
+  for (const std::string& file : fleet::all_record_files(dir)) {
+    resume += resume.empty() ? file : "," + file;
+  }
+  run_cli(scenario, {"--merge-only", "--resume=" + resume,
+                     "--json-replicates=" + dir + ".merge-only.jsonl"});
+  EXPECT_EQ(slurp(dir + ".fleet-merge.jsonl"),
+            slurp(dir + ".merge-only.jsonl"));
 
   // The protocol artifacts a fleet leaves for humans and tooling.  The
   // obs counters are process-global totals, so assert the keys exist
@@ -458,30 +468,6 @@ TEST(FleetWorker, SoloWorkerCompletesTheFleetCleanly) {
   EXPECT_NE(stats.find("\"batches_completed\":2"), std::string::npos);
   EXPECT_NE(stats.find("\"fleet.lease_claimed\":"), std::string::npos);
   EXPECT_NE(stats.find("\"fleet.batch_completed\":"), std::string::npos);
-}
-
-TEST(FleetWorker, FleetMergeWritesTheSameRecordsAsMergeOnly) {
-  const std::string dir = test_dir("merge_records");
-  const exp::Scenario scenario = fleet_scenario();
-  std::ostringstream out;
-  ASSERT_TRUE(
-      fleet::run_worker(scenario, worker_options(dir, "solo", 2), out)
-          .fleet_complete);
-
-  const std::string fleet_records = dir + ".fleet-merge.jsonl";
-  merge_fleet(dir, scenario, fleet_records);
-  std::string resume;
-  for (const std::string& file : fleet::all_record_files(dir)) {
-    resume += resume.empty() ? file : "," + file;
-  }
-  const std::string merge_only_records = dir + ".merge-only.jsonl";
-  run_cli(scenario, {"--merge-only", "--resume=" + resume,
-                     "--json-replicates=" + merge_only_records});
-  const std::string bytes = slurp(fleet_records);
-  EXPECT_EQ(bytes, slurp(merge_only_records));
-  EXPECT_EQ(std::count(bytes.begin(), bytes.end(), '\n'),
-            static_cast<std::ptrdiff_t>(scenario.cells.size() *
-                                        scenario.replicates));
 }
 
 TEST(FleetWorker, MaxBatchesStopsEarlyAndASecondWorkerFinishes) {
