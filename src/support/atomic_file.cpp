@@ -90,7 +90,9 @@ std::vector<std::string> sweep_stale_temps(const std::string& dir,
     }
     const auto mtime = it->last_write_time(entry_ec);
     if (entry_ec || now - mtime < min_age) continue;
-    if (fs::remove(it->path(), entry_ec)) swept.push_back(it->path().string());
+    if (fs::remove(it->path(), entry_ec)) {
+      swept.push_back(it->path().string());
+    }
   }
   return swept;
 }

@@ -431,12 +431,12 @@ TEST(SnapshotStore, SweepsOnlyStaleTempsAndCountsOrphans) {
   // No committed snapshot beside the orphan: the replicate restarts.
   EXPECT_FALSE(store.try_load(0, 0, 11).has_value());
   obs::set_enabled(false);
-  const auto counters = obs::snapshot().counters;
-  obs::reset();
 #if !defined(GEOGOSSIP_OBS_DISABLE)
+  const auto counters = obs::snapshot().counters;
   EXPECT_EQ(counters.at("snapshot.stale_tmp_swept"), 1u);
   EXPECT_EQ(counters.at("snapshot.orphan_tmp"), 1u);
 #endif
+  obs::reset();
 
   // Once the slot's record is durable, remove() clears its temps too.
   store.remove(0, 0);
