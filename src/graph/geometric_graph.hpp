@@ -54,12 +54,6 @@ struct BuildOptions {
 
 class GeometricGraph {
  public:
-  /// Nested alias so generic callers can spell the options type through
-  /// the graph type (`typename Graph::BuildOptions`) — which also lets
-  /// version-spanning harnesses (bench/kernels) feature-probe this API
-  /// with a dependent name.
-  using BuildOptions = graph::BuildOptions;
-
   /// Connects every pair of `points` within distance r (closed ball).
   /// Points must lie in the closed `region`; n must stay below the 32-bit
   /// NodeId ceiling (2^32).

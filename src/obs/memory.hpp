@@ -1,11 +1,10 @@
 // Process-memory observability helpers.
 //
-// Home of the getrusage RSS high-water read that bench/kernels pioneered,
-// now shared by the Runner (SweepSummary::peak_rss_kb), the heartbeat
-// writer and the kernel harness.  The value is a process-wide monotone
-// high-water mark, not a per-scope measurement: sampling it after a
-// replicate bounds the peak footprint of everything up to and including
-// that replicate.
+// The getrusage RSS high-water read shared by the Runner
+// (SweepSummary::peak_rss_kb) and the heartbeat writer.  The value is a
+// process-wide monotone high-water mark, not a per-scope measurement:
+// sampling it after a replicate bounds the peak footprint of everything up
+// to and including that replicate.
 #ifndef GEOGOSSIP_OBS_MEMORY_HPP
 #define GEOGOSSIP_OBS_MEMORY_HPP
 

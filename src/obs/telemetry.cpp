@@ -4,7 +4,6 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
-#include <set>
 
 namespace geogossip::obs {
 
@@ -34,7 +33,6 @@ struct Registry {
   std::size_t capacity = kDefaultRingCapacity;
   std::vector<std::string> counter_names;  // CounterId -> name
   std::map<std::string, CounterId, std::less<>> counter_ids;
-  std::set<std::string, std::less<>> interned;
 };
 
 Registry& registry() {
@@ -178,18 +176,6 @@ void set_ring_capacity(std::size_t events_per_thread) {
       state->count = std::min(state->count, events_per_thread);
     }
   }
-}
-
-std::size_t ring_capacity() noexcept {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  return r.capacity;
-}
-
-const char* intern(std::string_view text) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  return r.interned.emplace(text).first->c_str();
 }
 
 }  // namespace geogossip::obs

@@ -30,8 +30,8 @@
 
 namespace geogossip::obs {
 
-/// One recorded span/event.  Names and arg keys are static or interned
-/// strings (see intern()) — the buffer never owns heap memory per event.
+/// One recorded span/event.  Names and arg keys are static strings — the
+/// buffer never owns heap memory per event.
 struct Event {
   const char* name = nullptr;
   const char* key_a = nullptr;  ///< optional first arg name (nullptr = none)
@@ -76,7 +76,7 @@ std::uint64_t now_ns() noexcept;
 
 /// RAII span: records [construction, destruction) on the calling thread
 /// when telemetry is enabled at construction time.  `name` and arg keys
-/// must be string literals or intern()ed strings.
+/// must have static storage duration (string literals).
 class Span {
  public:
   explicit Span(const char* name) {
@@ -160,19 +160,13 @@ struct Snapshot {
 /// Merges all thread buffers.  Requires recording threads to be quiescent.
 Snapshot snapshot();
 
-/// Zeroes every buffer and counter cell (registrations and interned
-/// strings are kept).  Requires quiescence; primarily for tests.
+/// Zeroes every buffer and counter cell (registrations are kept).
+/// Requires quiescence; primarily for tests.
 void reset();
 
 /// Per-thread event-buffer capacity.  Setting it resizes existing buffers
 /// (quiescence required) and applies to threads yet to record.
 void set_ring_capacity(std::size_t events_per_thread);
-std::size_t ring_capacity() noexcept;
-
-/// Copies `text` into a process-lifetime pool and returns a stable
-/// pointer, so dynamically-built names (bench kernel labels) can feed
-/// Span/Event which store only `const char*`.  Idempotent per string.
-const char* intern(std::string_view text);
 
 }  // namespace geogossip::obs
 

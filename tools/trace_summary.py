@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Summarize and validate Chrome-trace + heartbeat output from geogossip.
 
-parallel_sweep --trace=FILE (and bench/kernels --trace=FILE) write Chrome
+parallel_sweep --trace=FILE (like every experiment driver) writes Chrome
 trace-event JSON: one complete ("ph":"X") event per recorded span, with
 counter totals and the dropped-event count under "otherData".  This tool
 reads one such file and prints
