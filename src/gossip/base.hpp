@@ -5,8 +5,8 @@
 // apply_affine_jump / set_value).  Routing all writes through one place
 // lets the base class maintain the deviation norm ||x - mean||^2
 // incrementally (Neumaier-compensated, with a periodic exact refresh to
-// bound FP drift), which turns the engine's convergence check from an O(n)
-// recomputation every n ticks into an O(1) read every tick.
+// bound FP drift), which makes the engine's per-tick convergence check an
+// O(1) read.
 #ifndef GEOGOSSIP_GOSSIP_BASE_HPP
 #define GEOGOSSIP_GOSSIP_BASE_HPP
 
@@ -35,7 +35,6 @@ class ValueProtocol : public sim::GossipProtocol {
 
   /// O(1): incrementally tracked ||x - mean||^2.
   double deviation_sq() const override { return tracker_.deviation_sq(); }
-  bool tracks_deviation() const override { return true; }
 
   /// Invariant observed by tests: pairwise/affine exchanges conserve the
   /// sum.  Recomputed exactly (O(n)) so conservation checks do not inherit
@@ -57,7 +56,6 @@ class ValueProtocol : public sim::GossipProtocol {
   /// the values, the deviation tracker (compensated sums + refresh phase)
   /// and the transmission meter; families append their trajectory scratch
   /// via snapshot_scratch()/restore_scratch().
-  bool snapshot_supported() const override { return true; }
   void snapshot(SnapshotWriter& w) const override;
   void restore(SnapshotReader& r) override;
 

@@ -16,19 +16,11 @@ namespace {
 /// from other producers (e.g. a round-protocol snapshot) up front.
 constexpr std::string_view kEnginePayloadTag = "geogossip-engine-run";
 
+/// The wall-clock snapshot cadence polls the clock only every this many
+/// ticks, so the per-tick hot path stays free of clock syscalls.
+constexpr std::uint64_t kWallPollTicks = 8192;
+
 }  // namespace
-
-void GossipProtocol::snapshot(SnapshotWriter&) const {
-  throw CheckError("GossipProtocol::snapshot: protocol '" +
-                   std::string(name()) +
-                   "' does not implement the Snapshot/Restore contract");
-}
-
-void GossipProtocol::restore(SnapshotReader&) {
-  throw CheckError("GossipProtocol::restore: protocol '" +
-                   std::string(name()) +
-                   "' does not implement the Snapshot/Restore contract");
-}
 
 double deviation_norm(std::span<const double> values) {
   GG_CHECK_ARG(!values.empty(), "deviation_norm: empty span");
@@ -38,16 +30,6 @@ double deviation_norm(std::span<const double> values) {
   double accum = 0.0;
   for (const double v : values) accum += (v - mean) * (v - mean);
   return std::sqrt(accum);
-}
-
-double relative_error(std::span<const double> values, double initial_norm) {
-  GG_CHECK_ARG(initial_norm > 0.0, "relative_error: initial norm must be > 0");
-  return deviation_norm(values) / initial_norm;
-}
-
-double GossipProtocol::deviation_sq() const {
-  const double norm = deviation_norm(values());
-  return norm * norm;
 }
 
 std::string RunResult::to_string() const {
@@ -117,20 +99,11 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     }
   }
 
-  // Tracking protocols get per-tick checks for free (deviation_sq() is
-  // O(1)); for the exact-recompute fallback keep the historical
-  // every-n-ticks amortization.
-  const std::uint64_t check_every =
-      config.check_interval != 0
-          ? config.check_interval
-          : (protocol.tracks_deviation() ? 1 : n);
   // The criterion err <= epsilon compares squared quantities, sqrt-free.
   const double target_dev_sq =
       config.epsilon * config.epsilon * initial_dev_sq;
 
   const bool snapshotting = checkpoints.enabled();
-  const std::uint64_t wall_poll =
-      checkpoints.wall_poll_ticks > 0 ? checkpoints.wall_poll_ticks : 8192;
   auto last_snapshot = std::chrono::steady_clock::now();
   const auto take_snapshot = [&] {
     SnapshotWriter w;
@@ -154,24 +127,19 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     const Tick tick = clock.next();
     protocol.on_tick(tick);
 
-    const bool checkpoint = (tick.index + 1) % check_every == 0;
-    const bool trace_point =
-        config.trace_interval != 0 &&
-        (tick.index + 1) % config.trace_interval == 0;
-    if (checkpoint || trace_point) {
-      const double dev_sq = protocol.deviation_sq();
-      if (trace_point) {
-        result.trace.emplace_back(protocol.meter().total(),
-                                  std::sqrt(dev_sq / initial_dev_sq));
-      }
-      if (checkpoint && dev_sq <= target_dev_sq) {
-        result.converged = true;
-        result.ticks = clock.ticks_elapsed();
-        result.model_time = clock.now();
-        result.final_error = std::sqrt(dev_sq / initial_dev_sq);
-        result.transmissions = protocol.meter().snapshot();
-        return result;
-      }
+    const double dev_sq = protocol.deviation_sq();
+    if (config.trace_interval != 0 &&
+        (tick.index + 1) % config.trace_interval == 0) {
+      result.trace.emplace_back(protocol.meter().total(),
+                                std::sqrt(dev_sq / initial_dev_sq));
+    }
+    if (dev_sq <= target_dev_sq) {
+      result.converged = true;
+      result.ticks = clock.ticks_elapsed();
+      result.model_time = clock.now();
+      result.final_error = std::sqrt(dev_sq / initial_dev_sq);
+      result.transmissions = protocol.meter().snapshot();
+      return result;
     }
 
     if (!snapshotting) continue;
@@ -181,7 +149,7 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     bool due = checkpoints.every_ticks > 0 &&
                (tick.index + 1) % checkpoints.every_ticks == 0;
     if (!due && checkpoints.every_seconds > 0.0 &&
-        (tick.index + 1) % wall_poll == 0) {
+        (tick.index + 1) % kWallPollTicks == 0) {
       const auto wall = std::chrono::steady_clock::now();
       const std::chrono::duration<double> since = wall - last_snapshot;
       due = since.count() >= checkpoints.every_seconds;

@@ -38,11 +38,8 @@ class GossipProtocol {
   virtual const TxMeter& meter() const = 0;
 
   /// Squared deviation ||x - mean(x)||^2 as the convergence criterion
-  /// reads it.  The default recomputes exactly (O(n)); protocols that
-  /// maintain it incrementally override with an O(1) version and return
-  /// true from tracks_deviation() so the engine can check every tick.
-  virtual double deviation_sq() const;
-  virtual bool tracks_deviation() const { return false; }
+  /// reads it.  O(1): the engine checks it after every tick.
+  virtual double deviation_sq() const = 0;
 
   /// Snapshot/Restore contract (mid-replicate durability).  snapshot()
   /// serializes every field that affects the remaining trajectory;
@@ -50,12 +47,9 @@ class GossipProtocol {
   /// configuration (same graph, x0 and RNG seed — construction-time
   /// randomness is deterministic per seed) and overwrites that state, after
   /// which the run continues bit-identically once the engine clock and the
-  /// RNG are restored alongside.  The defaults refuse: a protocol must opt
-  /// in by overriding all three, so a family that grows trajectory state
-  /// without serializing it fails loudly instead of resuming subtly wrong.
-  virtual bool snapshot_supported() const { return false; }
-  virtual void snapshot(SnapshotWriter& w) const;
-  virtual void restore(SnapshotReader& r);
+  /// RNG are restored alongside.
+  virtual void snapshot(SnapshotWriter& w) const = 0;
+  virtual void restore(SnapshotReader& r) = 0;
 };
 
 /// Mid-run checkpoint cadence for run_to_epsilon.  Snapshots are pure
@@ -71,9 +65,6 @@ struct CheckpointPolicy {
   /// Snapshot when this much wall time passed since the previous snapshot
   /// (or the run start).  0 = no wall cadence.
   double every_seconds = 0.0;
-  /// The wall clock is polled only every `wall_poll_ticks` ticks so the
-  /// per-tick hot path stays free of clock syscalls.
-  std::uint64_t wall_poll_ticks = 8192;
   std::function<void(std::string_view payload, std::uint64_t ticks)> persist;
 
   bool enabled() const noexcept {
@@ -88,12 +79,6 @@ struct RunConfig {
   /// Hard tick budget (0 = 10^7 * n heuristic is NOT applied; treat 0 as
   /// "caller must set" and checked).
   std::uint64_t max_ticks = 0;
-  /// Convergence is tested every `check_interval` ticks.  0 = automatic:
-  /// every tick when the protocol tracks its deviation incrementally
-  /// (deviation_sq() is O(1) — all in-tree protocols), else every n ticks.
-  /// Per-tick checks make reported convergence tick counts exact; the old
-  /// every-n default overestimated them by up to n - 1 ticks.
-  std::uint64_t check_interval = 0;
   /// When > 0, (transmissions, error) samples are recorded every
   /// `trace_interval` ticks into RunResult::trace.
   std::uint64_t trace_interval = 0;
@@ -112,14 +97,12 @@ struct RunResult {
   std::string to_string() const;
 };
 
-/// Relative deviation ||x - mean(x)|| / scale (scale > 0).
-double relative_error(std::span<const double> values, double initial_norm);
-
 /// ||x - mean(x)||_2.
 double deviation_norm(std::span<const double> values);
 
 /// Runs `protocol` on a fresh AsyncClock(n, rng) until convergence or the
-/// tick budget.  Requires config.max_ticks > 0.
+/// tick budget, testing convergence after every tick, so the reported
+/// tick count is exact.  Requires config.max_ticks > 0.
 RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
                          const RunConfig& config);
 

@@ -149,34 +149,10 @@ TEST(ValueProtocol, RefreshCadenceIsHonored) {
   EXPECT_THROW(protocol.set_tracker_refresh_interval(0), ArgumentError);
 }
 
-TEST(Engine, DefaultCheckIntervalEqualsExplicitPerTickChecks) {
-  // Tracking protocols default to per-tick checks; an explicit
-  // check_interval = 1 must be bit-identical (checks draw no randomness).
-  const auto run_once = [](std::uint64_t check_interval) {
-    Rng rng(45);
-    const auto graph = graph::GeometricGraph::sample(256, 2.0, rng);
-    auto x0 = sim::gaussian_field(256, rng);
-    sim::center_and_normalize(x0);
-    gossip::PairwiseGossip protocol(graph, x0, rng);
-    sim::RunConfig config;
-    config.epsilon = 1e-2;
-    config.max_ticks = 10'000'000;
-    config.check_interval = check_interval;
-    return sim::run_to_epsilon(protocol, rng, config);
-  };
-  const auto by_default = run_once(0);
-  const auto explicit_one = run_once(1);
-  ASSERT_TRUE(by_default.converged);
-  EXPECT_EQ(by_default.ticks, explicit_one.ticks);
-  EXPECT_EQ(by_default.final_error, explicit_one.final_error);
-  EXPECT_EQ(by_default.transmissions.total(),
-            explicit_one.transmissions.total());
-}
-
 TEST(Engine, PerTickChecksReportExactConvergenceTick) {
-  // A coarse interval can only stop at its multiples; the per-tick
-  // default must never report later than any coarser cadence.
-  const auto ticks_with = [](std::uint64_t check_interval) {
+  // Convergence is tested after every tick, so the reported tick is the
+  // first that meets epsilon: the same run one tick shorter must not.
+  const auto run_with_budget = [](std::uint64_t max_ticks) {
     Rng rng(46);
     const auto graph = graph::GeometricGraph::sample(200, 2.0, rng);
     auto x0 = sim::gaussian_field(200, rng);
@@ -184,16 +160,15 @@ TEST(Engine, PerTickChecksReportExactConvergenceTick) {
     gossip::PairwiseGossip protocol(graph, x0, rng);
     sim::RunConfig config;
     config.epsilon = 1e-2;
-    config.max_ticks = 10'000'000;
-    config.check_interval = check_interval;
-    const auto result = sim::run_to_epsilon(protocol, rng, config);
-    EXPECT_TRUE(result.converged);
-    return result.ticks;
+    config.max_ticks = max_ticks;
+    return sim::run_to_epsilon(protocol, rng, config);
   };
-  const auto exact = ticks_with(0);
-  const auto coarse = ticks_with(1000);
-  EXPECT_LE(exact, coarse);
-  EXPECT_EQ(coarse % 1000, 0u);
+  const auto exact = run_with_budget(10'000'000);
+  ASSERT_TRUE(exact.converged);
+  const auto one_short = run_with_budget(exact.ticks - 1);
+  EXPECT_FALSE(one_short.converged);
+  EXPECT_EQ(one_short.ticks, exact.ticks - 1);
+  EXPECT_GT(one_short.final_error, 1e-2);
 }
 
 }  // namespace

@@ -188,31 +188,5 @@ TEST(EdgeCases, HierarchyWithAllPointsInOneCorner) {
   }
 }
 
-TEST(EdgeCases, EngineCheckIntervalControlsDetectionGranularity) {
-  Rng rng(2006);
-  const auto g = GeometricGraph::sample(128, 2.0, rng);
-  auto x0 = sim::gaussian_field(g.node_count(), rng);
-  sim::center_and_normalize(x0);
-
-  gossip::PairwiseGossip fine(g, x0, rng);
-  sim::RunConfig config;
-  config.epsilon = 5e-2;
-  config.max_ticks = 10'000'000;
-  config.check_interval = 1;  // every tick
-  const auto fine_result = sim::run_to_epsilon(fine, rng, config);
-
-  Rng rng2(2006);
-  (void)GeometricGraph::sample(128, 2.0, rng2);  // burn the same stream
-  gossip::PairwiseGossip coarse(g, x0, rng2);
-  config.check_interval = 100000;
-  const auto coarse_result = sim::run_to_epsilon(coarse, rng2, config);
-
-  ASSERT_TRUE(fine_result.converged);
-  ASSERT_TRUE(coarse_result.converged);
-  // Coarse checking can only stop at multiples of the interval.
-  EXPECT_EQ(coarse_result.ticks % 100000, 0u);
-  EXPECT_LE(fine_result.ticks, coarse_result.ticks);
-}
-
 }  // namespace
 }  // namespace geogossip

@@ -155,8 +155,16 @@ TEST(Field, KindParsingAndDispatch) {
 TEST(Engine, DeviationNormAndRelativeError) {
   const std::vector<double> x{1.0, -1.0, 1.0, -1.0};
   EXPECT_NEAR(deviation_norm(x), 2.0, 1e-12);
-  EXPECT_NEAR(relative_error(x, 4.0), 0.5, 1e-12);
-  EXPECT_THROW(relative_error(x, 0.0), ArgumentError);
+  // The engine's final_error is ||x(end) - mean|| / ||x(0) - mean||.
+  Rng rng(75);
+  const auto graph = graph::GeometricGraph::sample(100, 2.0, rng);
+  const auto x0 = gaussian_field(100, rng);
+  gossip::PairwiseGossip protocol(graph, x0, rng);
+  RunConfig config;
+  config.max_ticks = 300;
+  const auto result = run_to_epsilon(protocol, rng, config);
+  EXPECT_NEAR(result.final_error,
+              deviation_norm(protocol.values()) / deviation_norm(x0), 1e-9);
 }
 
 TEST(Engine, ConvergesPairwiseOnSmallGraph) {
