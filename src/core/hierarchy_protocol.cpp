@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/affine.hpp"
-#include "routing/greedy.hpp"
 #include "support/check.hpp"
 #include "support/snapshot.hpp"
 
@@ -13,25 +12,14 @@ namespace geogossip::core {
 using geometry::SquareInfo;
 using graph::NodeId;
 
-namespace {
-
-geometry::HierarchyConfig hierarchy_config_from(
-    const HierarchyProtocolConfig& config) {
-  geometry::HierarchyConfig h;
-  h.threshold = geometry::HierarchyConfig::Threshold::kPractical;
-  h.leaf_occupancy = config.leaf_threshold;
-  h.max_depth = config.max_depth;
-  return h;
-}
-
-}  // namespace
-
 HierarchicalAffineProtocol::HierarchicalAffineProtocol(
     const graph::GeometricGraph& graph, std::vector<double> x0, Rng& rng,
     const HierarchyProtocolConfig& config)
     : ValueProtocol(graph, std::move(x0), rng),
       config_(config),
-      hierarchy_(graph.points(), graph.region(), hierarchy_config_from(config)) {
+      hierarchy_(graph.points(), graph.region(),
+                 practical_hierarchy(config.leaf_threshold, config.max_depth)),
+      route_hops_(graph) {
   GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
   GG_CHECK_ARG(config.latency_factor >= 1.0, "latency_factor >= 1");
 
@@ -107,22 +95,6 @@ double HierarchicalAffineProtocol::averaging_time(int square_id) const {
   return t_avg_[static_cast<std::size_t>(square_id)];
 }
 
-std::uint32_t HierarchicalAffineProtocol::cached_route_hops(NodeId from,
-                                                            NodeId to) {
-  const auto key = std::minmax(from, to);
-  const auto it = route_cache_.find({key.first, key.second});
-  if (it != route_cache_.end()) return it->second;
-  const auto route = routing::route_to_node(*graph_, key.first, key.second);
-  std::uint32_t hops = route.hops;
-  if (!route.arrived()) {
-    const double dist = geometry::distance(graph_->position(key.first),
-                                           graph_->position(key.second));
-    hops += static_cast<std::uint32_t>(std::ceil(dist / graph_->radius()));
-  }
-  route_cache_[{key.first, key.second}] = hops;
-  return hops;
-}
-
 void HierarchicalAffineProtocol::activate_square(int square_id) {
   const SquareInfo& sq = hierarchy_.square(square_id);
   square_active_[static_cast<std::size_t>(square_id)] = 1;
@@ -140,7 +112,7 @@ void HierarchicalAffineProtocol::activate_square(int square_id) {
     const auto child_rep = static_cast<NodeId>(child_info.representative);
     global_on_[child_rep] = 1;
     counter_[child_rep] = 0;
-    meter_.add(sim::TxCategory::kControl, cached_route_hops(rep, child_rep));
+    meter_.add(sim::TxCategory::kControl, route_hops_.hops(rep, child_rep));
   }
 }
 
@@ -158,7 +130,7 @@ void HierarchicalAffineProtocol::deactivate_square(int square_id) {
     if (child_info.representative < 0) continue;
     const auto child_rep = static_cast<NodeId>(child_info.representative);
     global_on_[child_rep] = 0;
-    meter_.add(sim::TxCategory::kControl, cached_route_hops(rep, child_rep));
+    meter_.add(sim::TxCategory::kControl, route_hops_.hops(rep, child_rep));
   }
 }
 
@@ -193,8 +165,8 @@ void HierarchicalAffineProtocol::far(NodeId node, int square_id) {
   const auto& sibling = hierarchy_.square(chosen);
   const auto peer = static_cast<NodeId>(sibling.representative);
 
-  meter_.add(sim::TxCategory::kLongRange, cached_route_hops(node, peer));
-  meter_.add(sim::TxCategory::kLongRange, cached_route_hops(peer, node));
+  meter_.add(sim::TxCategory::kLongRange, route_hops_.hops(node, peer));
+  meter_.add(sim::TxCategory::kLongRange, route_hops_.hops(peer, node));
 
   const double beta =
       exchange_beta(config_.beta_mode, sq.expected_occupancy,

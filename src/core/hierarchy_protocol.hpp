@@ -51,7 +51,6 @@
 #define GEOGOSSIP_CORE_HIERARCHY_PROTOCOL_HPP
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "core/round_protocol.hpp"
@@ -113,7 +112,6 @@ class HierarchicalAffineProtocol final : public gossip::ValueProtocol {
   void deactivate_square(int square_id);
   void near(graph::NodeId node);
   void far(graph::NodeId node, int square_id);
-  std::uint32_t cached_route_hops(graph::NodeId from, graph::NodeId to);
   void compute_budgets();
 
   HierarchyProtocolConfig config_;
@@ -137,8 +135,7 @@ class HierarchicalAffineProtocol final : public gossip::ValueProtocol {
   std::vector<std::uint32_t> budget_;
   std::vector<std::uint8_t> square_active_;  ///< children currently on
 
-  std::map<std::pair<graph::NodeId, graph::NodeId>, std::uint32_t>
-      route_cache_;
+  RouteHopCache route_hops_;
 
   std::uint64_t far_exchanges_ = 0;
   std::uint64_t near_exchanges_ = 0;

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "core/affine.hpp"
-#include "routing/greedy.hpp"
 #include "support/check.hpp"
 #include "support/snapshot.hpp"
 
@@ -20,15 +19,6 @@ namespace {
 /// engine's tag so a mixed-up payload fails at the first read.
 constexpr std::string_view kMultilevelPayloadTag = "geogossip-multilevel";
 
-geometry::HierarchyConfig hierarchy_config_from(
-    const MultilevelConfig& config) {
-  geometry::HierarchyConfig h;
-  h.threshold = geometry::HierarchyConfig::Threshold::kPractical;
-  h.leaf_occupancy = config.leaf_threshold;
-  h.max_depth = config.max_depth;
-  return h;
-}
-
 }  // namespace
 
 MultilevelAffineGossip::MultilevelAffineGossip(
@@ -36,9 +26,11 @@ MultilevelAffineGossip::MultilevelAffineGossip(
     const MultilevelConfig& config)
     : graph_(&graph),
       config_(config),
-      hierarchy_(graph.points(), graph.region(), hierarchy_config_from(config)),
+      hierarchy_(graph.points(), graph.region(),
+                 practical_hierarchy(config.leaf_threshold, config.max_depth)),
       x_(std::move(x0)),
-      rng_(&rng) {
+      rng_(&rng),
+      route_hops_(graph) {
   GG_CHECK_ARG(x_.size() == graph.node_count(),
                "initial values must match node count");
   GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
@@ -87,26 +79,6 @@ std::uint32_t MultilevelAffineGossip::rounds_for(
       std::ceil(config_.round_constant * k * std::log(k / eps)));
 }
 
-std::uint32_t MultilevelAffineGossip::cached_route_hops(NodeId from,
-                                                        NodeId to) {
-  const auto key = std::minmax(from, to);
-  const auto it = route_cache_.find({key.first, key.second});
-  if (it != route_cache_.end()) return it->second;
-  const auto route = routing::route_to_node(*graph_, key.first, key.second);
-  // Greedy routing on a connected G(n, r) at the paper's radius delivers
-  // w.h.p.; if it fails here, fall back to the straight-line hop estimate
-  // so accounting stays defined (failure is tracked by routing tests).
-  std::uint32_t hops = route.hops;
-  if (!route.arrived()) {
-    const double dist = geometry::distance(graph_->position(key.first),
-                                           graph_->position(key.second));
-    hops = static_cast<std::uint32_t>(
-        std::ceil(dist / graph_->radius())) + route.hops;
-  }
-  route_cache_[{key.first, key.second}] = hops;
-  return hops;
-}
-
 void MultilevelAffineGossip::charge_activation(const SquareInfo& square) {
   if (!config_.charge_control) return;
   if (square.is_leaf()) {
@@ -121,7 +93,7 @@ void MultilevelAffineGossip::charge_activation(const SquareInfo& square) {
     const auto& child_info = hierarchy_.square(child);
     if (child_info.representative < 0) continue;
     const auto hops =
-        cached_route_hops(rep, static_cast<NodeId>(child_info.representative));
+        route_hops_.hops(rep, static_cast<NodeId>(child_info.representative));
     meter_.add(sim::TxCategory::kControl, 2ull * hops);
   }
 }
@@ -224,8 +196,8 @@ void MultilevelAffineGossip::exchange(const SquareInfo& parent, int child_i,
   const auto rep_j = static_cast<NodeId>(info_j.representative);
 
   // Two greedy-routed packets: value there, value back.
-  const std::uint32_t hops_there = cached_route_hops(rep_i, rep_j);
-  const std::uint32_t hops_back = cached_route_hops(rep_j, rep_i);
+  const std::uint32_t hops_there = route_hops_.hops(rep_i, rep_j);
+  const std::uint32_t hops_back = route_hops_.hops(rep_j, rep_i);
   meter_.add(sim::TxCategory::kLongRange, hops_there + hops_back);
 
   const double beta =

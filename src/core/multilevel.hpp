@@ -23,7 +23,6 @@
 #define GEOGOSSIP_CORE_MULTILEVEL_HPP
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <utility>
@@ -120,7 +119,6 @@ class MultilevelAffineGossip {
   /// alphas for range accounting.
   void exchange(const geometry::SquareInfo& parent, int child_i, int child_j);
   void charge_activation(const geometry::SquareInfo& square);
-  std::uint32_t cached_route_hops(graph::NodeId from, graph::NodeId to);
   double eps_at_depth(int depth) const;
   std::uint32_t rounds_for(const geometry::SquareInfo& square) const;
   std::vector<int> nonempty_children(const geometry::SquareInfo& square) const;
@@ -135,8 +133,7 @@ class MultilevelAffineGossip {
   std::vector<double> x_;
   Rng* rng_;
   sim::TxMeter meter_;
-  std::map<std::pair<graph::NodeId, graph::NodeId>, std::uint32_t>
-      route_cache_;
+  RouteHopCache route_hops_;
   std::uint64_t alpha_out_of_range_ = 0;
 
   // Incremental deviation tracking (shifted + Neumaier-compensated).

@@ -4,9 +4,34 @@
 #include <cmath>
 
 #include "core/affine.hpp"
+#include "routing/greedy.hpp"
 #include "support/check.hpp"
 
 namespace geogossip::core {
+
+geometry::HierarchyConfig practical_hierarchy(double leaf_threshold,
+                                              int max_depth) {
+  geometry::HierarchyConfig h;
+  h.threshold = geometry::HierarchyConfig::Threshold::kPractical;
+  h.leaf_occupancy = leaf_threshold;
+  h.max_depth = max_depth;
+  return h;
+}
+
+std::uint32_t RouteHopCache::hops(graph::NodeId from, graph::NodeId to) {
+  const auto key = std::minmax(from, to);
+  const auto it = cache_.find(key);
+  if (it != cache_.end()) return it->second;
+  const auto route = routing::route_to_node(*graph_, key.first, key.second);
+  std::uint32_t hops = route.hops;
+  if (!route.arrived()) {
+    const double dist = geometry::distance(graph_->position(key.first),
+                                           graph_->position(key.second));
+    hops += static_cast<std::uint32_t>(std::ceil(dist / graph_->radius()));
+  }
+  cache_.emplace(key, hops);
+  return hops;
+}
 
 std::string_view leaf_cost_model_name(LeafCostModel model) noexcept {
   switch (model) {

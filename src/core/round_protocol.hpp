@@ -22,9 +22,38 @@
 #define GEOGOSSIP_CORE_ROUND_PROTOCOL_HPP
 
 #include <cstdint>
+#include <map>
 #include <string_view>
+#include <utility>
+
+#include "geometry/hierarchy.hpp"
+#include "graph/geometric_graph.hpp"
 
 namespace geogossip::core {
+
+/// The partition both hierarchical protocols run on: practical threshold,
+/// leaves of at most `leaf_threshold` expected members, `max_depth` levels.
+geometry::HierarchyConfig practical_hierarchy(double leaf_threshold,
+                                              int max_depth);
+
+/// Memoized greedy-route hop counts of the cost model's routed packets,
+/// keyed by the unordered node pair.  Greedy routing on a connected
+/// G(n, r) at the paper's radius delivers w.h.p.; a route that does not
+/// arrive is charged its hops plus the straight-line estimate
+/// ceil(distance / r), so accounting stays defined.  Routes are
+/// deterministic, so a cold cache recomputes identical counts and
+/// snapshots never carry it.
+class RouteHopCache {
+ public:
+  explicit RouteHopCache(const graph::GeometricGraph& graph)
+      : graph_(&graph) {}
+
+  std::uint32_t hops(graph::NodeId from, graph::NodeId to);
+
+ private:
+  const graph::GeometricGraph* graph_;
+  std::map<std::pair<graph::NodeId, graph::NodeId>, std::uint32_t> cache_;
+};
 
 enum class LeafCostModel { kGrgMixing, kQuadratic, kMeasured };
 

@@ -102,6 +102,15 @@ inline bool shard_owns(std::uint32_t shard_index, std::uint32_t shard_count,
   return shard_count <= 1 || task % shard_count == shard_index;
 }
 
+/// How many of the tasks [0, task_count) shard i of k owns (shard_owns).
+inline std::uint64_t shard_task_count(std::uint32_t shard_index,
+                                      std::uint32_t shard_count,
+                                      std::uint64_t task_count) noexcept {
+  if (shard_count <= 1) return task_count;
+  return task_count / shard_count +
+         (task_count % shard_count > shard_index ? 1 : 0);
+}
+
 /// Derives a per-shard output path: every "{shard}" placeholder becomes
 /// "<i>-of-<k>"; without a placeholder (and k > 1) ".shard-<i>-of-<k>" is
 /// inserted before the basename's extension ("out.jsonl" ->

@@ -27,6 +27,16 @@ namespace geogossip::exp {
 
 namespace {
 
+/// --mem-budget must stay below 2^34 GiB, so its byte count fits a uint64.
+constexpr double kMaxMemBudgetGib = 17179869184.0;
+/// --fleet-ttl cap (about 31 years), so the lease expiry in milliseconds
+/// and the renewal period in nanoseconds fit an int64.
+constexpr double kMaxFleetTtlSeconds = 1e9;
+
+std::uint64_t gib_to_bytes(double gib) {
+  return static_cast<std::uint64_t>(gib * 1024.0 * 1024.0 * 1024.0);
+}
+
 /// Parses "--shard=i/k".  Returns false (with a diagnostic) on bad specs;
 /// strict parse_int rejects negatives and trailing junk rather than
 /// letting "--shard=0/-1" degrade into a near-empty sweep.
@@ -302,8 +312,8 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
     std::cerr << "--merge-only needs --resume=<shard files>\n";
     return 1;
   }
-  if (mem_budget_gb_ < 0.0) {
-    std::cerr << "--mem-budget must be >= 0\n";
+  if (!(mem_budget_gb_ >= 0.0 && mem_budget_gb_ < kMaxMemBudgetGib)) {
+    std::cerr << "--mem-budget must be in [0, 2^34) GiB\n";
     return 1;
   }
   try {
@@ -367,8 +377,9 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
       std::cerr << "--fleet-batches must be in [0, 2^32)\n";
       return 1;
     }
-    if (fleet_ttl_seconds_ <= 0.0) {
-      std::cerr << "--fleet-ttl must be positive seconds\n";
+    if (!(fleet_ttl_seconds_ > 0.0 &&
+          fleet_ttl_seconds_ <= kMaxFleetTtlSeconds)) {
+      std::cerr << "--fleet-ttl must be positive seconds, at most 1e9\n";
       return 1;
     }
     if (fleet_max_batches_flag_ < 0) {
@@ -398,8 +409,7 @@ RunnerOptions SweepCli::base_options() const {
   options.threads = threads_;
   options.shard_index = shard_index_;
   options.shard_count = shard_count_;
-  options.memory_budget_bytes = static_cast<std::uint64_t>(
-      mem_budget_gb_ * 1024.0 * 1024.0 * 1024.0);
+  options.memory_budget_bytes = gib_to_bytes(mem_budget_gb_);
   options.resume_from = checkpoint_;
   return options;
 }
@@ -481,12 +491,10 @@ int SweepCli::run(Scenario scenario, std::ostream& out) {
     hb.shard_count = shard_count_;
     // Total = the tasks THIS process owns under the round-robin shard
     // partition, so completed == total signals a finished shard.
-    const std::uint64_t task_count =
+    hb.total_replicates = shard_task_count(
+        shard_index_, shard_count_,
         static_cast<std::uint64_t>(scenario.cells.size()) *
-        scenario.replicates;
-    hb.total_replicates =
-        task_count / shard_count_ +
-        (task_count % shard_count_ > shard_index_ ? 1 : 0);
+            scenario.replicates);
     heartbeat = std::make_unique<obs::Heartbeat>(std::move(hb));
     options.heartbeat = heartbeat.get();
   }
@@ -523,8 +531,7 @@ int SweepCli::run_fleet_worker(const Scenario& scenario, std::ostream& out) {
   options.ttl_seconds = fleet_ttl_seconds_;
   options.batches = static_cast<std::uint32_t>(fleet_batches_flag_);
   options.threads = threads_;
-  options.memory_budget_bytes = static_cast<std::uint64_t>(
-      mem_budget_gb_ * 1024.0 * 1024.0 * 1024.0);
+  options.memory_budget_bytes = gib_to_bytes(mem_budget_gb_);
   if (snapshot_every_ticks_ > 0 || snapshot_every_seconds_ > 0.0) {
     options.snapshot_every_ticks = snapshot_every_ticks_;
     options.snapshot_every_seconds = snapshot_every_seconds_;

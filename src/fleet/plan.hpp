@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/checkpoint.hpp"
 #include "exp/scenario.hpp"
 
 namespace geogossip::fleet {
@@ -50,8 +51,7 @@ struct FleetPlan {
   std::uint64_t total_tasks() const noexcept { return cells * replicates; }
   /// Tasks batch `b` owns under the round-robin partition (shard b of B).
   std::uint64_t batch_task_count(std::uint32_t batch) const noexcept {
-    const std::uint64_t tasks = total_tasks();
-    return tasks / batches + (tasks % batches > batch ? 1 : 0);
+    return exp::shard_task_count(batch, batches, total_tasks());
   }
 };
 

@@ -101,6 +101,8 @@ double parse_double(std::string_view text) {
   const double value = std::strtod(trimmed.c_str(), &end);
   GG_CHECK_ARG(end == trimmed.c_str() + trimmed.size(),
                "parse_double: trailing garbage in '" + trimmed + "'");
+  GG_CHECK_ARG(std::isfinite(value),
+               "parse_double: '" + trimmed + "' is not a finite number");
   return value;
 }
 

@@ -990,5 +990,22 @@ TEST(MergeOnly, RewritingOneOfTheResumeFilesKeepsEveryRecord) {
   EXPECT_EQ(read_file(shards[0]), run_streaming(scenario, 1).second);
 }
 
+TEST(SweepCliFlags, NonFiniteOrOverflowingNumbersExitOne) {
+  // NaN passes every `< 0` check, and an overflowing budget or TTL would
+  // make the flag's integer conversion undefined.
+  const auto dir =
+      (std::filesystem::path(::testing::TempDir()) / "ggflags").string();
+  const std::vector<std::vector<std::string>> bad = {
+      {"--mem-budget=nan"},
+      {"--mem-budget=1e300"},
+      {"--mem-budget=1e400"},
+      {"--snapshot-dir=" + dir, "--snapshot-every=nans"},
+      {"--fleet-dir=" + dir, "--fleet-ttl=inf"},
+      {"--fleet-dir=" + dir, "--fleet-ttl=1e300"}};
+  for (const auto& args : bad) {
+    EXPECT_EQ(run_cli(tiny_scenario(1), args), 1) << args.back();
+  }
+}
+
 }  // namespace
 }  // namespace geogossip::exp

@@ -240,6 +240,9 @@ TEST(StringUtil, ParseDouble) {
   EXPECT_THROW(parse_double("abc"), ArgumentError);
   EXPECT_THROW(parse_double("1.5x"), ArgumentError);
   EXPECT_THROW(parse_double(""), ArgumentError);
+  EXPECT_THROW(parse_double("nan"), ArgumentError);
+  EXPECT_THROW(parse_double("inf"), ArgumentError);
+  EXPECT_THROW(parse_double("1e400"), ArgumentError);
 }
 
 TEST(StringUtil, ParseInt) {
