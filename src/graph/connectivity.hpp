@@ -1,4 +1,4 @@
-// Connectivity analysis: union-find components, BFS hop distances.
+// Connectivity analysis: BFS component labels.
 #ifndef GEOGOSSIP_GRAPH_CONNECTIVITY_HPP
 #define GEOGOSSIP_GRAPH_CONNECTIVITY_HPP
 
@@ -9,24 +9,6 @@
 
 namespace geogossip::graph {
 
-/// Union-find with path halving and union by size.
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n);
-
-  std::size_t find(std::size_t x);
-  /// Returns true if the union merged two distinct sets.
-  bool unite(std::size_t a, std::size_t b);
-  bool same(std::size_t a, std::size_t b);
-  std::size_t set_count() const noexcept { return sets_; }
-  std::size_t size_of(std::size_t x);
-
- private:
-  std::vector<std::uint32_t> parent_;
-  std::vector<std::uint32_t> size_;
-  std::size_t sets_;
-};
-
 /// Component label (0-based, by discovery order) for every node.
 std::vector<std::uint32_t> connected_components(const CsrGraph& g);
 
@@ -34,12 +16,6 @@ bool is_connected(const CsrGraph& g);
 
 /// Size of the largest connected component.
 std::size_t largest_component_size(const CsrGraph& g);
-
-/// BFS hop distances from `source`; unreachable nodes get UINT32_MAX.
-std::vector<std::uint32_t> bfs_distances(const CsrGraph& g, NodeId source);
-
-/// Exact hop diameter via BFS from every node — O(n·m), use on small graphs.
-std::uint32_t hop_diameter(const CsrGraph& g);
 
 }  // namespace geogossip::graph
 

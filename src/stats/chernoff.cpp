@@ -31,23 +31,4 @@ double occupancy_deviation_bound(double mu, double delta, std::size_t cells) {
                            chernoff_two_sided(mu, delta));
 }
 
-double required_mean_for_occupancy(double delta, std::size_t cells,
-                                   double failure_prob) {
-  GG_CHECK_ARG(failure_prob > 0.0 && failure_prob < 1.0,
-               "required_mean_for_occupancy: failure_prob in (0,1)");
-  // Monotone in mu; bisect on [1, 1e12].
-  double lo = 1.0;
-  double hi = 1e12;
-  if (occupancy_deviation_bound(lo, delta, cells) <= failure_prob) return lo;
-  for (int iter = 0; iter < 200; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (occupancy_deviation_bound(mid, delta, cells) <= failure_prob) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  return hi;
-}
-
 }  // namespace geogossip::stats

@@ -1,32 +1,19 @@
-// Confidence intervals for bench reporting.
+// Binomial confidence interval for E2's empirical tail frequencies.
 #ifndef GEOGOSSIP_STATS_CONFIDENCE_HPP
 #define GEOGOSSIP_STATS_CONFIDENCE_HPP
 
-#include <string>
-
-#include "stats/summary.hpp"
+#include <cstdint>
 
 namespace geogossip::stats {
 
 struct Interval {
   double lo = 0.0;
   double hi = 0.0;
-
-  double width() const noexcept { return hi - lo; }
-  bool contains(double v) const noexcept { return v >= lo && v <= hi; }
-  std::string to_string(int decimals = 4) const;
 };
 
-/// Normal-approximation CI for the mean of the accumulated sample.
-/// `confidence` in (0,1); only the standard levels {0.90, 0.95, 0.99} are
-/// supported (fixed z-scores — no inverse erf dependency).
-Interval mean_confidence_interval(const RunningStat& stat,
-                                  double confidence = 0.95);
-
-/// Wilson score interval for a binomial proportion (successes/trials).
+/// 95% Wilson score interval for a binomial proportion (successes/trials).
 Interval proportion_confidence_interval(std::uint64_t successes,
-                                        std::uint64_t trials,
-                                        double confidence = 0.95);
+                                        std::uint64_t trials);
 
 }  // namespace geogossip::stats
 

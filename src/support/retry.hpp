@@ -87,21 +87,6 @@ void retry_io(const RetryPolicy& policy, std::string_view what,
                 std::to_string(policy.max_attempts) + " attempts — giving up");
 }
 
-/// Best-effort variant for writers that must never kill their host (the
-/// heartbeat): same schedule, but the give-up is a log_error, not a
-/// throw.  Returns true when an attempt eventually succeeded.
-template <typename Fn>
-bool retry_io_or_log(const RetryPolicy& policy, std::string_view what,
-                     Fn&& attempt) {
-  try {
-    retry_io(policy, what, std::forward<Fn>(attempt));
-    return true;
-  } catch (const IoError& error) {
-    log_error(error.what());
-    return false;
-  }
-}
-
 }  // namespace geogossip
 
 #endif  // GEOGOSSIP_SUPPORT_RETRY_HPP

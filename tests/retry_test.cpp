@@ -100,14 +100,6 @@ TEST(Retry, NonTransientExceptionsPropagateWithoutRetrying) {
   EXPECT_TRUE(sleeps.empty());
 }
 
-TEST(Retry, OrLogVariantSwallowsTheGiveUp) {
-  std::vector<double> sleeps;
-  EXPECT_FALSE(
-      retry_io_or_log(recording_policy(&sleeps), "op", [] { return false; }));
-  EXPECT_TRUE(
-      retry_io_or_log(recording_policy(&sleeps), "op", [] { return true; }));
-}
-
 TEST(Retry, RejectsAZeroAttemptPolicy) {
   RetryPolicy policy;
   policy.max_attempts = 0;

@@ -214,12 +214,6 @@ TEST(Chernoff, OccupancyUnionBound) {
               std::min(1.0, 50 * single), 1e-15);
 }
 
-TEST(Chernoff, RequiredMeanIsSufficientAndTight) {
-  const double mu = required_mean_for_occupancy(0.1, 100, 0.01);
-  EXPECT_LE(occupancy_deviation_bound(mu, 0.1, 100), 0.01 + 1e-9);
-  EXPECT_GT(occupancy_deviation_bound(mu * 0.8, 0.1, 100), 0.01);
-}
-
 TEST(Chernoff, PaperOccupancyRegime) {
   // §3: sqrt(n) squares with mean sqrt(n) occupants each, 1/10 deviation.
   // The union bound should be < 1 for large n (and is miles below at the
@@ -233,41 +227,12 @@ TEST(Chernoff, PaperOccupancyRegime) {
 
 // ----------------------------------------------------------- Confidence ----
 
-TEST(Confidence, MeanIntervalCoversTruth) {
-  Rng rng(123);
-  int covered = 0;
-  constexpr int kRounds = 200;
-  for (int round = 0; round < kRounds; ++round) {
-    RunningStat stat;
-    for (int i = 0; i < 50; ++i) stat.push(rng.normal(10.0, 3.0));
-    if (mean_confidence_interval(stat, 0.95).contains(10.0)) ++covered;
-  }
-  // 95% nominal coverage; allow generous slack for 200 rounds.
-  EXPECT_GT(covered, kRounds * 0.88);
-}
-
-TEST(Confidence, IntervalWidthShrinksWithSamples) {
-  Rng rng(9);
-  RunningStat small;
-  RunningStat large;
-  for (int i = 0; i < 20; ++i) small.push(rng.normal());
-  for (int i = 0; i < 2000; ++i) large.push(rng.normal());
-  EXPECT_LT(mean_confidence_interval(large).width(),
-            mean_confidence_interval(small).width());
-}
-
-TEST(Confidence, RejectsUnsupportedLevel) {
-  RunningStat stat;
-  stat.push(1.0);
-  stat.push(2.0);
-  EXPECT_THROW(mean_confidence_interval(stat, 0.5), ArgumentError);
-}
-
 TEST(Confidence, WilsonProportionProperties) {
   const auto interval = proportion_confidence_interval(80, 100);
   EXPECT_GT(interval.lo, 0.7);
+  EXPECT_LT(interval.lo, 0.8);
+  EXPECT_GT(interval.hi, 0.8);
   EXPECT_LT(interval.hi, 0.9);
-  EXPECT_TRUE(interval.contains(0.8));
   // Degenerate endpoints stay within [0, 1].
   const auto all = proportion_confidence_interval(100, 100);
   EXPECT_LE(all.hi, 1.0);
