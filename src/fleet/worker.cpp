@@ -221,8 +221,11 @@ WorkerReport run_worker(const exp::Scenario& scenario,
       // Snapshot temp debris of workers killed mid-save outlives the
       // SnapshotStore's age-gated sweep when the fleet finishes fast;
       // with every batch done there is no in-flight writer left to
-      // protect, so sweep it all.
+      // protect, so sweep it all.  Heartbeat temps of workers killed
+      // mid-commit go too: a live worker whose in-flight heartbeat temp
+      // this removes only retries that commit.
       sweep_stale_temps(snaps_dir(options.fleet_dir), 0.0);
+      sweep_stale_temps(hb_dir(options.fleet_dir), 0.0);
       report.fleet_complete = true;
       break;
     }

@@ -536,11 +536,14 @@ TEST(FleetWorker, RecoversFromAKillAtEveryProtocolPhase) {
   }
 
   {  // Phase: killed mid-batch after renewing — a real lease whose TTL
-     // then lapses, no records written yet.
+     // then lapses, no records written yet — while committing its
+     // heartbeat, whose temp file lingers.
     const std::string dir = test_dir("kill_mid_batch");
     fleet::ensure_plan(dir, scenario, kBatches, fast_plan_options());
     fleet::LeaseStore store(dir);
     ASSERT_TRUE(store.try_claim(0, "dead", 0.01, "hb/dead.jsonl").has_value());
+    spit(fleet::heartbeat_path(dir, "dead") + ".tmp.4242",
+         "{\"record\":\"heartbeat\"");
     sleep_ms(30);
     complete_and_verify(dir, scenario, kBatches, reference, "rescue");
   }
