@@ -118,20 +118,18 @@ void GeometricGraph::build_routing_mirror() const {
       for (std::size_t k = 0; k < neighbors.size(); ++k) {
         const double d_sq =
             geometry::distance_sq(points_[v], points_[neighbors[k]]);
-        // Largest annulus index with d_sq <= its outer edge (binary
-        // search: a linear walk is O(K) per edge and shows in the build).
-        int lo = 0;
-        int hi = kAnnuli - 1;
-        while (lo < hi) {
-          const int mid = (lo + hi + 1) / 2;
-          if (d_sq <= edge_sq[mid]) {
-            lo = mid;
-          } else {
-            hi = mid - 1;
-          }
+        // Largest annulus index a with d_sq <= edge_sq[a], else 0.  The
+        // edges shrink with a, so the test holds for a prefix of indices,
+        // and five halving steps find its end.  Each step is a
+        // conditional add rather than a branch: the outcome depends on the
+        // neighbour's distance, and a branch on it mispredicts about half
+        // the time, which cost as much as the rest of the fill.
+        int a = 0;
+        for (int step = kAnnuli / 2; step > 0; step /= 2) {
+          a += step * static_cast<int>(d_sq <= edge_sq[a + step]);
         }
-        annulus_of[k] = static_cast<std::uint8_t>(lo);
-        ++cursor[lo];
+        annulus_of[k] = static_cast<std::uint8_t>(a);
+        ++cursor[a];
       }
       // Prefix-sum the per-annulus counts into slice cursors, then place.
       std::uint32_t start = 0;

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "geometry/sampling.hpp"
 #include "graph/connectivity.hpp"
@@ -292,6 +295,96 @@ TEST(GeometricGraph, ParallelBuildMatchesSerialOnArbitraryPointSets) {
   const GeometricGraph parallel(points, r, geometry::Rect::unit_square(),
                                 {.pool = &pool});
   expect_identical_graphs(serial, parallel);
+}
+
+/// Checks the routing mirror against its definition (routing_ids()): the
+/// kRoutingAnnuli annuli have outer edges r * (K - a) / K for a = 0..K-1,
+/// an arc belongs to the innermost annulus whose edge it does not exceed,
+/// and carries that edge rounded up to float.  The definition is evaluated
+/// here by a linear scan, independently of the fill's search.
+void expect_mirror_matches_definition(const GeometricGraph& g) {
+  constexpr int kAnnuli = GeometricGraph::kRoutingAnnuli;
+  double edge_sq[kAnnuli];
+  float bound[kAnnuli];
+  for (int a = 0; a < kAnnuli; ++a) {
+    const double edge = g.radius() * (kAnnuli - a) / kAnnuli;
+    edge_sq[a] = edge * edge;
+    bound[a] = static_cast<float>(edge);
+    if (static_cast<double>(bound[a]) < edge) {
+      bound[a] = std::nextafter(bound[a], std::numeric_limits<float>::max());
+    }
+  }
+  const auto positions = g.positions();
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const auto csr = g.neighbors(v);
+    const auto ids = g.routing_ids(v);
+    const auto radii = g.routing_radii(v);
+    ASSERT_EQ(ids.size(), csr.size()) << "node " << v;
+    ASSERT_EQ(radii.size(), csr.size()) << "node " << v;
+
+    // The CSR row regrouped farthest annulus first, CSR order kept inside
+    // each annulus: a permutation of the row.
+    std::vector<std::pair<int, NodeId>> expected;
+    for (const NodeId u : csr) {
+      const double d_sq = geometry::distance_sq(positions[v], positions[u]);
+      int annulus = 0;
+      for (int a = 1; a < kAnnuli; ++a) {
+        if (d_sq <= edge_sq[a]) annulus = a;
+      }
+      expected.emplace_back(annulus, u);
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const auto& x, const auto& y) {
+                       return x.first < y.first;
+                     });
+
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const auto [annulus, id] = expected[k];
+      ASSERT_EQ(ids[k], id) << "node " << v << " entry " << k;
+      const double d_sq = geometry::distance_sq(positions[v], positions[id]);
+      const double b = radii[k];
+      // The bound covers the arc (b * b is exact in double) ...
+      EXPECT_GE(b * b, d_sq) << "node " << v << " entry " << k;
+      // ... is the tightest of the annulus bounds that do ...
+      EXPECT_EQ(radii[k], bound[annulus]) << "node " << v << " entry " << k;
+      if (annulus + 1 < kAnnuli) {
+        EXPECT_GT(d_sq, edge_sq[annulus + 1]) << "node " << v;
+      }
+      // ... and never increases along the row.
+      if (k > 0) {
+        EXPECT_LE(radii[k], radii[k - 1]) << "node " << v << " entry " << k;
+      }
+    }
+  }
+}
+
+TEST(GeometricGraph, RoutingMirrorMatchesItsDefinition) {
+  // Neighbours planted exactly on every annulus edge.  The dyadic centre
+  // and radius make each offset, coordinate and squared distance exact,
+  // so an arc of length r * (32 - a) / 32 lands on edge a itself (and in
+  // annulus a, the edges being closed).  Nudged copies sit just inside and
+  // just outside each edge, and coincident points give zero-length arcs.
+  constexpr double kCentre = 0.5;
+  constexpr double kRadius = 0.125;
+  constexpr int kAnnuli = GeometricGraph::kRoutingAnnuli;
+  std::vector<Vec2> points{{kCentre, kCentre}, {kCentre, kCentre}};
+  for (int a = 0; a < kAnnuli; ++a) {
+    const double edge = kRadius * (kAnnuli - a) / kAnnuli;
+    points.push_back({kCentre + edge, kCentre});
+    points.push_back({kCentre, kCentre - edge});
+    points.push_back({std::nextafter(kCentre - edge, 0.0), kCentre});
+    points.push_back({kCentre, std::nextafter(kCentre + edge, 1.0)});
+    const double diagonal = edge / std::sqrt(2.0);
+    points.push_back({kCentre + diagonal, kCentre + diagonal});
+  }
+  const GeometricGraph planted(points, kRadius);
+  // The centre reaches every planted point except the nudged-outside ones
+  // of edge 0, which lie beyond r.
+  EXPECT_GE(planted.degree(0), static_cast<std::size_t>(5 * kAnnuli - 2));
+  expect_mirror_matches_definition(planted);
+
+  Rng rng(77);
+  expect_mirror_matches_definition(GeometricGraph::sample(2000, 1.5, rng));
 }
 
 TEST(GeometricGraph, RoutingMirrorIsLazyAndEagerOptionForcesIt) {
