@@ -19,7 +19,7 @@ HierarchicalAffineProtocol::HierarchicalAffineProtocol(
       config_(config),
       hierarchy_(graph.points(), graph.region(),
                  practical_hierarchy(config.leaf_threshold, config.max_depth)),
-      route_hops_(graph) {
+      hops_(graph, hierarchy_) {
   GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
   GG_CHECK_ARG(config.latency_factor >= 1.0, "latency_factor >= 1");
 
@@ -70,14 +70,13 @@ void HierarchicalAffineProtocol::compute_budgets() {
                    2.0 * std::log(m / eps_d);
     } else {
       double child_latency = 1.0;
-      std::size_t nonempty = 0;
-      for (const int child : sq.children) {
-        if (hierarchy_.square(child).members.empty()) continue;
-        ++nonempty;
+      const auto nonempty = hops_.slots(static_cast<int>(id));
+      for (const int child : nonempty) {
         child_latency = std::max(
             child_latency, t_avg_[static_cast<std::size_t>(child)]);
       }
-      const double k = std::max<double>(2.0, static_cast<double>(nonempty));
+      const double k =
+          std::max<double>(2.0, static_cast<double>(nonempty.size()));
       t_avg_[id] = config_.round_constant * std::log(k / eps_d) *
                    config_.latency_factor * child_latency;
     }
@@ -105,15 +104,13 @@ void HierarchicalAffineProtocol::activate_square(int square_id) {
     meter_.add(sim::TxCategory::kControl, sq.members.size());
     return;
   }
-  const auto rep = static_cast<NodeId>(sq.representative);
-  for (const int child : sq.children) {
-    const auto& child_info = hierarchy_.square(child);
-    if (child_info.representative < 0) continue;
-    const auto child_rep = static_cast<NodeId>(child_info.representative);
+  for (const int child : hops_.slots(square_id)) {
+    const auto child_rep =
+        static_cast<NodeId>(hierarchy_.square(child).representative);
     global_on_[child_rep] = 1;
     counter_[child_rep] = 0;
-    meter_.add(sim::TxCategory::kControl, route_hops_.hops(rep, child_rep));
   }
+  meter_.add(sim::TxCategory::kControl, hops_.fan_out_hops(square_id));
 }
 
 void HierarchicalAffineProtocol::deactivate_square(int square_id) {
@@ -124,14 +121,12 @@ void HierarchicalAffineProtocol::deactivate_square(int square_id) {
     meter_.add(sim::TxCategory::kControl, sq.members.size());
     return;
   }
-  const auto rep = static_cast<NodeId>(sq.representative);
-  for (const int child : sq.children) {
-    const auto& child_info = hierarchy_.square(child);
-    if (child_info.representative < 0) continue;
-    const auto child_rep = static_cast<NodeId>(child_info.representative);
+  for (const int child : hops_.slots(square_id)) {
+    const auto child_rep =
+        static_cast<NodeId>(hierarchy_.square(child).representative);
     global_on_[child_rep] = 0;
-    meter_.add(sim::TxCategory::kControl, route_hops_.hops(rep, child_rep));
   }
+  meter_.add(sim::TxCategory::kControl, hops_.fan_out_hops(square_id));
 }
 
 void HierarchicalAffineProtocol::near(NodeId node) {
@@ -148,25 +143,30 @@ void HierarchicalAffineProtocol::near(NodeId node) {
 void HierarchicalAffineProtocol::far(NodeId node, int square_id) {
   const SquareInfo& sq = hierarchy_.square(square_id);
   if (sq.parent < 0) return;  // the root has no siblings
-  const SquareInfo& parent = hierarchy_.square(sq.parent);
 
-  // Uniform sibling square with a representative.
+  // Uniform sibling square with a representative.  `node` represents its
+  // own square, so that square holds a slot of the parent too.
+  const auto slots = hops_.slots(sq.parent);
+  std::size_t own = 0;
+  std::size_t picked = slots.size();
   std::uint32_t candidates = 0;
-  int chosen = -1;
-  for (const int sibling : parent.children) {
-    if (sibling == square_id) continue;
-    const auto& info = hierarchy_.square(sibling);
-    if (info.representative < 0) continue;
+  for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+    if (slots[slot] == square_id) {
+      own = slot;
+      continue;
+    }
     ++candidates;
-    if (rng_->below(candidates) == 0) chosen = sibling;
+    if (rng_->below(candidates) == 0) picked = slot;
   }
-  if (chosen < 0) return;
+  if (picked == slots.size()) return;
 
+  const int chosen = slots[picked];
   const auto& sibling = hierarchy_.square(chosen);
   const auto peer = static_cast<NodeId>(sibling.representative);
 
-  meter_.add(sim::TxCategory::kLongRange, route_hops_.hops(node, peer));
-  meter_.add(sim::TxCategory::kLongRange, route_hops_.hops(peer, node));
+  // Two greedy-routed packets: value there, value back.
+  meter_.add(sim::TxCategory::kLongRange,
+             2 * std::uint64_t{hops_.sibling_hops(sq.parent, own, picked)});
 
   const double beta =
       exchange_beta(config_.beta_mode, sq.expected_occupancy,

@@ -101,9 +101,9 @@ class HierarchicalAffineProtocol final : public gossip::ValueProtocol {
   /// Serialized: the paper's per-node state machine (local/global on,
   /// counters), per-square activity and the exchange counters.  NOT
   /// serialized: the hierarchy, leaf-peer CSR, budgets and Far rates (all
-  /// deterministic ctor products of the same configuration) and the route
-  /// cache (a memoization of deterministic greedy routes — a cold cache
-  /// recomputes identical hop counts).
+  /// deterministic ctor products of the same configuration) and the hop
+  /// tables (deterministic greedy routes — cold tables recompute identical
+  /// hop counts).
   void snapshot_scratch(SnapshotWriter& w) const override;
   void restore_scratch(SnapshotReader& r) override;
 
@@ -135,7 +135,7 @@ class HierarchicalAffineProtocol final : public gossip::ValueProtocol {
   std::vector<std::uint32_t> budget_;
   std::vector<std::uint8_t> square_active_;  ///< children currently on
 
-  RouteHopCache route_hops_;
+  SquareHopTables hops_;
 
   std::uint64_t far_exchanges_ = 0;
   std::uint64_t near_exchanges_ = 0;

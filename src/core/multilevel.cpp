@@ -30,14 +30,37 @@ MultilevelAffineGossip::MultilevelAffineGossip(
                  practical_hierarchy(config.leaf_threshold, config.max_depth)),
       x_(std::move(x0)),
       rng_(&rng),
-      route_hops_(graph) {
+      hops_(graph, hierarchy_) {
   GG_CHECK_ARG(x_.size() == graph.node_count(),
                "initial values must match node count");
   GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
   GG_CHECK_ARG(config.max_depth >= 1, "max_depth >= 1");
   GG_CHECK_ARG(config.eps_decay > 1.0, "eps_decay > 1");
   GG_CHECK_ARG(config.round_constant > 0.0, "round_constant > 0");
+  GG_CHECK_ARG(
+      config.leaf_constant > 0.0 && std::isfinite(config.leaf_constant),
+      "leaf_constant finite and > 0");
+  GG_CHECK_ARG(config.leaf_noise >= 0.0 && std::isfinite(config.leaf_noise),
+               "leaf_noise finite and >= 0");
   resync_tracking();
+
+  plan_.resize(hierarchy_.square_count());
+  for (std::size_t id = 0; id < plan_.size(); ++id) {
+    const SquareInfo& square = hierarchy_.square(static_cast<int>(id));
+    const double eps = eps_at_depth(square.depth);
+    const std::size_t slots = hops_.slots(static_cast<int>(id)).size();
+    if (slots >= 2) {
+      const double k = static_cast<double>(slots);
+      plan_[id].rounds = static_cast<std::uint32_t>(
+          std::ceil(config_.round_constant * k * std::log(k / eps)));
+    }
+    if (square.is_leaf() && square.members.size() >= 2 &&
+        config_.leaf_cost != LeafCostModel::kMeasured) {
+      plan_[id].leaf_charge = charged_leaf_cost(
+          config_.leaf_cost, square.members.size(),
+          square.rect.width() / graph_->radius(), eps, config_.leaf_constant);
+    }
+  }
 }
 
 double MultilevelAffineGossip::value_sum() const noexcept {
@@ -59,27 +82,8 @@ double MultilevelAffineGossip::eps_at_depth(int depth) const {
   return config_.eps / std::pow(config_.eps_decay, depth);
 }
 
-std::vector<int> MultilevelAffineGossip::nonempty_children(
-    const SquareInfo& square) const {
-  std::vector<int> out;
-  out.reserve(square.children.size());
-  for (const int child : square.children) {
-    if (!hierarchy_.square(child).members.empty()) out.push_back(child);
-  }
-  return out;
-}
-
-std::uint32_t MultilevelAffineGossip::rounds_for(
-    const SquareInfo& square) const {
-  const auto children = nonempty_children(square);
-  if (children.size() < 2) return 0;
-  const double k = static_cast<double>(children.size());
-  const double eps = eps_at_depth(square.depth);
-  return static_cast<std::uint32_t>(
-      std::ceil(config_.round_constant * k * std::log(k / eps)));
-}
-
-void MultilevelAffineGossip::charge_activation(const SquareInfo& square) {
+void MultilevelAffineGossip::charge_activation(int square_id,
+                                               const SquareInfo& square) {
   if (!config_.charge_control) return;
   if (square.is_leaf()) {
     // Level-1 activation + deactivation: flood the square twice.
@@ -88,14 +92,7 @@ void MultilevelAffineGossip::charge_activation(const SquareInfo& square) {
   }
   // Higher level: one routed control packet per child representative,
   // on activation and deactivation.
-  const NodeId rep = static_cast<NodeId>(square.representative);
-  for (const int child : square.children) {
-    const auto& child_info = hierarchy_.square(child);
-    if (child_info.representative < 0) continue;
-    const auto hops =
-        route_hops_.hops(rep, static_cast<NodeId>(child_info.representative));
-    meter_.add(sim::TxCategory::kControl, 2ull * hops);
-  }
+  meter_.add(sim::TxCategory::kControl, 2 * hops_.fan_out_hops(square_id));
 }
 
 void MultilevelAffineGossip::measured_leaf_average(const SquareInfo& square,
@@ -146,22 +143,20 @@ void MultilevelAffineGossip::measured_leaf_average(const SquareInfo& square,
   }
 }
 
-void MultilevelAffineGossip::leaf_average(const SquareInfo& square) {
+void MultilevelAffineGossip::leaf_average(int square_id,
+                                          const SquareInfo& square) {
   const auto& members = square.members;
   if (members.size() <= 1) return;
-  const double eps = eps_at_depth(square.depth);
 
   if (config_.leaf_cost == LeafCostModel::kMeasured) {
-    measured_leaf_average(square, eps);
+    measured_leaf_average(square, eps_at_depth(square.depth));
     return;
   }
 
   // Idealized averaging: charge the model cost, set members to the mean,
   // optionally perturb (Lemma 2's imperfect-averaging noise).
-  const double side_over_radius = square.rect.width() / graph_->radius();
   meter_.add(sim::TxCategory::kLocal,
-             charged_leaf_cost(config_.leaf_cost, members.size(),
-                               side_over_radius, eps, config_.leaf_constant));
+             plan_[static_cast<std::size_t>(square_id)].leaf_charge);
 
   double mean = 0.0;
   for (const auto node : members) mean += x_[node];
@@ -185,20 +180,17 @@ void MultilevelAffineGossip::leaf_average(const SquareInfo& square) {
   }
 }
 
-void MultilevelAffineGossip::exchange(const SquareInfo& parent, int child_i,
-                                      int child_j) {
-  (void)parent;
-  const auto& info_i = hierarchy_.square(child_i);
-  const auto& info_j = hierarchy_.square(child_j);
-  GG_CHECK(info_i.representative >= 0 && info_j.representative >= 0,
-           "exchange between squares without representatives");
+void MultilevelAffineGossip::exchange(int parent, std::size_t i,
+                                      std::size_t j) {
+  const auto children = hops_.slots(parent);
+  const auto& info_i = hierarchy_.square(children[i]);
+  const auto& info_j = hierarchy_.square(children[j]);
   const auto rep_i = static_cast<NodeId>(info_i.representative);
   const auto rep_j = static_cast<NodeId>(info_j.representative);
 
   // Two greedy-routed packets: value there, value back.
-  const std::uint32_t hops_there = route_hops_.hops(rep_i, rep_j);
-  const std::uint32_t hops_back = route_hops_.hops(rep_j, rep_i);
-  meter_.add(sim::TxCategory::kLongRange, hops_there + hops_back);
+  meter_.add(sim::TxCategory::kLongRange,
+             2 * std::uint64_t{hops_.sibling_hops(parent, i, j)});
 
   const double beta =
       exchange_beta(config_.beta_mode, info_i.expected_occupancy,
@@ -223,13 +215,13 @@ void MultilevelAffineGossip::average_square(int square_id) {
   const SquareInfo& square = hierarchy_.square(square_id);
   if (square.members.empty()) return;
 
-  charge_activation(square);
+  charge_activation(square_id, square);
   if (square.is_leaf()) {
-    leaf_average(square);
+    leaf_average(square_id, square);
     return;
   }
 
-  const auto children = nonempty_children(square);
+  const auto children = hops_.slots(square_id);
   if (children.size() == 1) {
     average_square(children.front());
     return;
@@ -238,11 +230,12 @@ void MultilevelAffineGossip::average_square(int square_id) {
   // Activation: every child is averaged once before exchanges begin.
   for (const int child : children) average_square(child);
 
-  const std::uint32_t rounds = rounds_for(square);
+  const std::uint32_t rounds =
+      plan_[static_cast<std::size_t>(square_id)].rounds;
   for (std::uint32_t round = 0; round < rounds; ++round) {
     const std::size_t i = rng_->below(children.size());
     const std::size_t j = rng_->below_excluding(children.size(), i);
-    exchange(square, children[i], children[j]);
+    exchange(square_id, i, j);
     average_square(children[i]);
     average_square(children[j]);
   }
@@ -257,7 +250,7 @@ MultilevelResult MultilevelAffineGossip::run(
   MultilevelResult result;
 
   const SquareInfo& root = hierarchy_.square(hierarchy_.root());
-  const auto children = nonempty_children(root);
+  const auto children = hops_.slots(hierarchy_.root());
 
   double initial_dev = 0.0;
   std::uint64_t start_round = 0;
@@ -314,7 +307,7 @@ MultilevelResult MultilevelAffineGossip::run(
       return result;
     }
 
-    charge_activation(root);
+    charge_activation(hierarchy_.root(), root);
     for (const int child : children) average_square(child);
   }
 
@@ -350,7 +343,7 @@ MultilevelResult MultilevelAffineGossip::run(
   for (std::uint64_t round = start_round; round < max_rounds; ++round) {
     const std::size_t i = rng_->below(children.size());
     const std::size_t j = rng_->below_excluding(children.size(), i);
-    exchange(root, children[i], children[j]);
+    exchange(hierarchy_.root(), i, j);
     average_square(children[i]);
     average_square(children[j]);
     ++result.top_rounds;

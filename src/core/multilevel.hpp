@@ -111,17 +111,24 @@ class MultilevelAffineGossip {
   double value_sum() const noexcept;
 
  private:
+  /// Per-square constants of the recursion, computed once by the
+  /// constructor: a replicate revisits each square hundreds of times (at
+  /// n = 2^19, 11M leaf averages over about 24k leaves).
+  struct SquarePlan {
+    /// Inner rounds ceil(c * k * ln(k / eps_r)) over k slots; 0 when k < 2.
+    std::uint32_t rounds = 0;
+    /// Charged-model cost of averaging a leaf of two or more members.
+    std::uint64_t leaf_charge = 0;
+  };
+
   /// Open-loop recursive averaging of one square at its schedule budget.
   void average_square(int square_id);
-  void leaf_average(const geometry::SquareInfo& square);
+  void leaf_average(int square_id, const geometry::SquareInfo& square);
   void measured_leaf_average(const geometry::SquareInfo& square, double eps);
-  /// One exchange between two child squares of `parent`; returns effective
-  /// alphas for range accounting.
-  void exchange(const geometry::SquareInfo& parent, int child_i, int child_j);
-  void charge_activation(const geometry::SquareInfo& square);
+  /// One exchange between the children in slots `i` and `j` of `parent`.
+  void exchange(int parent, std::size_t i, std::size_t j);
+  void charge_activation(int square_id, const geometry::SquareInfo& square);
   double eps_at_depth(int depth) const;
-  std::uint32_t rounds_for(const geometry::SquareInfo& square) const;
-  std::vector<int> nonempty_children(const geometry::SquareInfo& square) const;
 
   void set_value(std::uint32_t node, double value);
   double deviation_norm_tracked() const;
@@ -133,7 +140,8 @@ class MultilevelAffineGossip {
   std::vector<double> x_;
   Rng* rng_;
   sim::TxMeter meter_;
-  RouteHopCache route_hops_;
+  SquareHopTables hops_;
+  std::vector<SquarePlan> plan_;
   std::uint64_t alpha_out_of_range_ = 0;
 
   // Incremental deviation tracking (shifted + Neumaier-compensated).

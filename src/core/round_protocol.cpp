@@ -9,8 +9,20 @@
 
 namespace geogossip::core {
 
+namespace {
+
+/// Marks a table entry whose route has not been taken yet.
+constexpr std::uint32_t kUnrouted = UINT32_MAX;
+constexpr std::uint64_t kUnroutedSum = UINT64_MAX;
+
+/// Entries of a triangular table over `k` slots: one per unordered pair.
+std::uint64_t pair_count(std::uint64_t k) { return k * (k - 1) / 2; }
+
+}  // namespace
+
 geometry::HierarchyConfig practical_hierarchy(double leaf_threshold,
                                               int max_depth) {
+  GG_CHECK_ARG(leaf_threshold >= 1.0, "leaf_threshold >= 1");
   geometry::HierarchyConfig h;
   h.threshold = geometry::HierarchyConfig::Threshold::kPractical;
   h.leaf_occupancy = leaf_threshold;
@@ -18,19 +30,72 @@ geometry::HierarchyConfig practical_hierarchy(double leaf_threshold,
   return h;
 }
 
-std::uint32_t RouteHopCache::hops(graph::NodeId from, graph::NodeId to) {
-  const auto key = std::minmax(from, to);
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-  const auto route = routing::route_to_node(*graph_, key.first, key.second);
+SquareHopTables::SquareHopTables(const graph::GeometricGraph& graph,
+                                 const geometry::PartitionHierarchy& hierarchy)
+    : graph_(&graph) {
+  const std::size_t squares = hierarchy.square_count();
+  representative_.assign(squares, 0);
+  slot_start_.assign(squares + 1, 0);
+  pair_start_.assign(squares + 1, 0);
+  fan_out_.assign(squares, kUnroutedSum);
+  for (std::size_t id = 0; id < squares; ++id) {
+    const auto& square = hierarchy.square(static_cast<int>(id));
+    if (square.representative >= 0) {
+      representative_[id] = static_cast<graph::NodeId>(square.representative);
+    }
+    for (const int child : square.children) {
+      if (hierarchy.square(child).representative >= 0) {
+        slot_square_.push_back(child);
+      }
+    }
+    slot_start_[id + 1] = static_cast<std::uint32_t>(slot_square_.size());
+    pair_start_[id + 1] =
+        pair_start_[id] + pair_count(slot_start_[id + 1] - slot_start_[id]);
+  }
+  pair_hops_.assign(pair_start_.back(), kUnrouted);
+}
+
+std::uint32_t SquareHopTables::route_hops(graph::NodeId a,
+                                          graph::NodeId b) const {
+  const auto [from, to] = std::minmax(a, b);
+  const auto route = routing::route_to_node(*graph_, from, to);
   std::uint32_t hops = route.hops;
   if (!route.arrived()) {
-    const double dist = geometry::distance(graph_->position(key.first),
-                                           graph_->position(key.second));
+    const double dist =
+        geometry::distance(graph_->position(from), graph_->position(to));
     hops += static_cast<std::uint32_t>(std::ceil(dist / graph_->radius()));
   }
-  cache_.emplace(key, hops);
   return hops;
+}
+
+std::uint32_t SquareHopTables::sibling_hops(int square, std::size_t i,
+                                            std::size_t j) {
+  const auto s = static_cast<std::size_t>(square);
+  const std::size_t slot_count = slot_start_[s + 1] - slot_start_[s];
+  GG_CHECK(i != j && i < slot_count && j < slot_count,
+           "sibling_hops: slots out of range");
+  const auto [lo, hi] = std::minmax(i, j);
+  std::uint32_t& hops = pair_hops_[pair_start_[s] + pair_count(hi) + lo];
+  if (hops == kUnrouted) {
+    hops = route_hops(representative_[static_cast<std::size_t>(
+                          slot_square_[slot_start_[s] + lo])],
+                      representative_[static_cast<std::size_t>(
+                          slot_square_[slot_start_[s] + hi])]);
+  }
+  return hops;
+}
+
+std::uint64_t SquareHopTables::fan_out_hops(int square) {
+  const auto s = static_cast<std::size_t>(square);
+  std::uint64_t& sum = fan_out_[s];
+  if (sum == kUnroutedSum) {
+    sum = 0;
+    for (const int child : slots(square)) {
+      sum += route_hops(representative_[s],
+                        representative_[static_cast<std::size_t>(child)]);
+    }
+  }
+  return sum;
 }
 
 std::string_view leaf_cost_model_name(LeafCostModel model) noexcept {

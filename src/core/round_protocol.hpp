@@ -18,13 +18,22 @@
 //                     eps (exact but only affordable at small n).
 //   * activation/deactivation control: one transmission per square member
 //     (level-1 flood) or one routed packet per child representative.
+//
+// Every routed packet of the model runs between two representatives of one
+// square's family: two sibling children (an exchange) or the square and
+// one child (activation control).  SquareHopTables therefore keeps the
+// greedy-route hop counts per square: a triangular table over the square's
+// children that have a representative, and the square's fan-out sum to
+// them, each entry routed on first use.  The tables replace a global
+// pair-keyed map whose lookups cost more than the rest of an exchange; the
+// active square's table is a few kilobytes and stays in cache.
 #ifndef GEOGOSSIP_CORE_ROUND_PROTOCOL_HPP
 #define GEOGOSSIP_CORE_ROUND_PROTOCOL_HPP
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string_view>
-#include <utility>
+#include <vector>
 
 #include "geometry/hierarchy.hpp"
 #include "graph/geometric_graph.hpp"
@@ -33,26 +42,54 @@ namespace geogossip::core {
 
 /// The partition both hierarchical protocols run on: practical threshold,
 /// leaves of at most `leaf_threshold` expected members, `max_depth` levels.
+/// Requires leaf_threshold >= 1: below that every square splits down to
+/// max_depth, and the square count grows fourfold per level.
 geometry::HierarchyConfig practical_hierarchy(double leaf_threshold,
                                               int max_depth);
 
-/// Memoized greedy-route hop counts of the cost model's routed packets,
-/// keyed by the unordered node pair.  Greedy routing on a connected
-/// G(n, r) at the paper's radius delivers w.h.p.; a route that does not
-/// arrive is charged its hops plus the straight-line estimate
+/// Greedy-route hop counts of the cost model's routed packets, tabled per
+/// hierarchy square.  A square's slots are its children that have a
+/// representative (exactly its non-empty children), in arena order.
+///
+/// A pair's count is that of route_to_node from the smaller node id to the
+/// larger, so both directions of an exchange cost the same.  Greedy routing
+/// on a connected G(n, r) at the paper's radius delivers w.h.p.; a route
+/// that does not arrive is charged its hops plus the straight-line estimate
 /// ceil(distance / r), so accounting stays defined.  Routes are
-/// deterministic, so a cold cache recomputes identical counts and
-/// snapshots never carry it.
-class RouteHopCache {
+/// deterministic, so cold tables recompute identical counts and snapshots
+/// never carry them.
+class SquareHopTables {
  public:
-  explicit RouteHopCache(const graph::GeometricGraph& graph)
-      : graph_(&graph) {}
+  SquareHopTables(const graph::GeometricGraph& graph,
+                  const geometry::PartitionHierarchy& hierarchy);
 
-  std::uint32_t hops(graph::NodeId from, graph::NodeId to);
+  /// Arena ids of the children of `square` that have a representative; a
+  /// child's index in this list is its slot.
+  std::span<const int> slots(int square) const {
+    const auto s = static_cast<std::size_t>(square);
+    return std::span<const int>(slot_square_)
+        .subspan(slot_start_[s], slot_start_[s + 1] - slot_start_[s]);
+  }
+
+  /// Hops of one packet between the representatives in slots `i` != `j`
+  /// of `square`.
+  std::uint32_t sibling_hops(int square, std::size_t i, std::size_t j);
+
+  /// Hops of one packet from the representative of `square` to the
+  /// representative of each of its slots, summed over the slots.
+  std::uint64_t fan_out_hops(int square);
 
  private:
+  std::uint32_t route_hops(graph::NodeId a, graph::NodeId b) const;
+
   const graph::GeometricGraph* graph_;
-  std::map<std::pair<graph::NodeId, graph::NodeId>, std::uint32_t> cache_;
+  /// Per square; 0 for an empty square, which has no slots to route to.
+  std::vector<graph::NodeId> representative_;
+  std::vector<std::uint32_t> slot_start_;      ///< per square, + 1
+  std::vector<int> slot_square_;
+  std::vector<std::uint64_t> pair_start_;  ///< per square, + 1
+  std::vector<std::uint32_t> pair_hops_;   ///< kUnrouted until first use
+  std::vector<std::uint64_t> fan_out_;     ///< kUnrouted until first use
 };
 
 enum class LeafCostModel { kGrgMixing, kQuadratic, kMeasured };

@@ -1,6 +1,7 @@
 // Tests for the faithful §4.2 asynchronous state machine.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "core/hierarchy_protocol.hpp"
@@ -184,6 +185,21 @@ TEST(AsyncProtocol, Validation) {
   EXPECT_THROW(HierarchicalAffineProtocol(
                    g, std::vector<double>(g.node_count(), 0.0), rng, config),
                ArgumentError);
+
+  // A leaf threshold below 1 splits every square down to max_depth; it is
+  // rejected before the hierarchy is built.
+  config.latency_factor = 4.0;
+  for (const double threshold :
+       {0.0, 0.5, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    config.leaf_threshold = threshold;
+    EXPECT_THROW(HierarchicalAffineProtocol(
+                     g, std::vector<double>(g.node_count(), 0.0), rng, config),
+                 ArgumentError)
+        << "leaf_threshold " << threshold;
+  }
+  config.leaf_threshold = 1.0;
+  EXPECT_NO_THROW(HierarchicalAffineProtocol(
+      g, std::vector<double>(g.node_count(), 0.0), rng, config));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "core/multilevel.hpp"
@@ -331,6 +332,37 @@ TEST(Multilevel, Validation) {
   EXPECT_THROW(MultilevelAffineGossip(
                    g, std::vector<double>(g.node_count(), 0.0), rng, config),
                ArgumentError);
+
+  // Rejected at construction, before any square is built or averaged: a
+  // leaf threshold below 1 would split every square down to max_depth,
+  // and a bad leaf constant or noise bound used to throw only from run().
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejects = [&](auto&& edit) {
+    MultilevelConfig bad;
+    edit(bad);
+    EXPECT_THROW(MultilevelAffineGossip(
+                     g, std::vector<double>(g.node_count(), 0.0), rng, bad),
+                 ArgumentError);
+  };
+  rejects([](MultilevelConfig& c) { c.leaf_threshold = 0.0; });
+  rejects([](MultilevelConfig& c) { c.leaf_threshold = 0.5; });
+  rejects([&](MultilevelConfig& c) { c.leaf_threshold = nan; });
+  rejects([](MultilevelConfig& c) { c.leaf_constant = 0.0; });
+  rejects([](MultilevelConfig& c) { c.leaf_constant = -1.0; });
+  rejects([&](MultilevelConfig& c) { c.leaf_constant = nan; });
+  rejects([](MultilevelConfig& c) { c.leaf_noise = -1e-6; });
+  rejects([&](MultilevelConfig& c) { c.leaf_noise = nan; });
+  // The measured leaf model charges no constant, but the check is the same.
+  rejects([](MultilevelConfig& c) {
+    c.leaf_cost = LeafCostModel::kMeasured;
+    c.leaf_constant = 0.0;
+  });
+
+  MultilevelConfig edge;  // the boundary values are valid
+  edge.leaf_threshold = 1.0;
+  edge.leaf_noise = 0.0;
+  EXPECT_NO_THROW(MultilevelAffineGossip(
+      g, std::vector<double>(g.node_count(), 0.0), rng, edge));
 }
 
 }  // namespace

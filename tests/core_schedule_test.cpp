@@ -1,12 +1,20 @@
 // Tests for the level profile, the literal paper schedule and the practical
-// schedule, plus the closed-form transmission predictions.
+// schedule, plus the closed-form transmission predictions and the per-square
+// hop tables of the round-based accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/round_protocol.hpp"
 #include "core/schedule.hpp"
+#include "geometry/hierarchy.hpp"
+#include "geometry/sampling.hpp"
+#include "graph/geometric_graph.hpp"
+#include "graph/radius.hpp"
+#include "routing/greedy.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace geogossip::core {
 namespace {
@@ -206,6 +214,70 @@ TEST(ChargedLeafCost, ModelsScaleAsDocumented) {
             0u);
   EXPECT_THROW(charged_leaf_cost(LeafCostModel::kMeasured, 32, 1.0, 1e-3, 1.0),
                ArgumentError);
+}
+
+// ------------------------------------------------------- SquareHopTables ----
+
+TEST(SquareHopTables, EqualDirectRoutingWithTheStraightLineFallback) {
+  // The point set of GeometricGraph.SubThresholdRadiusDisconnects, at a
+  // radius still below the connectivity threshold: some greedy routes
+  // between representatives dead-end and are charged the fallback.
+  Rng rng(34);
+  const auto points = geometry::sample_unit_square(1000, rng);
+  const graph::GeometricGraph g(points, 0.6 * graph::threshold_radius(1000));
+  const geometry::PartitionHierarchy hierarchy(
+      g.points(), g.region(), practical_hierarchy(8.0, 12));
+  SquareHopTables tables(g, hierarchy);
+
+  std::size_t arrived = 0;
+  std::size_t fell_back = 0;
+  const auto direct_hops = [&](int square_a, int square_b) {
+    const auto a =
+        static_cast<graph::NodeId>(hierarchy.square(square_a).representative);
+    const auto b =
+        static_cast<graph::NodeId>(hierarchy.square(square_b).representative);
+    const auto [from, to] = std::minmax(a, b);
+    const auto route = routing::route_to_node(g, from, to);
+    if (route.arrived()) {
+      ++arrived;
+      return std::uint64_t{route.hops};
+    }
+    ++fell_back;
+    const double dist = geometry::distance(g.position(from), g.position(to));
+    return route.hops +
+           static_cast<std::uint64_t>(std::ceil(dist / g.radius()));
+  };
+
+  for (std::size_t id = 0; id < hierarchy.square_count(); ++id) {
+    const int square = static_cast<int>(id);
+    // Slots: the children with a representative, in arena order.
+    std::vector<int> expected_slots;
+    for (const int child : hierarchy.square(square).children) {
+      if (hierarchy.square(child).representative >= 0) {
+        expected_slots.push_back(child);
+      }
+    }
+    const auto slots = tables.slots(square);
+    ASSERT_TRUE(std::equal(slots.begin(), slots.end(), expected_slots.begin(),
+                           expected_slots.end()))
+        << "square " << square;
+
+    std::uint64_t fan_out = 0;
+    for (const int child : slots) fan_out += direct_hops(square, child);
+    EXPECT_EQ(tables.fan_out_hops(square), fan_out) << "square " << square;
+
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      for (std::size_t j = i + 1; j < slots.size(); ++j) {
+        const std::uint64_t hops = direct_hops(slots[i], slots[j]);
+        EXPECT_EQ(tables.sibling_hops(square, i, j), hops)
+            << "square " << square << " slots " << i << ", " << j;
+        EXPECT_EQ(tables.sibling_hops(square, j, i), hops);
+      }
+    }
+  }
+  EXPECT_GT(arrived, 0u);
+  EXPECT_GT(fell_back, 0u);
+  EXPECT_THROW(tables.sibling_hops(hierarchy.root(), 0, 0), CheckError);
 }
 
 TEST(Names, EnumsHaveStableNames) {
