@@ -87,6 +87,8 @@ void GeometricGraph::build_routing_mirror() const {
   // Row v of the mirror occupies the same slice as row v of the CSR, so
   // every node is independent and the fill parallelizes over the pool.
   constexpr int kAnnuli = kRoutingAnnuli;
+  static_assert((kAnnuli & (kAnnuli - 1)) == 0,
+                "the annulus search halves a power-of-two range");
   double edge_sq[kAnnuli + 1];  // edge_sq[a] = (r * (kAnnuli - a) / K)^2
   float bound_up[kAnnuli];
   for (int a = 0; a <= kAnnuli; ++a) {
@@ -120,10 +122,11 @@ void GeometricGraph::build_routing_mirror() const {
             geometry::distance_sq(points_[v], points_[neighbors[k]]);
         // Largest annulus index a with d_sq <= edge_sq[a], else 0.  The
         // edges shrink with a, so the test holds for a prefix of indices,
-        // and five halving steps find its end.  Each step is a
-        // conditional add rather than a branch: the outcome depends on the
-        // neighbour's distance, and a branch on it mispredicts about half
-        // the time, which cost as much as the rest of the fill.
+        // and log2(kAnnuli) halving steps find its end.  Each step adds
+        // the step times the 0/1 outcome, which compiles without a branch:
+        // the outcome depends on the neighbour's distance, and a branch on
+        // it mispredicts about half the time, which cost as much as the
+        // rest of the fill.
         int a = 0;
         for (int step = kAnnuli / 2; step > 0; step /= 2) {
           a += step * static_cast<int>(d_sq <= edge_sq[a + step]);
