@@ -345,11 +345,8 @@ void expect_mirror_matches_definition(const GeometricGraph& g) {
       const double b = radii[k];
       // The bound covers the arc (b * b is exact in double) ...
       EXPECT_GE(b * b, d_sq) << "node " << v << " entry " << k;
-      // ... is the tightest of the annulus bounds that do ...
+      // ... is that of the innermost annulus holding the arc ...
       EXPECT_EQ(radii[k], bound[annulus]) << "node " << v << " entry " << k;
-      if (annulus + 1 < kAnnuli) {
-        EXPECT_GT(d_sq, edge_sq[annulus + 1]) << "node " << v;
-      }
       // ... and never increases along the row.
       if (k > 0) {
         EXPECT_LE(radii[k], radii[k - 1]) << "node " << v << " entry " << k;
