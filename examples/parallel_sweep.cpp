@@ -44,7 +44,7 @@
 //   # same command on every machine; first founds the plan, rest adopt
 //   parallel_sweep --scenario=e5-scaling-xl --fleet-dir=/shared/fleet
 //       --fleet-batches=32 --fleet-ttl=60 --snapshot-every=300s
-//   python3 tools/fleet_status.py /shared/fleet      # live board
+//   parallel_sweep --fleet-dir=/shared/fleet --fleet-status  # live board
 //   parallel_sweep --scenario=e5-scaling-xl --fleet-dir=/shared/fleet
 //       --fleet-merge --csv=xl.csv                   # final tables
 //

@@ -96,6 +96,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\nNote on scale: at laptop-size n the absolute winners are\n"
                "the cheap-constant protocols; the affine protocols win on\n"
-               "scaling exponent (bench/tab_e5_scaling, EXPERIMENTS.md E5).\n";
+               "scaling exponent (bench/tab_e5_scaling; E5 in the README's\n"
+               "\"Reproducing the paper's figures\").\n";
   return 0;
 }

@@ -22,6 +22,8 @@
 #include <string>
 #include <string_view>
 
+#include "support/atomic_file.hpp"
+
 namespace geogossip::exp {
 
 /// A snapshot read back from disk: the opaque engine payload plus the
@@ -42,7 +44,7 @@ class SnapshotStore {
   /// (single-writer directories, tests).
   SnapshotStore(std::string dir, std::string scenario,
                 std::uint64_t master_seed,
-                double stale_tmp_age_seconds = 300.0);
+                double stale_tmp_age_seconds = kStaleTempSeconds);
 
   /// Atomically persists `payload` for the slot (write-new-then-flip; see
   /// file comment).  Throws IoError on any filesystem failure — a

@@ -15,6 +15,7 @@
 #include "exp/sink.hpp"
 #include "fleet/lease.hpp"
 #include "fleet/plan.hpp"
+#include "fleet/status.hpp"
 #include "fleet/worker.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/telemetry.hpp"
@@ -287,6 +288,10 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
                    "require full coverage, and emit the merged summaries "
                    "(--csv/--json) and records (--json-replicates) — "
                    "byte-identical to an uninterrupted single-process sweep");
+  parser_.add_flag("fleet-status", &fleet_status_,
+                   "run nothing: print the board of --fleet-dir (plan, "
+                   "batches, heartbeats, snapshots, temps) and exit 1 on any "
+                   "invariant violation.  Reads the plan, not a scenario");
 }
 
 std::optional<int> SweepCli::parse(int argc, char** argv) {
@@ -392,6 +397,17 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
       std::cerr << "--fleet-worker must be non-empty [A-Za-z0-9_-]\n";
       return 1;
     }
+  }
+
+  if (fleet_status_) {
+    if (fleet_dir_.empty() || fleet_merge_) {
+      std::cerr << "--fleet-status needs --fleet-dir and no --fleet-merge\n";
+      return 1;
+    }
+    return fleet::print_fleet_status(
+               fleet_dir_, fleet::LeaseStore::now_unix_ms(), std::cout) == 0
+               ? 0
+               : 1;
   }
 
   if (!trace_path_.empty()) obs::set_enabled(true);

@@ -41,9 +41,10 @@ class SweepCli {
 
   /// Parses argv and validates the harness flags (shard spec, heartbeat
   /// spec, snapshot cadence, flag combinations).  Returns the process exit
-  /// code when the run should stop here (--help, malformed flags);
-  /// std::nullopt to continue.  Also applies --log-level and enables
-  /// telemetry when --trace is given.
+  /// code when the run should stop here (--help, malformed flags, and
+  /// --fleet-status, which prints the fleet board here because it reads
+  /// the plan, not a scenario); std::nullopt to continue.  Also applies
+  /// --log-level and enables telemetry when --trace is given.
   std::optional<int> parse(int argc, char** argv);
 
   /// Applies the generic scenario overrides (--replicates).  run() calls
@@ -106,6 +107,7 @@ class SweepCli {
   std::string fleet_worker_;
   std::int64_t fleet_max_batches_flag_ = 0;
   bool fleet_merge_ = false;
+  bool fleet_status_ = false;
 
   unsigned threads_ = 0;
   std::uint32_t shard_index_ = 0;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <string_view>
 #include <system_error>
 #include <utility>
 
@@ -42,6 +44,14 @@ std::string lease_content(const Lease& lease) {
   return out;
 }
 
+/// A lease time stamp as renew writes it: a digits-only integer in int64
+/// range.  Anything else (fractions, negatives, NaN, infinities, wider
+/// integers) reads as 0, "never renewed", instead of an overflowing cast.
+std::int64_t unix_ms_or_zero(const JsonValue* v) {
+  if (v == nullptr || !v->is_uint || v->uint_value > INT64_MAX) return 0;
+  return static_cast<std::int64_t>(v->uint_value);
+}
+
 /// Fills a lease's content fields from its file.  A file that cannot be
 /// read or parsed (a claimant killed before its first renewal left the
 /// queue ticket's content behind) leaves expires_unix_ms at 0 — i.e.
@@ -62,14 +72,8 @@ void read_lease_content(Lease* lease) {
     if (const JsonValue* v = doc.get("ttl_seconds")) {
       lease->ttl_seconds = v->number;
     }
-    if (const JsonValue* v = doc.get("acquired_unix_ms")) {
-      lease->acquired_unix_ms = static_cast<std::int64_t>(
-          v->is_uint ? static_cast<double>(v->uint_value) : v->number);
-    }
-    if (const JsonValue* v = doc.get("expires_unix_ms")) {
-      lease->expires_unix_ms = static_cast<std::int64_t>(
-          v->is_uint ? static_cast<double>(v->uint_value) : v->number);
-    }
+    lease->acquired_unix_ms = unix_ms_or_zero(doc.get("acquired_unix_ms"));
+    lease->expires_unix_ms = unix_ms_or_zero(doc.get("expires_unix_ms"));
     if (const JsonValue* v = doc.get("heartbeat")) {
       lease->heartbeat = v->text;
     }
@@ -78,7 +82,7 @@ void read_lease_content(Lease* lease) {
   }
 }
 
-bool parse_u32(const std::string& text, std::uint32_t* value) {
+bool parse_u32(std::string_view text, std::uint32_t* value) {
   if (text.empty() || text.size() > 9) return false;
   std::uint32_t out = 0;
   for (const char c : text) {
@@ -86,6 +90,18 @@ bool parse_u32(const std::string& text, std::uint32_t* value) {
     out = out * 10 + static_cast<std::uint32_t>(c - '0');
   }
   *value = out;
+  return true;
+}
+
+/// Strips "batch-" and `suffix` off `name`; false unless both are there.
+bool strip_batch_affixes(std::string_view* name, std::string_view suffix) {
+  constexpr std::string_view kPrefix = "batch-";
+  if (name->size() < kPrefix.size() + suffix.size() ||
+      !name->starts_with(kPrefix) || !name->ends_with(suffix)) {
+    return false;
+  }
+  name->remove_prefix(kPrefix.size());
+  name->remove_suffix(suffix.size());
   return true;
 }
 
@@ -111,30 +127,26 @@ std::string lease_filename(std::uint32_t batch, std::uint32_t generation,
          std::to_string(generation) + "." + owner + ".lease";
 }
 
-bool parse_lease_filename(const std::string& name, std::uint32_t* batch,
-                          std::uint32_t* generation, std::string* owner) {
-  constexpr std::string_view kPrefix = "batch-";
-  constexpr std::string_view kSuffix = ".lease";
-  if (name.size() <= kPrefix.size() + kSuffix.size()) return false;
-  if (name.compare(0, kPrefix.size(), kPrefix) != 0) return false;
-  if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-      0) {
-    return false;
-  }
-  const std::string body = name.substr(
-      kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
-  const std::size_t dot_g = body.find(".g");
-  if (dot_g == std::string::npos) return false;
-  const std::size_t owner_dot = body.find('.', dot_g + 2);
-  if (owner_dot == std::string::npos) return false;
+bool parse_ticket_filename(std::string_view name, std::uint32_t* batch) {
+  return strip_batch_affixes(&name, ".json") && parse_u32(name, batch);
+}
+
+bool parse_lease_filename(std::string_view name, std::uint32_t* batch,
+                          std::uint32_t* generation, std::string* owner,
+                          std::string_view suffix) {
+  if (!strip_batch_affixes(&name, suffix)) return false;
+  const std::size_t dot_g = name.find(".g");
+  if (dot_g == std::string_view::npos) return false;
+  const std::size_t owner_dot = name.find('.', dot_g + 2);
+  if (owner_dot == std::string_view::npos) return false;
   std::uint32_t b = 0;
   std::uint32_t g = 0;
-  if (!parse_u32(body.substr(0, dot_g), &b)) return false;
-  if (!parse_u32(body.substr(dot_g + 2, owner_dot - dot_g - 2), &g)) {
+  const std::string o(name.substr(owner_dot + 1));
+  if (!parse_u32(name.substr(0, dot_g), &b) ||
+      !parse_u32(name.substr(dot_g + 2, owner_dot - dot_g - 2), &g) ||
+      !valid_owner(o)) {
     return false;
   }
-  const std::string o = body.substr(owner_dot + 1);
-  if (!valid_owner(o)) return false;
   *batch = b;
   *generation = g;
   *owner = o;
@@ -161,19 +173,8 @@ std::vector<std::uint32_t> LeaseStore::queued() const {
   std::vector<std::uint32_t> batches;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(queue_dir(fleet_dir_), ec)) {
-    const std::string name = entry.path().filename().string();
-    constexpr std::string_view kPrefix = "batch-";
-    constexpr std::string_view kSuffix = ".json";
-    if (name.size() <= kPrefix.size() + kSuffix.size()) continue;
-    if (name.compare(0, kPrefix.size(), kPrefix) != 0) continue;
-    if (name.compare(name.size() - kSuffix.size(), kSuffix.size(),
-                     kSuffix) != 0) {
-      continue;
-    }
     std::uint32_t batch = 0;
-    if (parse_u32(name.substr(kPrefix.size(), name.size() - kPrefix.size() -
-                                                  kSuffix.size()),
-                  &batch)) {
+    if (parse_ticket_filename(entry.path().filename().string(), &batch)) {
       batches.push_back(batch);
     }
   }
@@ -268,20 +269,12 @@ bool LeaseStore::renew(Lease& lease) const {
   // racing the steal's rename may even have resurrected our old file):
   // clean our residue and report the loss.
   std::error_code ec;
-  for (const auto& entry :
-       fs::directory_iterator(leases_dir(fleet_dir_), ec)) {
-    std::uint32_t batch = 0;
-    std::uint32_t generation = 0;
-    std::string owner;
-    if (!parse_lease_filename(entry.path().filename().string(), &batch,
-                              &generation, &owner)) {
-      continue;
-    }
-    if (batch == lease.batch && generation > lease.generation) {
+  for (const Lease& other : leases()) {
+    if (other.batch == lease.batch && other.generation > lease.generation) {
       fs::remove(lease.path, ec);
       obs::add(obs::counter("fleet.lease_lost"), 1);
       log_warn("fleet: lease ", lease.label(), " of '", lease.owner,
-               "' was superseded by generation ", generation,
+               "' was superseded by generation ", other.generation,
                " — finishing the batch anyway (records deduplicate)");
       return false;
     }

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace geogossip::fleet {
@@ -39,7 +40,8 @@ struct Lease {
   std::int64_t acquired_unix_ms = 0;
   std::int64_t expires_unix_ms = 0;
   /// The owner's heartbeat file, fleet-dir-relative: a human (or
-  /// tools/fleet_status.py) follows it to see the owner's live progress.
+  /// `parallel_sweep --fleet-status`) follows it to see the owner's live
+  /// progress.
   std::string heartbeat;
   /// Current lease file path on disk.
   std::string path;
@@ -61,9 +63,18 @@ bool valid_owner(const std::string& owner) noexcept;
 /// "batch-<id>.g<gen>.<owner>.lease"
 std::string lease_filename(std::uint32_t batch, std::uint32_t generation,
                            const std::string& owner);
-/// Inverse of lease_filename; false on anything else (temp debris, etc.).
-bool parse_lease_filename(const std::string& name, std::uint32_t* batch,
-                          std::uint32_t* generation, std::string* owner);
+
+// The fleet's one file-name grammar.  Ids and generations are 1-9
+// decimal digits (so they never wrap a uint32), owners pass valid_owner,
+// and any other name (temp debris, foreign files) parses as false.
+
+/// "batch-<id>.json": a queue ticket or a done marker.
+bool parse_ticket_filename(std::string_view name, std::uint32_t* batch);
+/// Inverse of lease_filename; with `suffix` ".jsonl" it reads the
+/// record-file names of records_path instead.
+bool parse_lease_filename(std::string_view name, std::uint32_t* batch,
+                          std::uint32_t* generation, std::string* owner,
+                          std::string_view suffix = ".lease");
 
 class LeaseStore {
  public:
@@ -111,8 +122,6 @@ class LeaseStore {
   /// Removes one lease file (a failing worker releasing its claim so
   /// others reclaim immediately instead of waiting out the TTL).
   void release(const Lease& lease) const noexcept;
-
-  const std::string& fleet_dir() const noexcept { return fleet_dir_; }
 
   /// Wall-clock now in unix milliseconds (lease expiries are wall time —
   /// the only cross-process clock a shared filesystem offers).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -10,6 +11,7 @@
 #include <thread>
 
 #include "exp/schema.hpp"
+#include "fleet/lease.hpp"
 #include "support/atomic_file.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
@@ -22,15 +24,22 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::uint64_t json_u64(const JsonValue& doc, std::string_view key,
-                       const std::string& what) {
+/// An unsigned integer field no wider than `max`.  Fractions, negatives,
+/// non-finite values and wider integers throw: casting them would load a
+/// different plan (a 0-batch plan reads as a complete fleet).
+std::uint64_t json_uint(const JsonValue& doc, std::string_view key,
+                        const std::string& what, std::uint64_t max) {
   const JsonValue* v = doc.get(key);
   if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
     throw ArgumentError(what + ": missing numeric field '" +
                         std::string(key) + "'");
   }
-  return v->is_uint ? v->uint_value
-                    : static_cast<std::uint64_t>(v->number);
+  if (!v->is_uint || v->uint_value > max) {
+    throw ArgumentError(what + ": field '" + std::string(key) +
+                        "' is not an integer in [0, " + std::to_string(max) +
+                        "]");
+  }
+  return v->uint_value;
 }
 
 std::string plan_content(const FleetPlan& plan) {
@@ -60,37 +69,6 @@ std::string ticket_content(std::uint32_t batch) {
   out += ",\"generation\":0,\"owner\":\"\",\"ttl_seconds\":0,"
          "\"acquired_unix_ms\":0,\"expires_unix_ms\":0,\"heartbeat\":\"\"}\n";
   return out;
-}
-
-/// Splits "batch-<id>.g<gen>.<owner>.jsonl"; false on anything else.
-bool parse_records_filename(const std::string& name, std::uint32_t* batch) {
-  constexpr std::string_view kPrefix = "batch-";
-  constexpr std::string_view kSuffix = ".jsonl";
-  if (name.size() <= kPrefix.size() + kSuffix.size()) return false;
-  if (name.compare(0, kPrefix.size(), kPrefix) != 0) return false;
-  if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-      0) {
-    return false;
-  }
-  std::uint32_t value = 0;
-  bool any = false;
-  for (std::size_t i = kPrefix.size(); i < name.size(); ++i) {
-    const char c = name[i];
-    if (c >= '0' && c <= '9') {
-      value = value * 10 + static_cast<std::uint32_t>(c - '0');
-      any = true;
-      continue;
-    }
-    // The id must be followed by the ".g<gen>" segment, not e.g. a stray
-    // ".jsonl" (which would make "batch-3.jsonl" parse as batch 3 while
-    // carrying no generation/owner identity).
-    if (any && c == '.' && i + 1 < name.size() && name[i + 1] == 'g') {
-      *batch = value;
-      return true;
-    }
-    return false;
-  }
-  return false;
 }
 
 }  // namespace
@@ -154,7 +132,7 @@ std::optional<FleetPlan> try_load_plan(const std::string& fleet_dir) {
       throw ArgumentError("fleet plan '" + path +
                           "': not a fleet_plan record");
     }
-    const std::uint64_t schema = json_u64(doc, "schema", path);
+    const std::uint64_t schema = json_uint(doc, "schema", path, UINT64_MAX);
     if (schema != exp::kSchemaVersion) {
       throw ArgumentError(
           "fleet plan '" + path + "' carries schema " +
@@ -169,12 +147,15 @@ std::optional<FleetPlan> try_load_plan(const std::string& fleet_dir) {
     }
     FleetPlan plan;
     plan.scenario = scenario->text;
-    plan.master_seed = json_u64(doc, "master_seed", path);
-    plan.replicates =
-        static_cast<std::uint32_t>(json_u64(doc, "replicates", path));
-    plan.cells = json_u64(doc, "cells", path);
-    plan.batches =
-        static_cast<std::uint32_t>(json_u64(doc, "batches", path));
+    plan.master_seed = json_uint(doc, "master_seed", path, UINT64_MAX);
+    plan.replicates = static_cast<std::uint32_t>(
+        json_uint(doc, "replicates", path, UINT32_MAX));
+    plan.cells = json_uint(doc, "cells", path, UINT64_MAX);
+    plan.batches = static_cast<std::uint32_t>(
+        json_uint(doc, "batches", path, UINT32_MAX));
+    if (plan.batches == 0) {
+      throw ArgumentError("fleet plan '" + path + "' declares no batches");
+    }
     return plan;
   } catch (const JsonParseError& error) {
     // A torn plan cannot happen through the write path (temp + rename);
@@ -321,10 +302,6 @@ void write_done_marker(const std::string& fleet_dir, std::uint32_t batch,
                        const std::string& owner,
                        const std::string& records_file,
                        std::uint64_t completed_replicates) {
-  const std::int64_t now =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count();
   std::string content = "{\"record\":\"fleet_done\",\"batch\":";
   content += std::to_string(batch);
   content += ",\"owner\":\"";
@@ -334,7 +311,7 @@ void write_done_marker(const std::string& fleet_dir, std::uint32_t batch,
   content += "\",\"completed_replicates\":";
   content += std::to_string(completed_replicates);
   content += ",\"completed_unix_ms\":";
-  content += std::to_string(now);
+  content += std::to_string(LeaseStore::now_unix_ms());
   content += "}\n";
   atomic_write_file(done_marker_path(fleet_dir, batch), content);
 }
@@ -342,6 +319,12 @@ void write_done_marker(const std::string& fleet_dir, std::uint32_t batch,
 void requeue_batch(const std::string& fleet_dir, std::uint32_t batch) {
   atomic_write_file(queue_ticket_path(fleet_dir, batch),
                     ticket_content(batch));
+}
+
+bool parse_records_filename(const std::string& name, std::uint32_t* batch) {
+  std::uint32_t generation = 0;
+  std::string owner;
+  return parse_lease_filename(name, batch, &generation, &owner, ".jsonl");
 }
 
 std::vector<std::string> batch_record_files(const std::string& fleet_dir,

@@ -125,6 +125,8 @@ void write_done_marker(const std::string& fleet_dir, std::uint32_t batch,
 /// TTL.  Idempotent (tickets are deterministic).
 void requeue_batch(const std::string& fleet_dir, std::uint32_t batch);
 
+/// The batch of a record-file name (records_path); false on any other.
+bool parse_records_filename(const std::string& name, std::uint32_t* batch);
 /// Record files of one batch (every generation/owner), sorted — the
 /// resume set a new lease owner folds before running.
 std::vector<std::string> batch_record_files(const std::string& fleet_dir,

@@ -28,6 +28,10 @@ void atomic_write_file(const std::string& path, std::string_view content);
 /// Every temp sibling of `path` now on disk, whichever process left it.
 std::vector<std::string> temp_siblings(const std::string& path);
 
+/// Age past which a temp file counts as crash debris: a live writer
+/// renames its temp within milliseconds.
+inline constexpr double kStaleTempSeconds = 300.0;
+
 /// Removes the temp files in `dir` (of any target) last written at least
 /// `min_age_seconds` ago and returns their paths.  The age gate spares a
 /// live writer's temp in a directory other processes write to as well.

@@ -1,8 +1,9 @@
 // Aligned console tables — the "plotting" substitute for a headless repro.
 //
-// Benches print each figure/table of EXPERIMENTS.md through ConsoleTable, and
-// series data through AsciiChart (a log/linear scatter rendered in text),
-// since the reproduction environment has no graphical plotting stack.
+// Benches print each figure/table of the E1-E11 list in the README
+// ("Reproducing the paper's figures") through ConsoleTable, and series
+// data through AsciiChart (a log/linear scatter rendered in text), since
+// the reproduction environment has no graphical plotting stack.
 #ifndef GEOGOSSIP_SUPPORT_TABLE_HPP
 #define GEOGOSSIP_SUPPORT_TABLE_HPP
 

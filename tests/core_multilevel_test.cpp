@@ -295,9 +295,9 @@ TEST(Multilevel, RecursionOverheadAtSimulableScaleIsDocumented) {
   // At simulable n the fan-out of depth >= 1 splits is SMALL (k ~ 4..16),
   // so the per-level round multiplier 2 c ln(k / eps_r) exceeds the k-fold
   // leaf shrinkage and full recursion costs MORE than one level — the
-  // asymptotic regime needs k >> log(k/eps), i.e. n >> 10^6 (DESIGN.md §2,
-  // EXPERIMENTS.md E10).  Pin that fact so a regression in either direction
-  // is caught.
+  // asymptotic regime needs k >> log(k/eps), i.e. n >> 10^6 (DESIGN.md §2;
+  // E10 in the README's "Reproducing the paper's figures").  Pin that fact
+  // so a regression in either direction is caught.
   const auto g = make_graph(2048, 632);
   Rng rng1(634);
   auto x0 = make_field(g, rng1);

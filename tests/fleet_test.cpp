@@ -4,8 +4,9 @@
 // TTL, supersession detection, planner election (including dead-planner
 // re-election and plan mismatch refusal), the solo-worker end-to-end
 // path, a kill-at-every-phase battery over hand-built on-disk states,
-// torn-snapshot fallback, and merge bit-identity against an
-// uninterrupted single-process run (through SweepCli's --fleet-merge).
+// torn-snapshot fallback, merge bit-identity against an uninterrupted
+// single-process run (through SweepCli's --fleet-merge), and the status
+// board's invariant check (--fleet-status).
 #include <gtest/gtest.h>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,11 +30,14 @@
 #include "exp/checkpoint.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "exp/schema.hpp"
 #include "exp/sink.hpp"
 #include "exp/sweep_cli.hpp"
 #include "fleet/lease.hpp"
 #include "fleet/plan.hpp"
+#include "fleet/status.hpp"
 #include "fleet/worker.hpp"
+#include "support/atomic_file.hpp"
 #include "support/check.hpp"
 
 namespace geogossip {
@@ -123,16 +128,21 @@ bool summaries_identical(const exp::SweepSummary& a,
   return true;
 }
 
+/// Parses the harness flags `args` into `cli`; returns parse()'s verdict.
+std::optional<int> parse_cli(exp::SweepCli& cli,
+                             std::vector<std::string> args) {
+  args.insert(args.begin(), "fleet_test");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return cli.parse(static_cast<int>(argv.size()), argv.data());
+}
+
 /// Runs `scenario` through exp::SweepCli with the given harness flags,
 /// requires success, and returns the aggregates.
 exp::SweepSummary run_cli(const exp::Scenario& scenario,
                           std::vector<std::string> args) {
   exp::SweepCli cli("fleet_test", "merge fixture");
-  args.insert(args.begin(), "fleet_test");
-  std::vector<char*> argv;
-  for (std::string& arg : args) argv.push_back(arg.data());
-  EXPECT_FALSE(
-      cli.parse(static_cast<int>(argv.size()), argv.data()).has_value());
+  EXPECT_FALSE(parse_cli(cli, std::move(args)).has_value());
   std::ostringstream out;
   EXPECT_EQ(cli.run(scenario, out), 0) << out.str();
   return cli.summary();
@@ -151,19 +161,47 @@ exp::SweepSummary merge_fleet(const std::string& fleet_dir,
   return run_cli(scenario, std::move(args));
 }
 
-/// The complete-fleet cleanliness invariant: all batches done, no queue
-/// tickets, no lease files, no temp debris, no parked snapshots.
-void expect_fleet_clean(const std::string& fleet_dir, std::uint32_t batches) {
-  EXPECT_EQ(fleet::done_batches(fleet_dir, batches).size(), batches);
-  EXPECT_TRUE(fs::is_empty(fleet::queue_dir(fleet_dir)));
-  EXPECT_TRUE(fs::is_empty(fleet::leases_dir(fleet_dir)));
-  for (const auto& entry : fs::recursive_directory_iterator(fleet_dir)) {
-    const std::string name = entry.path().filename().string();
-    EXPECT_EQ(name.find(".tmp"), std::string::npos)
-        << "temp debris left behind: " << entry.path();
-    EXPECT_EQ(name.find(".ggsnap"), std::string::npos)
-        << "snapshot left parked after completion: " << entry.path();
+/// The status board of `fleet_dir` as of `now_unix_ms`.
+struct Board {
+  std::size_t problems = 0;
+  std::string text;
+  bool shows(const std::string& needle) const {
+    return text.find(needle) != std::string::npos;
   }
+};
+
+Board board(const std::string& fleet_dir,
+            std::int64_t now_unix_ms = fleet::LeaseStore::now_unix_ms()) {
+  std::ostringstream out;
+  Board result;
+  result.problems = fleet::print_fleet_status(fleet_dir, now_unix_ms, out);
+  result.text = out.str();
+  return result;
+}
+
+/// The complete-fleet invariant, through the status board's check: every
+/// batch done, and no ticket, lease, parked snapshot or temp file left.
+void expect_fleet_clean(const std::string& fleet_dir, std::uint32_t batches) {
+  const Board status = board(fleet_dir);
+  EXPECT_EQ(status.problems, 0u) << status.text;
+  const std::string done = std::to_string(batches);
+  EXPECT_TRUE(status.shows("progress: " + done + "/" + done +
+                           " batch(es) done — COMPLETE"))
+      << status.text;
+}
+
+/// A fleet of fleet_scenario() in two batches, as its planner leaves it.
+std::string planned_fleet(const std::string& leaf) {
+  const std::string dir = test_dir(leaf);
+  fleet::ensure_plan(dir, fleet_scenario(), 2, fast_plan_options());
+  return dir;
+}
+
+/// plan.json content for fleet_scenario() with the given field tokens.
+std::string plan_json(const std::string& schema, const std::string& batches) {
+  return "{\"record\":\"fleet_plan\",\"schema\":" + schema +
+         ",\"scenario\":\"fleet-e2e\",\"master_seed\":21,"
+         "\"replicates\":2,\"cells\":2,\"batches\":" + batches + "}\n";
 }
 
 /// Runs a fresh worker to fleet completion and checks the full
@@ -335,6 +373,23 @@ TEST(LeaseStore, ReleaseMakesABatchInstantlyStealable) {
   EXPECT_TRUE(store.leases().empty());
 }
 
+TEST(LeaseStore, OutOfRangeTimeStampsReadAsNeverRenewed) {
+  const std::string dir = planned_fleet("lease_stamps");
+  const fleet::LeaseStore store(dir);
+  const auto lease = store.try_claim(0, "w", 30.0, "hb/w.jsonl");
+  ASSERT_TRUE(lease.has_value());
+  // None of these converts to an int64 without undefined behaviour.
+  for (const std::string stamp :
+       {"NaN", "1e300", "-1e300", "Infinity", "18446744073709551615"}) {
+    spit(lease->path, "{\"record\":\"fleet_lease\",\"acquired_unix_ms\":" +
+                          stamp + ",\"expires_unix_ms\":" + stamp + "}");
+    const std::vector<fleet::Lease> leases = store.leases();
+    ASSERT_EQ(leases.size(), 1u);
+    EXPECT_EQ(leases[0].acquired_unix_ms, 0) << stamp;
+    EXPECT_EQ(leases[0].expires_unix_ms, 0) << stamp;
+  }
+}
+
 // ------------------------------------------------------------ the plan ----
 
 TEST(FleetPlan, BatchTaskCountsPartitionTheTaskStream) {
@@ -410,6 +465,26 @@ TEST(FleetPlan, CorruptPlanStopsTheFleetInsteadOfRestartingIt) {
   fleet::ensure_plan(dir, fleet_scenario(), 2, fast_plan_options());
   spit(fleet::plan_path(dir), "{\"record\":\"fleet_plan\",\"schema\":");
   EXPECT_THROW(fleet::try_load_plan(dir), ArgumentError);
+  // A field outside its integer range would load as some other batch
+  // count (0 batches reads as a complete fleet), so it is corrupt too.
+  for (const std::string batches :
+       {"4294967297", "-1", "1e30", "NaN", "2.5"}) {
+    spit(fleet::plan_path(dir),
+         plan_json(std::to_string(exp::kSchemaVersion), batches));
+    EXPECT_THROW(fleet::try_load_plan(dir), ArgumentError) << batches;
+  }
+}
+
+TEST(FleetPlan, TenDigitBatchIdsNameNoBatch) {
+  const std::string dir = planned_fleet("ten_digit_ids");
+  const std::string batch0 = fleet::records_path(dir, 0, 0, "w");
+  spit(batch0, "");
+  // 4294967296 = 2^32, which uint32 arithmetic wraps to batch 0.
+  spit(fleet::records_dir(dir) + "/batch-4294967296.g0.w.jsonl", "");
+  spit(fleet::queue_dir(dir) + "/batch-4294967296.json", "");
+  EXPECT_EQ(fleet::batch_record_files(dir, 0), std::vector{batch0});
+  EXPECT_EQ(fleet::LeaseStore(dir).queued(),
+            std::vector<std::uint32_t>({0, 1}));
 }
 
 TEST(FleetPlan, RequeueRestoresAClaimableTicket) {
@@ -422,6 +497,121 @@ TEST(FleetPlan, RequeueRestoresAClaimableTicket) {
   fleet::requeue_batch(dir, 1);
   fleet::requeue_batch(dir, 1);  // idempotent
   EXPECT_EQ(store.queued(), (std::vector<std::uint32_t>{0, 1}));
+}
+
+// -------------------------------------------------------- status board ----
+
+TEST(FleetStatus, ALiveFleetShowsEachBatchAndFlagsOnlyStaleTemps) {
+  const std::string dir = planned_fleet("status_live");
+  const fleet::LeaseStore store(dir);
+  const auto lease = store.try_claim(0, "w", 30.0, "hb/w.jsonl");
+  ASSERT_TRUE(lease.has_value());
+  spit(fleet::records_path(dir, 0, 0, "w"), "");
+  const std::int64_t now = fleet::LeaseStore::now_unix_ms();
+  spit(fleet::heartbeat_path(dir, "w"),
+       "{\"completed\":0,\"total\":2}\n{\"completed\":1,\"total\":2,"
+       "\"lease\":\"batch-0.g0\",\"flush_unix_ms\":" +
+           std::to_string(now) + "}\n");
+  spit(fleet::heartbeat_path(dir, "w") + ".tmp.7", "half a heartbeat");
+
+  const Board live = board(dir, now);
+  EXPECT_EQ(live.problems, 0u) << live.text;
+  EXPECT_TRUE(live.shows("batch 0: leased: g0 w (")) << live.text;
+  EXPECT_TRUE(live.shows("left), 1 record file(s)")) << live.text;
+  EXPECT_TRUE(live.shows("batch 1: queued")) << live.text;
+  EXPECT_TRUE(live.shows("worker w: 1/2 replicates, lease 'batch-0.g0'"))
+      << live.text;
+
+  // A second past the stale age the temp is crash debris, while the
+  // lease, long expired, is reclaimable: the protocol working.
+  const auto stale_ms = static_cast<std::int64_t>(kStaleTempSeconds * 1000);
+  const Board later = board(dir, now + stale_ms + 1000);
+  EXPECT_EQ(later.problems, 1u) << later.text;
+  EXPECT_TRUE(later.shows("batch 0: leased: g0 w (EXPIRED ")) << later.text;
+  EXPECT_TRUE(later.shows("INVALID: stale temp file hb/w.jsonl.tmp.7"))
+      << later.text;
+
+  // A claimant killed before its first renewal left no lease record.
+  spit(lease->path, "not json at all");
+  const Board unrenewed = board(dir, now);
+  EXPECT_EQ(unrenewed.problems, 0u) << unrenewed.text;
+  EXPECT_TRUE(unrenewed.shows("g0 w (never renewed — reclaimable)"))
+      << unrenewed.text;
+}
+
+TEST(FleetStatus, ACompleteFleetLeavesNoResidue) {
+  const std::string dir = planned_fleet("status_complete");
+  for (std::uint32_t batch = 0; batch < 2; ++batch) {
+    fs::remove(fleet::queue_ticket_path(dir, batch));
+    spit(fleet::records_path(dir, batch, 0, "w"), "");
+    fleet::write_done_marker(dir, batch, "w", "records/-", 2);
+  }
+  expect_fleet_clean(dir, 2);
+  EXPECT_TRUE(board(dir).shows("batch 1: done (by w), 1 record file(s)"));
+
+  // Each piece of residue is one violation that names it.
+  const std::vector<std::pair<std::string, std::string>> residue = {
+      {fleet::leases_dir(dir) + "/" + fleet::lease_filename(0, 1, "w"),
+       "lease leases/batch-0.g1.w.lease"},
+      {fleet::queue_ticket_path(dir, 0), "a queue ticket for batch 0"},
+      {fleet::snaps_dir(dir) + "/snap-c0-r0.ggsnap",
+       "parked snapshot snaps/snap-c0-r0.ggsnap"},
+      {fleet::heartbeat_path(dir, "w") + ".tmp.1",
+       "temp debris hb/w.jsonl.tmp.1"}};
+  for (const auto& [path, problem] : residue) {
+    spit(path, "{}");
+    const Board dirty = board(dir);
+    EXPECT_EQ(dirty.problems, 1u) << dirty.text;
+    EXPECT_TRUE(dirty.shows("INVALID: complete fleet still has " + problem))
+        << dirty.text;
+    fs::remove(path);
+  }
+}
+
+TEST(FleetStatus, StrandedAndOutOfPlanBatchesAreViolations) {
+  const std::string dir = planned_fleet("status_stranded");
+  fs::remove(fleet::queue_ticket_path(dir, 0));
+  const Board stranded = board(dir);
+  EXPECT_EQ(stranded.problems, 1u) << stranded.text;
+  EXPECT_TRUE(stranded.shows("batch 0: STRANDED")) << stranded.text;
+  EXPECT_TRUE(stranded.shows("INVALID: batch 0 is stranded")) << stranded.text;
+
+  fleet::requeue_batch(dir, 0);
+  fleet::write_done_marker(dir, 7, "w", "records/-", 0);
+  const Board foreign = board(dir);
+  EXPECT_EQ(foreign.problems, 1u) << foreign.text;
+  EXPECT_TRUE(
+      foreign.shows("INVALID: batch 7 is outside the plan's 2 batch(es)"))
+      << foreign.text;
+}
+
+TEST(FleetStatus, AMissingOrForeignPlanIsAViolation) {
+  const std::string empty = test_dir("status_no_plan");
+  fs::create_directories(empty);
+  const Board missing = board(empty);
+  EXPECT_EQ(missing.problems, 1u) << missing.text;
+  EXPECT_TRUE(missing.shows("INVALID: no plan.json in")) << missing.text;
+
+  const std::string dir = planned_fleet("status_schema");
+  const std::string next = std::to_string(exp::kSchemaVersion + 1);
+  spit(fleet::plan_path(dir), plan_json(next, "2"));
+  const Board drift = board(dir);
+  EXPECT_EQ(drift.problems, 1u) << drift.text;
+  EXPECT_TRUE(drift.shows("carries schema " + next)) << drift.text;
+}
+
+TEST(FleetStatus, TheCliExitsOneOnAnyViolation) {
+  const auto status = [](std::vector<std::string> args) {
+    exp::SweepCli cli("fleet_test", "status fixture");
+    return parse_cli(cli, std::move(args));
+  };
+  const std::string dir = planned_fleet("status_cli");
+  EXPECT_EQ(status({"--fleet-dir=" + dir, "--fleet-status"}), 0);
+  fs::remove(fleet::queue_ticket_path(dir, 1));
+  EXPECT_EQ(status({"--fleet-dir=" + dir, "--fleet-status"}), 1);
+  EXPECT_EQ(status({"--fleet-status"}), 1);
+  EXPECT_EQ(status({"--fleet-dir=" + dir, "--fleet-status", "--fleet-merge"}),
+            1);
 }
 
 // --------------------------------------------------------- solo worker ----

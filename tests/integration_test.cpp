@@ -74,9 +74,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Integration, ScalingExponentOrderingMatchesTheory) {
   // The paper's headline is about scaling SHAPE, and absolute crossovers at
-  // unit constants sit beyond simulable n (EXPERIMENTS.md E5).  What must
-  // hold at test scale: the affine one-level protocol's fitted exponent is
-  // far below Dimakis' ~1.5-1.7, and Boyd's is far above it too.
+  // unit constants sit beyond simulable n (E5 in the README's "Reproducing
+  // the paper's figures").  What must hold at test scale: the affine
+  // one-level protocol's fitted exponent is far below Dimakis' ~1.5-1.7,
+  // and Boyd's is far above it too.
   const std::vector<ProtocolKind> kinds{ProtocolKind::kAffineOneLevel,
                                         ProtocolKind::kDimakisGeographic,
                                         ProtocolKind::kBoydPairwise};
