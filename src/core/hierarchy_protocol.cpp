@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/affine.hpp"
+#include "core/schedule.hpp"
 #include "support/check.hpp"
 #include "support/snapshot.hpp"
 
@@ -22,6 +23,11 @@ HierarchicalAffineProtocol::HierarchicalAffineProtocol(
       hops_(graph, hierarchy_) {
   GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
   GG_CHECK_ARG(config.latency_factor >= 1.0, "latency_factor >= 1");
+  GG_CHECK_ARG(config.eps_decay > 1.0 && std::isfinite(config.eps_decay),
+               "eps_decay finite and > 1");
+  GG_CHECK_ARG(
+      config.round_constant > 0.0 && std::isfinite(config.round_constant),
+      "round_constant finite and > 0");
 
   const std::size_t n = graph.node_count();
   local_on_.assign(n, 0);
@@ -82,8 +88,7 @@ void HierarchicalAffineProtocol::compute_budgets() {
     }
     p_far_[id] =
         std::min(1.0, 1.0 / (config_.latency_factor * t_avg_[id]));
-    budget_[id] = static_cast<std::uint32_t>(
-        std::max(1.0, std::ceil(t_avg_[id])));
+    budget_[id] = ceil_to_count(std::max(1.0, t_avg_[id]), "budget");
   }
 }
 

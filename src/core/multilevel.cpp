@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/affine.hpp"
+#include "core/schedule.hpp"
 #include "support/check.hpp"
 #include "support/snapshot.hpp"
 
@@ -35,8 +36,11 @@ MultilevelAffineGossip::MultilevelAffineGossip(
                "initial values must match node count");
   GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
   GG_CHECK_ARG(config.max_depth >= 1, "max_depth >= 1");
-  GG_CHECK_ARG(config.eps_decay > 1.0, "eps_decay > 1");
-  GG_CHECK_ARG(config.round_constant > 0.0, "round_constant > 0");
+  GG_CHECK_ARG(config.eps_decay > 1.0 && std::isfinite(config.eps_decay),
+               "eps_decay finite and > 1");
+  GG_CHECK_ARG(
+      config.round_constant > 0.0 && std::isfinite(config.round_constant),
+      "round_constant finite and > 0");
   GG_CHECK_ARG(
       config.leaf_constant > 0.0 && std::isfinite(config.leaf_constant),
       "leaf_constant finite and > 0");
@@ -51,8 +55,8 @@ MultilevelAffineGossip::MultilevelAffineGossip(
     const std::size_t slots = hops_.slots(static_cast<int>(id)).size();
     if (slots >= 2) {
       const double k = static_cast<double>(slots);
-      plan_[id].rounds = static_cast<std::uint32_t>(
-          std::ceil(config_.round_constant * k * std::log(k / eps)));
+      plan_[id].rounds = ceil_to_count(
+          config_.round_constant * k * std::log(k / eps), "rounds");
     }
     if (square.is_leaf() && square.members.size() >= 2 &&
         config_.leaf_cost != LeafCostModel::kMeasured) {
@@ -158,14 +162,13 @@ void MultilevelAffineGossip::leaf_average(int square_id,
   meter_.add(sim::TxCategory::kLocal,
              plan_[static_cast<std::size_t>(square_id)].leaf_charge);
 
+  if (config_.leaf_noise == 0.0) {
+    tracker_.apply_average(x_, members);
+    return;
+  }
   double mean = 0.0;
   for (const auto node : members) mean += x_[node];
   mean /= static_cast<double>(members.size());
-
-  if (config_.leaf_noise == 0.0) {
-    for (const auto node : members) set_value(node, mean);
-    return;
-  }
   std::vector<double> noise(members.size());
   double noise_mean = 0.0;
   for (double& nu : noise) {
@@ -300,6 +303,7 @@ MultilevelResult MultilevelAffineGossip::run(
     // Degenerate deployments: a root that is itself a leaf just averages.
     if (root.is_leaf() || children.size() < 2) {
       average_square(hierarchy_.root());
+      resync_tracking();
       result.converged =
           deviation_norm_tracked() <= config_.eps * initial_dev;
       result.final_error = deviation_norm_tracked() / initial_dev;

@@ -1,6 +1,7 @@
 #include "core/schedule.hpp"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <sstream>
 
@@ -110,8 +111,10 @@ PracticalSchedule make_practical_schedule(
     double eps0, double round_constant, double eps_decay,
     const std::vector<LevelProfile>& profile) {
   GG_CHECK_ARG(eps0 > 0.0 && eps0 < 1.0, "eps0 in (0,1)");
-  GG_CHECK_ARG(round_constant > 0.0, "round_constant > 0");
-  GG_CHECK_ARG(eps_decay > 1.0, "eps_decay > 1");
+  GG_CHECK_ARG(round_constant > 0.0 && std::isfinite(round_constant),
+               "round_constant finite and > 0");
+  GG_CHECK_ARG(eps_decay > 1.0 && std::isfinite(eps_decay),
+               "eps_decay finite and > 1");
   GG_CHECK_ARG(!profile.empty(), "empty level profile");
 
   PracticalSchedule schedule;
@@ -126,12 +129,21 @@ PracticalSchedule make_practical_schedule(
     if (profile[r].fan_out > 0) {
       // Observation 1: Theta(k log(k / eps_r)) sibling exchanges per round.
       const double k = static_cast<double>(profile[r].fan_out);
-      schedule.rounds[r] = static_cast<std::uint32_t>(std::ceil(
-          round_constant * k * std::log(k / eps)));
+      schedule.rounds[r] =
+          ceil_to_count(round_constant * k * std::log(k / eps), "rounds");
     }
     eps /= eps_decay;
   }
   return schedule;
+}
+
+std::uint32_t ceil_to_count(double value, std::string_view what) {
+  constexpr auto kMax =
+      static_cast<double>(std::numeric_limits<std::uint32_t>::max());
+  const double count = std::ceil(value);
+  GG_CHECK_ARG(count >= 0.0 && count <= kMax,
+               std::string(what) + " must be a count in [0, UINT32_MAX]");
+  return static_cast<std::uint32_t>(count);
 }
 
 std::string PracticalSchedule::to_string() const {

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace geogossip::core {
@@ -63,6 +64,11 @@ struct PracticalSchedule {
 PracticalSchedule make_practical_schedule(
     double eps0, double round_constant, double eps_decay,
     const std::vector<LevelProfile>& profile);
+
+/// ceil(value) as a round or budget count.  Throws ArgumentError, naming
+/// `what`, unless that is a number in [0, UINT32_MAX]: a plain cast of an
+/// infinite or larger value is undefined behaviour.
+std::uint32_t ceil_to_count(double value, std::string_view what);
 
 /// The paper's headline prediction, as a comparable closed form:
 /// n * (log(n / eps))^(c * log log n).  Used for shape overlays in E5.

@@ -1,6 +1,8 @@
 #include "geometry/spatial_index.hpp"
 
+#include <cmath>
 #include <limits>
+#include <utility>
 
 #include "support/check.hpp"
 
@@ -40,25 +42,56 @@ int BucketGrid::bucket_of(Vec2 p) const noexcept {
   return row_of(p) * side_ + col_of(p);
 }
 
-std::vector<std::uint32_t> BucketGrid::within(Vec2 p, double radius) const {
-  std::vector<std::uint32_t> out;
-  // Upper bound on candidates: each scanned row's buckets are contiguous
-  // in the CSR, so the occupancy of the whole scan window is a handful of
-  // subtractions — one exact reserve instead of push_back growth doublings.
-  const int reach = static_cast<int>(std::ceil(radius / cell_size_));
+std::size_t BucketGrid::fill_within(Vec2 p, double radius,
+                                    std::vector<std::uint32_t>& out) const {
+  GG_CHECK_ARG(radius >= 0.0, "fill_within: radius must be >= 0");
+  // Reach in buckets, clamped to the grid side before the cast: a radius
+  // of more than INT_MAX cells (1e300, infinity) covers the whole grid.
+  const int reach = static_cast<int>(
+      std::min(std::ceil(radius / cell_size_), static_cast<double>(side_)));
   const int pcol = col_of(p);
   const int prow = row_of(p);
-  const int col_lo = std::max(0, pcol - reach);
-  const int col_hi = std::min(side_ - 1, pcol + reach);
+  const int row_lo = std::max(0, prow - reach);
+  const int row_hi = std::min(side_ - 1, prow + reach);
+  const auto col_lo = static_cast<std::size_t>(std::max(0, pcol - reach));
+  const auto col_hi =
+      static_cast<std::size_t>(std::min(side_ - 1, pcol + reach));
+  // A window row's buckets are adjacent in the CSR, so each row is one
+  // contiguous entry range.
+  const auto row_range = [&](int row) {
+    const std::size_t b =
+        static_cast<std::size_t>(row) * static_cast<std::size_t>(side_);
+    return std::pair{bucket_start_[b + col_lo], bucket_start_[b + col_hi + 1]};
+  };
   std::size_t candidates = 0;
-  for (int row = std::max(0, prow - reach);
-       row <= std::min(side_ - 1, prow + reach); ++row) {
-    const auto lo = static_cast<std::size_t>(row * side_ + col_lo);
-    const auto hi = static_cast<std::size_t>(row * side_ + col_hi);
-    candidates += bucket_start_[hi + 1] - bucket_start_[lo];
+  for (int row = row_lo; row <= row_hi; ++row) {
+    const auto [first, last] = row_range(row);
+    candidates += last - first;
   }
-  out.reserve(candidates);
-  for_each_within(p, radius, [&out](std::uint32_t idx) { out.push_back(idx); });
+  if (out.size() < candidates) out.resize(candidates);
+
+  // Every candidate is written, and the cursor advances by the 0/1
+  // distance test.  A branch on that test would depend on the candidate's
+  // position and mispredict often; the cursor never passes the candidate
+  // being written, so no write leaves the buffer.
+  const double r_sq = radius * radius;
+  const Vec2* const points = points_->data();
+  std::uint32_t* const dst = out.data();
+  std::size_t count = 0;
+  for (int row = row_lo; row <= row_hi; ++row) {
+    const auto [first, last] = row_range(row);
+    for (std::uint32_t e = first; e < last; ++e) {
+      const std::uint32_t idx = entries_[e];
+      dst[count] = idx;
+      count += static_cast<std::size_t>(distance_sq(points[idx], p) <= r_sq);
+    }
+  }
+  return count;
+}
+
+std::vector<std::uint32_t> BucketGrid::within(Vec2 p, double radius) const {
+  std::vector<std::uint32_t> out;
+  out.resize(fill_within(p, radius, out));
   return out;
 }
 

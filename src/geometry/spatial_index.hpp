@@ -4,14 +4,13 @@
 // queries with radius r using a grid of cell size r) and nearest-node lookup
 // (expanding ring search), replacing any O(n^2) scans.
 //
-// for_each_within is a template over the visitor so the per-candidate call
-// inlines (graph construction visits every near pair; an indirect call per
-// pair dominated the build).
+// fill_within is the one range scan.  It writes into a caller's reused
+// buffer so the CSR build (one scan per node per pass) allocates nothing
+// per node.
 #ifndef GEOGOSSIP_GEOMETRY_SPATIAL_INDEX_HPP
 #define GEOGOSSIP_GEOMETRY_SPATIAL_INDEX_HPP
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -34,38 +33,13 @@ class BucketGrid {
   std::size_t size() const noexcept { return points_->size(); }
   const std::vector<Vec2>& points() const noexcept { return *points_; }
 
-  /// Invokes fn(index) for every point with distance(p, point) <= radius.
-  /// The query point itself is reported too if it is in the set.
-  template <typename Visitor>
-  void for_each_within(Vec2 p, double radius, Visitor&& fn) const {
-    GG_CHECK_ARG(radius >= 0.0, "for_each_within: radius must be >= 0");
-    const double r_sq = radius * radius;
-    const int reach = static_cast<int>(std::ceil(radius / cell_size_));
-    const int pcol = col_of(p);
-    const int prow = row_of(p);
-    const Vec2* const points = points_->data();
-    for (int row = std::max(0, prow - reach);
-         row <= std::min(side_ - 1, prow + reach); ++row) {
-      for (int col = std::max(0, pcol - reach);
-           col <= std::min(side_ - 1, pcol + reach); ++col) {
-        const auto b = static_cast<std::size_t>(row * side_ + col);
-        for (std::uint32_t e = bucket_start_[b]; e < bucket_start_[b + 1];
-             ++e) {
-          const std::uint32_t idx = entries_[e];
-          if (distance_sq(points[idx], p) <= r_sq) fn(idx);
-        }
-      }
-    }
-  }
-
-  /// Number of points with distance(p, point) <= radius (the query point
-  /// itself included when indexed) — pass 1 of the two-pass CSR build is
-  /// exactly one of these per node.
-  std::size_t count_within(Vec2 p, double radius) const {
-    std::size_t count = 0;
-    for_each_within(p, radius, [&](std::uint32_t) { ++count; });
-    return count;
-  }
+  /// Writes the index of every point with distance(p, point) <= radius to
+  /// the front of `out` and returns how many it wrote; the query point
+  /// itself is reported too if it is in the set.  `out` grows to the scan
+  /// window's candidate count when it is smaller, and entries past the
+  /// returned count are scratch.  Indices come in bucket row-major order.
+  std::size_t fill_within(Vec2 p, double radius,
+                          std::vector<std::uint32_t>& out) const;
 
   /// Indices of all points within `radius` of p (inclusive).
   std::vector<std::uint32_t> within(Vec2 p, double radius) const;

@@ -67,20 +67,7 @@ void ValueProtocol::apply_pair_average(graph::NodeId a, graph::NodeId b) {
 }
 
 void ValueProtocol::apply_average(std::span<const graph::NodeId> nodes) {
-  if (nodes.empty()) return;
-  double sum = 0.0;
-  for (const auto node : nodes) sum += x_[node];
-  const double average = sum / static_cast<double>(nodes.size());
-  const double shift = tracker_.shift();
-  const double d_avg = average - shift;
-  double removed = 0.0;
-  for (const auto node : nodes) {
-    const double d = x_[node] - shift;
-    removed += d * d;
-    x_[node] = average;
-  }
-  tracker_.add_conserving_sq_delta(
-      static_cast<double>(nodes.size()) * d_avg * d_avg - removed);
+  tracker_.apply_average(x_, nodes);
   note_updates(nodes.size());
 }
 

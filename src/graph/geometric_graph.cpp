@@ -36,33 +36,41 @@ GeometricGraph::GeometricGraph(std::vector<geometry::Vec2> points, double r,
   const std::size_t n = points_.size();
   const geometry::BucketGrid& grid = *index_;
 
-  // Pass 1: per-node degree counts into the (future) offset array.
+  // Pass 1: per-node degree counts into the (future) offset array.  Each
+  // range reuses one scratch row for the grid's scan.
   std::vector<std::uint64_t> offsets(n + 1, 0);
   parallel_ranges(pool_, n, [&](std::size_t begin, std::size_t end) {
+    std::vector<std::uint32_t> row;
     for (std::size_t i = begin; i < end; ++i) {
-      // count_within reports node i itself too; every other in-range
-      // index is a neighbour (coincident points included, as before).
-      offsets[i + 1] = grid.count_within(points_[i], r_) - 1;
+      // The scan reports node i itself too; every other in-range index is
+      // a neighbour (coincident points included).
+      offsets[i + 1] = grid.fill_within(points_[i], r_, row) - 1;
     }
   });
   // Exclusive prefix-sum: offsets[v] becomes the start of node v's row.
   for (std::size_t v = 1; v <= n; ++v) offsets[v] += offsets[v - 1];
 
-  // Pass 2: fill each row in place.  The grid visits candidates in bucket
-  // row-major order, which for spatially renumbered samples is already
-  // ascending id order — the per-row sort then degenerates to the
-  // is_sorted check; arbitrary point sets pay an O(deg log deg) sort.
+  // Pass 2: scan each node again and copy its row, minus the node itself,
+  // into its slice.  The copy writes exactly the pass-1 count, never past
+  // the slice: the next slice may belong to another worker, and the last
+  // one ends the array.  The grid visits candidates in bucket row-major
+  // order, which for spatially renumbered samples is already ascending id
+  // order — the per-row sort then degenerates to the is_sorted check;
+  // arbitrary point sets pay an O(deg log deg) sort.
   std::vector<NodeId> targets(offsets.back());
   parallel_ranges(pool_, n, [&](std::size_t begin, std::size_t end) {
+    std::vector<std::uint32_t> row;
     for (std::size_t i = begin; i < end; ++i) {
-      std::uint64_t cursor = offsets[i];
-      grid.for_each_within(points_[i], r_, [&](std::uint32_t j) {
-        if (j != i) targets[cursor++] = static_cast<NodeId>(j);
-      });
+      const auto found = static_cast<std::ptrdiff_t>(
+          grid.fill_within(points_[i], r_, row));
+      const auto last = row.begin() + found;  // after the scan's resize
+      const auto self =
+          std::find(row.begin(), last, static_cast<std::uint32_t>(i));
+      GG_CHECK(self != last, "a node's scan misses itself");
       const auto row_begin =
           targets.begin() + static_cast<std::ptrdiff_t>(offsets[i]);
       const auto row_end =
-          targets.begin() + static_cast<std::ptrdiff_t>(cursor);
+          std::copy(self + 1, last, std::copy(row.begin(), self, row_begin));
       if (!std::is_sorted(row_begin, row_end)) std::sort(row_begin, row_end);
     }
   });

@@ -20,6 +20,24 @@ void DeviationTracker::reset(std::span<const double> values) {
   }
 }
 
+void DeviationTracker::apply_average(
+    std::span<double> values,
+    std::span<const std::uint32_t> indices) noexcept {
+  if (indices.empty()) return;
+  double sum = 0.0;
+  for (const auto i : indices) sum += values[i];
+  const double average = sum / static_cast<double>(indices.size());
+  const double d_avg = average - shift_;
+  double removed = 0.0;
+  for (const auto i : indices) {
+    const double d = values[i] - shift_;
+    removed += d * d;
+    values[i] = average;
+  }
+  sum_dev_sq_.add(static_cast<double>(indices.size()) * d_avg * d_avg -
+                  removed);
+}
+
 double DeviationTracker::deviation_sq() const noexcept {
   if (n_ == 0) return 0.0;
   const double s1 = sum_dev_.value();

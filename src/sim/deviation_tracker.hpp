@@ -19,6 +19,7 @@
 #define GEOGOSSIP_SIM_DEVIATION_TRACKER_HPP
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "support/neumaier.hpp"
@@ -59,15 +60,13 @@ class DeviationTracker {
     sum_dev_sq_.add((na * na - da * da) + (nb * nb - db * db));
   }
 
-  /// The frozen shift, for callers assembling a conserving S2 delta of
-  /// their own (see add_conserving_sq_delta).
-  double shift() const noexcept { return shift_; }
-
-  /// Adds a caller-computed sum((x_new - shift)^2 - (x_old - shift)^2)
-  /// for a sum-conserving bulk update.
-  void add_conserving_sq_delta(double delta) noexcept {
-    sum_dev_sq_.add(delta);
-  }
+  /// Bulk sum-conserving update: sets values[i] for every listed i to the
+  /// naive mean of those entries and takes one compensated S2 add for the
+  /// whole group, leaving S1 alone as update_conserving_pair does.  One
+  /// Neumaier add per group instead of three per element (update()).
+  /// Indices must be distinct; an empty list is a no-op.
+  void apply_average(std::span<double> values,
+                     std::span<const std::uint32_t> indices) noexcept;
 
   /// ||x - mean(x)||^2, clamped at 0 against FP residue.
   double deviation_sq() const noexcept;

@@ -200,6 +200,22 @@ TEST(AsyncProtocol, Validation) {
   config.leaf_threshold = 1.0;
   EXPECT_NO_THROW(HierarchicalAffineProtocol(
       g, std::vector<double>(g.node_count(), 0.0), rng, config));
+
+  // Schedule constants: eps_decay must exceed 1, and infinite constants
+  // or a budget past UINT32_MAX used to reach an undefined
+  // double-to-uint32 cast.
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejects = [&](auto&& edit) {
+    HierarchyProtocolConfig bad;
+    edit(bad);
+    EXPECT_THROW(HierarchicalAffineProtocol(
+                     g, std::vector<double>(g.node_count(), 0.0), rng, bad),
+                 ArgumentError);
+  };
+  rejects([](HierarchyProtocolConfig& c) { c.eps_decay = 1.0; });
+  rejects([&](HierarchyProtocolConfig& c) { c.eps_decay = inf; });
+  rejects([&](HierarchyProtocolConfig& c) { c.round_constant = inf; });
+  rejects([](HierarchyProtocolConfig& c) { c.round_constant = 1e12; });
 }
 
 }  // namespace

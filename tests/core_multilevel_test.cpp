@@ -234,7 +234,7 @@ TEST(Multilevel, TraceIsRecordedWhenRequested) {
   auto x0 = make_field(g, rng);
   MultilevelConfig config;
   config.eps = 1e-2;
-  config.trace_every = 8;
+  config.trace_every = 1;
   MultilevelAffineGossip protocol(g, x0, rng, config);
   const auto result = protocol.run();
   ASSERT_TRUE(result.converged);
@@ -242,6 +242,11 @@ TEST(Multilevel, TraceIsRecordedWhenRequested) {
   for (std::size_t i = 1; i < result.trace.size(); ++i) {
     EXPECT_GE(result.trace[i].first, result.trace[i - 1].first);
   }
+  // The last sample is the tracked error at the stopping round, and
+  // final_error recomputes it from the values: they agree to rounding,
+  // not bit for bit.
+  EXPECT_NEAR(result.trace.back().second, result.final_error,
+              1e-12 * result.final_error);
 }
 
 TEST(Multilevel, ConstantFieldConvergesImmediately) {
@@ -352,6 +357,12 @@ TEST(Multilevel, Validation) {
   rejects([&](MultilevelConfig& c) { c.leaf_constant = nan; });
   rejects([](MultilevelConfig& c) { c.leaf_noise = -1e-6; });
   rejects([&](MultilevelConfig& c) { c.leaf_noise = nan; });
+  // Infinite constants, and a round count past UINT32_MAX, used to reach
+  // an undefined double-to-uint32 cast.
+  const double inf = std::numeric_limits<double>::infinity();
+  rejects([&](MultilevelConfig& c) { c.round_constant = inf; });
+  rejects([&](MultilevelConfig& c) { c.eps_decay = inf; });
+  rejects([](MultilevelConfig& c) { c.round_constant = 1e12; });
   // The measured leaf model charges no constant, but the check is the same.
   rejects([](MultilevelConfig& c) {
     c.leaf_cost = LeafCostModel::kMeasured;

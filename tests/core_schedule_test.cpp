@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/round_protocol.hpp"
 #include "core/schedule.hpp"
@@ -132,6 +133,15 @@ TEST(PracticalSchedule, Validation) {
   EXPECT_THROW(make_practical_schedule(0.5, 0.0, 10.0, profile),
                ArgumentError);
   EXPECT_THROW(make_practical_schedule(0.5, 1.0, 1.0, profile),
+               ArgumentError);
+  // Infinite constants, and a round count past UINT32_MAX, used to reach
+  // an undefined double-to-uint32 cast.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(make_practical_schedule(0.5, inf, 10.0, profile),
+               ArgumentError);
+  EXPECT_THROW(make_practical_schedule(0.5, 1.0, inf, profile),
+               ArgumentError);
+  EXPECT_THROW(make_practical_schedule(0.5, 1e12, 10.0, profile),
                ArgumentError);
 }
 

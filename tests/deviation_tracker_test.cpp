@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "gossip/base.hpp"
@@ -59,6 +62,9 @@ TEST(DeviationTracker, MillionUpdateDriftStaysTight) {
   sim::DeviationTracker tracker;
   tracker.reset(x);
 
+  std::vector<std::uint32_t> ids(x.size());
+  for (std::uint32_t i = 0; i < ids.size(); ++i) ids[i] = i;
+
   constexpr int kUpdates = 1'200'000;
   for (int step = 1; step <= kUpdates; ++step) {
     if (step % 3 == 0) {
@@ -69,6 +75,14 @@ TEST(DeviationTracker, MillionUpdateDriftStaysTight) {
       tracker.update_conserving_pair(x[i], x[j], average, average);
       x[i] = average;
       x[j] = average;
+    } else if (step % 6 == 1) {
+      // Bulk average of 2..48 distinct elements (a partial Fisher-Yates
+      // shuffle picks them), as leaf and path averaging apply it.
+      const std::size_t k = 2 + rng.below(47);
+      for (std::size_t m = 0; m < k; ++m) {
+        std::swap(ids[m], ids[m + rng.below(ids.size() - m)]);
+      }
+      tracker.apply_average(x, std::span<const std::uint32_t>(ids).first(k));
     } else {
       // Generic update random-walks one element so the field never
       // collapses and the comparison stays well-conditioned.

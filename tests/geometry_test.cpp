@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "geometry/grid.hpp"
 #include "geometry/hierarchy.hpp"
@@ -236,6 +239,7 @@ TEST_P(BucketGridProperty, WithinMatchesBruteForce) {
   Rng rng(100 + n);
   const auto points = sample_unit_square(n, rng);
   const BucketGrid index(points, Rect::unit_square(), 0.11);
+  std::vector<std::uint32_t> reused;  // scratch carried across queries
 
   for (int probe = 0; probe < 25; ++probe) {
     const Vec2 q{rng.next_double(), rng.next_double()};
@@ -249,9 +253,14 @@ TEST_P(BucketGridProperty, WithinMatchesBruteForce) {
       }
     }
     EXPECT_EQ(got, expected) << "probe " << probe << " radius " << radius;
-    // count_within is the degree-counting pass of the two-pass CSR build;
-    // it must agree with the materializing query exactly.
-    EXPECT_EQ(index.count_within(q, radius), got.size());
+    // The CSR build scans with one buffer per worker; whatever earlier
+    // queries left in it, the count and the prefix are this query's.
+    ASSERT_EQ(index.fill_within(q, radius, reused), expected.size());
+    std::vector<std::uint32_t> prefix(
+        reused.begin(),
+        reused.begin() + static_cast<std::ptrdiff_t>(expected.size()));
+    std::sort(prefix.begin(), prefix.end());
+    EXPECT_EQ(prefix, expected) << "probe " << probe;
   }
 }
 
@@ -354,6 +363,21 @@ TEST(BucketGrid, BucketIntrospectionCoversAllPoints) {
   EXPECT_EQ(total, points.size());
   EXPECT_THROW(index.bucket_entries(-1, 0), ArgumentError);
   EXPECT_THROW(index.bucket_rect(0, index.side()), ArgumentError);
+}
+
+TEST(BucketGrid, HugeRadiusReturnsEveryPoint) {
+  // A radius of more than INT_MAX cells covers the whole grid; the reach
+  // in cells used to overflow its int cast.
+  Rng rng(12);
+  const auto points = sample_unit_square(90, rng);
+  const BucketGrid index(points, Rect::unit_square(), 0.1);
+  for (const double radius :
+       {1e300, std::numeric_limits<double>::infinity()}) {
+    auto got = index.within({0.3, 0.7}, radius);
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got.size(), points.size()) << "radius " << radius;
+    for (std::uint32_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], i);
+  }
 }
 
 TEST(BucketGrid, RejectsOutOfRegionPoints) {

@@ -151,24 +151,32 @@ TEST(Radius, FormulasAndMonotonicity) {
 
 // -------------------------------------------------------- GeometricGraph ----
 
-class GrgProperty : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(GrgProperty, EdgesMatchBruteForceDistanceCheck) {
-  const std::size_t n = GetParam();
-  Rng rng(300 + n);
-  const auto points = geometry::sample_unit_square(n, rng);
-  const double r = paper_radius(n, 1.5);
-  const GeometricGraph g(points, r);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const bool close = geometry::distance(points[i], points[j]) <= r;
+/// Checks every pair of g's nodes against the definition: an edge iff the
+/// points are within distance r (closed ball), and no self-loops.
+void expect_edges_match_brute_force(const GeometricGraph& g) {
+  const auto& points = g.points();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_FALSE(g.adjacency().has_edge(static_cast<NodeId>(i),
+                                        static_cast<NodeId>(i)))
+        << "self-loop at " << i;
+    for (std::size_t j = i + 1; j < points.size(); ++j) {
+      const bool close =
+          geometry::distance(points[i], points[j]) <= g.radius();
       EXPECT_EQ(g.adjacency().has_edge(static_cast<NodeId>(i),
                                        static_cast<NodeId>(j)),
                 close)
           << "pair (" << i << ',' << j << ')';
     }
   }
+}
+
+class GrgProperty : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GrgProperty, EdgesMatchBruteForceDistanceCheck) {
+  const std::size_t n = GetParam();
+  Rng rng(300 + n);
+  const auto points = geometry::sample_unit_square(n, rng);
+  expect_edges_match_brute_force(GeometricGraph(points, paper_radius(n, 1.5)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, GrgProperty,
@@ -220,6 +228,17 @@ TEST(GeometricGraph, SummaryIsInformative) {
   const std::string text = g.summary();
   EXPECT_NE(text.find("G(n=100"), std::string::npos);
   EXPECT_NE(text.find("edges"), std::string::npos);
+}
+
+TEST(GeometricGraph, HugeRadiusBuildsTheCompleteGraph) {
+  // A radius of more than INT_MAX grid cells; the reach in cells used to
+  // overflow its int cast, and the build threw std::length_error.
+  Rng rng(34);
+  const auto points = geometry::sample_unit_square(60, rng);
+  const GeometricGraph g(points, 1e300);
+  EXPECT_EQ(g.adjacency().edge_count(), 60u * 59u / 2u);
+  for (NodeId v = 0; v < g.node_count(); ++v) EXPECT_EQ(g.degree(v), 59u);
+  expect_edges_match_brute_force(g);
 }
 
 TEST(GeometricGraph, Validation) {
@@ -282,8 +301,9 @@ TEST(GeometricGraph, ParallelBuildBitIdenticalToSerialAcrossSeeds) {
 
 TEST(GeometricGraph, ParallelBuildMatchesSerialOnArbitraryPointSets) {
   // Raw constructor (no spatial renumbering, so the grid's visit order is
-  // NOT presorted and pass 2 exercises its per-row sort), clustered
-  // points included.
+  // NOT presorted and pass 2 exercises its per-row sort), clustered and
+  // coincident points included.  The serial build is also checked against
+  // the distance definition, so the fill is not only compared with itself.
   Rng rng(91);
   auto points = geometry::sample_unit_square(500, rng);
   for (std::size_t i = 0; i < 60; ++i) {  // a dense cluster
@@ -294,6 +314,7 @@ TEST(GeometricGraph, ParallelBuildMatchesSerialOnArbitraryPointSets) {
   const GeometricGraph serial(points, r);
   const GeometricGraph parallel(points, r, geometry::Rect::unit_square(),
                                 {.pool = &pool});
+  expect_edges_match_brute_force(serial);
   expect_identical_graphs(serial, parallel);
 }
 
