@@ -37,7 +37,8 @@ class BucketGrid {
   /// the front of `out` and returns how many it wrote; the query point
   /// itself is reported too if it is in the set.  `out` grows to the scan
   /// window's candidate count when it is smaller, and entries past the
-  /// returned count are scratch.  Indices come in bucket row-major order.
+  /// returned count are left over from the scan.  Indices come in bucket
+  /// row-major order.
   std::size_t fill_within(Vec2 p, double radius,
                           std::vector<std::uint32_t>& out) const;
 

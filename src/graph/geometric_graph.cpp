@@ -37,7 +37,7 @@ GeometricGraph::GeometricGraph(std::vector<geometry::Vec2> points, double r,
   const geometry::BucketGrid& grid = *index_;
 
   // Pass 1: per-node degree counts into the (future) offset array.  Each
-  // range reuses one scratch row for the grid's scan.
+  // range reuses one row buffer for the grid's scan.
   std::vector<std::uint64_t> offsets(n + 1, 0);
   parallel_ranges(pool_, n, [&](std::size_t begin, std::size_t end) {
     std::vector<std::uint32_t> row;

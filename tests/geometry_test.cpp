@@ -239,7 +239,7 @@ TEST_P(BucketGridProperty, WithinMatchesBruteForce) {
   Rng rng(100 + n);
   const auto points = sample_unit_square(n, rng);
   const BucketGrid index(points, Rect::unit_square(), 0.11);
-  std::vector<std::uint32_t> reused;  // scratch carried across queries
+  std::vector<std::uint32_t> reused;  // buffer carried across queries
 
   for (int probe = 0; probe < 25; ++probe) {
     const Vec2 q{rng.next_double(), rng.next_double()};
