@@ -95,6 +95,8 @@ TrialOutcome run_protocol_trial_impl(ProtocolKind kind,
                                      const sim::CheckpointPolicy& checkpoints,
                                      std::string_view resume,
                                      unsigned route_lanes) {
+  GG_CHECK_ARG(options.eps > 0.0 && options.eps < 1.0,
+               "run_protocol_trial: eps must lie in (0, 1)");
   GG_CHECK_ARG(x0.size() == graph.node_count(),
                "x0 size must match the graph");
   const double sum_before = sum_of(x0);
@@ -155,7 +157,7 @@ TrialOutcome run_protocol_trial_impl(ProtocolKind kind,
       outcome.converged = result.converged;
       outcome.final_error = result.final_error;
       outcome.transmissions = result.transmissions;
-      outcome.sum_drift = std::abs(protocol.value_sum() - sum_before);
+      outcome.sum_drift = std::abs(protocol.tracked_sum() - sum_before);
       return outcome;
     }
   }

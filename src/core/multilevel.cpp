@@ -1,8 +1,7 @@
 #include "core/multilevel.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <limits>
 
 #include "core/affine.hpp"
 #include "core/schedule.hpp"
@@ -14,26 +13,14 @@ namespace geogossip::core {
 using geometry::SquareInfo;
 using graph::NodeId;
 
-namespace {
-
-/// Leading tag of a multilevel snapshot payload; distinct from the tick
-/// engine's tag so a mixed-up payload fails at the first read.
-constexpr std::string_view kMultilevelPayloadTag = "geogossip-multilevel";
-
-}  // namespace
-
 MultilevelAffineGossip::MultilevelAffineGossip(
     const graph::GeometricGraph& graph, std::vector<double> x0, Rng& rng,
     const MultilevelConfig& config)
-    : graph_(&graph),
+    : ValueProtocol(graph, std::move(x0), rng),
       config_(config),
       hierarchy_(graph.points(), graph.region(),
                  practical_hierarchy(config.leaf_threshold, config.max_depth)),
-      x_(std::move(x0)),
-      rng_(&rng),
       hops_(graph, hierarchy_) {
-  GG_CHECK_ARG(x_.size() == graph.node_count(),
-               "initial values must match node count");
   GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
   GG_CHECK_ARG(config.max_depth >= 1, "max_depth >= 1");
   GG_CHECK_ARG(config.eps_decay > 1.0 && std::isfinite(config.eps_decay),
@@ -46,7 +33,8 @@ MultilevelAffineGossip::MultilevelAffineGossip(
       "leaf_constant finite and > 0");
   GG_CHECK_ARG(config.leaf_noise >= 0.0 && std::isfinite(config.leaf_noise),
                "leaf_noise finite and >= 0");
-  resync_tracking();
+  // run() refreshes the tracker on its own top-round cadence.
+  set_tracker_refresh_interval(std::numeric_limits<std::uint64_t>::max());
 
   plan_.resize(hierarchy_.square_count());
   for (std::size_t id = 0; id < plan_.size(); ++id) {
@@ -65,21 +53,6 @@ MultilevelAffineGossip::MultilevelAffineGossip(
           square.rect.width() / graph_->radius(), eps, config_.leaf_constant);
     }
   }
-}
-
-double MultilevelAffineGossip::value_sum() const noexcept {
-  return tracker_.sum();
-}
-
-void MultilevelAffineGossip::set_value(std::uint32_t node, double value) {
-  tracker_.update(x_[node], value);
-  x_[node] = value;
-}
-
-void MultilevelAffineGossip::resync_tracking() { tracker_.reset(x_); }
-
-double MultilevelAffineGossip::deviation_norm_tracked() const {
-  return std::sqrt(tracker_.deviation_sq());
 }
 
 double MultilevelAffineGossip::eps_at_depth(int depth) const {
@@ -107,11 +80,11 @@ void MultilevelAffineGossip::measured_leaf_average(const SquareInfo& square,
   const std::size_t m = members.size();
 
   double mean = 0.0;
-  for (const auto node : members) mean += x_[node];
+  for (const auto node : members) mean += value(node);
   mean /= static_cast<double>(m);
   double dev_sq = 0.0;
   for (const auto node : members) {
-    dev_sq += (x_[node] - mean) * (x_[node] - mean);
+    dev_sq += (value(node) - mean) * (value(node) - mean);
   }
   if (dev_sq == 0.0) return;
   const double target_sq = dev_sq * eps * eps;
@@ -135,10 +108,10 @@ void MultilevelAffineGossip::measured_leaf_average(const SquareInfo& square,
       if (rng_->below(in_leaf) == 0) chosen = u;
     }
     if (in_leaf == 0 || chosen == node) continue;
-    const double avg = 0.5 * (x_[node] + x_[chosen]);
+    const double avg = 0.5 * (value(node) + value(chosen));
     // Update the in-square deviation incrementally.
-    const double di = x_[node] - mean;
-    const double dj = x_[chosen] - mean;
+    const double di = value(node) - mean;
+    const double dj = value(chosen) - mean;
     const double da = avg - mean;
     current_sq += 2.0 * da * da - di * di - dj * dj;
     set_value(node, avg);
@@ -163,11 +136,11 @@ void MultilevelAffineGossip::leaf_average(int square_id,
              plan_[static_cast<std::size_t>(square_id)].leaf_charge);
 
   if (config_.leaf_noise == 0.0) {
-    tracker_.apply_average(x_, members);
+    apply_average(members);
     return;
   }
   double mean = 0.0;
-  for (const auto node : members) mean += x_[node];
+  for (const auto node : members) mean += value(node);
   mean /= static_cast<double>(members.size());
   std::vector<double> noise(members.size());
   double noise_mean = 0.0;
@@ -207,11 +180,7 @@ void MultilevelAffineGossip::exchange(int parent, std::size_t i,
     ++alpha_out_of_range_;
   }
 
-  double xi = x_[rep_i];
-  double xj = x_[rep_j];
-  affine_jump_update(xi, xj, beta);
-  set_value(rep_i, xi);
-  set_value(rep_j, xj);
+  apply_affine_jump(rep_i, rep_j, beta);
 }
 
 void MultilevelAffineGossip::average_square(int square_id) {
@@ -236,12 +205,29 @@ void MultilevelAffineGossip::average_square(int square_id) {
   const std::uint32_t rounds =
       plan_[static_cast<std::size_t>(square_id)].rounds;
   for (std::uint32_t round = 0; round < rounds; ++round) {
-    const std::size_t i = rng_->below(children.size());
-    const std::size_t j = rng_->below_excluding(children.size(), i);
-    exchange(square_id, i, j);
-    average_square(children[i]);
-    average_square(children[j]);
+    exchange_round(square_id);
   }
+}
+
+void MultilevelAffineGossip::exchange_round(int square_id) {
+  const auto children = hops_.slots(square_id);
+  const std::size_t i = rng_->below(children.size());
+  const std::size_t j = rng_->below_excluding(children.size(), i);
+  exchange(square_id, i, j);
+  average_square(children[i]);
+  average_square(children[j]);
+}
+
+void MultilevelAffineGossip::on_tick(const sim::Tick& /*tick*/) {
+  exchange_round(hierarchy_.root());
+}
+
+void MultilevelAffineGossip::snapshot_scratch(SnapshotWriter& w) const {
+  w.u64(alpha_out_of_range_);
+}
+
+void MultilevelAffineGossip::restore_scratch(SnapshotReader& r) {
+  alpha_out_of_range_ = r.u64();
 }
 
 MultilevelResult MultilevelAffineGossip::run() {
@@ -252,48 +238,21 @@ MultilevelResult MultilevelAffineGossip::run(
     const sim::CheckpointPolicy& checkpoints, std::string_view resume) {
   MultilevelResult result;
 
-  const SquareInfo& root = hierarchy_.square(hierarchy_.root());
-  const auto children = hops_.slots(hierarchy_.root());
-
-  double initial_dev = 0.0;
-  std::uint64_t start_round = 0;
+  const int root = hierarchy_.root();
+  const auto children = hops_.slots(root);
+  sim::RunProgress progress;  // steps count top rounds
 
   if (!resume.empty()) {
     // Snapshots are only taken inside the closed top loop, so a resume
     // payload implies the non-degenerate path: skip the activation pass
     // (its transmissions and RNG draws are part of the restored state).
-    SnapshotReader r(resume);
-    GG_CHECK_ARG(
-        r.str() == kMultilevelPayloadTag,
-        "MultilevelAffineGossip: resume payload is not a multilevel "
-        "snapshot");
-    const std::uint64_t snap_n = r.u64();
-    GG_CHECK_ARG(snap_n == x_.size(),
-                 "MultilevelAffineGossip: snapshot n mismatch");
-    start_round = r.u64();
-    result.top_rounds = r.u64();
-    initial_dev = r.f64();
-    alpha_out_of_range_ = r.u64();
-    sim::TxSnapshot tx;
-    for (auto& count : tx.by_category) count = r.u64();
-    meter_.restore(tx);
-    const std::uint64_t trace_count = r.u64();
-    result.trace.reserve(trace_count);
-    for (std::uint64_t k = 0; k < trace_count; ++k) {
-      const std::uint64_t tx_total = r.u64();
-      const double err = r.f64();
-      result.trace.emplace_back(tx_total, err);
-    }
-    r.f64_span_into(x_);
-    tracker_.restore(r);
-    rng_->restore(r);
-    r.finish();
-    GG_CHECK_ARG(!root.is_leaf() && children.size() >= 2,
+    progress = sim::restore_run(resume, *this, *rng_);
+    GG_CHECK_ARG(children.size() >= 2,
                  "MultilevelAffineGossip: snapshot from a non-degenerate "
                  "run restored into a degenerate deployment");
   } else {
-    initial_dev = deviation_norm_tracked();
-    if (initial_dev == 0.0) {
+    progress.initial_dev_sq = deviation_sq();
+    if (progress.initial_dev_sq == 0.0) {
       result.converged = true;
       result.final_error = 0.0;
       result.transmissions = meter_.snapshot();
@@ -301,19 +260,21 @@ MultilevelResult MultilevelAffineGossip::run(
     }
 
     // Degenerate deployments: a root that is itself a leaf just averages.
-    if (root.is_leaf() || children.size() < 2) {
-      average_square(hierarchy_.root());
-      resync_tracking();
+    if (children.size() < 2) {
+      const double initial_dev = std::sqrt(progress.initial_dev_sq);
+      average_square(root);
+      refresh_tracker();
       result.converged =
-          deviation_norm_tracked() <= config_.eps * initial_dev;
-      result.final_error = deviation_norm_tracked() / initial_dev;
+          std::sqrt(deviation_sq()) <= config_.eps * initial_dev;
+      result.final_error = std::sqrt(deviation_sq()) / initial_dev;
       result.transmissions = meter_.snapshot();
       return result;
     }
 
-    charge_activation(hierarchy_.root(), root);
+    charge_activation(root, hierarchy_.square(root));
     for (const int child : children) average_square(child);
   }
+  const double initial_dev = std::sqrt(progress.initial_dev_sq);
 
   std::uint64_t max_rounds = config_.max_top_rounds;
   if (max_rounds == 0) {
@@ -323,65 +284,28 @@ MultilevelResult MultilevelAffineGossip::run(
   }
 
   const bool snapshotting = checkpoints.enabled();
-  auto last_snapshot = std::chrono::steady_clock::now();
-  const auto take_snapshot = [&](std::uint64_t next_round) {
-    SnapshotWriter w;
-    w.str(kMultilevelPayloadTag);
-    w.u64(x_.size());
-    w.u64(next_round);
-    w.u64(result.top_rounds);
-    w.f64(initial_dev);
-    w.u64(alpha_out_of_range_);
-    for (const auto count : meter_.snapshot().by_category) w.u64(count);
-    w.u64(result.trace.size());
-    for (const auto& [tx_total, err] : result.trace) {
-      w.u64(tx_total);
-      w.f64(err);
-    }
-    w.f64_span(x_);
-    tracker_.save(w);
-    rng_->save(w);
-    checkpoints.persist(w.bytes(), next_round);
-  };
+  sim::Checkpointer checkpointer(checkpoints, 1);
+  for (std::uint64_t round = progress.steps; round < max_rounds; ++round) {
+    on_tick(sim::Tick{});
+    progress.steps = round + 1;
 
-  for (std::uint64_t round = start_round; round < max_rounds; ++round) {
-    const std::size_t i = rng_->below(children.size());
-    const std::size_t j = rng_->below_excluding(children.size(), i);
-    exchange(hierarchy_.root(), i, j);
-    average_square(children[i]);
-    average_square(children[j]);
-    ++result.top_rounds;
-
-    if ((round & 0xFF) == 0xFF) resync_tracking();  // defeat FP drift
-    const double err = deviation_norm_tracked() / initial_dev;
+    if ((round & 0xFF) == 0xFF) refresh_tracker();  // defeat FP drift
+    const double err = std::sqrt(deviation_sq()) / initial_dev;
     if (config_.trace_every != 0 && round % config_.trace_every == 0) {
-      result.trace.emplace_back(meter_.total(), err);
+      progress.trace.emplace_back(meter_.total(), err);
     }
-    if (err <= config_.eps) {
-      result.converged = true;
-      break;
-    }
-
-    if (!snapshotting) continue;
-    // Between-round snapshot: every_ticks counts top rounds here.  Pure
-    // reads — results with and without snapshotting stay bit-identical.
-    bool due = checkpoints.every_ticks > 0 &&
-               (round + 1) % checkpoints.every_ticks == 0;
-    if (!due && checkpoints.every_seconds > 0.0) {
-      const std::chrono::duration<double> since =
-          std::chrono::steady_clock::now() - last_snapshot;
-      due = since.count() >= checkpoints.every_seconds;
-    }
-    if (due) {
-      take_snapshot(round + 1);
-      last_snapshot = std::chrono::steady_clock::now();
+    if (err <= config_.eps) break;
+    if (snapshotting && checkpointer.due(progress.steps)) {
+      checkpointer.persist(*this, *rng_, progress);
     }
   }
 
-  resync_tracking();
-  result.final_error = deviation_norm_tracked() / initial_dev;
+  refresh_tracker();
+  result.top_rounds = progress.steps;
+  result.final_error = std::sqrt(deviation_sq()) / initial_dev;
   result.converged = result.final_error <= config_.eps;
   result.transmissions = meter_.snapshot();
+  result.trace = std::move(progress.trace);
   result.alpha_out_of_range = alpha_out_of_range_;
   return result;
 }

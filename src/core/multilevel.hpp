@@ -19,19 +19,24 @@
 // with BetaMode::kConvexRep it becomes the convex ablation (representatives
 // average instead of jumping), isolating the contribution of non-convex
 // affine combinations.
+//
+// Values, deviation tracker and transmission meter live in the
+// gossip::ValueProtocol base; on_tick() is one top round.  run() drives the
+// top loop itself, not through sim::run_to_epsilon: it draws no clock,
+// refreshes the tracker every 256 top rounds (the base's element-count
+// refresh is off) and reads final_error after a last refresh.
 #ifndef GEOGOSSIP_CORE_MULTILEVEL_HPP
 #define GEOGOSSIP_CORE_MULTILEVEL_HPP
 
 #include <cstdint>
-#include <span>
-#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/round_protocol.hpp"
 #include "geometry/hierarchy.hpp"
+#include "gossip/base.hpp"
 #include "graph/geometric_graph.hpp"
-#include "sim/deviation_tracker.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "support/rng.hpp"
@@ -83,32 +88,39 @@ struct MultilevelResult {
   std::uint64_t alpha_out_of_range = 0;
 };
 
-class MultilevelAffineGossip {
+class MultilevelAffineGossip final : public gossip::ValueProtocol {
  public:
   MultilevelAffineGossip(const graph::GeometricGraph& graph,
                          std::vector<double> x0, Rng& rng,
                          const MultilevelConfig& config);
 
+  std::string_view name() const override { return "affine-multilevel"; }
+
+  /// One top round (see exchange_round); the tick is not read.  Throws
+  /// ArgumentError unless the root has two or more non-empty children.
+  void on_tick(const sim::Tick& tick) override;
+
   /// Runs the closed top-level loop to the epsilon target.
   MultilevelResult run();
 
-  /// Checkpoint-aware variant of the Snapshot/Restore contract for this
-  /// round-based (non-tick-engine) family.  Snapshots are taken between
-  /// top-level rounds — the natural commit point of the closed loop —
-  /// with CheckpointPolicy::every_ticks counting top rounds.  A non-empty
-  /// `resume` payload restores values, tracker, meter, RNG and the round
-  /// counter, and the completed run is bit-identical to an uninterrupted
-  /// one.  Degenerate deployments (leaf root, a single nonempty child)
-  /// finish in one open-loop pass and never snapshot.
+  /// Checkpoint-aware variant.  Snapshots are taken between top rounds,
+  /// the natural commit point of the closed loop, in run_to_epsilon's
+  /// layout (sim::Checkpointer): CheckpointPolicy::every_ticks counts top
+  /// rounds, the wall cadence is polled every round, and the model time is
+  /// 0.  A non-empty `resume` payload restores values, tracker, meter, RNG
+  /// and the round count, and the completed run is bit-identical to an
+  /// uninterrupted one.  Degenerate deployments (leaf root, a single
+  /// nonempty child) finish in one open-loop pass and never snapshot.
   MultilevelResult run(const sim::CheckpointPolicy& checkpoints,
                        std::string_view resume);
 
-  std::span<const double> values() const noexcept { return x_; }
   const geometry::PartitionHierarchy& hierarchy() const noexcept {
     return hierarchy_;
   }
-  const sim::TxMeter& meter() const noexcept { return meter_; }
-  double value_sum() const noexcept;
+
+ protected:
+  void snapshot_scratch(SnapshotWriter& w) const override;
+  void restore_scratch(SnapshotReader& r) override;
 
  private:
   /// Per-square constants of the recursion, computed once by the
@@ -123,6 +135,9 @@ class MultilevelAffineGossip {
 
   /// Open-loop recursive averaging of one square at its schedule budget.
   void average_square(int square_id);
+  /// One round of `square_id`: an exchange between two distinct children
+  /// drawn uniformly, then both children re-averaged.
+  void exchange_round(int square_id);
   void leaf_average(int square_id, const geometry::SquareInfo& square);
   void measured_leaf_average(const geometry::SquareInfo& square, double eps);
   /// One exchange between the children in slots `i` and `j` of `parent`.
@@ -130,22 +145,11 @@ class MultilevelAffineGossip {
   void charge_activation(int square_id, const geometry::SquareInfo& square);
   double eps_at_depth(int depth) const;
 
-  void set_value(std::uint32_t node, double value);
-  double deviation_norm_tracked() const;
-  void resync_tracking();
-
-  const graph::GeometricGraph* graph_;
   MultilevelConfig config_;
   geometry::PartitionHierarchy hierarchy_;
-  std::vector<double> x_;
-  Rng* rng_;
-  sim::TxMeter meter_;
   SquareHopTables hops_;
   std::vector<SquarePlan> plan_;
   std::uint64_t alpha_out_of_range_ = 0;
-
-  // Incremental deviation tracking (shifted + Neumaier-compensated).
-  sim::DeviationTracker tracker_;
 };
 
 }  // namespace geogossip::core

@@ -48,8 +48,7 @@ void ValueProtocol::set_tracker_refresh_interval(std::uint64_t interval) {
 void ValueProtocol::note_updates(std::uint64_t count) {
   updates_since_refresh_ += count;
   if (updates_since_refresh_ >= refresh_interval_) {
-    tracker_.reset(x_);
-    updates_since_refresh_ = 0;
+    refresh_tracker();
     ++refreshes_;
     static const auto c_refresh = obs::counter("protocol.tracker_refreshes");
     obs::add(c_refresh);
@@ -87,6 +86,11 @@ void ValueProtocol::set_value(graph::NodeId node, double value) {
   tracker_.update(x_[node], value);
   x_[node] = value;
   note_updates(1);
+}
+
+void ValueProtocol::refresh_tracker() {
+  tracker_.reset(x_);
+  updates_since_refresh_ = 0;
 }
 
 void ValueProtocol::snapshot(SnapshotWriter& w) const {

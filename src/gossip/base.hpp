@@ -41,6 +41,10 @@ class ValueProtocol : public sim::GossipProtocol {
   /// tracker error.
   double value_sum() const noexcept;
 
+  /// sum(x) as the deviation tracker holds it: exact to rounding right
+  /// after a refresh, drifting by rounding residue as updates follow.
+  double tracked_sum() const noexcept { return tracker_.sum(); }
+
   const graph::GeometricGraph& graph() const noexcept { return *graph_; }
 
   /// Element updates between exact tracker refreshes (drift bound).
@@ -80,6 +84,10 @@ class ValueProtocol : public sim::GossipProtocol {
 
   /// Arbitrary single-value write (escape hatch; still tracked).
   void set_value(graph::NodeId node, double value);
+
+  /// Exact tracker refresh on the caller's own cadence; unlike the
+  /// element-count refresh it is not counted in tracker_refreshes().
+  void refresh_tracker();
 
   const graph::GeometricGraph* graph_;
   Rng* rng_;

@@ -12,9 +12,9 @@ namespace geogossip::sim {
 
 namespace {
 
-/// Leading tag of every engine snapshot payload; restore rejects payloads
-/// from other producers (e.g. a round-protocol snapshot) up front.
-constexpr std::string_view kEnginePayloadTag = "geogossip-engine-run";
+/// Leading tag of every run snapshot payload, tick loop or round loop;
+/// restore_run rejects payloads from other producers up front.
+constexpr std::string_view kRunPayloadTag = "geogossip-engine-run";
 
 /// The wall-clock snapshot cadence polls the clock only every this many
 /// ticks, so the per-tick hot path stays free of clock syscalls.
@@ -46,6 +46,66 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
                         std::string_view{});
 }
 
+bool Checkpointer::due(std::uint64_t steps) const {
+  if (policy_->every_ticks > 0 && steps % policy_->every_ticks == 0) {
+    return true;
+  }
+  if (policy_->every_seconds <= 0.0 || steps % wall_poll_steps_ != 0) {
+    return false;
+  }
+  const std::chrono::duration<double> since =
+      std::chrono::steady_clock::now() - last_snapshot_;
+  return since.count() >= policy_->every_seconds;
+}
+
+void Checkpointer::persist(const GossipProtocol& protocol, const Rng& rng,
+                           const RunProgress& progress) {
+  SnapshotWriter w;
+  w.str(kRunPayloadTag);
+  w.str(protocol.name());
+  w.u64(protocol.values().size());
+  w.u64(progress.steps);
+  w.f64(progress.model_time);
+  w.f64(progress.initial_dev_sq);
+  w.u64(progress.trace.size());
+  for (const auto& [tx, err] : progress.trace) {
+    w.u64(tx);
+    w.f64(err);
+  }
+  rng.save(w);
+  protocol.snapshot(w);
+  policy_->persist(w.bytes(), progress.steps);
+  last_snapshot_ = std::chrono::steady_clock::now();
+}
+
+RunProgress restore_run(std::string_view payload, GossipProtocol& protocol,
+                        Rng& rng) {
+  SnapshotReader r(payload);
+  GG_CHECK_ARG(r.str() == kRunPayloadTag,
+               "restore_run: resume payload is not a run snapshot");
+  const std::string snap_name = r.str();
+  GG_CHECK_ARG(snap_name == protocol.name(),
+               "restore_run: snapshot is for protocol '" + snap_name +
+                   "', not '" + std::string(protocol.name()) + "'");
+  GG_CHECK_ARG(r.u64() == protocol.values().size(),
+               "restore_run: snapshot n mismatch");
+  RunProgress progress;
+  progress.steps = r.u64();
+  progress.model_time = r.f64();
+  progress.initial_dev_sq = r.f64();
+  const std::uint64_t trace_count = r.u64();
+  progress.trace.reserve(trace_count);
+  for (std::uint64_t i = 0; i < trace_count; ++i) {
+    const std::uint64_t tx = r.u64();
+    const double err = r.f64();
+    progress.trace.emplace_back(tx, err);
+  }
+  rng.restore(r);
+  protocol.restore(r);
+  r.finish();
+  return progress;
+}
+
 RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
                          const RunConfig& config,
                          const CheckpointPolicy& checkpoints,
@@ -53,44 +113,19 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
   GG_CHECK_ARG(config.epsilon > 0.0, "run_to_epsilon: epsilon > 0");
   GG_CHECK_ARG(config.max_ticks > 0, "run_to_epsilon: max_ticks must be set");
 
-  const auto values = protocol.values();
-  const auto n = static_cast<std::uint32_t>(values.size());
+  const auto n = static_cast<std::uint32_t>(protocol.values().size());
   GG_CHECK_ARG(n >= 1, "run_to_epsilon: protocol has no values");
 
   RunResult result;
   AsyncClock clock(n, rng);
-  double initial_dev_sq = 0.0;
+  RunProgress progress;
 
   if (!resume.empty()) {
-    // The snapshotted initial deviation is restored, never recomputed: the
-    // convergence target must be the one the interrupted run was chasing,
-    // not one derived from the mid-flight values.
-    SnapshotReader r(resume);
-    GG_CHECK_ARG(r.str() == kEnginePayloadTag,
-                 "run_to_epsilon: resume payload is not an engine snapshot");
-    const std::string snap_name = r.str();
-    GG_CHECK_ARG(snap_name == protocol.name(),
-                 "run_to_epsilon: snapshot is for protocol '" + snap_name +
-                     "', not '" + std::string(protocol.name()) + "'");
-    const std::uint64_t snap_n = r.u64();
-    GG_CHECK_ARG(snap_n == n, "run_to_epsilon: snapshot n mismatch");
-    const std::uint64_t ticks = r.u64();
-    const double now = r.f64();
-    clock.restore(now, ticks);
-    initial_dev_sq = r.f64();
-    const std::uint64_t trace_count = r.u64();
-    result.trace.reserve(trace_count);
-    for (std::uint64_t i = 0; i < trace_count; ++i) {
-      const std::uint64_t tx = r.u64();
-      const double err = r.f64();
-      result.trace.emplace_back(tx, err);
-    }
-    rng.restore(r);
-    protocol.restore(r);
-    r.finish();
+    progress = restore_run(resume, protocol, rng);
+    clock.restore(progress.model_time, progress.steps);
   } else {
-    initial_dev_sq = protocol.deviation_sq();
-    if (initial_dev_sq <= 0.0) {
+    progress.initial_dev_sq = protocol.deviation_sq();
+    if (progress.initial_dev_sq <= 0.0) {
       // Already exactly averaged (constant field); nothing to do.
       result.converged = true;
       result.final_error = 0.0;
@@ -99,73 +134,40 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     }
   }
 
+  const double initial_dev_sq = progress.initial_dev_sq;
   // The criterion err <= epsilon compares squared quantities, sqrt-free.
   const double target_dev_sq =
       config.epsilon * config.epsilon * initial_dev_sq;
 
   const bool snapshotting = checkpoints.enabled();
-  auto last_snapshot = std::chrono::steady_clock::now();
-  const auto take_snapshot = [&] {
-    SnapshotWriter w;
-    w.str(kEnginePayloadTag);
-    w.str(protocol.name());
-    w.u64(n);
-    w.u64(clock.ticks_elapsed());
-    w.f64(clock.now());
-    w.f64(initial_dev_sq);
-    w.u64(result.trace.size());
-    for (const auto& [tx, err] : result.trace) {
-      w.u64(tx);
-      w.f64(err);
-    }
-    rng.save(w);
-    protocol.snapshot(w);
-    checkpoints.persist(w.bytes(), clock.ticks_elapsed());
-  };
-
+  Checkpointer checkpointer(checkpoints, kWallPollTicks);
+  double dev_sq = protocol.deviation_sq();
   while (clock.ticks_elapsed() < config.max_ticks) {
     const Tick tick = clock.next();
     protocol.on_tick(tick);
 
-    const double dev_sq = protocol.deviation_sq();
+    dev_sq = protocol.deviation_sq();
     if (config.trace_interval != 0 &&
         (tick.index + 1) % config.trace_interval == 0) {
-      result.trace.emplace_back(protocol.meter().total(),
-                                std::sqrt(dev_sq / initial_dev_sq));
+      progress.trace.emplace_back(protocol.meter().total(),
+                                  std::sqrt(dev_sq / initial_dev_sq));
     }
-    if (dev_sq <= target_dev_sq) {
-      result.converged = true;
-      result.ticks = clock.ticks_elapsed();
-      result.model_time = clock.now();
-      result.final_error = std::sqrt(dev_sq / initial_dev_sq);
-      result.transmissions = protocol.meter().snapshot();
-      return result;
-    }
+    if (dev_sq <= target_dev_sq) break;
 
-    if (!snapshotting) continue;
     // Snapshots are taken after the convergence check, so a converging run
-    // never persists its final tick.  Both cadences are pure reads of the
-    // run state: results with and without snapshotting are bit-identical.
-    bool due = checkpoints.every_ticks > 0 &&
-               (tick.index + 1) % checkpoints.every_ticks == 0;
-    if (!due && checkpoints.every_seconds > 0.0 &&
-        (tick.index + 1) % kWallPollTicks == 0) {
-      const auto wall = std::chrono::steady_clock::now();
-      const std::chrono::duration<double> since = wall - last_snapshot;
-      due = since.count() >= checkpoints.every_seconds;
-    }
-    if (due) {
-      take_snapshot();
-      last_snapshot = std::chrono::steady_clock::now();
-    }
+    // never persists its final tick.
+    if (!snapshotting || !checkpointer.due(tick.index + 1)) continue;
+    progress.steps = clock.ticks_elapsed();
+    progress.model_time = clock.now();
+    checkpointer.persist(protocol, rng, progress);
   }
 
-  result.converged = false;
+  result.converged = dev_sq <= target_dev_sq;
   result.ticks = clock.ticks_elapsed();
   result.model_time = clock.now();
-  result.final_error =
-      std::sqrt(protocol.deviation_sq() / initial_dev_sq);
+  result.final_error = std::sqrt(dev_sq / initial_dev_sq);
   result.transmissions = protocol.meter().snapshot();
+  result.trace = std::move(progress.trace);
   return result;
 }
 

@@ -3,6 +3,7 @@
 #ifndef GEOGOSSIP_SIM_ENGINE_HPP
 #define GEOGOSSIP_SIM_ENGINE_HPP
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -52,12 +53,13 @@ class GossipProtocol {
   virtual void restore(SnapshotReader& r) = 0;
 };
 
-/// Mid-run checkpoint cadence for run_to_epsilon.  Snapshots are pure
-/// reads of the run state — taking one never perturbs the trajectory — so
-/// enabling checkpoints cannot change results.  persist() receives the
-/// serialized engine+RNG+protocol payload; a throw from it propagates (a
-/// checkpoint that cannot be written is an environment failure, mirroring
-/// the sink's flush-check-throw policy).
+/// Mid-run checkpoint cadence for a run loop (run_to_epsilon, or a
+/// round-based protocol's own loop).  Snapshots are pure reads of the run
+/// state — taking one never perturbs the trajectory — so enabling
+/// checkpoints cannot change results.  persist() receives the serialized
+/// run+RNG+protocol payload; a throw from it propagates (a checkpoint that
+/// cannot be written is an environment failure, mirroring the sink's
+/// flush-check-throw policy).
 struct CheckpointPolicy {
   /// Snapshot every N engine ticks (round-based protocols: every N top
   /// rounds).  0 = no tick cadence.
@@ -72,6 +74,47 @@ struct CheckpointPolicy {
            (every_ticks > 0 || every_seconds > 0.0);
   }
 };
+
+/// What a run loop carries besides the RNG and the protocol.
+struct RunProgress {
+  std::uint64_t steps = 0;      ///< engine ticks, or top rounds
+  double model_time = 0.0;      ///< engine clock time; 0 for a round loop
+  double initial_dev_sq = 0.0;  ///< ||x(0) - mean||^2
+  /// (total transmissions, relative error) samples so far.
+  std::vector<std::pair<std::uint64_t, double>> trace;
+};
+
+/// One checkpoint-due test and one payload layout for every run loop: a
+/// tag, the protocol name, n, `progress` field by field, the RNG, then
+/// protocol.snapshot().  The wall cadence reads the clock only on steps
+/// that are multiples of `wall_poll_steps`, so a hot loop stays free of
+/// clock calls.
+class Checkpointer {
+ public:
+  Checkpointer(const CheckpointPolicy& policy, std::uint64_t wall_poll_steps)
+      : policy_(&policy), wall_poll_steps_(wall_poll_steps) {}
+
+  /// Whether a snapshot is due once `steps` steps have completed.
+  bool due(std::uint64_t steps) const;
+
+  /// Hands the payload to policy.persist and restarts the wall cadence.
+  void persist(const GossipProtocol& protocol, const Rng& rng,
+               const RunProgress& progress);
+
+ private:
+  const CheckpointPolicy* policy_;
+  std::uint64_t wall_poll_steps_;
+  std::chrono::steady_clock::time_point last_snapshot_ =
+      std::chrono::steady_clock::now();
+};
+
+/// Restores a Checkpointer payload into a freshly constructed `protocol`
+/// and its `rng` and returns the loop's part.  The initial deviation is
+/// restored, never recomputed, so the target stays the one the interrupted
+/// run was chasing.  Throws a std::logic_error when the payload is for
+/// another protocol or n, and IoError when it is truncated.
+RunProgress restore_run(std::string_view payload, GossipProtocol& protocol,
+                        Rng& rng);
 
 struct RunConfig {
   /// Convergence target: ||x(t) - mean|| <= epsilon * ||x(0) - mean||.

@@ -7,9 +7,11 @@
 #include <limits>
 #include <numeric>
 
+#include "core/convergence.hpp"
 #include "core/multilevel.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/geometric_graph.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/field.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -247,6 +249,39 @@ TEST(Multilevel, TraceIsRecordedWhenRequested) {
   // not bit for bit.
   EXPECT_NEAR(result.trace.back().second, result.final_error,
               1e-12 * result.final_error);
+}
+
+TEST(Multilevel, TopRoundRefreshesAreNotTrackerRefreshes) {
+  // The round loop's exact refresh every 256 top rounds must reach neither
+  // the refresh count nor the protocol.tracker_refreshes counter, and the
+  // element-count refresh must stay off: perfbench's traced mode matches
+  // that counter against the refreshes it replays from tick protocols.
+  const auto g = make_graph(2048, 637);
+  Rng rng(638);
+  auto x0 = make_field(g, rng);
+  MultilevelConfig config;
+  config.eps = 1e-4;
+  MultilevelAffineGossip protocol(g, x0, rng, config);
+  const auto result = protocol.run();
+  ASSERT_TRUE(result.converged);
+  EXPECT_GT(result.top_rounds, 256u);
+  EXPECT_EQ(protocol.tracker_refreshes(), 0u);
+
+#if !defined(GEOGOSSIP_OBS_DISABLE)
+  obs::reset();
+  obs::set_enabled(true);
+  TrialOptions options;
+  options.eps = config.eps;
+  Rng trial_rng(639);
+  (void)run_protocol_trial(ProtocolKind::kAffineMultilevel, g, x0, trial_rng,
+                           options);
+  obs::set_enabled(false);
+  const auto counters = obs::snapshot().counters;
+  obs::reset();
+  EXPECT_EQ(counters.at("trial.count"), 1u);
+  const auto refreshes = counters.find("protocol.tracker_refreshes");
+  EXPECT_TRUE(refreshes == counters.end() || refreshes->second == 0u);
+#endif
 }
 
 TEST(Multilevel, ConstantFieldConvergesImmediately) {

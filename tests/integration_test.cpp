@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "core/convergence.hpp"
 #include "exp/runner.hpp"
@@ -127,6 +129,34 @@ TEST(Integration, ProtocolKindRoundTrip) {
               kind);
   }
   EXPECT_THROW(parse_protocol_kind("nope"), ArgumentError);
+}
+
+TEST(Integration, EveryKindRejectsEpsOutsideTheUnitInterval) {
+  // Checked once, before any tick budget is derived from ln(1/eps): an eps
+  // of 2 used to cast a negative budget to an unsigned count, and let the
+  // tick families report convergence after one tick.
+  const auto g = make_graph(128, 912);
+  const auto x0 = make_field(g, 913);
+  for (const auto kind :
+       {ProtocolKind::kBoydPairwise, ProtocolKind::kDimakisGeographic,
+        ProtocolKind::kPathAveraging, ProtocolKind::kAffineOneLevel,
+        ProtocolKind::kAffineMultilevel, ProtocolKind::kAffineAsync,
+        ProtocolKind::kAffineDecentralized}) {
+    for (const double eps : {0.0, 1.0, 2.0, -1e-3,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      Rng rng(914);
+      TrialOptions options;
+      options.eps = eps;
+      try {
+        (void)run_protocol_trial(kind, g, x0, rng, options);
+        ADD_FAILURE() << protocol_kind_name(kind) << " accepted eps " << eps;
+      } catch (const ArgumentError& e) {
+        EXPECT_NE(std::string(e.what()).find("eps must lie in (0, 1)"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(Integration, UnreachableEpsilonReportsNonConvergence) {

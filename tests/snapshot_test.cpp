@@ -261,13 +261,93 @@ TEST(FamilySnapshotContract, ResumePayloadSelfIdentifiesProtocolAndSize) {
                                  options, policy, {});
   ASSERT_FALSE(payload.empty());
 
-  Rng other(4102);
   // CheckError or ArgumentError depending on which identity field trips
   // first; both are logic errors, never a silent continue.
-  EXPECT_THROW((void)core::run_protocol_trial(ProtocolKind::kDimakisGeographic,
-                                              g, x0, other, options,
-                                              sim::CheckpointPolicy{}, payload),
-               std::logic_error);
+  const auto rejects = [&](ProtocolKind kind, const GeometricGraph& graph,
+                           const std::vector<double>& field,
+                           const std::string& bytes) {
+    Rng other(4102);
+    EXPECT_THROW((void)core::run_protocol_trial(kind, graph, field, other,
+                                                options,
+                                                sim::CheckpointPolicy{}, bytes),
+                 std::logic_error)
+        << core::protocol_kind_name(kind);
+  };
+  rejects(ProtocolKind::kDimakisGeographic, g, x0, payload);
+
+  // The round loop writes the same layout, and the same checks guard it.
+  std::string multi_payload;
+  sim::CheckpointPolicy every_round;
+  every_round.every_ticks = 1;
+  every_round.persist = [&](std::string_view bytes, std::uint64_t) {
+    if (multi_payload.empty()) multi_payload.assign(bytes);
+  };
+  Rng multi_rng(4102);
+  (void)core::run_protocol_trial(ProtocolKind::kAffineMultilevel, g, x0,
+                                 multi_rng, options, every_round, {});
+  ASSERT_FALSE(multi_payload.empty());
+  rejects(ProtocolKind::kBoydPairwise, g, x0, multi_payload);
+  rejects(ProtocolKind::kAffineMultilevel, g, x0, payload);
+
+  Rng bigger_rng(4103);
+  const auto bigger = GeometricGraph::sample(192, 2.0, bigger_rng);
+  auto bigger_x0 = sim::gaussian_field(bigger.node_count(), field_rng);
+  sim::center_and_normalize(bigger_x0);
+  rejects(ProtocolKind::kAffineMultilevel, bigger, bigger_x0, multi_payload);
+}
+
+/// Runs `kind` on a 256-node deployment with a wall cadence so short that
+/// every poll of the clock finds a snapshot due, and returns the ticks (or
+/// top rounds) of every snapshot.  Resuming from the first snapshot must
+/// finish bit-identically.
+std::vector<std::uint64_t> wall_cadence_snapshots(ProtocolKind kind,
+                                                  double eps) {
+  Rng graph_rng(4300);
+  const auto g = GeometricGraph::sample(256, 2.0, graph_rng);
+  Rng field_rng(4301);
+  auto x0 = sim::gaussian_field(g.node_count(), field_rng);
+  sim::center_and_normalize(x0);
+
+  TrialOptions options;
+  options.eps = eps;
+  sim::CheckpointPolicy policy;
+  policy.every_seconds = 1e-9;
+  std::string first_payload;
+  std::vector<std::uint64_t> steps;
+  policy.persist = [&](std::string_view payload, std::uint64_t ticks) {
+    if (first_payload.empty()) first_payload.assign(payload);
+    steps.push_back(ticks);
+  };
+  Rng rng_a(4302);
+  const auto reference =
+      core::run_protocol_trial(kind, g, x0, rng_a, options, policy, {});
+  EXPECT_FALSE(steps.empty()) << "the wall cadence never fired";
+  if (steps.empty()) return steps;
+
+  Rng rng_b(4302);
+  const auto resumed = core::run_protocol_trial(
+      kind, g, x0, rng_b, options, sim::CheckpointPolicy{}, first_payload);
+  EXPECT_TRUE(outcomes_identical(reference, resumed))
+      << core::protocol_kind_name(kind) << ": resumed from step "
+      << steps.front();
+  return steps;
+}
+
+TEST(FamilySnapshotContract, WallCadencePollsTheTickLoopEvery8192Ticks) {
+  const auto ticks = wall_cadence_snapshots(ProtocolKind::kBoydPairwise, 1e-6);
+  ASSERT_GE(ticks.size(), 2u);
+  for (std::size_t i = 0; i < ticks.size(); ++i) {
+    EXPECT_EQ(ticks[i], 8192u * (i + 1));
+  }
+}
+
+TEST(FamilySnapshotContract, WallCadencePollsTheRoundLoopEveryTopRound) {
+  const auto rounds =
+      wall_cadence_snapshots(ProtocolKind::kAffineMultilevel, 1e-3);
+  ASSERT_GE(rounds.size(), 2u);
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    EXPECT_EQ(rounds[i], i + 1);
+  }
 }
 
 TEST(FamilySnapshotContract, ThrowingPersistJoinsRouteLanes) {
