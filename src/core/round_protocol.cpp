@@ -32,7 +32,7 @@ geometry::HierarchyConfig practical_hierarchy(double leaf_threshold,
 
 SquareHopTables::SquareHopTables(const graph::GeometricGraph& graph,
                                  const geometry::PartitionHierarchy& hierarchy)
-    : graph_(&graph) {
+    : graph_(&graph), root_(hierarchy.root()) {
   const std::size_t squares = hierarchy.square_count();
   representative_.assign(squares, 0);
   slot_start_.assign(squares + 1, 0);
@@ -59,13 +59,24 @@ std::uint32_t SquareHopTables::route_hops(graph::NodeId a,
                                           graph::NodeId b) const {
   const auto [from, to] = std::minmax(a, b);
   const auto route = routing::route_to_node(*graph_, from, to);
-  std::uint32_t hops = route.hops;
-  if (!route.arrived()) {
-    const double dist =
-        geometry::distance(graph_->position(from), graph_->position(to));
-    hops += static_cast<std::uint32_t>(std::ceil(dist / graph_->radius()));
-  }
-  return hops;
+  if (route.arrived()) return route.hops;
+  // Summed and capped below the unrouted marker in double: at a tiny
+  // radius the estimate alone overflows the cast.
+  const double dist =
+      geometry::distance(graph_->position(from), graph_->position(to));
+  const double charged =
+      static_cast<double>(route.hops) + std::ceil(dist / graph_->radius());
+  return static_cast<std::uint32_t>(
+      std::min(charged, static_cast<double>(kUnrouted - 1)));
+}
+
+std::uint32_t SquareHopTables::route_pair(std::size_t s, std::size_t lo,
+                                          std::size_t hi) const {
+  const auto rep = [&](std::size_t slot) {
+    return representative_[static_cast<std::size_t>(
+        slot_square_[slot_start_[s] + slot])];
+  };
+  return route_hops(rep(lo), rep(hi));
 }
 
 std::uint32_t SquareHopTables::sibling_hops(int square, std::size_t i,
@@ -75,12 +86,20 @@ std::uint32_t SquareHopTables::sibling_hops(int square, std::size_t i,
   GG_CHECK(i != j && i < slot_count && j < slot_count,
            "sibling_hops: slots out of range");
   const auto [lo, hi] = std::minmax(i, j);
-  std::uint32_t& hops = pair_hops_[pair_start_[s] + pair_count(hi) + lo];
+  std::uint32_t* const table = pair_hops_.data() + pair_start_[s];
+  std::uint32_t& hops = table[pair_count(hi) + lo];
   if (hops == kUnrouted) {
-    hops = route_hops(representative_[static_cast<std::size_t>(
-                          slot_square_[slot_start_[s] + lo])],
-                      representative_[static_cast<std::size_t>(
-                          slot_square_[slot_start_[s] + hi])]);
+    if (square == root_) {
+      hops = route_pair(s, lo, hi);
+    } else {
+      // The whole table, in slot order: entry pair_count(b) + a is the
+      // pair (a, b), a < b.
+      for (std::size_t b = 1; b < slot_count; ++b) {
+        for (std::size_t a = 0; a < b; ++a) {
+          table[pair_count(b) + a] = route_pair(s, a, b);
+        }
+      }
+    }
   }
   return hops;
 }

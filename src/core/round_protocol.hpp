@@ -24,11 +24,17 @@
 // one child (activation control).  SquareHopTables therefore keeps the
 // greedy-route hop counts per square: a triangular table over the square's
 // children that have a representative, and the square's fan-out sum to
-// them, each entry routed on first use.  A replicate at n = 2^19 charges
-// about 11M packets over about 456k distinct pairs, most of them inside
-// inner squares whose tables hold a few hundred entries and stay in cache;
-// a table keyed by node pair across the whole hierarchy misses the cache on
-// most lookups.
+// them.  A replicate at n = 2^19 charges about 11M packets over about 456k
+// distinct pairs, most of them inside inner squares whose tables hold a
+// few hundred entries and stay in cache; a table keyed by node pair across
+// the whole hierarchy misses the cache on most lookups.
+//
+// The root's table is routed one entry per first use: at 2^19 it has 676
+// slots (228k pairs), of which a run draws only a few thousand.  An inner
+// square is re-averaged every time its parent draws it and ends up using
+// every pair, so its whole table is routed, in slot order, on its first
+// miss, while the graph rows around its representatives are still in
+// cache.  Both policies store the same counts.
 #ifndef GEOGOSSIP_CORE_ROUND_PROTOCOL_HPP
 #define GEOGOSSIP_CORE_ROUND_PROTOCOL_HPP
 
@@ -57,9 +63,9 @@ geometry::HierarchyConfig practical_hierarchy(double leaf_threshold,
 /// larger, so both directions of an exchange cost the same.  Greedy routing
 /// on a connected G(n, r) at the paper's radius delivers w.h.p.; a route
 /// that does not arrive is charged its hops plus the straight-line estimate
-/// ceil(distance / r), so accounting stays defined.  Routes are
-/// deterministic, so cold tables recompute identical counts and snapshots
-/// never carry them.
+/// ceil(distance / r), capped at 2^32 - 2, so accounting stays defined.
+/// Routes are deterministic, so cold tables recompute identical counts and
+/// snapshots never carry them.
 class SquareHopTables {
  public:
   SquareHopTables(const graph::GeometricGraph& graph,
@@ -74,7 +80,8 @@ class SquareHopTables {
   }
 
   /// Hops of one packet between the representatives in slots `i` != `j`
-  /// of `square`.
+  /// of `square`.  The first call in a square other than the root routes
+  /// its k slots' k (k - 1) / 2 pairs; later calls there route nothing.
   std::uint32_t sibling_hops(int square, std::size_t i, std::size_t j);
 
   /// Hops of one packet from the representative of `square` to the
@@ -83,8 +90,12 @@ class SquareHopTables {
 
  private:
   std::uint32_t route_hops(graph::NodeId a, graph::NodeId b) const;
+  /// Routes the pair of slots `lo` < `hi` of square `s`.
+  std::uint32_t route_pair(std::size_t s, std::size_t lo,
+                           std::size_t hi) const;
 
   const graph::GeometricGraph* graph_;
+  int root_;
   /// Per square; 0 for an empty square, which has no slots to route to.
   std::vector<graph::NodeId> representative_;
   std::vector<std::uint32_t> slot_start_;  ///< per square, + 1

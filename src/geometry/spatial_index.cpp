@@ -13,7 +13,7 @@ BucketGrid::BucketGrid(const std::vector<Vec2>& points, const Rect& region,
     : points_(&points), region_(region) {
   GG_CHECK_ARG(cell_size > 0.0, "BucketGrid: cell_size must be positive");
   const double extent = std::max(region.width(), region.height());
-  side_ = std::max(1, static_cast<int>(std::floor(extent / cell_size)));
+  side_ = side_for(extent, cell_size, points.size());
   // Never let buckets shrink below the requested cell size; range queries
   // with radius == cell_size must only need the 3x3 neighborhood.
   cell_size_ = extent / side_;
@@ -36,6 +36,14 @@ BucketGrid::BucketGrid(const std::vector<Vec2>& points, const Rect& region,
     const auto b = static_cast<std::size_t>(bucket_of(points[i]));
     entries_[cursor[b]++] = static_cast<std::uint32_t>(i);
   }
+}
+
+int BucketGrid::side_for(double extent, double cell_size,
+                         std::size_t point_count) {
+  const double most =
+      std::max(1.0, std::ceil(std::sqrt(static_cast<double>(point_count))));
+  return static_cast<int>(
+      std::clamp(std::floor(extent / cell_size), 1.0, most));
 }
 
 int BucketGrid::bucket_of(Vec2 p) const noexcept {

@@ -25,10 +25,18 @@ namespace geogossip::geometry {
 class BucketGrid {
  public:
   /// Indexes `points` (referenced, must outlive the index) over `region`
-  /// with square buckets of size >= cell_size.  Requires cell_size > 0 and
-  /// all points inside the closed region.
+  /// with square buckets of size >= cell_size, side_for() buckets per
+  /// side.  Requires cell_size > 0 and all points inside the closed region.
   BucketGrid(const std::vector<Vec2>& points, const Rect& region,
              double cell_size);
+
+  /// Buckets per side for `point_count` points over a region whose larger
+  /// extent is `extent`: floor(extent / cell_size), clamped in double to
+  /// [1, ceil(sqrt(point_count))] before the cast.  A tiny cell size thus
+  /// neither overflows the int nor allocates more than O(point_count)
+  /// buckets; the buckets only grow, so range queries stay exact.
+  static int side_for(double extent, double cell_size,
+                      std::size_t point_count);
 
   std::size_t size() const noexcept { return points_->size(); }
   const std::vector<Vec2>& points() const noexcept { return *points_; }

@@ -42,10 +42,10 @@ class CsrGraph {
   /// `targets`, per-node lists sorted ascending, symmetric, no self-loops
   /// or duplicates.  Validates the cheap structural invariants (monotone
   /// offsets, matching sizes, per-node sortedness, in-range targets) in
-  /// O(n + m); symmetry is the caller's contract — the two-pass geometric
-  /// build derives both directions of every edge from one symmetric
-  /// distance predicate, so re-checking it here would double the build's
-  /// memory traffic for no information.
+  /// O(n + m); symmetry is the caller's contract — the geometric build
+  /// derives both directions of every edge from one symmetric distance
+  /// predicate, so re-checking it here would double the build's memory
+  /// traffic for no information.
   static CsrGraph from_parts(std::vector<std::uint64_t> offsets,
                              std::vector<NodeId> targets);
 

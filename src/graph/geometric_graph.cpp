@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -29,51 +31,67 @@ GeometricGraph::GeometricGraph(std::vector<geometry::Vec2> points, double r,
                  static_cast<std::int64_t>(points_.size()));
   index_ = std::make_unique<geometry::BucketGrid>(points_, region_, r_);
 
-  // Two-pass CSR build straight from the bucket grid.  No edge-list
-  // intermediate and no global sort: each node's row is a pure function
-  // of the (fixed) point set, so the per-node passes parallelize freely
-  // and the output is bit-identical at any thread count.
+  // CSR build straight from the bucket grid, one scan per node.  No
+  // edge-list intermediate and no global sort: each node's row is a pure
+  // function of the (fixed) point set, so the node ranges parallelize
+  // freely and the output is bit-identical at any thread count.
   const std::size_t n = points_.size();
   const geometry::BucketGrid& grid = *index_;
-
-  // Pass 1: per-node degree counts into the (future) offset array.  Each
-  // range reuses one row buffer for the grid's scan.
+  // Each range appends its nodes' rows to a target buffer of its own,
+  // reserved at the expected interior degree of n points uniform on the
+  // region (boundary nodes see less; a clustered range that outgrows it
+  // pays one reallocation), and writes their degrees into the (future)
+  // offset array.
+  const double expected_degree =
+      std::min(expected_interior_degree(n, r_) / region_.area(),
+               static_cast<double>(n - 1));
+  std::map<std::size_t, std::vector<NodeId>> range_targets;  // by begin
+  std::mutex range_targets_mu;
   std::vector<std::uint64_t> offsets(n + 1, 0);
   parallel_ranges(pool_, n, [&](std::size_t begin, std::size_t end) {
-    std::vector<std::uint32_t> row;
+    std::vector<NodeId> targets;
+    targets.reserve(static_cast<std::size_t>(
+        expected_degree * static_cast<double>(end - begin)));
+    std::vector<std::uint32_t> row;  // the grid's scan buffer, reused
     for (std::size_t i = begin; i < end; ++i) {
       // The scan reports node i itself too; every other in-range index is
-      // a neighbour (coincident points included).
-      offsets[i + 1] = grid.fill_within(points_[i], r_, row) - 1;
-    }
-  });
-  // Exclusive prefix-sum: offsets[v] becomes the start of node v's row.
-  for (std::size_t v = 1; v <= n; ++v) offsets[v] += offsets[v - 1];
-
-  // Pass 2: scan each node again and copy its row, minus the node itself,
-  // into its slice.  The copy writes exactly the pass-1 count, never past
-  // the slice: the next slice may belong to another worker, and the last
-  // one ends the array.  The grid visits candidates in bucket row-major
-  // order, which for spatially renumbered samples is already ascending id
-  // order — the per-row sort then degenerates to the is_sorted check;
-  // arbitrary point sets pay an O(deg log deg) sort.
-  std::vector<NodeId> targets(offsets.back());
-  parallel_ranges(pool_, n, [&](std::size_t begin, std::size_t end) {
-    std::vector<std::uint32_t> row;
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto found = static_cast<std::ptrdiff_t>(
-          grid.fill_within(points_[i], r_, row));
-      const auto last = row.begin() + found;  // after the scan's resize
+      // a neighbour (coincident points included).  The grid visits
+      // candidates in bucket row-major order, which for spatially
+      // renumbered samples is already ascending id order — the per-row
+      // sort then degenerates to the is_sorted check; arbitrary point sets
+      // pay an O(deg log deg) sort.
+      const std::size_t found = grid.fill_within(points_[i], r_, row);
+      const auto last = row.begin() + static_cast<std::ptrdiff_t>(found);
       const auto self =
           std::find(row.begin(), last, static_cast<std::uint32_t>(i));
       GG_CHECK(self != last, "a node's scan misses itself");
+      const std::size_t row_start = targets.size();
+      targets.insert(targets.end(), row.begin(), self);
+      targets.insert(targets.end(), self + 1, last);
       const auto row_begin =
-          targets.begin() + static_cast<std::ptrdiff_t>(offsets[i]);
-      const auto row_end =
-          std::copy(self + 1, last, std::copy(row.begin(), self, row_begin));
-      if (!std::is_sorted(row_begin, row_end)) std::sort(row_begin, row_end);
+          targets.begin() + static_cast<std::ptrdiff_t>(row_start);
+      if (!std::is_sorted(row_begin, targets.end())) {
+        std::sort(row_begin, targets.end());
+      }
+      offsets[i + 1] = found - 1;
     }
+    const std::lock_guard<std::mutex> lock(range_targets_mu);
+    range_targets.emplace(begin, std::move(targets));
   });
+  // Exclusive prefix-sum: offsets[v] becomes the start of node v's row.
+  for (std::size_t v = 1; v <= n; ++v) offsets[v] += offsets[v - 1];
+  // A lone range's buffer is the target array; several are joined in
+  // range order, whatever order the workers finished them in.
+  std::vector<NodeId> targets;
+  if (range_targets.size() == 1) {
+    targets = std::move(range_targets.begin()->second);
+  } else {
+    targets.reserve(offsets.back());
+    for (auto& [begin, part] : range_targets) {
+      targets.insert(targets.end(), part.begin(), part.end());
+      part = {};
+    }
+  }
   csr_ = CsrGraph::from_parts(std::move(offsets), std::move(targets));
 
   if (options.eager_routing_mirror) ensure_routing_mirror();
@@ -88,7 +106,8 @@ void GeometricGraph::build_routing_mirror() const {
                  static_cast<std::int64_t>(points_.size()));
   // Routing-ordered mirror of the CSR: neighbours grouped into annuli by
   // distance from the node, farthest annulus first, each entry carrying
-  // its annulus's (conservative, rounded-up) outer radius.  The greedy
+  // its annulus index; the graph's bound table maps an index to the
+  // annulus's (conservative, rounded-up) outer radius.  The greedy
   // scan's triangle-inequality pruning only needs a non-increasing upper
   // bound per entry, so annulus granularity keeps it exact while the
   // grouping is an O(degree) counting sort instead of a comparison sort.
@@ -97,8 +116,8 @@ void GeometricGraph::build_routing_mirror() const {
   constexpr int kAnnuli = kRoutingAnnuli;
   static_assert((kAnnuli & (kAnnuli - 1)) == 0,
                 "the annulus search halves a power-of-two range");
+  static_assert(kAnnuli <= 256, "an annulus index fits one byte");
   double edge_sq[kAnnuli + 1];  // edge_sq[a] = (r * (kAnnuli - a) / K)^2
-  float bound_up[kAnnuli];
   for (int a = 0; a <= kAnnuli; ++a) {
     const double edge = r_ * static_cast<double>(kAnnuli - a) / kAnnuli;
     edge_sq[a] = edge * edge;
@@ -107,16 +126,18 @@ void GeometricGraph::build_routing_mirror() const {
       if (static_cast<double>(up) < edge) {
         up = std::nextafter(up, std::numeric_limits<float>::infinity());
       }
-      bound_up[a] = up;
+      mirror_->bounds[static_cast<std::size_t>(a)] = up;
     }
   }
 
   const auto offsets = csr_.offsets();
   // offsets.back() == total arc count; exact even for a (contract-
   // violating) asymmetric adjacency, where 2 * edge_count() would round
-  // an odd arc count down and the fill loop would overrun by one.
-  mirror_->ids.resize(offsets.back());
-  mirror_->radii.resize(offsets.back());
+  // an odd arc count down and the fill loop would overrun by one.  The
+  // fill writes every slot, so neither array is value-initialized.
+  mirror_->ids = std::make_unique_for_overwrite<NodeId[]>(offsets.back());
+  mirror_->annuli =
+      std::make_unique_for_overwrite<std::uint8_t[]>(offsets.back());
   parallel_ranges(pool_, points_.size(), [&](std::size_t begin,
                                              std::size_t end) {
     std::vector<std::uint8_t> annulus_of;  // per-range scratch, reused
@@ -150,10 +171,10 @@ void GeometricGraph::build_routing_mirror() const {
         start += count;
       }
       for (std::size_t k = 0; k < neighbors.size(); ++k) {
-        const int a = annulus_of[k];
+        const std::uint8_t a = annulus_of[k];
         const std::size_t slot = base + cursor[a]++;
         mirror_->ids[slot] = neighbors[k];
-        mirror_->radii[slot] = bound_up[a];
+        mirror_->annuli[slot] = a;
       }
     }
   });
@@ -168,19 +189,21 @@ GeometricGraph GeometricGraph::sample(std::size_t n, double radius_multiplier,
   const double r = paper_radius(n, radius_multiplier);
 
   // Spatial renumbering: sort the sample into bucket row-major order (the
-  // same order the BucketGrid CSR uses) before assigning node ids.  The
-  // sample is i.i.d. — the labelling is an artifact — but the labelling
-  // decides memory layout: with spatially sorted ids, a node's neighbours
-  // occupy a handful of contiguous id runs, so the greedy-routing inner
-  // loop reads positions_ almost sequentially instead of gathering
-  // uniformly over the whole array.  At paper radii a 3-row working set
-  // fits L1 where the unsorted layout thrashes it.
-  const int side =
-      std::max(1, static_cast<int>(std::floor(1.0 / r)));
+  // same buckets, by the same side rule, as the graph's BucketGrid) before
+  // assigning node ids.  The sample is i.i.d. — the labelling is an
+  // artifact — but the labelling decides memory layout: with spatially
+  // sorted ids, a node's neighbours occupy a handful of contiguous id
+  // runs, so the greedy-routing inner loop reads positions_ almost
+  // sequentially instead of gathering uniformly over the whole array.  At
+  // paper radii a 3-row working set fits L1 where the unsorted layout
+  // thrashes it.
+  const int side = geometry::BucketGrid::side_for(1.0, r, n);
   const double cell = 1.0 / side;
   // One precomputed (bucket, sample index) key per point, sorted as a
   // packed u64 — computing keys inside a comparator costs two float->int
-  // conversions per comparison and dominates the sort.
+  // conversions per comparison and dominates the sort.  The side rule
+  // caps side at ceil(sqrt(n)) <= 2^16, so a bucket index fits the key's
+  // upper 32 bits.
   std::vector<std::uint64_t> keys(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto col = static_cast<std::uint64_t>(

@@ -4,24 +4,28 @@
 // the CSR adjacency, plus the bucket-grid index reused by routing and by the
 // protocols for nearest-node queries.
 //
-// Construction is a two-pass CSR build straight from the bucket grid: pass 1
-// counts each node's degree, an exclusive prefix-sum lays out the offsets,
-// pass 2 fills each node's (sorted) neighbour slice in place.  No edge-list
-// intermediate, no global sort — and both passes split the node range across
-// a work-stealing ThreadPool when BuildOptions supplies one, with output
-// bit-identical to the serial path at any thread count (each node's slice is
+// Construction scans the bucket grid once per node: each node range appends
+// its nodes' (sorted) rows to a buffer of its own and records their degrees,
+// an exclusive prefix-sum lays out the offsets, and the buffers are joined
+// in range order (a lone range's buffer becomes the target array as is).
+// No edge-list intermediate, no global sort — and the ranges split across a
+// work-stealing ThreadPool when BuildOptions supplies one, with output
+// bit-identical to the serial path at any thread count (each node's row is
 // a pure function of the point set).
 //
 // The routing-ordered adjacency mirror that greedy routing scans is LAZY:
 // it is built (in parallel, when a pool is attached) on the first
 // ensure_routing_mirror() call — which the greedy routers issue on entry —
 // so workloads that never route (spectral probes, connectivity sweeps,
-// nearest-neighbour gossip) never pay its build time or its 8 bytes/arc.
-// Pass BuildOptions::eager_routing_mirror to front-load it instead.
+// nearest-neighbour gossip) never pay its build time or its 5 bytes/arc
+// (a node id and a one-byte annulus index).  BuildOptions::
+// eager_routing_mirror front-loads it instead; only the tests set it.
 #ifndef GEOGOSSIP_GRAPH_GEOMETRIC_GRAPH_HPP
 #define GEOGOSSIP_GRAPH_GEOMETRIC_GRAPH_HPP
 
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -41,14 +45,13 @@ namespace geogossip::graph {
 /// for non-routing workloads: serial build, no routing mirror until a
 /// route asks for one.
 struct BuildOptions {
-  /// Pool the two-pass CSR build (and any later routing-mirror build)
-  /// fans node ranges across; nullptr builds serially.  The pool is only
+  /// Pool the CSR build (and any later routing-mirror build) fans node
+  /// ranges across; nullptr builds serially.  The pool is only
   /// borrowed — it must outlive the graph if the routing mirror may be
   /// built lazily after construction.
   const ThreadPool* pool = nullptr;
   /// Build the routing-ordered adjacency mirror during construction
-  /// instead of on first use.  Routing-heavy workloads (E6, geographic
-  /// gossip) amortize it; measurement workloads should leave it off.
+  /// instead of on first use.
   bool eager_routing_mirror = false;
 };
 
@@ -103,9 +106,13 @@ class GeometricGraph {
 
   /// Routing-ordered adjacency (ids unchecked — they must come from this
   /// graph): the same neighbour set as neighbors(node), grouped into
-  /// kRoutingAnnuli distance annuli farthest-first, paired with each
-  /// annulus's outer radius rounded UP to float.  greedy_step scans this
-  /// order and stops at the first entry whose triangle-inequality bound
+  /// K = kRoutingAnnuli distance annuli farthest-first, CSR order kept
+  /// inside each.  Annulus a has outer edge r * (K - a) / K, and an arc
+  /// belongs to the innermost annulus whose edge it does not exceed;
+  /// routing_annuli() gives each entry's annulus index and
+  /// routing_bounds()[a] that edge rounded UP to float, so the bounds never
+  /// increase along a row.  greedy_step scans this order and stops at the
+  /// first entry whose triangle-inequality bound
   ///     dist(u, target) >= dist(node, target) - |u - node|
   /// already rules out every remaining (nearer-to-node) neighbour — for
   /// far targets that prunes most of the list, exactly.  The row layout
@@ -117,9 +124,13 @@ class GeometricGraph {
     ensure_routing_mirror();
     return routing_ids_unchecked(node);
   }
-  std::span<const float> routing_radii(NodeId node) const {
+  std::span<const std::uint8_t> routing_annuli(NodeId node) const {
     ensure_routing_mirror();
-    return routing_radii_unchecked(node);
+    return routing_annuli_unchecked(node);
+  }
+  std::span<const float, kRoutingAnnuli> routing_bounds() const {
+    ensure_routing_mirror();
+    return routing_bounds_unchecked();
   }
 
   /// Unchecked variants for per-hop loops that have already ensured the
@@ -128,17 +139,22 @@ class GeometricGraph {
   /// neighbors_unchecked with a foreign id.
   std::span<const NodeId> routing_ids_unchecked(NodeId node) const noexcept {
     const auto offsets = csr_.offsets();
-    return {mirror_->ids.data() + offsets[node],
-            mirror_->ids.data() + offsets[node + 1]};
+    return {mirror_->ids.get() + offsets[node],
+            mirror_->ids.get() + offsets[node + 1]};
   }
-  std::span<const float> routing_radii_unchecked(
+  std::span<const std::uint8_t> routing_annuli_unchecked(
       NodeId node) const noexcept {
     const auto offsets = csr_.offsets();
-    return {mirror_->radii.data() + offsets[node],
-            mirror_->radii.data() + offsets[node + 1]};
+    return {mirror_->annuli.get() + offsets[node],
+            mirror_->annuli.get() + offsets[node + 1]};
+  }
+  std::span<const float, kRoutingAnnuli> routing_bounds_unchecked()
+      const noexcept {
+    return mirror_->bounds;
   }
 
-  /// Bucket-grid index over the node positions (cell size == r).
+  /// Bucket-grid index over the node positions (cell size >= r; see
+  /// geometry::BucketGrid::side_for).
   const geometry::BucketGrid& index() const noexcept { return *index_; }
 
   /// Node nearest an arbitrary position (used by geographic routing).
@@ -152,8 +168,9 @@ class GeometricGraph {
   struct RoutingMirror {
     std::once_flag once;
     std::atomic<bool> built{false};
-    std::vector<NodeId> ids;
-    std::vector<float> radii;
+    std::unique_ptr<NodeId[]> ids;
+    std::unique_ptr<std::uint8_t[]> annuli;
+    std::array<float, kRoutingAnnuli> bounds{};
   };
 
   void build_routing_mirror() const;

@@ -42,8 +42,8 @@ std::uint64_t estimate_build_memory_bytes(std::size_t n, double multiplier,
   bytes += nn * 16.0;         // positions (Vec2)
   bytes += nn * 8.0 + 4096;   // bucket-grid entries + bucket starts
   bytes += nn * 8.0 + arcs * 4.0;  // CSR offsets + targets
-  if (with_routing_mirror) bytes += arcs * 8.0;  // mirror ids + radii
-  bytes += nn * 32.0;         // field, protocol scratch, tracker state
+  if (with_routing_mirror) bytes += arcs * 5.0;  // mirror ids + annuli
+  bytes += nn * 128.0;        // field, protocol and tracker state (fitted)
   return static_cast<std::uint64_t>(bytes);
 }
 

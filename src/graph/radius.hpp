@@ -27,14 +27,17 @@ double expected_interior_degree(std::size_t n, double r);
 /// each hop advances Theta(r): ceil(d / r) as a real number.
 double expected_route_hops(double distance, double r);
 
-/// Conservative estimate (bytes) of the resident footprint of one
+/// Conservative estimate (bytes) of the resident peak of one
 /// GeometricGraph::sample(n, multiplier) plus a protocol replicate on it:
-/// positions + bucket grid + CSR arcs sized at the full interior expected
-/// degree (a ~10% overestimate — boundary nodes see less), the
-/// routing-ordered mirror when `with_routing_mirror`, and a protocol
-/// allowance of a few doubles per node.  The experiment Runner gates
-/// concurrent replicates on these hints so XL sweeps (n up to 2^20, ~1 GB
-/// apiece with the mirror) never oversubscribe memory; see
+/// positions, bucket grid and CSR arcs sized at the full interior expected
+/// degree (boundary nodes see less), the routing-ordered mirror (5 bytes
+/// per arc) when `with_routing_mirror`, and a per-node allowance for the
+/// field, protocol and tracker state.  The allowance is fitted to the
+/// measured peak RSS (VmHWM) of one lone affine-multilevel replicate at
+/// multiplier 1.2 with the mirror built: the estimate exceeds it by about
+/// 11% at n = 2^19 (348 vs 313 MiB) and at n = 2^20 (724 vs 650 MiB).  The
+/// experiment Runner gates concurrent replicates on these hints so XL
+/// sweeps never oversubscribe memory; see
 /// exp::RunnerOptions::memory_budget_bytes.
 std::uint64_t estimate_build_memory_bytes(std::size_t n, double multiplier,
                                           bool with_routing_mirror);

@@ -1,6 +1,8 @@
 #include "routing/greedy.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <span>
 
 #include "obs/telemetry.hpp"
@@ -16,7 +18,10 @@ using graph::NodeId;
 std::uint32_t default_hop_budget(const GeometricGraph& g) {
   const double diagonal = std::sqrt(g.region().width() * g.region().width() +
                                     g.region().height() * g.region().height());
-  return 4 * static_cast<std::uint32_t>(std::ceil(diagonal / g.radius())) + 16;
+  // Clamped in double before the cast: a tiny radius would overflow it.
+  const double budget = 4.0 * std::ceil(diagonal / g.radius()) + 16.0;
+  return static_cast<std::uint32_t>(
+      std::min(budget, static_cast<double>(UINT32_MAX)));
 }
 
 namespace {
@@ -40,7 +45,7 @@ inline NodeId greedy_step(const GeometricGraph& g,
   // Scans the routing-ordered adjacency (farthest annulus first).  Two
   // structural optimizations, both exact:
   //  * Triangle-inequality pruning: dist(u, target) >= here - |u - c|,
-  //    and the per-entry radius bound only shrinks along the scan, so
+  //    and the per-entry annulus bound only shrinks along the scan, so
   //    once it rules out the next entry it rules out all remaining ones
   //    — break.
   //  * Four independent min-lanes inside each quad: a single-lane
@@ -48,7 +53,8 @@ inline NodeId greedy_step(const GeometricGraph& g,
   //    candidate); independent lanes let the loads and multiplies of
   //    consecutive candidates overlap.
   const auto ids = g.routing_ids_unchecked(current);
-  const auto radii = g.routing_radii_unchecked(current);
+  const auto annuli = g.routing_annuli_unchecked(current);
+  const float* const bound_of = g.routing_bounds_unchecked().data();
   const double here_sq = here_sq_io;
   const double here = std::sqrt(here_sq);
   double best_sq[4] = {here_sq, here_sq, here_sq, here_sq};
@@ -57,9 +63,9 @@ inline NodeId greedy_step(const GeometricGraph& g,
   std::size_t j = 0;
   double running_best = here_sq;
   for (; j + 4 <= count; j += 4) {
-    // radii[j] is the largest remaining |u - c|: if even its bound cannot
-    // beat the best so far, no remaining candidate can.
-    const double bound = here - static_cast<double>(radii[j]);
+    // Entry j's annulus bound is the largest remaining |u - c|: if even
+    // it cannot beat the best so far, no remaining candidate can.
+    const double bound = here - static_cast<double>(bound_of[annuli[j]]);
     if (bound > 0.0 && bound * bound >= running_best) break;
     for (std::size_t lane = 0; lane < 4; ++lane) {
       const NodeId u = ids[j + lane];
@@ -73,7 +79,7 @@ inline NodeId greedy_step(const GeometricGraph& g,
                             std::min(best_sq[2], best_sq[3]));
   }
   for (; j < count; ++j) {
-    const double bound = here - static_cast<double>(radii[j]);
+    const double bound = here - static_cast<double>(bound_of[annuli[j]]);
     const double live = std::min(running_best, best_sq[0]);
     if (bound > 0.0 && bound * bound >= live) break;
     const NodeId u = ids[j];

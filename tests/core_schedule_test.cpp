@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "core/round_protocol.hpp"
 #include "core/schedule.hpp"
@@ -13,6 +14,7 @@
 #include "geometry/sampling.hpp"
 #include "graph/geometric_graph.hpp"
 #include "graph/radius.hpp"
+#include "obs/telemetry.hpp"
 #include "routing/greedy.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -289,6 +291,82 @@ TEST(SquareHopTables, EqualDirectRoutingWithTheStraightLineFallback) {
   EXPECT_GT(fell_back, 0u);
   EXPECT_THROW(tables.sibling_hops(hierarchy.root(), 0, 0), CheckError);
 }
+
+TEST(SquareHopTables, TinyRadiusCapsTheStraightLineFallback) {
+  // At r = 1e-12 every route dead-ends where it starts, and the fallback
+  // ceil(distance / r) overflowed its uint32 cast; it is capped at 2^32 - 2.
+  Rng rng(37);
+  const auto points = geometry::sample_unit_square(100, rng);
+  const graph::GeometricGraph g(points, 1e-12);
+  const geometry::PartitionHierarchy hierarchy(
+      g.points(), g.region(), practical_hierarchy(8.0, 12));
+  SquareHopTables tables(g, hierarchy);
+  const int root = hierarchy.root();
+  const auto slots = tables.slots(root);
+  std::size_t far_pairs = 0;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    for (std::size_t j = i + 1; j < slots.size(); ++j) {
+      const auto a = static_cast<graph::NodeId>(
+          hierarchy.square(slots[i]).representative);
+      const auto b = static_cast<graph::NodeId>(
+          hierarchy.square(slots[j]).representative);
+      // ceil(distance / r) exceeds 2^32 once the distance passes 0.0043.
+      if (geometry::distance(g.position(a), g.position(b)) < 0.01) continue;
+      ++far_pairs;
+      EXPECT_EQ(tables.sibling_hops(root, i, j), UINT32_MAX - 1);
+    }
+  }
+  EXPECT_GT(far_pairs, 0u);
+}
+
+#if !defined(GEOGOSSIP_OBS_DISABLE)
+TEST(SquareHopTables, RouteAnInnerSquaresWholeTableOnItsFirstMiss) {
+  // An inner square's first lookup routes all k (k - 1) / 2 pairs of its
+  // slots and later lookups there route nothing; the root's table is
+  // routed one entry per first use.  Counted by the routing.routes tap.
+  Rng rng(36);
+  const auto g = graph::GeometricGraph::sample(2048, 1.2, rng);
+  const geometry::PartitionHierarchy hierarchy(
+      g.points(), g.region(), practical_hierarchy(8.0, 12));
+  SquareHopTables tables(g, hierarchy);
+  const int root = hierarchy.root();
+  ASSERT_GE(tables.slots(root).size(), 3u);
+  int inner = -1;
+  for (std::size_t id = 0; id < hierarchy.square_count(); ++id) {
+    const int square = static_cast<int>(id);
+    if (square != root && tables.slots(square).size() >= 3) {
+      inner = square;
+      break;
+    }
+  }
+  ASSERT_GE(inner, 0);
+  const std::uint64_t k = tables.slots(inner).size();
+
+  obs::reset();
+  obs::set_enabled(true);
+  std::uint64_t seen = 0;
+  const auto new_routes = [&] {
+    obs::set_enabled(false);
+    const auto counters = obs::snapshot().counters;
+    const auto found = counters.find("routing.routes");
+    const std::uint64_t total = found == counters.end() ? 0 : found->second;
+    obs::set_enabled(true);
+    return total - std::exchange(seen, total);
+  };
+  (void)tables.sibling_hops(inner, k - 1, 0);
+  EXPECT_EQ(new_routes(), k * (k - 1) / 2);
+  (void)tables.sibling_hops(inner, 1, 2);
+  EXPECT_EQ(new_routes(), 0u);
+  (void)tables.sibling_hops(root, 0, 1);
+  EXPECT_EQ(new_routes(), 1u);
+  (void)tables.sibling_hops(root, 2, 1);
+  EXPECT_EQ(new_routes(), 1u);
+  (void)tables.sibling_hops(root, 1, 0);
+  EXPECT_EQ(new_routes(), 0u);
+  obs::set_enabled(false);
+  obs::reset();
+}
+#endif
 
 TEST(Names, EnumsHaveStableNames) {
   EXPECT_EQ(leaf_cost_model_name(LeafCostModel::kGrgMixing), "grg-mixing");

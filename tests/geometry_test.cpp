@@ -380,6 +380,19 @@ TEST(BucketGrid, HugeRadiusReturnsEveryPoint) {
   }
 }
 
+TEST(BucketGrid, SideRuleIsClampedToTheSquareRootOfThePointCount) {
+  // floor(extent / cell_size) while that lies in [1, ceil(sqrt(n))] ...
+  EXPECT_EQ(BucketGrid::side_for(1.0, 0.1, 1000), 10);
+  EXPECT_EQ(BucketGrid::side_for(2.0, 0.3, 1000), 6);
+  // ... else the nearer end: the grid keeps O(n) buckets however small
+  // the cell, and a side beyond INT_MAX no longer reaches the int cast.
+  EXPECT_EQ(BucketGrid::side_for(1.0, 5.0, 1000), 1);
+  EXPECT_EQ(BucketGrid::side_for(1.0, 0.1, 0), 1);
+  EXPECT_EQ(BucketGrid::side_for(1.0, 0.01, 1000), 32);
+  EXPECT_EQ(BucketGrid::side_for(1.0, 1e-300, 100), 10);
+  EXPECT_EQ(BucketGrid::side_for(1.0, 1e-300, 101), 11);
+}
+
 TEST(BucketGrid, RejectsOutOfRegionPoints) {
   const std::vector<Vec2> points{{2.0, 2.0}};
   EXPECT_THROW(BucketGrid(points, Rect::unit_square(), 0.1), ArgumentError);

@@ -248,11 +248,12 @@ TEST(GeometricGraph, Validation) {
   EXPECT_THROW(GeometricGraph::sample(1, 2.0, rng), ArgumentError);
 }
 
-// ----------------------------------------- two-pass build / lazy mirror ----
+// ---------------------------------------- one-scan build / lazy mirror ----
 
 /// Full structural equality of two graphs built from the same points:
 /// CSR offsets + per-node neighbour lists, then (after forcing both
-/// mirrors) the routing-ordered ids and radii, byte for byte.
+/// mirrors) the routing-ordered ids and annuli and the bound table, byte
+/// for byte.
 void expect_identical_graphs(const GeometricGraph& a,
                              const GeometricGraph& b) {
   ASSERT_EQ(a.node_count(), b.node_count());
@@ -263,6 +264,10 @@ void expect_identical_graphs(const GeometricGraph& a,
                          offsets_b.begin(), offsets_b.end()));
   a.ensure_routing_mirror();
   b.ensure_routing_mirror();
+  const auto bounds_a = a.routing_bounds();
+  const auto bounds_b = b.routing_bounds();
+  ASSERT_TRUE(std::equal(bounds_a.begin(), bounds_a.end(), bounds_b.begin(),
+                         bounds_b.end()));
   for (NodeId v = 0; v < a.node_count(); ++v) {
     const auto na = a.neighbors(v);
     const auto nb = b.neighbors(v);
@@ -272,15 +277,15 @@ void expect_identical_graphs(const GeometricGraph& a,
     const auto ib = b.routing_ids(v);
     ASSERT_TRUE(std::equal(ia.begin(), ia.end(), ib.begin(), ib.end()))
         << "routing ids of node " << v;
-    const auto ra = a.routing_radii(v);
-    const auto rb = b.routing_radii(v);
-    ASSERT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
-        << "routing radii of node " << v;
+    const auto aa = a.routing_annuli(v);
+    const auto ab = b.routing_annuli(v);
+    ASSERT_TRUE(std::equal(aa.begin(), aa.end(), ab.begin(), ab.end()))
+        << "routing annuli of node " << v;
   }
 }
 
 TEST(GeometricGraph, ParallelBuildBitIdenticalToSerialAcrossSeeds) {
-  // The acceptance property of the two-pass build: any thread count
+  // The acceptance property of the CSR build: any thread count
   // produces byte-identical CSR and routing-mirror arrays.  1 vs 4
   // threads (and an uneven 3) across several seeds and a non-trivial n.
   const ThreadPool pool4(4);
@@ -301,9 +306,12 @@ TEST(GeometricGraph, ParallelBuildBitIdenticalToSerialAcrossSeeds) {
 
 TEST(GeometricGraph, ParallelBuildMatchesSerialOnArbitraryPointSets) {
   // Raw constructor (no spatial renumbering, so the grid's visit order is
-  // NOT presorted and pass 2 exercises its per-row sort), clustered and
-  // coincident points included.  The serial build is also checked against
-  // the distance definition, so the fill is not only compared with itself.
+  // NOT presorted and the build exercises its per-row sort), clustered and
+  // coincident points included.  The cluster's rows outgrow the target
+  // buffer each build range reserves at the expected interior degree, in
+  // the serial range and in the pooled ranges that hold it.  The serial
+  // build is also checked against the distance definition, so the fill is
+  // not only compared with itself.
   Rng rng(91);
   auto points = geometry::sample_unit_square(500, rng);
   for (std::size_t i = 0; i < 60; ++i) {  // a dense cluster
@@ -321,8 +329,9 @@ TEST(GeometricGraph, ParallelBuildMatchesSerialOnArbitraryPointSets) {
 /// Checks the routing mirror against its definition (routing_ids()): the
 /// kRoutingAnnuli annuli have outer edges r * (K - a) / K for a = 0..K-1,
 /// an arc belongs to the innermost annulus whose edge it does not exceed,
-/// and carries that edge rounded up to float.  The definition is evaluated
-/// here by a linear scan, independently of the fill's search.
+/// and the bound table gives each annulus that edge rounded up to float.
+/// The definition is evaluated here by a linear scan, independently of the
+/// fill's search.
 void expect_mirror_matches_definition(const GeometricGraph& g) {
   constexpr int kAnnuli = GeometricGraph::kRoutingAnnuli;
   double edge_sq[kAnnuli];
@@ -335,13 +344,17 @@ void expect_mirror_matches_definition(const GeometricGraph& g) {
       bound[a] = std::nextafter(bound[a], std::numeric_limits<float>::max());
     }
   }
+  const auto bounds = g.routing_bounds();
+  for (int a = 0; a < kAnnuli; ++a) {
+    EXPECT_EQ(bounds[static_cast<std::size_t>(a)], bound[a]) << "annulus " << a;
+  }
   const auto positions = g.positions();
   for (NodeId v = 0; v < g.node_count(); ++v) {
     const auto csr = g.neighbors(v);
     const auto ids = g.routing_ids(v);
-    const auto radii = g.routing_radii(v);
+    const auto annuli = g.routing_annuli(v);
     ASSERT_EQ(ids.size(), csr.size()) << "node " << v;
-    ASSERT_EQ(radii.size(), csr.size()) << "node " << v;
+    ASSERT_EQ(annuli.size(), csr.size()) << "node " << v;
 
     // The CSR row regrouped farthest annulus first, CSR order kept inside
     // each annulus: a permutation of the row.
@@ -362,15 +375,18 @@ void expect_mirror_matches_definition(const GeometricGraph& g) {
     for (std::size_t k = 0; k < ids.size(); ++k) {
       const auto [annulus, id] = expected[k];
       ASSERT_EQ(ids[k], id) << "node " << v << " entry " << k;
+      // The arc sits in the innermost annulus whose edge it does not
+      // exceed ...
+      ASSERT_EQ(static_cast<int>(annuli[k]), annulus)
+          << "node " << v << " entry " << k;
       const double d_sq = geometry::distance_sq(positions[v], positions[id]);
-      const double b = radii[k];
-      // The bound covers the arc (b * b is exact in double) ...
+      const double b = bounds[annuli[k]];
+      // ... whose bound covers the arc (b * b is exact in double) ...
       EXPECT_GE(b * b, d_sq) << "node " << v << " entry " << k;
-      // ... is that of the innermost annulus holding the arc ...
-      EXPECT_EQ(radii[k], bound[annulus]) << "node " << v << " entry " << k;
-      // ... and never increases along the row.
+      // ... and the bounds never increase along the row.
       if (k > 0) {
-        EXPECT_LE(radii[k], radii[k - 1]) << "node " << v << " entry " << k;
+        EXPECT_LE(bounds[annuli[k]], bounds[annuli[k - 1]])
+            << "node " << v << " entry " << k;
       }
     }
   }
@@ -440,6 +456,33 @@ TEST(GeometricGraph, NonRoutingUseNeverBuildsTheMirror) {
   (void)g.nearest_node({0.25, 0.75});
   (void)g.summary();
   EXPECT_FALSE(g.routing_mirror_built());
+}
+
+TEST(GeometricGraph, TinyRadiusKeepsTheGridSmall) {
+  // At r = 1e-12 the grid side floor(1 / r) overflowed its int cast, and
+  // so did the hop budget's ceil(diagonal / r); the side is now clamped to
+  // ceil(sqrt(n)) and the budget to UINT32_MAX.  Every point is isolated,
+  // so a route dead-ends where it starts.
+  Rng rng(35);
+  const auto points = geometry::sample_unit_square(100, rng);
+  const GeometricGraph g(points, 1e-12);
+  EXPECT_EQ(g.index().side(), 10);
+  EXPECT_EQ(g.adjacency().edge_count(), 0u);
+  EXPECT_EQ(routing::default_hop_budget(g), UINT32_MAX);
+  const auto route = routing::route_to_node(g, 3, 97);
+  EXPECT_EQ(route.status, routing::RouteStatus::kDeadEnd);
+  EXPECT_EQ(route.hops, 0u);
+  EXPECT_EQ(route.final_node, 3u);
+
+  // sample() renumbers by the same side rule.
+  const auto sampled = GeometricGraph::sample(100, 1e-11, rng);
+  EXPECT_EQ(sampled.index().side(), 10);
+  EXPECT_EQ(sampled.adjacency().edge_count(), 0u);
+
+  // At r = 1e-4 the unclamped grid held 10^8 buckets for 100 points.
+  const GeometricGraph small(points, 1e-4);
+  EXPECT_LE(small.index().side(), 10);
+  expect_edges_match_brute_force(small);
 }
 
 TEST(GeometricGraph, SubThresholdRadiusDisconnects) {
