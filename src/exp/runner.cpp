@@ -468,7 +468,8 @@ std::vector<std::string> param_key_union(const SweepSummary& summary) {
 }
 
 unsigned checked_threads(std::int64_t threads) {
-  GG_CHECK_ARG(threads >= 0, "--threads must be >= 0");
+  GG_CHECK_ARG(threads >= 0 && threads <= 0xFFFFFFFFll,
+               "--threads must be in [0, 2^32)");
   return static_cast<unsigned>(threads);
 }
 

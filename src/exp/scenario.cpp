@@ -170,11 +170,12 @@ Scenario e5_scaling_xl() {
       "memory hints (pair with --mem-budget to bound concurrent builds)";
   scenario.replicates = 2;
   scenario.master_seed = 1;
-  // The two order-optimal routed protocols — the ones whose scaling
-  // exponents the paper's headline claims are about, and the ones that
-  // exercise the lazy routing mirror at scale.  Expect minutes per
-  // replicate at 2^17 and hours at 2^20; this preset is nightly/real-
-  // hardware scale, not CI scale.
+  // The two routed baselines the paper's headline claim is measured
+  // against: Dimakis geographic gossip, whose cost is O~(n^1.5), and path
+  // averaging, which its paper calls order-optimal.  Both exercise the
+  // lazy routing mirror at scale.  Expect minutes per replicate at 2^17
+  // and hours at 2^20; this preset is nightly/real-hardware scale, not CI
+  // scale.
   for (const auto kind : {core::ProtocolKind::kDimakisGeographic,
                           core::ProtocolKind::kPathAveraging}) {
     for (const std::size_t n :

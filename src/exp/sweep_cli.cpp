@@ -127,17 +127,15 @@ bool parse_heartbeat_spec(const std::string& spec, std::string* path,
   if (comma != std::string::npos) {
     try {
       const double secs = parse_double(spec.substr(comma + 1));
-      if (secs > 0.0) {
-        *path = spec.substr(0, comma);
-        *interval_seconds = secs;
-      }
-      // Non-positive interval: treat the whole spec as a path — but a
-      // parsed-yet-bogus interval is more likely a typo, reject it.
-      if (secs <= 0.0) {
+      // A parsed-yet-bogus interval is more likely a typo than part of
+      // the path: reject it.
+      if (!(secs > 0.0 && secs <= obs::Heartbeat::kMaxIntervalSeconds)) {
         std::cerr << "--heartbeat=" << spec
-                  << ": interval must be positive seconds\n";
+                  << ": interval must be positive seconds, at most 1e9\n";
         return false;
       }
+      *path = spec.substr(0, comma);
+      *interval_seconds = secs;
     } catch (const ArgumentError&) {
       // No numeric suffix: the comma belongs to the path.
     }
@@ -327,8 +325,8 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
     std::cerr << error.what() << "\n";
     return 1;
   }
-  if (replicates_flag_ < 0) {
-    std::cerr << "--replicates must be >= 0\n";
+  if (replicates_flag_ < 0 || replicates_flag_ > 0xFFFFFFFFll) {
+    std::cerr << "--replicates must be in [0, 2^32)\n";
     return 1;
   }
   if (!heartbeat_spec_.empty() &&

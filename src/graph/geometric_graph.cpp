@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -17,12 +15,10 @@
 namespace geogossip::graph {
 
 GeometricGraph::GeometricGraph(std::vector<geometry::Vec2> points, double r,
-                               const geometry::Rect& region,
-                               const BuildOptions& options)
+                               const geometry::Rect& region)
     : points_(std::move(points)),
       r_(r),
       region_(region),
-      pool_(options.pool),
       mirror_(std::make_unique<RoutingMirror>()) {
   GG_CHECK_ARG(!points_.empty(), "GeometricGraph: no points");
   GG_CHECK_ARG(r > 0.0, "GeometricGraph: radius must be positive");
@@ -31,70 +27,43 @@ GeometricGraph::GeometricGraph(std::vector<geometry::Vec2> points, double r,
                  static_cast<std::int64_t>(points_.size()));
   index_ = std::make_unique<geometry::BucketGrid>(points_, region_, r_);
 
-  // CSR build straight from the bucket grid, one scan per node.  No
-  // edge-list intermediate and no global sort: each node's row is a pure
-  // function of the (fixed) point set, so the node ranges parallelize
-  // freely and the output is bit-identical at any thread count.
+  // CSR build straight from the bucket grid, one scan per node: each row
+  // is appended to one target array, and the running row ends become the
+  // offsets.  No edge-list intermediate and no global sort.  The targets
+  // are reserved at the expected interior degree of n points uniform on
+  // the region (boundary nodes see less; a clustered set that outgrows it
+  // pays a reallocation).
   const std::size_t n = points_.size();
   const geometry::BucketGrid& grid = *index_;
-  // Each range appends its nodes' rows to a target buffer of its own,
-  // reserved at the expected interior degree of n points uniform on the
-  // region (boundary nodes see less; a clustered range that outgrows it
-  // pays one reallocation), and writes their degrees into the (future)
-  // offset array.
   const double expected_degree =
       std::min(expected_interior_degree(n, r_) / region_.area(),
                static_cast<double>(n - 1));
-  std::map<std::size_t, std::vector<NodeId>> range_targets;  // by begin
-  std::mutex range_targets_mu;
   std::vector<std::uint64_t> offsets(n + 1, 0);
-  parallel_ranges(pool_, n, [&](std::size_t begin, std::size_t end) {
-    std::vector<NodeId> targets;
-    targets.reserve(static_cast<std::size_t>(
-        expected_degree * static_cast<double>(end - begin)));
-    std::vector<std::uint32_t> row;  // the grid's scan buffer, reused
-    for (std::size_t i = begin; i < end; ++i) {
-      // The scan reports node i itself too; every other in-range index is
-      // a neighbour (coincident points included).  The grid visits
-      // candidates in bucket row-major order, which for spatially
-      // renumbered samples is already ascending id order — the per-row
-      // sort then degenerates to the is_sorted check; arbitrary point sets
-      // pay an O(deg log deg) sort.
-      const std::size_t found = grid.fill_within(points_[i], r_, row);
-      const auto last = row.begin() + static_cast<std::ptrdiff_t>(found);
-      const auto self =
-          std::find(row.begin(), last, static_cast<std::uint32_t>(i));
-      GG_CHECK(self != last, "a node's scan misses itself");
-      const std::size_t row_start = targets.size();
-      targets.insert(targets.end(), row.begin(), self);
-      targets.insert(targets.end(), self + 1, last);
-      const auto row_begin =
-          targets.begin() + static_cast<std::ptrdiff_t>(row_start);
-      if (!std::is_sorted(row_begin, targets.end())) {
-        std::sort(row_begin, targets.end());
-      }
-      offsets[i + 1] = found - 1;
-    }
-    const std::lock_guard<std::mutex> lock(range_targets_mu);
-    range_targets.emplace(begin, std::move(targets));
-  });
-  // Exclusive prefix-sum: offsets[v] becomes the start of node v's row.
-  for (std::size_t v = 1; v <= n; ++v) offsets[v] += offsets[v - 1];
-  // A lone range's buffer is the target array; several are joined in
-  // range order, whatever order the workers finished them in.
   std::vector<NodeId> targets;
-  if (range_targets.size() == 1) {
-    targets = std::move(range_targets.begin()->second);
-  } else {
-    targets.reserve(offsets.back());
-    for (auto& [begin, part] : range_targets) {
-      targets.insert(targets.end(), part.begin(), part.end());
-      part = {};
+  targets.reserve(
+      static_cast<std::size_t>(expected_degree * static_cast<double>(n)));
+  std::vector<std::uint32_t> row;  // the grid's scan buffer, reused
+  for (std::size_t i = 0; i < n; ++i) {
+    // The scan reports node i itself too; every other in-range index is a
+    // neighbour (coincident points included).  The grid visits candidates
+    // in bucket row-major order, which for spatially renumbered samples is
+    // already ascending id order — the per-row sort then degenerates to
+    // the is_sorted check; arbitrary point sets pay an O(deg log deg) sort.
+    const std::size_t found = grid.fill_within(points_[i], r_, row);
+    const auto last = row.begin() + static_cast<std::ptrdiff_t>(found);
+    const auto self =
+        std::find(row.begin(), last, static_cast<std::uint32_t>(i));
+    GG_CHECK(self != last, "a node's scan misses itself");
+    targets.insert(targets.end(), row.begin(), self);
+    targets.insert(targets.end(), self + 1, last);
+    const auto row_begin =
+        targets.begin() + static_cast<std::ptrdiff_t>(offsets[i]);
+    if (!std::is_sorted(row_begin, targets.end())) {
+      std::sort(row_begin, targets.end());
     }
+    offsets[i + 1] = targets.size();
   }
   csr_ = CsrGraph::from_parts(std::move(offsets), std::move(targets));
-
-  if (options.eager_routing_mirror) ensure_routing_mirror();
 }
 
 void GeometricGraph::ensure_routing_mirror() const {
@@ -111,8 +80,7 @@ void GeometricGraph::build_routing_mirror() const {
   // scan's triangle-inequality pruning only needs a non-increasing upper
   // bound per entry, so annulus granularity keeps it exact while the
   // grouping is an O(degree) counting sort instead of a comparison sort.
-  // Row v of the mirror occupies the same slice as row v of the CSR, so
-  // every node is independent and the fill parallelizes over the pool.
+  // Row v of the mirror occupies the same slice as row v of the CSR.
   constexpr int kAnnuli = kRoutingAnnuli;
   static_assert((kAnnuli & (kAnnuli - 1)) == 0,
                 "the annulus search halves a power-of-two range");
@@ -138,51 +106,48 @@ void GeometricGraph::build_routing_mirror() const {
   mirror_->ids = std::make_unique_for_overwrite<NodeId[]>(offsets.back());
   mirror_->annuli =
       std::make_unique_for_overwrite<std::uint8_t[]>(offsets.back());
-  parallel_ranges(pool_, points_.size(), [&](std::size_t begin,
-                                             std::size_t end) {
-    std::vector<std::uint8_t> annulus_of;  // per-range scratch, reused
-    for (std::size_t v = begin; v < end; ++v) {
-      const auto neighbors = csr_.neighbors_unchecked(static_cast<NodeId>(v));
-      const std::uint64_t base = offsets[v];
-      annulus_of.resize(neighbors.size());
-      std::uint32_t cursor[kAnnuli] = {};
-      for (std::size_t k = 0; k < neighbors.size(); ++k) {
-        const double d_sq =
-            geometry::distance_sq(points_[v], points_[neighbors[k]]);
-        // Largest annulus index a with d_sq <= edge_sq[a], else 0.  The
-        // edges shrink with a, so the test holds for a prefix of indices,
-        // and log2(kAnnuli) halving steps find its end.  Each step adds
-        // the step times the 0/1 outcome, which compiles without a branch:
-        // the outcome depends on the neighbour's distance, and a branch on
-        // it mispredicts about half the time, which cost as much as the
-        // rest of the fill.
-        int a = 0;
-        for (int step = kAnnuli / 2; step > 0; step /= 2) {
-          a += step * static_cast<int>(d_sq <= edge_sq[a + step]);
-        }
-        annulus_of[k] = static_cast<std::uint8_t>(a);
-        ++cursor[a];
+  std::vector<std::uint8_t> annulus_of;  // per-node scratch, reused
+  for (std::size_t v = 0; v < points_.size(); ++v) {
+    const auto neighbors = csr_.neighbors_unchecked(static_cast<NodeId>(v));
+    const std::uint64_t base = offsets[v];
+    annulus_of.resize(neighbors.size());
+    std::uint32_t cursor[kAnnuli] = {};
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
+      const double d_sq =
+          geometry::distance_sq(points_[v], points_[neighbors[k]]);
+      // Largest annulus index a with d_sq <= edge_sq[a], else 0.  The
+      // edges shrink with a, so the test holds for a prefix of indices,
+      // and log2(kAnnuli) halving steps find its end.  Each step adds
+      // the step times the 0/1 outcome, which compiles without a branch:
+      // the outcome depends on the neighbour's distance, and a branch on
+      // it mispredicts about half the time, which cost as much as the
+      // rest of the fill.
+      int a = 0;
+      for (int step = kAnnuli / 2; step > 0; step /= 2) {
+        a += step * static_cast<int>(d_sq <= edge_sq[a + step]);
       }
-      // Prefix-sum the per-annulus counts into slice cursors, then place.
-      std::uint32_t start = 0;
-      for (int a = 0; a < kAnnuli; ++a) {
-        const std::uint32_t count = cursor[a];
-        cursor[a] = start;
-        start += count;
-      }
-      for (std::size_t k = 0; k < neighbors.size(); ++k) {
-        const std::uint8_t a = annulus_of[k];
-        const std::size_t slot = base + cursor[a]++;
-        mirror_->ids[slot] = neighbors[k];
-        mirror_->annuli[slot] = a;
-      }
+      annulus_of[k] = static_cast<std::uint8_t>(a);
+      ++cursor[a];
     }
-  });
+    // Prefix-sum the per-annulus counts into slice cursors, then place.
+    std::uint32_t start = 0;
+    for (int a = 0; a < kAnnuli; ++a) {
+      const std::uint32_t count = cursor[a];
+      cursor[a] = start;
+      start += count;
+    }
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
+      const std::uint8_t a = annulus_of[k];
+      const std::size_t slot = base + cursor[a]++;
+      mirror_->ids[slot] = neighbors[k];
+      mirror_->annuli[slot] = a;
+    }
+  }
   mirror_->built.store(true, std::memory_order_release);
 }
 
 GeometricGraph GeometricGraph::sample(std::size_t n, double radius_multiplier,
-                                      Rng& rng, const BuildOptions& options) {
+                                      Rng& rng) {
   GG_CHECK_ARG(n >= 2, "GeometricGraph::sample: n >= 2");
   CsrGraph::check_node_count(n);
   auto points = geometry::sample_unit_square(n, rng);
@@ -217,8 +182,7 @@ GeometricGraph GeometricGraph::sample(std::size_t n, double radius_multiplier,
   for (std::size_t i = 0; i < n; ++i) {
     sorted[i] = points[keys[i] & 0xffffffffull];
   }
-  return GeometricGraph(std::move(sorted), r, geometry::Rect::unit_square(),
-                        options);
+  return GeometricGraph(std::move(sorted), r);
 }
 
 geometry::Vec2 GeometricGraph::position(NodeId node) const {

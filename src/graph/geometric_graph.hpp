@@ -4,22 +4,17 @@
 // the CSR adjacency, plus the bucket-grid index reused by routing and by the
 // protocols for nearest-node queries.
 //
-// Construction scans the bucket grid once per node: each node range appends
-// its nodes' (sorted) rows to a buffer of its own and records their degrees,
-// an exclusive prefix-sum lays out the offsets, and the buffers are joined
-// in range order (a lone range's buffer becomes the target array as is).
-// No edge-list intermediate, no global sort — and the ranges split across a
-// work-stealing ThreadPool when BuildOptions supplies one, with output
-// bit-identical to the serial path at any thread count (each node's row is
-// a pure function of the point set).
+// Construction scans the bucket grid once per node and appends the node's
+// (sorted) row to one target array, writing the running row ends as the
+// offsets.  No edge-list intermediate and no global sort: each node's row
+// is a pure function of the point set.
 //
 // The routing-ordered adjacency mirror that greedy routing scans is LAZY:
-// it is built (in parallel, when a pool is attached) on the first
-// ensure_routing_mirror() call — which the greedy routers issue on entry —
-// so workloads that never route (spectral probes, connectivity sweeps,
-// nearest-neighbour gossip) never pay its build time or its 5 bytes/arc
-// (a node id and a one-byte annulus index).  BuildOptions::
-// eager_routing_mirror front-loads it instead; only the tests set it.
+// it is built on the first ensure_routing_mirror() call, which the greedy
+// routers issue on entry (route lanes may issue it from helper threads,
+// hence the call_once), so workloads that never route (spectral probes,
+// connectivity sweeps, nearest-neighbour gossip) never pay its build time
+// or its 5 bytes/arc (a node id and a one-byte annulus index).
 #ifndef GEOGOSSIP_GRAPH_GEOMETRIC_GRAPH_HPP
 #define GEOGOSSIP_GRAPH_GEOMETRIC_GRAPH_HPP
 
@@ -37,23 +32,8 @@
 #include "geometry/vec2.hpp"
 #include "graph/csr.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace geogossip::graph {
-
-/// Construction knobs.  The defaults reproduce the historical behaviour
-/// for non-routing workloads: serial build, no routing mirror until a
-/// route asks for one.
-struct BuildOptions {
-  /// Pool the CSR build (and any later routing-mirror build) fans node
-  /// ranges across; nullptr builds serially.  The pool is only
-  /// borrowed — it must outlive the graph if the routing mirror may be
-  /// built lazily after construction.
-  const ThreadPool* pool = nullptr;
-  /// Build the routing-ordered adjacency mirror during construction
-  /// instead of on first use.
-  bool eager_routing_mirror = false;
-};
 
 class GeometricGraph {
  public:
@@ -61,13 +41,12 @@ class GeometricGraph {
   /// Points must lie in the closed `region`; n must stay below the 32-bit
   /// NodeId ceiling (2^32).
   GeometricGraph(std::vector<geometry::Vec2> points, double r,
-                 const geometry::Rect& region = geometry::Rect::unit_square(),
-                 const BuildOptions& options = {});
+                 const geometry::Rect& region = geometry::Rect::unit_square());
 
   /// Samples n i.i.d. uniform points on the unit square and connects at the
   /// paper's radius multiplier * sqrt(log n / n).
   static GeometricGraph sample(std::size_t n, double radius_multiplier,
-                               Rng& rng, const BuildOptions& options = {});
+                               Rng& rng);
 
   std::size_t node_count() const noexcept { return points_.size(); }
   double radius() const noexcept { return r_; }
@@ -96,10 +75,9 @@ class GeometricGraph {
 
   /// Builds the routing-ordered mirror if it does not exist yet.  Safe to
   /// call concurrently (std::call_once); the greedy routers call it once
-  /// per route entry, so plain library users never need to.  Uses the
-  /// construction-time pool when one was attached.
+  /// per route entry, so plain library users never need to.
   void ensure_routing_mirror() const;
-  /// Whether the mirror has been materialized (eagerly or lazily).
+  /// Whether the mirror has been materialized.
   bool routing_mirror_built() const noexcept {
     return mirror_->built.load(std::memory_order_acquire);
   }
@@ -180,8 +158,6 @@ class GeometricGraph {
   geometry::Rect region_;
   std::unique_ptr<geometry::BucketGrid> index_;
   CsrGraph csr_;
-  /// Borrowed build pool (see BuildOptions::pool); nullptr = serial.
-  const ThreadPool* pool_ = nullptr;
   std::unique_ptr<RoutingMirror> mirror_;
 };
 

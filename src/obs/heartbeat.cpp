@@ -25,8 +25,9 @@ std::int64_t unix_millis_now() {
 Heartbeat::Heartbeat(Options options)
     : options_(std::move(options)), total_(options_.total_replicates) {
   GG_CHECK_ARG(!options_.path.empty(), "Heartbeat: path must not be empty");
-  GG_CHECK_ARG(options_.interval_seconds > 0.0,
-               "Heartbeat: interval_seconds must be positive");
+  GG_CHECK_ARG(options_.interval_seconds > 0.0 &&
+                   options_.interval_seconds <= kMaxIntervalSeconds,
+               "Heartbeat: interval_seconds must be positive, at most 1e9");
   // A crashed predecessor can leave its half-written temp behind; the
   // temp name is derived from our (unique-per-writer) path, so the
   // debris is ours to sweep.

@@ -50,10 +50,15 @@ class Heartbeat {
     std::string worker;
   };
 
+  /// Longest interval accepted (about 31 years), so the timer's wait in
+  /// nanoseconds fits an int64.
+  static constexpr double kMaxIntervalSeconds = 1e9;
+
   /// Sweeps stale temp siblings of `path` left by a crashed predecessor,
   /// writes the first beat immediately (a scheduler learns the writer is
   /// alive without waiting a full interval), then starts the timer thread.
-  /// Throws ArgumentError on an empty path or a non-positive interval.
+  /// Throws ArgumentError on an empty path or an interval outside
+  /// (0, kMaxIntervalSeconds].
   explicit Heartbeat(Options options);
   /// stop()s if the caller has not.
   ~Heartbeat();

@@ -1,7 +1,7 @@
 // Work-stealing thread pool for fanning independent batches of work out
-// across std::thread workers.  Lives in support/ (not exp/) because both
-// the experiment runner AND the graph-construction layer parallelize over
-// it.
+// across std::thread workers.  The experiment runner is its library
+// caller; it stays in support/ because perfbench's drivers include it by
+// this path.
 //
 // The pool is batch-oriented: run() seeds every task index into per-worker
 // deques round-robin, workers pop from the back of their own deque and steal
@@ -122,36 +122,6 @@ class ThreadPool {
  private:
   unsigned threads_;
 };
-
-/// Splits [0, count) into contiguous chunks and runs body(begin, end) for
-/// each, on `pool` when one is supplied (nullptr or a single-thread pool
-/// runs body(0, count) inline — the serial fallback).  Chunks are sized at
-/// ~8 per worker so stealing can rebalance uneven ranges without paying a
-/// task dispatch per index.  Each chunk touches a disjoint index range, so
-/// as long as `body` writes only to slots derived from its own indices the
-/// result is bit-identical at any worker or chunk count.
-template <typename Body>
-void parallel_ranges(const ThreadPool* pool, std::size_t count,
-                     const Body& body) {
-  if (count == 0) return;
-  const unsigned workers =
-      pool == nullptr
-          ? 1u
-          : static_cast<unsigned>(
-                std::min<std::size_t>(pool->thread_count(), count));
-  if (workers <= 1) {
-    body(std::size_t{0}, count);
-    return;
-  }
-  const std::size_t chunks =
-      std::min<std::size_t>(count, std::size_t{workers} * 8);
-  const std::size_t step = (count + chunks - 1) / chunks;
-  pool->run(chunks, [&](std::size_t chunk) {
-    const std::size_t begin = chunk * step;
-    const std::size_t end = std::min(count, begin + step);
-    if (begin < end) body(begin, end);
-  });
-}
 
 }  // namespace geogossip
 

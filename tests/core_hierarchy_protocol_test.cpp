@@ -12,22 +12,12 @@
 #include "sim/field.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "test_support.hpp"
 
 namespace geogossip::core {
 namespace {
 
 using graph::GeometricGraph;
-
-GeometricGraph make_graph(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  return GeometricGraph::sample(n, 2.0, rng);
-}
-
-std::vector<double> make_field(const GeometricGraph& g, Rng& rng) {
-  auto x0 = sim::gaussian_field(g.node_count(), rng);
-  sim::center_and_normalize(x0);
-  return x0;
-}
 
 TEST(AsyncProtocol, ConvergesOnSmallDeployment) {
   const auto g = make_graph(512, 700);

@@ -4,8 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <filesystem>
 
 #include "core/convergence.hpp"
 #include "core/decentralized.hpp"
@@ -22,6 +21,7 @@
 #include "support/check.hpp"
 #include "support/csv.hpp"
 #include "support/rng.hpp"
+#include "test_support.hpp"
 
 namespace geogossip {
 namespace {
@@ -82,16 +82,15 @@ TEST(EdgeCases, SweepPointHandlesTotalNonConvergence) {
 // ------------------------------------------------------- file-backed CSV ----
 
 TEST(EdgeCases, CsvWriterRoundTripsThroughAFile) {
-  const std::string path = "/tmp/geogossip_csv_test.csv";
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "geogossip_csv_test.csv")
+          .string();
   {
     CsvWriter csv(path);
     csv.header({"a", "b"});
     csv.field(std::int64_t{1}).field("x,y").end_row();
   }
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), "a,b\n1,\"x,y\"\n");
+  EXPECT_EQ(slurp(path), "a,b\n1,\"x,y\"\n");
   std::remove(path.c_str());
   EXPECT_THROW(CsvWriter("/nonexistent-dir/nope.csv"), ArgumentError);
 }

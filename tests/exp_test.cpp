@@ -23,6 +23,7 @@
 #include "exp/sweep_cli.hpp"
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
+#include "test_support.hpp"
 
 namespace geogossip::exp {
 namespace {
@@ -925,9 +926,7 @@ int run_cli(const Scenario& scenario, std::vector<std::string> args,
 /// fresh temp directory and returns their paths.
 std::vector<std::string> shard_files(const Scenario& scenario,
                                      const std::string& leaf) {
-  const auto dir =
-      std::filesystem::path(::testing::TempDir()) / ("ggmerge_" + leaf);
-  std::filesystem::remove_all(dir);
+  const std::filesystem::path dir = fresh_temp_dir("ggmerge_" + leaf);
   std::filesystem::create_directories(dir);
   std::vector<std::string> files;
   for (std::uint32_t shard = 0; shard < 2; ++shard) {
@@ -936,13 +935,6 @@ std::vector<std::string> shard_files(const Scenario& scenario,
         << run_streaming(scenario, 1, shard, 2).second;
   }
   return files;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 TEST(MergeOnly, CanonicalFileEqualsTheIndexOrderRecordsOfAnUninterruptedRun) {
@@ -957,7 +949,7 @@ TEST(MergeOnly, CanonicalFileEqualsTheIndexOrderRecordsOfAnUninterruptedRun) {
             0);
   // One thread runs the tasks in index order, so its stream is canonical.
   const auto [clean, records] = run_streaming(scenario, 1);
-  EXPECT_EQ(read_file(shards[0] + ".merged"), records);
+  EXPECT_EQ(slurp(shards[0] + ".merged"), records);
   EXPECT_EQ(merged_csv, to_csv(clean));
 }
 
@@ -987,21 +979,30 @@ TEST(MergeOnly, RewritingOneOfTheResumeFilesKeepsEveryRecord) {
                                "--resume=" + shards[0] + "," + shards[1],
                                "--json-replicates=" + shards[0]}),
             0);
-  EXPECT_EQ(read_file(shards[0]), run_streaming(scenario, 1).second);
+  EXPECT_EQ(slurp(shards[0]), run_streaming(scenario, 1).second);
 }
 
 TEST(SweepCliFlags, NonFiniteOrOverflowingNumbersExitOne) {
-  // NaN passes every `< 0` check, and an overflowing budget or TTL would
-  // make the flag's integer conversion undefined.
+  // NaN passes every `< 0` check, and an overflowing budget, TTL or
+  // heartbeat interval would make the flag's integer conversion
+  // undefined.  A thread or replicate count of 2^32 or more would wrap
+  // when narrowed to 32 bits (2^32 threads to 0, hardware concurrency).
+  // The heartbeat's directory exists, so only its interval can fail.
   const auto dir =
       (std::filesystem::path(::testing::TempDir()) / "ggflags").string();
+  const auto heartbeat =
+      (std::filesystem::path(::testing::TempDir()) / "hb.jsonl").string();
   const std::vector<std::vector<std::string>> bad = {
       {"--mem-budget=nan"},
       {"--mem-budget=1e300"},
       {"--mem-budget=1e400"},
       {"--snapshot-dir=" + dir, "--snapshot-every=nans"},
       {"--fleet-dir=" + dir, "--fleet-ttl=inf"},
-      {"--fleet-dir=" + dir, "--fleet-ttl=1e300"}};
+      {"--fleet-dir=" + dir, "--fleet-ttl=1e300"},
+      {"--threads=4294967296"},
+      {"--threads=4294967297"},
+      {"--replicates=4294967297"},
+      {"--heartbeat=" + heartbeat + ",1e10"}};
   for (const auto& args : bad) {
     EXPECT_EQ(run_cli(tiny_scenario(1), args), 1) << args.back();
   }

@@ -17,16 +17,12 @@
 #include "stats/summary.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "test_support.hpp"
 
 namespace geogossip {
 namespace {
 
 using graph::GeometricGraph;
-
-GeometricGraph make_graph(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  return GeometricGraph::sample(n, 2.0, rng);
-}
 
 // ---------------------------------------------------------- SpanningTree ----
 

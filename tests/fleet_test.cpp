@@ -39,30 +39,12 @@
 #include "fleet/worker.hpp"
 #include "support/atomic_file.hpp"
 #include "support/check.hpp"
+#include "test_support.hpp"
 
 namespace geogossip {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string test_dir(const std::string& leaf) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("ggfleet_" + leaf);
-  fs::remove_all(dir);
-  return dir.string();
-}
-
-void spit(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << "failed writing " << path;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 void sleep_ms(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
@@ -192,7 +174,7 @@ void expect_fleet_clean(const std::string& fleet_dir, std::uint32_t batches) {
 
 /// A fleet of fleet_scenario() in two batches, as its planner leaves it.
 std::string planned_fleet(const std::string& leaf) {
-  const std::string dir = test_dir(leaf);
+  const std::string dir = fresh_temp_dir("ggfleet_" + leaf);
   fleet::ensure_plan(dir, fleet_scenario(), 2, fast_plan_options());
   return dir;
 }
@@ -262,13 +244,13 @@ TEST(LeaseFilename, OwnerValidationGuardsFilenameSegments) {
 // -------------------------------------------------------------- claims ----
 
 TEST(LeaseStore, RefusesADirectoryWithoutALayout) {
-  const std::string dir = test_dir("no_layout");
+  const std::string dir = fresh_temp_dir("ggfleet_no_layout");
   fs::create_directories(dir);
   EXPECT_THROW(fleet::LeaseStore store(dir), ArgumentError);
 }
 
 TEST(LeaseStore, ClaimRaceHasExactlyOneWinner) {
-  const std::string dir = test_dir("claim_race");
+  const std::string dir = fresh_temp_dir("ggfleet_claim_race");
   const exp::Scenario scenario = fleet_scenario();
   fleet::ensure_plan(dir, scenario, 1, fast_plan_options());
   fleet::LeaseStore store(dir);
@@ -294,7 +276,7 @@ TEST(LeaseStore, ClaimRaceHasExactlyOneWinner) {
 }
 
 TEST(LeaseStore, StealRefusesALiveLease) {
-  const std::string dir = test_dir("steal_live");
+  const std::string dir = fresh_temp_dir("ggfleet_steal_live");
   fleet::ensure_plan(dir, fleet_scenario(), 1, fast_plan_options());
   fleet::LeaseStore store(dir);
 
@@ -305,7 +287,7 @@ TEST(LeaseStore, StealRefusesALiveLease) {
 }
 
 TEST(LeaseStore, StealTakesAnExpiredLeaseAtTheNextGeneration) {
-  const std::string dir = test_dir("steal_expired");
+  const std::string dir = fresh_temp_dir("ggfleet_steal_expired");
   fleet::ensure_plan(dir, fleet_scenario(), 1, fast_plan_options());
   fleet::LeaseStore store(dir);
 
@@ -325,7 +307,7 @@ TEST(LeaseStore, StealTakesAnExpiredLeaseAtTheNextGeneration) {
 }
 
 TEST(LeaseStore, RenewalKeepsALeaseAliveWellPastItsTtl) {
-  const std::string dir = test_dir("renew_beats_ttl");
+  const std::string dir = fresh_temp_dir("ggfleet_renew_beats_ttl");
   fleet::ensure_plan(dir, fleet_scenario(), 1, fast_plan_options());
   fleet::LeaseStore store(dir);
 
@@ -343,7 +325,7 @@ TEST(LeaseStore, RenewalKeepsALeaseAliveWellPastItsTtl) {
 }
 
 TEST(LeaseStore, RenewDetectsSupersessionAndSelfCleans) {
-  const std::string dir = test_dir("renew_superseded");
+  const std::string dir = fresh_temp_dir("ggfleet_renew_superseded");
   fleet::ensure_plan(dir, fleet_scenario(), 1, fast_plan_options());
   fleet::LeaseStore store(dir);
 
@@ -363,7 +345,7 @@ TEST(LeaseStore, RenewDetectsSupersessionAndSelfCleans) {
 }
 
 TEST(LeaseStore, ReleaseMakesABatchInstantlyStealable) {
-  const std::string dir = test_dir("release");
+  const std::string dir = fresh_temp_dir("ggfleet_release");
   fleet::ensure_plan(dir, fleet_scenario(), 1, fast_plan_options());
   fleet::LeaseStore store(dir);
 
@@ -407,7 +389,7 @@ TEST(FleetPlan, BatchTaskCountsPartitionTheTaskStream) {
 }
 
 TEST(FleetPlan, EnsurePlanFoundsValidatesAndAdopts) {
-  const std::string dir = test_dir("plan_lifecycle");
+  const std::string dir = fresh_temp_dir("ggfleet_plan_lifecycle");
   const exp::Scenario scenario = fleet_scenario();
 
   const fleet::FleetPlan founded =
@@ -434,7 +416,7 @@ TEST(FleetPlan, EnsurePlanFoundsValidatesAndAdopts) {
 }
 
 TEST(FleetPlan, DeadPlannerClaimIsSweptAndTheElectionReruns) {
-  const std::string dir = test_dir("dead_planner");
+  const std::string dir = fresh_temp_dir("ggfleet_dead_planner");
   // Simulate a planner SIGKILLed after winning the election but before
   // committing plan.json: the claim directory exists, nothing else does.
   fs::create_directories(fleet::claim_dir(dir));
@@ -446,7 +428,7 @@ TEST(FleetPlan, DeadPlannerClaimIsSweptAndTheElectionReruns) {
 }
 
 TEST(FleetPlan, WaitingOutAForeignElectionTimesOutLoudly) {
-  const std::string dir = test_dir("election_timeout");
+  const std::string dir = fresh_temp_dir("ggfleet_election_timeout");
   fs::create_directories(fleet::claim_dir(dir));
 
   fleet::EnsurePlanOptions options;
@@ -461,7 +443,7 @@ TEST(FleetPlan, WaitingOutAForeignElectionTimesOutLoudly) {
 }
 
 TEST(FleetPlan, CorruptPlanStopsTheFleetInsteadOfRestartingIt) {
-  const std::string dir = test_dir("corrupt_plan");
+  const std::string dir = fresh_temp_dir("ggfleet_corrupt_plan");
   fleet::ensure_plan(dir, fleet_scenario(), 2, fast_plan_options());
   spit(fleet::plan_path(dir), "{\"record\":\"fleet_plan\",\"schema\":");
   EXPECT_THROW(fleet::try_load_plan(dir), ArgumentError);
@@ -488,7 +470,7 @@ TEST(FleetPlan, TenDigitBatchIdsNameNoBatch) {
 }
 
 TEST(FleetPlan, RequeueRestoresAClaimableTicket) {
-  const std::string dir = test_dir("requeue");
+  const std::string dir = fresh_temp_dir("ggfleet_requeue");
   fleet::ensure_plan(dir, fleet_scenario(), 2, fast_plan_options());
   fleet::LeaseStore store(dir);
   ASSERT_TRUE(store.try_claim(1, "w1", 30.0, "hb/w1.jsonl").has_value());
@@ -586,7 +568,7 @@ TEST(FleetStatus, StrandedAndOutOfPlanBatchesAreViolations) {
 }
 
 TEST(FleetStatus, AMissingOrForeignPlanIsAViolation) {
-  const std::string empty = test_dir("status_no_plan");
+  const std::string empty = fresh_temp_dir("ggfleet_status_no_plan");
   fs::create_directories(empty);
   const Board missing = board(empty);
   EXPECT_EQ(missing.problems, 1u) << missing.text;
@@ -617,7 +599,7 @@ TEST(FleetStatus, TheCliExitsOneOnAnyViolation) {
 // --------------------------------------------------------- solo worker ----
 
 TEST(FleetWorker, SoloWorkerCompletesTheFleetCleanly) {
-  const std::string dir = test_dir("solo");
+  const std::string dir = fresh_temp_dir("ggfleet_solo");
   const exp::Scenario scenario = fleet_scenario();
   const exp::SweepSummary reference = reference_summary(scenario);
 
@@ -661,7 +643,7 @@ TEST(FleetWorker, SoloWorkerCompletesTheFleetCleanly) {
 }
 
 TEST(FleetWorker, MaxBatchesStopsEarlyAndASecondWorkerFinishes) {
-  const std::string dir = test_dir("two_steps");
+  const std::string dir = fresh_temp_dir("ggfleet_two_steps");
   const exp::Scenario scenario = fleet_scenario();
   const exp::SweepSummary reference = reference_summary(scenario);
 
@@ -677,7 +659,7 @@ TEST(FleetWorker, MaxBatchesStopsEarlyAndASecondWorkerFinishes) {
 }
 
 TEST(FleetWorker, RefusesBadOptions) {
-  const std::string dir = test_dir("bad_options");
+  const std::string dir = fresh_temp_dir("ggfleet_bad_options");
   std::ostringstream out;
   fleet::WorkerOptions options = worker_options(dir, "bad name", 2);
   EXPECT_THROW(fleet::run_worker(fleet_scenario(), options, out),
@@ -703,13 +685,13 @@ TEST(FleetWorker, RecoversFromAKillAtEveryProtocolPhase) {
   constexpr std::uint32_t kBatches = 2;
 
   {  // Phase: killed after the election claim, before plan.json.
-    const std::string dir = test_dir("kill_mid_election");
+    const std::string dir = fresh_temp_dir("ggfleet_kill_mid_election");
     fs::create_directories(fleet::claim_dir(dir));
     complete_and_verify(dir, scenario, kBatches, reference, "rescue");
   }
 
   {  // Phase: killed after founding — plan + tickets, nothing claimed.
-    const std::string dir = test_dir("kill_after_plan");
+    const std::string dir = fresh_temp_dir("ggfleet_kill_after_plan");
     fleet::ensure_plan(dir, scenario, kBatches, fast_plan_options());
     complete_and_verify(dir, scenario, kBatches, reference, "rescue");
   }
@@ -717,7 +699,7 @@ TEST(FleetWorker, RecoversFromAKillAtEveryProtocolPhase) {
   {  // Phase: killed between the claim rename and the first renewal —
      // the lease file still holds ticket content (expires = 0), which
      // must read as instantly reclaimable.
-    const std::string dir = test_dir("kill_pre_renewal");
+    const std::string dir = fresh_temp_dir("ggfleet_kill_pre_renewal");
     fleet::ensure_plan(dir, scenario, kBatches, fast_plan_options());
     fs::rename(fleet::queue_ticket_path(dir, 0),
                fs::path(fleet::leases_dir(dir)) /
@@ -728,7 +710,7 @@ TEST(FleetWorker, RecoversFromAKillAtEveryProtocolPhase) {
   {  // Phase: killed mid-batch after renewing — a real lease whose TTL
      // then lapses, no records written yet — while committing its
      // heartbeat, whose temp file lingers.
-    const std::string dir = test_dir("kill_mid_batch");
+    const std::string dir = fresh_temp_dir("ggfleet_kill_mid_batch");
     fleet::ensure_plan(dir, scenario, kBatches, fast_plan_options());
     fleet::LeaseStore store(dir);
     ASSERT_TRUE(store.try_claim(0, "dead", 0.01, "hb/dead.jsonl").has_value());
@@ -741,7 +723,7 @@ TEST(FleetWorker, RecoversFromAKillAtEveryProtocolPhase) {
   {  // Phase: killed mid-batch with partial records and a torn final
      // line.  The new owner folds the finished record, seals the torn
      // debris, and runs only the remainder.
-    const std::string dir = test_dir("kill_torn_records");
+    const std::string dir = fresh_temp_dir("ggfleet_kill_torn_records");
     fleet::ensure_plan(dir, scenario, kBatches, fast_plan_options());
     fleet::LeaseStore store(dir);
     ASSERT_TRUE(store.try_claim(0, "dead", 0.01, "hb/dead.jsonl").has_value());
@@ -774,7 +756,7 @@ TEST(FleetWorker, RecoversFromAKillAtEveryProtocolPhase) {
 
   {  // Phase: killed between the done marker and the lease sweep — the
      // batch is complete but its lease file lingers.
-    const std::string dir = test_dir("kill_before_sweep");
+    const std::string dir = fresh_temp_dir("ggfleet_kill_before_sweep");
     std::ostringstream out;
     fleet::WorkerOptions first = worker_options(dir, "finisher", kBatches);
     first.max_batches = 1;
@@ -792,7 +774,7 @@ TEST(FleetWorker, RecoversFromAKillAtEveryProtocolPhase) {
 }
 
 TEST(FleetWorker, TornSnapshotFallsBackToRestartFromScratch) {
-  const std::string dir = test_dir("torn_snapshot");
+  const std::string dir = fresh_temp_dir("ggfleet_torn_snapshot");
   const exp::Scenario scenario = fleet_scenario();
   const exp::SweepSummary reference = reference_summary(scenario);
 
@@ -820,7 +802,7 @@ TEST(FleetWorker, TwoProcessFleetMergesIdenticallyToASingleProcessRun) {
 #if !defined(__unix__) && !defined(__APPLE__)
   GTEST_SKIP() << "fork()-based multi-process test is unix-only";
 #else
-  const std::string dir = test_dir("two_workers");
+  const std::string dir = fresh_temp_dir("ggfleet_two_workers");
   const exp::Scenario scenario = fleet_scenario();
   const exp::SweepSummary reference = reference_summary(scenario);
 

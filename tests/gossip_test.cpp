@@ -17,23 +17,13 @@
 #include "sim/field.hpp"
 #include "stats/histogram.hpp"
 #include "support/rng.hpp"
+#include "test_support.hpp"
 
 namespace geogossip::gossip {
 namespace {
 
 using graph::GeometricGraph;
 using graph::NodeId;
-
-GeometricGraph make_graph(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  return GeometricGraph::sample(n, 2.0, rng);
-}
-
-std::vector<double> make_field(const GeometricGraph& g, Rng& rng) {
-  auto x0 = sim::gaussian_field(g.node_count(), rng);
-  sim::center_and_normalize(x0);
-  return x0;
-}
 
 // ------------------------------------------------------------- Pairwise ----
 

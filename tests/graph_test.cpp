@@ -16,7 +16,6 @@
 #include "routing/greedy.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace geogossip::graph {
 namespace {
@@ -284,46 +283,18 @@ void expect_identical_graphs(const GeometricGraph& a,
   }
 }
 
-TEST(GeometricGraph, ParallelBuildBitIdenticalToSerialAcrossSeeds) {
-  // The acceptance property of the CSR build: any thread count
-  // produces byte-identical CSR and routing-mirror arrays.  1 vs 4
-  // threads (and an uneven 3) across several seeds and a non-trivial n.
-  const ThreadPool pool4(4);
-  const ThreadPool pool3(3);
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    Rng rng_serial(seed);
-    Rng rng_p4(seed);
-    Rng rng_p3(seed);
-    const auto serial = GeometricGraph::sample(700, 1.5, rng_serial);
-    const auto par4 =
-        GeometricGraph::sample(700, 1.5, rng_p4, {.pool = &pool4});
-    const auto par3 =
-        GeometricGraph::sample(700, 1.5, rng_p3, {.pool = &pool3});
-    expect_identical_graphs(serial, par4);
-    expect_identical_graphs(serial, par3);
-  }
-}
-
-TEST(GeometricGraph, ParallelBuildMatchesSerialOnArbitraryPointSets) {
+TEST(GeometricGraph, ClusteredAndCoincidentPointsMatchBruteForce) {
   // Raw constructor (no spatial renumbering, so the grid's visit order is
   // NOT presorted and the build exercises its per-row sort), clustered and
   // coincident points included.  The cluster's rows outgrow the target
-  // buffer each build range reserves at the expected interior degree, in
-  // the serial range and in the pooled ranges that hold it.  The serial
-  // build is also checked against the distance definition, so the fill is
-  // not only compared with itself.
+  // array the build reserves at the expected interior degree.
   Rng rng(91);
   auto points = geometry::sample_unit_square(500, rng);
   for (std::size_t i = 0; i < 60; ++i) {  // a dense cluster
     points.push_back({0.5 + 1e-4 * static_cast<double>(i % 8), 0.5});
   }
   const double r = paper_radius(points.size(), 1.5);
-  const ThreadPool pool(4);
-  const GeometricGraph serial(points, r);
-  const GeometricGraph parallel(points, r, geometry::Rect::unit_square(),
-                                {.pool = &pool});
-  expect_edges_match_brute_force(serial);
-  expect_identical_graphs(serial, parallel);
+  expect_edges_match_brute_force(GeometricGraph(points, r));
 }
 
 /// Checks the routing mirror against its definition (routing_ids()): the
@@ -425,8 +396,8 @@ TEST(GeometricGraph, RoutingMirrorIsLazyAndEagerOptionForcesIt) {
   Rng rng_lazy(55);
   Rng rng_eager(55);
   const auto lazy = GeometricGraph::sample(400, 2.0, rng_lazy);
-  const auto eager = GeometricGraph::sample(
-      400, 2.0, rng_eager, {.eager_routing_mirror = true});
+  const auto eager = GeometricGraph::sample(400, 2.0, rng_eager);
+  eager.ensure_routing_mirror();
   EXPECT_FALSE(lazy.routing_mirror_built());
   EXPECT_TRUE(eager.routing_mirror_built());
 

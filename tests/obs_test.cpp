@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -302,8 +303,12 @@ TEST(Heartbeat, RejectsEmptyPathAndNonPositiveInterval) {
   gg::obs::Heartbeat::Options bad_interval;
   bad_interval.path =
       (std::filesystem::path(::testing::TempDir()) / "hb.jsonl").string();
-  bad_interval.interval_seconds = 0.0;
-  EXPECT_THROW(gg::obs::Heartbeat{bad_interval}, gg::ArgumentError);
+  for (const double interval :
+       {0.0, 1e10, std::numeric_limits<double>::infinity()}) {
+    bad_interval.interval_seconds = interval;
+    EXPECT_THROW(gg::obs::Heartbeat{bad_interval}, gg::ArgumentError)
+        << interval;
+  }
 }
 
 TEST(TraceExport, EscapesNamesAndCarriesCountersAndDrops) {

@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "support/snapshot.hpp"
+#include "test_support.hpp"
 
 namespace geogossip {
 namespace {
@@ -382,27 +382,8 @@ TEST(FamilySnapshotContract, ThrowingPersistJoinsRouteLanes) {
 
 // -------------------------------------------------------- SnapshotStore ----
 
-std::string test_dir(const std::string& leaf) {
-  const auto dir =
-      std::filesystem::path(::testing::TempDir()) / ("ggsnap_" + leaf);
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void spit(const std::string& path, std::string_view bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
 TEST(SnapshotStore, SaveLoadRemoveRoundTrip) {
-  const exp::SnapshotStore store(test_dir("roundtrip"), "tiny", 7);
+  const exp::SnapshotStore store(fresh_temp_dir("ggsnap_roundtrip"), "tiny", 7);
   EXPECT_FALSE(store.try_load(3, 1, 42).has_value());  // absent: fresh run
 
   store.save(3, 1, 42, 9000, "trajectory bytes");
@@ -421,7 +402,7 @@ TEST(SnapshotStore, SaveLoadRemoveRoundTrip) {
 }
 
 TEST(SnapshotStore, TruncationAtEveryByteRestartsInsteadOfPoisoning) {
-  const exp::SnapshotStore store(test_dir("truncate"), "tiny", 7);
+  const exp::SnapshotStore store(fresh_temp_dir("ggsnap_truncate"), "tiny", 7);
   store.save(0, 0, 11, 500, "payload under test");
   const std::string path = store.path_for(0, 0);
   const std::string bytes = slurp(path);
@@ -437,7 +418,7 @@ TEST(SnapshotStore, TruncationAtEveryByteRestartsInsteadOfPoisoning) {
 }
 
 TEST(SnapshotStore, PayloadCorruptionFailsTheChecksumAndRestarts) {
-  const exp::SnapshotStore store(test_dir("corrupt"), "tiny", 7);
+  const exp::SnapshotStore store(fresh_temp_dir("ggsnap_corrupt"), "tiny", 7);
   store.save(0, 0, 11, 500, "payload under test");
   const std::string path = store.path_for(0, 0);
   std::string bytes = slurp(path);
@@ -447,7 +428,7 @@ TEST(SnapshotStore, PayloadCorruptionFailsTheChecksumAndRestarts) {
 }
 
 TEST(SnapshotStore, IdentityMismatchThrowsInsteadOfRestoring) {
-  const std::string dir = test_dir("identity");
+  const std::string dir = fresh_temp_dir("ggsnap_identity");
   const exp::SnapshotStore store(dir, "tiny", 7);
   store.save(2, 3, 99, 500, "payload");
 
@@ -463,7 +444,7 @@ TEST(SnapshotStore, IdentityMismatchThrowsInsteadOfRestoring) {
 }
 
 TEST(SnapshotStore, SchemaMismatchThrowsLoudly) {
-  const exp::SnapshotStore store(test_dir("schema"), "tiny", 7);
+  const exp::SnapshotStore store(fresh_temp_dir("ggsnap_schema"), "tiny", 7);
   store.save(0, 0, 11, 500, "payload");
   const std::string path = store.path_for(0, 0);
 
@@ -485,13 +466,13 @@ TEST(SnapshotStore, SchemaMismatchThrowsLoudly) {
 }
 
 TEST(SnapshotStore, ForeignFileWithBadMagicRestarts) {
-  const exp::SnapshotStore store(test_dir("magic"), "tiny", 7);
+  const exp::SnapshotStore store(fresh_temp_dir("ggsnap_magic"), "tiny", 7);
   spit(store.path_for(0, 0), "not a snapshot at all");
   EXPECT_FALSE(store.try_load(0, 0, 11).has_value());
 }
 
 TEST(SnapshotStore, SweepsOnlyStaleTempsAndCountsOrphans) {
-  const std::string dir = test_dir("stale_tmp");
+  const std::string dir = fresh_temp_dir("ggsnap_stale_tmp");
   const std::string slot = exp::SnapshotStore(dir, "tiny", 7).path_for(0, 0);
   // Two writers died mid-save of one slot: one long ago, one just now
   // (possibly still alive in another fleet worker).
@@ -615,7 +596,7 @@ TEST(RunnerSnapshots, CleanRunMatchesUncheckpointedAndLeavesNoFiles) {
   plain.threads = 2;
   const auto reference = exp::Runner(plain).run(scenario);
 
-  const std::string dir = test_dir("runner_clean");
+  const std::string dir = fresh_temp_dir("ggsnap_runner_clean");
   exp::RunnerOptions snapshotting = plain;
   snapshotting.snapshot_dir = dir;
   snapshotting.snapshot_every_ticks = 300;
@@ -636,7 +617,7 @@ TEST(RunnerSnapshots, CrashAfterPersistResumesBitIdentically) {
   // "Crash" mid-sweep: the progress sink throws on the first completed
   // replicate.  Its snapshot is only removed AFTER progress succeeds, so
   // the slot file survives for the re-run (the documented crash window).
-  const std::string dir = test_dir("runner_crash");
+  const std::string dir = fresh_temp_dir("ggsnap_runner_crash");
   exp::RunnerOptions crashing = plain;
   crashing.snapshot_dir = dir;
   crashing.snapshot_every_ticks = 300;
