@@ -12,7 +12,9 @@
 // 2(n-1).
 #include <cmath>
 #include <iostream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/convergence.hpp"
 #include "exp/runner.hpp"
@@ -24,18 +26,17 @@ namespace gg = geogossip;
 using gg::core::ProtocolKind;
 
 int main(int argc, char** argv) {
-  std::int64_t n = 4096;
-  std::int64_t seeds = 3;
-  std::int64_t master_seed = 9;
+  std::uint64_t n = 4096;
+  std::uint64_t master_seed = 9;
   double eps = 1e-3;
   double radius_multiplier = 1.2;
-  std::string separations = "0.05,0.25,1,4,8";
+  // Kept as text: each cell's label echoes the factor as typed.
+  std::vector<std::string> separations{"0.05", "0.25", "1", "4", "8"};
 
   gg::exp::SweepCli cli(
       "fig_e11_decentralized",
       "E11: decentralized affine gossip (the paper's §8 open problem)");
   cli.parser().add_flag("n", &n, "deployment size");
-  cli.parser().add_flag("seeds", &seeds, "replicates per configuration");
   cli.parser().add_flag("seed", &master_seed, "master seed");
   cli.parser().add_flag("eps", &eps, "accuracy target");
   cli.parser().add_flag("radius-mult", &radius_multiplier,
@@ -44,22 +45,22 @@ int main(int argc, char** argv) {
                         "comma-separated rate-separation factors");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
-  const auto nn = static_cast<std::size_t>(n);
   std::cout << "=== E11: decentralized affine gossip at n="
-            << gg::format_count(nn) << ", eps=" << eps << " ===\n\n";
+            << gg::format_count(n) << ", eps=" << eps << " ===\n\n";
 
   gg::exp::Scenario scenario;
   scenario.name = "e11-decentralized";
   scenario.description =
       "rate-separation sweep of the fully decentralized affine extension";
-  scenario.replicates = static_cast<std::uint32_t>(seeds);
-  scenario.master_seed = static_cast<std::uint64_t>(master_seed);
+  // Replicates per configuration; the harness --replicates flag
+  // overrides this.
+  scenario.replicates = 3;
+  scenario.master_seed = master_seed;
 
-  for (const auto& sep_text : gg::split(separations, ',')) {
+  for (const std::string& sep_text : separations) {
     const double sep = gg::parse_double(sep_text);
-    auto& cell = scenario.add("decentralized | separation " +
-                                  gg::trim(sep_text),
-                              ProtocolKind::kAffineDecentralized, nn);
+    auto& cell = scenario.add("decentralized | separation " + sep_text,
+                              ProtocolKind::kAffineDecentralized, n);
     cell.radius_multiplier = radius_multiplier;
     cell.field = gg::exp::CellField::kGaussian;
     cell.options.eps = eps;
@@ -67,7 +68,7 @@ int main(int argc, char** argv) {
     // ~40x the expected convergence ticks at the default separation;
     // unstable configurations must not burn the whole bench.
     cell.options.max_ticks = static_cast<std::uint64_t>(
-        2048.0 * static_cast<double>(nn) * std::log(1.0 / eps));
+        2048.0 * static_cast<double>(n) * std::log(1.0 / eps));
   }
 
   const std::pair<const char*, ProtocolKind> baselines[] = {
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
       {"one-level round accounting (§3)", ProtocolKind::kAffineOneLevel},
   };
   for (const auto& [label, kind] : baselines) {
-    auto& cell = scenario.add(label, kind, nn);
+    auto& cell = scenario.add(label, kind, n);
     cell.radius_multiplier = radius_multiplier;
     cell.field = gg::exp::CellField::kGaussian;
     cell.options.eps = eps;
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
   if (const int exit_code = cli.run(scenario, std::cout)) return exit_code;
 
   std::cout << "\ncentralized spanning-tree floor: "
-            << gg::format_count(gg::gossip::spanning_tree_floor(nn))
+            << gg::format_count(gg::gossip::spanning_tree_floor(n))
             << " transmissions (2(n-1))\n";
   std::cout
       << "\nReading guide: tiny separation factors fire long-range affine\n"

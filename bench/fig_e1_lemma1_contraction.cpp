@@ -22,33 +22,27 @@ namespace gg = geogossip;
 using gg::core::AlphaMode;
 
 int main(int argc, char** argv) {
-  std::int64_t trials = 96;
-  std::int64_t seed = 11;
-  std::string sizes = "32,128,512";
+  // Independent runs per configuration; the harness --replicates flag
+  // overrides this.
+  const std::uint32_t replicates = 96;
+  std::uint64_t seed = 11;
+  std::vector<std::size_t> sizes{32, 128, 512};
 
   gg::exp::SweepCli cli("fig_e1_lemma1_contraction",
                         "E1: Lemma 1 contraction on the complete graph");
-  cli.parser().add_flag("trials", &trials,
-                        "independent runs per configuration");
   cli.parser().add_flag("seed", &seed, "master seed");
   cli.parser().add_flag("sizes", &sizes, "comma-separated n values");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
-  std::vector<std::size_t> ns;
-  for (const auto& size_text : gg::split(sizes, ',')) {
-    ns.push_back(static_cast<std::size_t>(gg::parse_int(size_text)));
-  }
-
   std::cout << "=== E1: Lemma 1 — mean ||x(t)||^2 vs (1-1/2n)^t bound ===\n\n";
 
-  const auto scenario = gg::exp::make_e1_contraction(
-      ns, static_cast<std::uint32_t>(trials),
-      static_cast<std::uint64_t>(seed));
+  const auto scenario =
+      gg::exp::make_e1_contraction(sizes, replicates, seed);
   if (const int exit_code = cli.run(scenario, std::cout)) return exit_code;
   const auto& summary = cli.summary();
 
   // Re-group the flat cell list into (n, mode) trajectories.
-  for (const std::size_t n : ns) {
+  for (const std::size_t n : sizes) {
     for (const auto mode : {AlphaMode::kPaperFixed, AlphaMode::kConvexHalf,
                             AlphaMode::kEndpointThird}) {
       gg::ConsoleTable table({"t", "mean ||x||^2", "bound", "ratio"});
@@ -92,7 +86,7 @@ int main(int argc, char** argv) {
 
   // Chart for the first size, paper mode vs bound — straight off the
   // aggregated horizon cells.
-  const std::size_t chart_n = ns.front();
+  const std::size_t chart_n = sizes.front();
   gg::AsciiChart::Options chart_options;
   chart_options.log_y = true;
   gg::AsciiChart chart(chart_options);

@@ -20,41 +20,34 @@
 namespace gg = geogossip;
 
 int main(int argc, char** argv) {
-  std::int64_t n = 64;
-  std::int64_t trials = 300;
-  std::int64_t seed = 31;
+  std::uint64_t n = 64;
+  // Independent runs per configuration; the harness --replicates flag
+  // overrides this.
+  const std::uint32_t replicates = 300;
+  std::uint64_t seed = 31;
   double a = 1.0;
-  std::string noises = "1e-6,1e-5,1e-4";
+  std::vector<double> noises{1e-6, 1e-5, 1e-4};
 
   gg::exp::SweepCli cli("fig_e3_perturbed",
                         "E3: Lemma 2 perturbed-averaging envelope");
   cli.parser().add_flag("n", &n, "complete-graph size");
-  cli.parser().add_flag("trials", &trials,
-                        "independent runs per configuration");
   cli.parser().add_flag("seed", &seed, "master seed");
   cli.parser().add_flag("a", &a, "Lemma 2 exponent a");
   cli.parser().add_flag("noises", &noises,
                         "comma-separated noise bounds eps");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
-  const auto nn = static_cast<std::size_t>(n);
-  std::cout << "=== E3: Lemma 2 envelope on K_" << nn << " (a=" << a
+  std::cout << "=== E3: Lemma 2 envelope on K_" << n << " (a=" << a
             << ", allowed failure 5/n^a = "
-            << gg::format_fixed(gg::core::lemma2_failure_probability(nn, a), 4)
+            << gg::format_fixed(gg::core::lemma2_failure_probability(n, a), 4)
             << ") ===\n\n";
 
-  std::vector<double> noise_values;
-  for (const auto& noise_text : gg::split(noises, ',')) {
-    noise_values.push_back(gg::parse_double(noise_text));
-  }
-
-  const auto scenario = gg::exp::make_e3_perturbed(
-      nn, a, noise_values, static_cast<std::uint32_t>(trials),
-      static_cast<std::uint64_t>(seed));
+  const auto scenario =
+      gg::exp::make_e3_perturbed(n, a, noises, replicates, seed);
   if (const int exit_code = cli.run(scenario, std::cout)) return exit_code;
   const auto& summary = cli.summary();
 
-  const double allowed = gg::core::lemma2_failure_probability(nn, a);
+  const double allowed = gg::core::lemma2_failure_probability(n, a);
   gg::ConsoleTable table({"noise", "t", "mean ||y||", "p95 ||y||",
                           "envelope", "violations", "ok"});
   for (const auto& cs : summary.cells) {

@@ -18,12 +18,12 @@
 namespace gg = geogossip;
 
 int main(int argc, char** argv) {
-  std::int64_t seed = 41;
-  std::int64_t iterations = 800;
+  std::uint64_t seed = 41;
+  std::uint32_t iterations = 800;
   // Coefficient draws per (n, family); the harness --replicates flag
-  // overrides the scenario count, so the dedicated flag is gone.
-  const std::int64_t replicates = 3;
-  std::string sizes = "8,16,32,64,128,256,512";
+  // overrides this.
+  const std::uint32_t replicates = 3;
+  std::vector<std::size_t> sizes{8, 16, 32, 64, 128, 256, 512};
 
   gg::exp::SweepCli cli("fig_e4_spectral",
                         "E4: contraction spectrum of E[A^T A]");
@@ -32,17 +32,10 @@ int main(int argc, char** argv) {
   cli.parser().add_flag("sizes", &sizes, "comma-separated n values");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
-  std::vector<std::size_t> ns;
-  for (const auto& size_text : gg::split(sizes, ',')) {
-    ns.push_back(static_cast<std::size_t>(gg::parse_int(size_text)));
-  }
-
   std::cout << "=== E4: lambda_max of E[A^T A] on the zero-sum subspace ===\n\n";
 
-  const auto scenario = gg::exp::make_e4_spectral(
-      ns, static_cast<std::uint32_t>(iterations),
-      static_cast<std::uint32_t>(replicates),
-      static_cast<std::uint64_t>(seed));
+  const auto scenario =
+      gg::exp::make_e4_spectral(sizes, iterations, replicates, seed);
   if (const int exit_code = cli.run(scenario, std::cout)) return exit_code;
   const auto& summary = cli.summary();
 

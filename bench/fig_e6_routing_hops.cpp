@@ -20,12 +20,12 @@
 namespace gg = geogossip;
 
 int main(int argc, char** argv) {
-  std::int64_t pairs = 2000;
-  std::int64_t seed = 51;
+  std::uint64_t pairs = 2000;
+  std::uint64_t seed = 51;
   // Fresh graphs per n; the harness --replicates flag overrides this.
-  const std::int64_t replicates = 3;
+  const std::uint32_t replicates = 3;
   double radius_multiplier = 1.2;
-  std::string sizes = "1024,2048,4096,8192,16384,32768,65536";
+  std::vector<std::size_t> sizes{1024, 2048, 4096, 8192, 16384, 32768, 65536};
 
   gg::exp::SweepCli cli("fig_e6_routing_hops",
                         "E6: greedy routing hop scaling");
@@ -37,18 +37,11 @@ int main(int argc, char** argv) {
   cli.parser().add_flag("sizes", &sizes, "comma-separated n values");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
-  std::vector<std::size_t> ns;
-  for (const auto& size_text : gg::split(sizes, ',')) {
-    ns.push_back(static_cast<std::size_t>(gg::parse_int(size_text)));
-  }
-
   std::cout << "=== E6: greedy geographic routing hops (r = "
             << radius_multiplier << " sqrt(log n / n)) ===\n\n";
 
   const auto scenario = gg::exp::make_e6_routing(
-      ns, static_cast<std::uint64_t>(pairs), radius_multiplier,
-      static_cast<std::uint32_t>(replicates),
-      static_cast<std::uint64_t>(seed));
+      sizes, pairs, radius_multiplier, replicates, seed);
   if (const int exit_code = cli.run(scenario, std::cout)) return exit_code;
   const auto& summary = cli.summary();
 

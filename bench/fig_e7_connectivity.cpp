@@ -20,37 +20,27 @@
 namespace gg = geogossip;
 
 int main(int argc, char** argv) {
-  std::int64_t trials = 60;
-  std::int64_t seed = 61;
-  std::string sizes = "500,2000,8000";
-  std::string multipliers = "0.6,0.8,1.0,1.2,1.5,2.0";
+  // Graphs per (n, c); the harness --replicates flag overrides this.
+  const std::uint32_t replicates = 60;
+  std::uint64_t seed = 61;
+  std::vector<std::size_t> sizes{500, 2000, 8000};
+  std::vector<double> multipliers{0.6, 0.8, 1.0, 1.2, 1.5, 2.0};
 
   gg::exp::SweepCli cli("fig_e7_connectivity",
                         "E7: connectivity threshold of G(n, r)");
-  cli.parser().add_flag("trials", &trials, "graphs per (n, c)");
   cli.parser().add_flag("seed", &seed, "master seed");
   cli.parser().add_flag("sizes", &sizes, "comma-separated n values");
   cli.parser().add_flag("multipliers", &multipliers,
                         "comma-separated c values in r = c sqrt(log n / n)");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
-  std::vector<std::size_t> ns;
-  for (const auto& size_text : gg::split(sizes, ',')) {
-    ns.push_back(static_cast<std::size_t>(gg::parse_int(size_text)));
-  }
-  std::vector<double> cs_values;
-  for (const auto& mult_text : gg::split(multipliers, ',')) {
-    cs_values.push_back(gg::parse_double(mult_text));
-  }
-
   std::cout << "=== E7: P(connected) and giant-component size vs radius ===\n"
             << "(sharp threshold at r* = sqrt(log n / (pi n)), i.e. c* = "
             << gg::format_fixed(1.0 / std::sqrt(std::numbers::pi), 3)
             << ")\n\n";
 
-  const auto scenario = gg::exp::make_e7_connectivity(
-      ns, cs_values, static_cast<std::uint32_t>(trials),
-      static_cast<std::uint64_t>(seed));
+  const auto scenario =
+      gg::exp::make_e7_connectivity(sizes, multipliers, replicates, seed);
   if (const int exit_code = cli.run(scenario, std::cout)) return exit_code;
   const auto& summary = cli.summary();
 

@@ -22,28 +22,22 @@
 namespace gg = geogossip;
 
 int main(int argc, char** argv) {
-  std::int64_t trials = 200;
-  std::int64_t seed = 71;
-  std::string sizes = "1024,4096,16384,65536,262144,1048576";
+  // Deployments per n; the harness --replicates flag overrides this.
+  const std::uint32_t replicates = 200;
+  std::uint64_t seed = 71;
+  std::vector<std::size_t> sizes{1024, 4096, 16384, 65536, 262144, 1048576};
 
   gg::exp::SweepCli cli("fig_e8_occupancy",
                         "E8: occupancy concentration across the partition");
-  cli.parser().add_flag("trials", &trials, "deployments per n");
   cli.parser().add_flag("seed", &seed, "master seed");
   cli.parser().add_flag("sizes", &sizes, "comma-separated n values");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
-  std::vector<std::size_t> ns;
-  for (const auto& size_text : gg::split(sizes, ',')) {
-    ns.push_back(static_cast<std::size_t>(gg::parse_int(size_text)));
-  }
-
   std::cout << "=== E8: sqrt(n)-square occupancy concentration (paper §3) "
                "===\n\n";
 
-  const auto scenario = gg::exp::make_e8_occupancy(
-      ns, static_cast<std::uint32_t>(trials),
-      static_cast<std::uint64_t>(seed));
+  const auto scenario =
+      gg::exp::make_e8_occupancy(sizes, replicates, seed);
   if (const int exit_code = cli.run(scenario, std::cout)) return exit_code;
   const auto& summary = cli.summary();
 

@@ -19,12 +19,12 @@
 namespace gg = geogossip;
 
 int main(int argc, char** argv) {
-  std::int64_t samples = 200000;
-  std::int64_t seed = 81;
+  std::uint64_t samples = 200000;
+  std::uint64_t seed = 81;
   // Fresh graphs per cell; the harness --replicates flag overrides this.
-  const std::int64_t replicates = 3;
+  const std::uint32_t replicates = 3;
   double radius_multiplier = 1.2;
-  std::string sizes = "1024,4096";
+  std::vector<std::size_t> sizes{1024, 4096};
 
   gg::exp::SweepCli cli("fig_e9_rejection",
                         "E9: target-node uniformity via rejection sampling");
@@ -35,18 +35,11 @@ int main(int argc, char** argv) {
   cli.parser().add_flag("sizes", &sizes, "comma-separated n values");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
-  std::vector<std::size_t> ns;
-  for (const auto& size_text : gg::split(sizes, ',')) {
-    ns.push_back(static_cast<std::size_t>(gg::parse_int(size_text)));
-  }
-
   std::cout << "=== E9: sampled-target uniformity (TV distance, chi^2/df) "
                "===\n\n";
 
   const auto scenario = gg::exp::make_e9_rejection(
-      ns, static_cast<std::uint64_t>(samples), radius_multiplier,
-      static_cast<std::uint32_t>(replicates),
-      static_cast<std::uint64_t>(seed));
+      sizes, samples, radius_multiplier, replicates, seed);
   if (const int exit_code = cli.run(scenario, std::cout)) return exit_code;
   const auto& summary = cli.summary();
 

@@ -31,34 +31,32 @@ using gg::core::MultilevelConfig;
 using gg::core::ProtocolKind;
 
 int main(int argc, char** argv) {
-  std::int64_t n = 16384;
-  std::int64_t seeds = 3;
-  std::int64_t master_seed = 5;
+  std::uint64_t n = 16384;
+  std::uint64_t master_seed = 5;
   double eps = 1e-3;
   double radius_multiplier = 1.2;
 
   gg::exp::SweepCli cli("tab_e10_ablation", "E10: design-choice ablations");
   cli.parser().add_flag("n", &n, "deployment size");
-  cli.parser().add_flag("seeds", &seeds, "replicates per row");
   cli.parser().add_flag("seed", &master_seed, "master seed");
   cli.parser().add_flag("eps", &eps, "accuracy target");
   cli.parser().add_flag("radius-mult", &radius_multiplier,
                         "radius multiplier");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
-  const auto nn = static_cast<std::size_t>(n);
-  std::cout << "=== E10: ablations at n=" << gg::format_count(nn)
+  std::cout << "=== E10: ablations at n=" << gg::format_count(n)
             << ", eps=" << eps << " ===\n\n";
 
   gg::exp::Scenario scenario;
   scenario.name = "e10-ablation";
   scenario.description = "design-choice ablations for the affine protocols";
-  scenario.replicates = static_cast<std::uint32_t>(seeds);
-  scenario.master_seed = static_cast<std::uint64_t>(master_seed);
+  // Replicates per row; the harness --replicates flag overrides this.
+  scenario.replicates = 3;
+  scenario.master_seed = master_seed;
 
   const auto add_row = [&](const std::string& label, ProtocolKind kind,
                            const MultilevelConfig& config) {
-    auto& cell = scenario.add(label, kind, nn);
+    auto& cell = scenario.add(label, kind, n);
     cell.radius_multiplier = radius_multiplier;
     cell.field = gg::exp::CellField::kGaussian;
     cell.options.eps = eps;
@@ -117,9 +115,9 @@ int main(int argc, char** argv) {
 
   std::cout << "\n--- literal §4.1 schedule at this n (reported, never "
                "simulated) ---\n";
-  const auto profile = gg::core::compute_level_profile(nn, 48.0);
+  const auto profile = gg::core::compute_level_profile(n, 48.0);
   const auto paper =
-      gg::core::make_paper_schedule(nn, eps, 1e-2, 1.0, profile);
+      gg::core::make_paper_schedule(n, eps, 1e-2, 1.0, profile);
   std::cout << paper.to_string() << '\n';
   const auto practical =
       gg::core::make_practical_schedule(eps, 1.0, 10.0, profile);

@@ -22,36 +22,20 @@
 namespace gg = geogossip;
 using gg::core::ProtocolKind;
 
-namespace {
-
-std::vector<std::size_t> parse_sizes(const std::string& csv) {
-  std::vector<std::size_t> out;
-  for (const auto& part : gg::split(csv, ',')) {
-    if (!gg::trim(part).empty()) {
-      out.push_back(static_cast<std::size_t>(gg::parse_int(part)));
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  std::int64_t seeds = 4;
-  std::int64_t master_seed = 1;
+  std::uint64_t master_seed = 1;
   double eps = 1e-3;
   double radius_multiplier = 1.2;
-  std::string boyd_ns = "512,1024,2048,4096,8192";
-  std::string dimakis_ns = "512,1024,2048,4096,8192,16384";
-  std::string pathavg_ns = "512,1024,2048,4096,8192,16384";
-  std::string one_level_ns = "512,2048,8192,32768,131072";
-  std::string multi_ns = "2048,8192,32768,131072";
-  std::string decentral_ns = "1024,4096,16384";
+  std::vector<std::size_t> boyd_ns{512, 1024, 2048, 4096, 8192};
+  std::vector<std::size_t> dimakis_ns{512, 1024, 2048, 4096, 8192, 16384};
+  std::vector<std::size_t> pathavg_ns{512, 1024, 2048, 4096, 8192, 16384};
+  std::vector<std::size_t> one_level_ns{512, 2048, 8192, 32768, 131072};
+  std::vector<std::size_t> multi_ns{2048, 8192, 32768, 131072};
+  std::vector<std::size_t> decentral_ns{1024, 4096, 16384};
   bool quick = false;
 
   gg::exp::SweepCli cli("tab_e5_scaling",
                         "E5: transmissions-to-eps scaling (headline table)");
-  cli.parser().add_flag("seeds", &seeds, "replicates per (protocol, n)");
   cli.parser().add_flag("seed", &master_seed, "master seed");
   cli.parser().add_flag("eps", &eps, "accuracy target");
   cli.parser().add_flag("radius-mult", &radius_multiplier,
@@ -71,16 +55,15 @@ int main(int argc, char** argv) {
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
   if (quick) {
-    boyd_ns = "256,512,1024";
-    dimakis_ns = "512,1024,2048";
-    pathavg_ns = "512,1024,2048";
-    one_level_ns = "512,2048,8192";
-    multi_ns = "512,2048,8192";
-    decentral_ns = "512,2048";
-    seeds = std::min<std::int64_t>(seeds, 3);
+    boyd_ns = {256, 512, 1024};
+    dimakis_ns = {512, 1024, 2048};
+    pathavg_ns = {512, 1024, 2048};
+    one_level_ns = {512, 2048, 8192};
+    multi_ns = {512, 2048, 8192};
+    decentral_ns = {512, 2048};
   }
 
-  const std::vector<std::pair<ProtocolKind, std::string>> plans{
+  const std::vector<std::pair<ProtocolKind, std::vector<std::size_t>>> plans{
       {ProtocolKind::kBoydPairwise, boyd_ns},
       {ProtocolKind::kDimakisGeographic, dimakis_ns},
       {ProtocolKind::kPathAveraging, pathavg_ns},
@@ -92,26 +75,30 @@ int main(int argc, char** argv) {
   gg::exp::Scenario scenario;
   scenario.name = "e5-scaling";
   scenario.description = "transmissions-to-eps scaling, all protocols";
-  scenario.replicates = static_cast<std::uint32_t>(seeds);
-  scenario.master_seed = static_cast<std::uint64_t>(master_seed);
-  for (const auto& [kind, ns_text] : plans) {
-    for (const std::size_t n : parse_sizes(ns_text)) {
+  // Replicates per (protocol, n); the harness --replicates flag
+  // overrides this.
+  scenario.replicates = quick ? 3 : 4;
+  scenario.master_seed = master_seed;
+  for (const auto& [kind, sizes] : plans) {
+    for (const std::size_t n : sizes) {
       auto& cell = scenario.add(kind, n);
       cell.radius_multiplier = radius_multiplier;
       cell.options.eps = eps;
     }
   }
 
+  cli.apply_overrides(scenario);
   std::cout << "=== E5: transmissions to eps=" << eps
             << " (r = " << radius_multiplier
-            << " sqrt(log n / n), seeds=" << seeds << ") ===\n\n";
+            << " sqrt(log n / n), seeds=" << scenario.replicates
+            << ") ===\n\n";
 
   if (const int exit_code = cli.run(scenario, std::cout)) return exit_code;
   const auto& summary = cli.summary();
 
   // Fit tx ~ c n^p per protocol over the cells that mostly converged.
   std::vector<gg::analysis::ScalingReport> reports;
-  for (const auto& [kind, ns_text] : plans) {
+  for (const auto& [kind, sizes] : plans) {
     std::vector<double> ns;
     std::vector<double> medians;
     for (const auto& cs : summary.cells) {

@@ -98,6 +98,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  if (!registry.contains(scenario_name)) {
+    std::cerr << "parallel_sweep: unknown scenario '" << scenario_name
+              << "' (run with --list for the registered names)\n";
+    return 1;
+  }
   auto scenario = registry.make(scenario_name);
   cli.apply_overrides(scenario);
   std::cout << "scenario " << scenario.name << ": " << scenario.description

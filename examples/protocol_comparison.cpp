@@ -14,9 +14,9 @@ namespace gg = geogossip;
 using gg::core::ProtocolKind;
 
 int main(int argc, char** argv) {
-  std::int64_t n = 2048;
+  std::uint64_t n = 2048;
   double eps = 1e-3;
-  std::int64_t seed = 27;
+  std::uint64_t seed = 27;
   std::string field = "gaussian";
 
   gg::ArgParser parser("protocol_comparison",
@@ -31,9 +31,8 @@ int main(int argc, char** argv) {
     return geogossip::parse_exit_code(parsed);
   }
 
-  gg::Rng rng(static_cast<std::uint64_t>(seed));
-  const auto graph = gg::graph::GeometricGraph::sample(
-      static_cast<std::size_t>(n), 1.2, rng);
+  gg::Rng rng(seed);
+  const auto graph = gg::graph::GeometricGraph::sample(n, 1.2, rng);
   auto x0 = gg::sim::make_field(gg::sim::parse_field_kind(field),
                                 graph.points(), rng);
   gg::sim::center_and_normalize(x0);
@@ -52,8 +51,8 @@ int main(int argc, char** argv) {
         ProtocolKind::kPathAveraging, ProtocolKind::kAffineOneLevel,
         ProtocolKind::kAffineMultilevel, ProtocolKind::kAffineAsync,
         ProtocolKind::kAffineDecentralized}) {
-    gg::Rng trial_rng(gg::derive_seed(static_cast<std::uint64_t>(seed),
-                                      static_cast<std::uint64_t>(kind)));
+    gg::Rng trial_rng(
+        gg::derive_seed(seed, static_cast<std::uint64_t>(kind)));
     const auto outcome =
         gg::core::run_protocol_trial(kind, graph, x0, trial_rng, options);
     table.cell(std::string(gg::core::protocol_kind_name(kind)))
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
   gg::core::MultilevelConfig config;
   config.eps = eps;
   config.trace_every = 4;
-  gg::Rng trace_rng(gg::derive_seed(static_cast<std::uint64_t>(seed), 99));
+  gg::Rng trace_rng(gg::derive_seed(seed, 99));
   gg::core::MultilevelAffineGossip protocol(graph, x0, trace_rng, config);
   const auto result = protocol.run();
   if (result.trace.size() >= 3) {

@@ -17,9 +17,9 @@
 namespace gg = geogossip;
 
 int main(int argc, char** argv) {
-  std::int64_t n = 4096;
+  std::uint64_t n = 4096;
   double eps = 1e-3;
-  std::int64_t seed = 7;
+  std::uint64_t seed = 7;
 
   gg::ArgParser parser("quickstart", "minimal affine-gossip averaging run");
   parser.add_flag("n", &n, "number of sensors");
@@ -30,12 +30,11 @@ int main(int argc, char** argv) {
     return geogossip::parse_exit_code(parsed);
   }
 
-  gg::Rng rng(static_cast<std::uint64_t>(seed));
+  gg::Rng rng(seed);
 
   // 1. Deploy n sensors uniformly on the unit square, connect at
   //    r = 1.2 sqrt(log n / n)  (the paper's standing assumption).
-  const auto graph = gg::graph::GeometricGraph::sample(
-      static_cast<std::size_t>(n), 1.2, rng);
+  const auto graph = gg::graph::GeometricGraph::sample(n, 1.2, rng);
   std::cout << graph.summary() << '\n';
 
   // 2. Each sensor holds a reading; the fleet wants the global average.

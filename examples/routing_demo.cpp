@@ -54,8 +54,8 @@ class Canvas {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::int64_t n = 900;
-  std::int64_t seed = 37;
+  std::uint64_t n = 900;
+  std::uint64_t seed = 37;
 
   gg::ArgParser parser("routing_demo",
                        "greedy routing + hierarchy visualization");
@@ -66,9 +66,8 @@ int main(int argc, char** argv) {
     return geogossip::parse_exit_code(parsed);
   }
 
-  gg::Rng rng(static_cast<std::uint64_t>(seed));
-  const auto graph = gg::graph::GeometricGraph::sample(
-      static_cast<std::size_t>(n), 1.5, rng);
+  gg::Rng rng(seed);
+  const auto graph = gg::graph::GeometricGraph::sample(n, 1.5, rng);
   std::cout << graph.summary() << "\n\n";
 
   // --- 1. Greedy route corner to corner -------------------------------

@@ -36,10 +36,10 @@ double temperature_at(gg::geometry::Vec2 p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::int64_t n = 8192;
+  std::uint64_t n = 8192;
   double eps = 1e-3;
   double sensor_noise = 0.5;
-  std::int64_t seed = 17;
+  std::uint64_t seed = 17;
 
   gg::ArgParser parser("sensor_field_estimation",
                        "distributed mean-temperature estimation");
@@ -52,9 +52,8 @@ int main(int argc, char** argv) {
     return geogossip::parse_exit_code(parsed);
   }
 
-  gg::Rng rng(static_cast<std::uint64_t>(seed));
-  const auto graph = gg::graph::GeometricGraph::sample(
-      static_cast<std::size_t>(n), 1.2, rng);
+  gg::Rng rng(seed);
+  const auto graph = gg::graph::GeometricGraph::sample(n, 1.2, rng);
 
   // Measurements: field value + sensor noise.
   std::vector<double> readings(graph.node_count());
@@ -78,13 +77,13 @@ int main(int argc, char** argv) {
   gg::core::MultilevelConfig config;
   config.eps = eps;
   config.max_depth = 1;
-  gg::Rng affine_rng(gg::derive_seed(static_cast<std::uint64_t>(seed), 1));
+  gg::Rng affine_rng(gg::derive_seed(seed, 1));
   gg::core::MultilevelAffineGossip affine(graph, readings, affine_rng,
                                           config);
   const auto affine_result = affine.run();
 
   // Boyd baseline on identical inputs.
-  gg::Rng boyd_rng(gg::derive_seed(static_cast<std::uint64_t>(seed), 2));
+  gg::Rng boyd_rng(gg::derive_seed(seed, 2));
   gg::gossip::PairwiseGossip boyd(graph, readings, boyd_rng);
   gg::sim::RunConfig run;
   run.epsilon = eps;

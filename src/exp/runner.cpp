@@ -467,12 +467,6 @@ std::vector<std::string> param_key_union(const SweepSummary& summary) {
   return {keys.begin(), keys.end()};
 }
 
-unsigned checked_threads(std::int64_t threads) {
-  GG_CHECK_ARG(threads >= 0 && threads <= 0xFFFFFFFFll,
-               "--threads must be in [0, 2^32)");
-  return static_cast<unsigned>(threads);
-}
-
 void print_summary(std::ostream& out, const SweepSummary& summary) {
   bool any_far_near = false;
   bool any_protocol = false;

@@ -203,12 +203,6 @@ std::vector<std::string> metric_key_union(const SweepSummary& summary);
 /// Sorted union of cell-parameter keys across the cells of a summary.
 std::vector<std::string> param_key_union(const SweepSummary& summary);
 
-/// Validates a signed --threads flag value (0 = hardware concurrency) and
-/// narrows it for RunnerOptions::threads; throws ArgumentError outside
-/// [0, 2^32), so `--threads=-1` cannot silently become 4 billion workers
-/// and `--threads=4294967296` cannot wrap to 0.
-unsigned checked_threads(std::int64_t threads);
-
 /// Standard console rendering.  Protocol cells get one table row each
 /// (median/quartile transmissions, per-node cost, category shares,
 /// convergence), plus the far/near column when any cell exercised the

@@ -1,6 +1,7 @@
 #include "exp/sweep_cli.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <random>
@@ -80,15 +81,6 @@ bool same_file(const std::string& a, const std::string& b) {
   return ca == cb;
 }
 
-/// The non-empty paths of a comma-separated --resume list.
-std::vector<std::string> resume_files(const std::string& spec) {
-  std::vector<std::string> files;
-  for (std::string& path : split(spec, ',')) {
-    if (!path.empty()) files.push_back(std::move(path));
-  }
-  return files;
-}
-
 /// Folds replicate-record files into one checkpoint for `scenario`.
 /// Anomalies go through the leveled logger, not bare stderr: unattended
 /// sweeps read these from piped logs, where the timestamp and severity
@@ -119,16 +111,20 @@ std::shared_ptr<Checkpoint> fold_records(
 
 /// Parses "--heartbeat=FILE,SECS" (",SECS" optional; split on the LAST
 /// comma so paths containing commas still work when an interval follows).
+/// A suffix that strtod reads whole is an interval; any other suffix
+/// belongs to the path.
 bool parse_heartbeat_spec(const std::string& spec, std::string* path,
                           double* interval_seconds) {
   *path = spec;
   *interval_seconds = 5.0;
   const std::size_t comma = spec.rfind(',');
   if (comma != std::string::npos) {
-    try {
-      const double secs = parse_double(spec.substr(comma + 1));
-      // A parsed-yet-bogus interval is more likely a typo than part of
-      // the path: reject it.
+    const std::string suffix = trim(spec.substr(comma + 1));
+    char* end = nullptr;
+    const double secs = std::strtod(suffix.c_str(), &end);
+    if (!suffix.empty() && end == suffix.c_str() + suffix.size()) {
+      // A numeric yet bogus interval (nan, inf, 1e400, 0, 1e10) is more
+      // likely a typo than part of the path: reject it.
       if (!(secs > 0.0 && secs <= obs::Heartbeat::kMaxIntervalSeconds)) {
         std::cerr << "--heartbeat=" << spec
                   << ": interval must be positive seconds, at most 1e9\n";
@@ -136,8 +132,6 @@ bool parse_heartbeat_spec(const std::string& spec, std::string* path,
       }
       *path = spec.substr(0, comma);
       *interval_seconds = secs;
-    } catch (const ArgumentError&) {
-      // No numeric suffix: the comma belongs to the path.
     }
   }
   if (path->empty()) {
@@ -205,9 +199,9 @@ std::string generated_worker_id() {
 
 SweepCli::SweepCli(const std::string& program, const std::string& summary)
     : parser_(program, summary), program_(program) {
-  parser_.add_flag("threads", &threads_flag_,
+  parser_.add_flag("threads", &threads_,
                    "worker threads (0 = hardware concurrency)");
-  parser_.add_flag("replicates", &replicates_flag_,
+  parser_.add_flag("replicates", &replicates_,
                    "override the scenario's replicate count (0 = keep)");
   parser_.add_flag("csv", &csv_path_, "write per-cell results to this CSV");
   parser_.add_flag("json", &json_path_,
@@ -223,7 +217,7 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
                    "(cell, replicate) stream; --csv/--json/--json-replicates "
                    "paths are suffixed per shard unless they carry a {shard} "
                    "placeholder");
-  parser_.add_flag("resume", &resume_spec_,
+  parser_.add_flag("resume", &resume_files_,
                    "comma-separated replicate-record files from earlier "
                    "(killed or sharded) runs of this scenario; completed "
                    "replicates are skipped and re-ingested.  Resuming into "
@@ -265,7 +259,7 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
                    "workers (resuming their mid-replicate snapshots).  "
                    "Owns the output/resume/snapshot/heartbeat paths, so "
                    "those flags conflict with it");
-  parser_.add_flag("fleet-batches", &fleet_batches_flag_,
+  parser_.add_flag("fleet-batches", &fleet_batches_,
                    "batch count B when founding the fleet (batch b runs as "
                    "shard b/B); must match the existing plan when joining. "
                    "0 = adopt the plan already in --fleet-dir");
@@ -277,7 +271,7 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
                    "stable worker id ([A-Za-z0-9_-]; default: generated "
                    "from pid + random suffix).  Reusing a dead worker's id "
                    "is safe; sharing one between LIVE workers is not");
-  parser_.add_flag("fleet-max-batches", &fleet_max_batches_flag_,
+  parser_.add_flag("fleet-max-batches", &fleet_max_batches_,
                    "stop after completing this many batches (0 = run until "
                    "the fleet is complete) — for preemptible or "
                    "time-boxed workers");
@@ -311,22 +305,12 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
     std::cerr << "--merge-only folds ALL shards; drop --shard\n";
     return 1;
   }
-  if (merge_only_ && resume_spec_.empty()) {
+  if (merge_only_ && resume_files_.empty()) {
     std::cerr << "--merge-only needs --resume=<shard files>\n";
     return 1;
   }
   if (!(mem_budget_gb_ >= 0.0 && mem_budget_gb_ < kMaxMemBudgetGib)) {
     std::cerr << "--mem-budget must be in [0, 2^34) GiB\n";
-    return 1;
-  }
-  try {
-    threads_ = checked_threads(threads_flag_);
-  } catch (const ArgumentError& error) {
-    std::cerr << error.what() << "\n";
-    return 1;
-  }
-  if (replicates_flag_ < 0 || replicates_flag_ > 0xFFFFFFFFll) {
-    std::cerr << "--replicates must be in [0, 2^32)\n";
     return 1;
   }
   if (!heartbeat_spec_.empty() &&
@@ -363,7 +347,7 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
       return 1;
     };
     if (!shard_spec_.empty()) return conflict("--shard");
-    if (!resume_spec_.empty()) return conflict("--resume");
+    if (!resume_files_.empty()) return conflict("--resume");
     if (merge_only_) return conflict("--merge-only (use --fleet-merge)");
     if (!snapshot_dir_.empty()) return conflict("--snapshot-dir");
     if (!heartbeat_spec_.empty()) return conflict("--heartbeat");
@@ -376,17 +360,9 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
         return conflict("--json-replicates (merge emits it)");
       }
     }
-    if (fleet_batches_flag_ < 0 || fleet_batches_flag_ > 0xFFFFFFFFll) {
-      std::cerr << "--fleet-batches must be in [0, 2^32)\n";
-      return 1;
-    }
     if (!(fleet_ttl_seconds_ > 0.0 &&
           fleet_ttl_seconds_ <= kMaxFleetTtlSeconds)) {
       std::cerr << "--fleet-ttl must be positive seconds, at most 1e9\n";
-      return 1;
-    }
-    if (fleet_max_batches_flag_ < 0) {
-      std::cerr << "--fleet-max-batches must be >= 0\n";
       return 1;
     }
     if (fleet_worker_.empty()) {
@@ -413,9 +389,7 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
 }
 
 void SweepCli::apply_overrides(Scenario& scenario) const {
-  if (replicates_flag_ > 0) {
-    scenario.replicates = static_cast<std::uint32_t>(replicates_flag_);
-  }
+  if (replicates_ > 0) scenario.replicates = replicates_;
 }
 
 RunnerOptions SweepCli::base_options() const {
@@ -459,15 +433,14 @@ int SweepCli::run(Scenario scenario, std::ostream& out) {
   // Load checkpoints BEFORE any sink opens the replicate path: resuming
   // into the same file must read it completely first.
   bool resume_into_same_file = false;
-  if (!resume_spec_.empty()) {
-    const std::vector<std::string> files = resume_files(resume_spec_);
-    for (const std::string& path : files) {
+  if (!resume_files_.empty()) {
+    for (const std::string& path : resume_files_) {
       if (!json_replicates_path.empty() &&
           same_file(path, json_replicates_path)) {
         resume_into_same_file = true;
       }
     }
-    checkpoint_ = fold_records(scenario, files);
+    checkpoint_ = fold_records(scenario, resume_files_);
     out << "resume: " << checkpoint_->size()
         << " completed replicate(s) loaded\n";
   }
@@ -543,15 +516,14 @@ int SweepCli::run_fleet_worker(const Scenario& scenario, std::ostream& out) {
   options.fleet_dir = fleet_dir_;
   options.worker = fleet_worker_;
   options.ttl_seconds = fleet_ttl_seconds_;
-  options.batches = static_cast<std::uint32_t>(fleet_batches_flag_);
+  options.batches = fleet_batches_;
   options.threads = threads_;
   options.memory_budget_bytes = gib_to_bytes(mem_budget_gb_);
   if (snapshot_every_ticks_ > 0 || snapshot_every_seconds_ > 0.0) {
     options.snapshot_every_ticks = snapshot_every_ticks_;
     options.snapshot_every_seconds = snapshot_every_seconds_;
   }
-  options.max_batches =
-      static_cast<std::uint64_t>(fleet_max_batches_flag_);
+  options.max_batches = fleet_max_batches_;
 
   out << "fleet: worker '" << options.worker << "' joining " << fleet_dir_
       << "\n";
@@ -586,7 +558,7 @@ int SweepCli::run_merge(const Scenario& scenario, std::ostream& out) {
         << fleet::done_batches(fleet_dir_, plan->batches).size() << "/"
         << plan->batches << " batches done\n";
   } else {
-    files = resume_files(resume_spec_);
+    files = resume_files_;
   }
   auto checkpoint = fold_records(scenario, files);
   out << "merge: " << checkpoint->size() << " replicate(s) from "

@@ -23,6 +23,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "exp/checkpoint.hpp"
 #include "exp/runner.hpp"
@@ -86,14 +87,14 @@ class SweepCli {
   std::string program_;
   SweepSummary summary_;
 
-  // Raw flag storage (parse() validates into the typed fields below).
-  std::int64_t threads_flag_ = 0;
-  std::int64_t replicates_flag_ = 0;
+  // Flag storage; parse() validates the specs into the fields below.
+  std::uint32_t threads_ = 0;
+  std::uint32_t replicates_ = 0;
   std::string csv_path_;
   std::string json_path_;
   std::string json_replicates_path_;
   std::string shard_spec_;
-  std::string resume_spec_;
+  std::vector<std::string> resume_files_;
   bool merge_only_ = false;
   double mem_budget_gb_ = 0.0;
   std::string trace_path_;
@@ -102,14 +103,13 @@ class SweepCli {
   std::string snapshot_dir_;
   std::string snapshot_every_spec_;
   std::string fleet_dir_;
-  std::int64_t fleet_batches_flag_ = 0;
+  std::uint32_t fleet_batches_ = 0;
   double fleet_ttl_seconds_ = 30.0;
   std::string fleet_worker_;
-  std::int64_t fleet_max_batches_flag_ = 0;
+  std::uint64_t fleet_max_batches_ = 0;
   bool fleet_merge_ = false;
   bool fleet_status_ = false;
 
-  unsigned threads_ = 0;
   std::uint32_t shard_index_ = 0;
   std::uint32_t shard_count_ = 1;
   std::string heartbeat_path_;

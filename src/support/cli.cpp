@@ -1,47 +1,95 @@
 #include "support/cli.hpp"
 
+#include <charconv>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "support/check.hpp"
 #include "support/string_util.hpp"
 
 namespace geogossip {
 
+namespace {
+
+/// Parses an unsigned count.  from_chars accepts no sign, so "-1" is
+/// malformed rather than wrapped, and a value past T's maximum is out of
+/// range rather than truncated.
+template <typename T>
+T parse_count(std::string_view text) {
+  const std::string trimmed = trim(text);
+  T value = 0;
+  const auto [ptr, ec] = std::from_chars(
+      trimmed.data(), trimmed.data() + trimmed.size(), value);
+  if (ec != std::errc() || ptr != trimmed.data() + trimmed.size()) {
+    throw ArgumentError("'" + trimmed + "' is not an integer in [0, " +
+                        std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return value;
+}
+
+/// Parses one flag value; throws ArgumentError on malformed or
+/// out-of-range text.
+template <typename T>
+T parse_value(const std::string& text) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return parse_bool(text);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    return parse_count<T>(text);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return parse_double(text);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return text;
+  } else {
+    T values;
+    for (const std::string& entry : split(text, ',')) {
+      const std::string item = trim(entry);
+      if (!item.empty()) {
+        values.push_back(parse_value<typename T::value_type>(item));
+      }
+    }
+    return values;
+  }
+}
+
+/// The --help rendering of a default value; lists join with commas.
+template <typename T>
+std::string format_value(const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return value;
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    std::ostringstream os;
+    os << value;
+    return os.str();
+  } else {
+    std::string joined;
+    for (const auto& item : value) {
+      if (!joined.empty()) joined += ',';
+      joined += format_value(item);
+    }
+    return joined;
+  }
+}
+
+}  // namespace
+
 ArgParser::ArgParser(std::string program, std::string summary)
     : program_(std::move(program)), summary_(std::move(summary)) {}
 
-void ArgParser::add_flag(const std::string& name, std::int64_t* target,
+void ArgParser::add_flag(const std::string& name, Target target,
                          const std::string& help) {
-  GG_CHECK_ARG(target != nullptr, "add_flag: null target");
   GG_CHECK_ARG(find(name) == nullptr, "duplicate flag --" + name);
-  flags_.push_back(
-      Flag{name, Kind::kInt, target, help, std::to_string(*target)});
-}
-
-void ArgParser::add_flag(const std::string& name, double* target,
-                         const std::string& help) {
-  GG_CHECK_ARG(target != nullptr, "add_flag: null target");
-  GG_CHECK_ARG(find(name) == nullptr, "duplicate flag --" + name);
-  std::ostringstream os;
-  os << *target;
-  flags_.push_back(Flag{name, Kind::kDouble, target, help, os.str()});
-}
-
-void ArgParser::add_flag(const std::string& name, std::string* target,
-                         const std::string& help) {
-  GG_CHECK_ARG(target != nullptr, "add_flag: null target");
-  GG_CHECK_ARG(find(name) == nullptr, "duplicate flag --" + name);
-  flags_.push_back(Flag{name, Kind::kString, target, help,
-                        target->empty() ? "\"\"" : *target});
-}
-
-void ArgParser::add_flag(const std::string& name, bool* target,
-                         const std::string& help) {
-  GG_CHECK_ARG(target != nullptr, "add_flag: null target");
-  GG_CHECK_ARG(find(name) == nullptr, "duplicate flag --" + name);
-  flags_.push_back(
-      Flag{name, Kind::kBool, target, help, *target ? "true" : "false"});
+  std::string default_text = std::visit(
+      [](auto* value) {
+        GG_CHECK_ARG(value != nullptr, "add_flag: null target");
+        return format_value(*value);
+      },
+      target);
+  if (default_text.empty()) default_text = "\"\"";
+  flags_.push_back(Flag{name, target, help, std::move(default_text)});
 }
 
 const ArgParser::Flag* ArgParser::find(const std::string& name) const noexcept {
@@ -49,23 +97,6 @@ const ArgParser::Flag* ArgParser::find(const std::string& name) const noexcept {
     if (f.name == name) return &f;
   }
   return nullptr;
-}
-
-void ArgParser::assign(const Flag& flag, const std::string& value) {
-  switch (flag.kind) {
-    case Kind::kInt:
-      *static_cast<std::int64_t*>(flag.target) = parse_int(value);
-      return;
-    case Kind::kDouble:
-      *static_cast<double*>(flag.target) = parse_double(value);
-      return;
-    case Kind::kString:
-      *static_cast<std::string*>(flag.target) = value;
-      return;
-    case Kind::kBool:
-      *static_cast<bool*>(flag.target) = parse_bool(value);
-      return;
-  }
 }
 
 int parse_exit_code(ParseResult result) noexcept {
@@ -94,18 +125,28 @@ ParseResult ArgParser::parse(int argc, const char* const* argv) {
       }
       const Flag* flag = find(name);
       GG_CHECK_ARG(flag != nullptr, "unknown flag --" + name);
-      if (inline_value) {
-        assign(*flag, *inline_value);
-        continue;
+      if (!inline_value) {
+        if (std::holds_alternative<bool*>(flag->target)) {
+          // A bare boolean flag means "true"; an explicit value may follow
+          // only in the --name=value form.
+          *std::get<bool*>(flag->target) = true;
+          continue;
+        }
+        GG_CHECK_ARG(i + 1 < argc, "flag --" + name + " expects a value");
+        inline_value = argv[++i];
       }
-      if (flag->kind == Kind::kBool) {
-        // A bare boolean flag means "true"; an explicit value may follow
-        // only in the --name=value form handled above.
-        *static_cast<bool*>(flag->target) = true;
-        continue;
+      try {
+        // Parse fully before assigning, so a rejected value leaves the
+        // target as it was.
+        std::visit(
+            [&](auto* target) {
+              *target = parse_value<std::remove_pointer_t<decltype(target)>>(
+                  *inline_value);
+            },
+            flag->target);
+      } catch (const ArgumentError& error) {
+        throw ArgumentError("--" + name + ": " + error.what());
       }
-      GG_CHECK_ARG(i + 1 < argc, "flag --" + name + " expects a value");
-      assign(*flag, argv[++i]);
     }
   } catch (const ArgumentError& error) {
     std::cerr << program_ << ": " << error.what() << "\n"

@@ -2,13 +2,19 @@
 //
 // Supports --name=value and --name value forms, bool flags without a value
 // ("--verbose"), automatic --help text, and strict rejection of unknown
-// flags so typos in sweep scripts fail loudly.
+// flags so typos in sweep scripts fail loudly.  The parser owns every
+// range check a flag's type implies: counts are unsigned, so a negative
+// or out-of-range count is a parse error rather than a wrapped value, and
+// list flags take comma-separated values ("--sizes=512,2048") whose empty
+// entries are skipped ("--sizes=" is the empty list).
 #ifndef GEOGOSSIP_SUPPORT_CLI_HPP
 #define GEOGOSSIP_SUPPORT_CLI_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace geogossip {
@@ -28,24 +34,27 @@ int parse_exit_code(ParseResult result) noexcept;
 
 class ArgParser {
  public:
+  /// Flag targets.  Counts (std::uint32_t, std::uint64_t, list entries)
+  /// reject a sign and any value past their type's maximum; doubles must
+  /// be finite; a list value replaces the whole default list.
+  using Target =
+      std::variant<std::uint32_t*, std::uint64_t*, double*, std::string*,
+                   bool*, std::vector<std::size_t>*, std::vector<double>*,
+                   std::vector<std::string>*>;
+
   /// `program` and `summary` appear in the --help output.
   ArgParser(std::string program, std::string summary);
 
-  /// Registers a flag; the pointer must outlive parse().  The current value
-  /// of the target is taken as the documented default.
-  void add_flag(const std::string& name, std::int64_t* target,
-                const std::string& help);
-  void add_flag(const std::string& name, double* target,
-                const std::string& help);
-  void add_flag(const std::string& name, std::string* target,
-                const std::string& help);
-  void add_flag(const std::string& name, bool* target,
+  /// Registers a flag; the target must outlive parse().  Its current value
+  /// is taken as the documented default.
+  void add_flag(const std::string& name, Target target,
                 const std::string& help);
 
   /// Parses argv.  Returns kHelp if --help was requested (help text already
   /// printed to stdout) and kError on unknown flags or malformed values
-  /// (diagnostic already printed to stderr).  Never throws on bad input, so
-  /// every main() can be a simple result check.
+  /// (diagnostic already printed to stderr; the flag's target keeps its
+  /// previous value).  Never throws on bad input, so every main() can be a
+  /// simple result check.
   ParseResult parse(int argc, const char* const* argv);
 
   /// Positional arguments remaining after flag extraction.
@@ -56,18 +65,14 @@ class ArgParser {
   std::string help_text() const;
 
  private:
-  enum class Kind { kInt, kDouble, kString, kBool };
-
   struct Flag {
     std::string name;
-    Kind kind;
-    void* target;
+    Target target;
     std::string help;
     std::string default_text;
   };
 
   const Flag* find(const std::string& name) const noexcept;
-  void assign(const Flag& flag, const std::string& value);
 
   std::string program_;
   std::string summary_;

@@ -985,9 +985,11 @@ TEST(MergeOnly, RewritingOneOfTheResumeFilesKeepsEveryRecord) {
 TEST(SweepCliFlags, NonFiniteOrOverflowingNumbersExitOne) {
   // NaN passes every `< 0` check, and an overflowing budget, TTL or
   // heartbeat interval would make the flag's integer conversion
-  // undefined.  A thread or replicate count of 2^32 or more would wrap
-  // when narrowed to 32 bits (2^32 threads to 0, hardware concurrency).
-  // The heartbeat's directory exists, so only its interval can fail.
+  // undefined.  A thread, replicate or batch count of 2^32 or more would
+  // wrap when narrowed to 32 bits (2^32 threads to 0, hardware
+  // concurrency), and a negative count would wrap to a huge one.  The
+  // heartbeat's directory exists, so only its interval can fail; a
+  // numeric interval must not fall back into the file name.
   const auto dir =
       (std::filesystem::path(::testing::TempDir()) / "ggflags").string();
   const auto heartbeat =
@@ -1002,10 +1004,16 @@ TEST(SweepCliFlags, NonFiniteOrOverflowingNumbersExitOne) {
       {"--threads=4294967296"},
       {"--threads=4294967297"},
       {"--replicates=4294967297"},
-      {"--heartbeat=" + heartbeat + ",1e10"}};
+      {"--fleet-dir=" + dir, "--fleet-batches=4294967296"},
+      {"--fleet-dir=" + dir, "--fleet-max-batches=-1"},
+      {"--heartbeat=" + heartbeat + ",1e10"},
+      {"--heartbeat=" + heartbeat + ",inf"},
+      {"--heartbeat=" + heartbeat + ",nan"},
+      {"--heartbeat=" + heartbeat + ",1e400"}};
   for (const auto& args : bad) {
     EXPECT_EQ(run_cli(tiny_scenario(1), args), 1) << args.back();
   }
+  EXPECT_FALSE(std::filesystem::exists(heartbeat + ",inf"));
 }
 
 }  // namespace

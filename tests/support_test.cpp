@@ -327,7 +327,7 @@ TEST(Sinks, JsonEscapeHandlesQuotesBackslashesAndControls) {
 // ------------------------------------------------------------------ cli ----
 
 TEST(Cli, ParsesAllValueForms) {
-  std::int64_t n = 10;
+  std::uint32_t n = 10;
   double eps = 0.5;
   std::string name = "default";
   bool verbose = false;
@@ -358,7 +358,7 @@ TEST(Cli, BoolExplicitValueForm) {
 }
 
 TEST(Cli, RejectsUnknownFlagAndMissingValueWithKError) {
-  std::int64_t n = 0;
+  std::uint64_t n = 0;
   ArgParser parser("prog", "test");
   parser.add_flag("n", &n, "count");
   const char* bad[] = {"prog", "--bogus=1"};
@@ -386,14 +386,14 @@ TEST(Cli, ExitCodesDistinguishHelpFromError) {
 }
 
 TEST(Cli, RejectsDuplicateRegistration) {
-  std::int64_t n = 0;
+  std::uint32_t n = 0;
   ArgParser parser("prog", "test");
   parser.add_flag("n", &n, "count");
   EXPECT_THROW(parser.add_flag("n", &n, "again"), ArgumentError);
 }
 
 TEST(Cli, HelpReturnsKHelpAndMentionsFlags) {
-  std::int64_t n = 3;
+  std::uint64_t n = 3;
   ArgParser parser("prog", "summary line");
   parser.add_flag("n", &n, "the count");
   const char* argv[] = {"prog", "--help"};
@@ -403,6 +403,71 @@ TEST(Cli, HelpReturnsKHelpAndMentionsFlags) {
   EXPECT_NE(out.find("summary line"), std::string::npos);
   EXPECT_NE(out.find("--n"), std::string::npos);
   EXPECT_NE(out.find("default: 3"), std::string::npos);
+}
+
+TEST(Cli, CountsAreRangeCheckedAndListsSkipEmptyEntries) {
+  std::uint32_t count32 = 7;
+  std::uint64_t count64 = 7;
+  std::vector<std::size_t> sizes{500, 2000, 8000};
+  std::vector<double> factors{0.5, 1.5};
+  std::vector<std::string> names{"a"};
+  ArgParser parser("prog", "test");
+  parser.add_flag("count32", &count32, "32-bit count");
+  parser.add_flag("count64", &count64, "64-bit count");
+  parser.add_flag("sizes", &sizes, "n values");
+  parser.add_flag("factors", &factors, "multipliers");
+  parser.add_flag("names", &names, "labels");
+  const auto parse = [&parser](const std::string& arg) {
+    const char* argv[] = {"prog", arg.c_str()};
+    testing::internal::CaptureStderr();
+    const ParseResult result = parser.parse(2, argv);
+    testing::internal::GetCapturedStderr();
+    return result;
+  };
+
+  // A sign or the first value past the type's maximum is an error, never
+  // a wrapped count, and the target keeps its value.
+  for (const std::string bad :
+       {"--count32=-1", "--count32=4294967296", "--count64=-1",
+        "--count64=18446744073709551616", "--sizes=64,-1",
+        "--sizes=64,18446744073709551616", "--factors=1,1e400",
+        "--factors=nan"}) {
+    EXPECT_EQ(parse(bad), ParseResult::kError) << bad;
+  }
+  EXPECT_EQ(count32, 7u);
+  EXPECT_EQ(count64, 7u);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{500, 2000, 8000}));
+  EXPECT_EQ(factors, (std::vector<double>{0.5, 1.5}));
+
+  ASSERT_EQ(parse("--count32=4294967295"), ParseResult::kOk);
+  EXPECT_EQ(count32, 4294967295u);
+  ASSERT_EQ(parse("--count64=18446744073709551615"), ParseResult::kOk);
+  EXPECT_EQ(count64, 18446744073709551615u);
+  ASSERT_EQ(parse("--sizes=18446744073709551615"), ParseResult::kOk);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{18446744073709551615u}));
+
+  // Empty entries are skipped, so an empty value is the empty list.
+  ASSERT_EQ(parse("--sizes=64,,128,"), ParseResult::kOk);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{64, 128}));
+  ASSERT_EQ(parse("--sizes="), ParseResult::kOk);
+  EXPECT_TRUE(sizes.empty());
+  ASSERT_EQ(parse("--factors=-1,,2.5,"), ParseResult::kOk);
+  EXPECT_EQ(factors, (std::vector<double>{-1.0, 2.5}));
+  ASSERT_EQ(parse("--names= x.jsonl,,y.jsonl "), ParseResult::kOk);
+  EXPECT_EQ(names, (std::vector<std::string>{"x.jsonl", "y.jsonl"}));
+
+  // --help joins a list default with commas.
+  std::vector<std::size_t> default_sizes{500, 2000, 8000};
+  std::vector<double> default_factors{0.6, 1.0};
+  ArgParser help("prog", "test");
+  help.add_flag("sizes", &default_sizes, "n values");
+  help.add_flag("factors", &default_factors, "multipliers");
+  const char* argv[] = {"prog", "--help"};
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(help.parse(2, argv), ParseResult::kHelp);
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_NE(out.find("default: 500,2000,8000"), std::string::npos);
+  EXPECT_NE(out.find("default: 0.6,1)"), std::string::npos);
 }
 
 // ---------------------------------------------------------------- table ----
