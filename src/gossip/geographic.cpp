@@ -184,12 +184,20 @@ void GeographicGossip::estimate_acceptance() {
   for (double& q : q_hat) q /= static_cast<double>(total_samples);
 
   // Thinning target: accept node i with probability q_ref / q_hat[i], where
-  // q_ref is the smallest positive estimate.  Nodes never sampled keep
-  // acceptance 1 (they are effectively unreachable as targets anyway).
-  double q_ref = 1.0;
+  // q_ref is the kReferenceQuantile order statistic of the positive
+  // estimates, so nodes at or below it always accept.  Nodes never sampled
+  // keep acceptance 1 (they are effectively unreachable as targets anyway).
+  std::vector<double> positive;
+  positive.reserve(n);
   for (const double q : q_hat) {
-    if (q > 0.0) q_ref = std::min(q_ref, q);
+    if (q > 0.0) positive.push_back(q);
   }
+  const auto rank = static_cast<std::size_t>(
+      kReferenceQuantile * static_cast<double>(positive.size() - 1));
+  std::nth_element(positive.begin(),
+                   positive.begin() + static_cast<std::ptrdiff_t>(rank),
+                   positive.end());
+  const double q_ref = positive[rank];
   acceptance_.assign(n, 1.0);
   for (std::size_t i = 0; i < n; ++i) {
     if (q_hat[i] > 0.0) acceptance_[i] = std::min(1.0, q_ref / q_hat[i]);

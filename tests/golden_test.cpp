@@ -36,11 +36,11 @@ constexpr GoldenHashes kGolden[] = {
     {"e2-tail-quick",           0xdba298677da2895aull, 0xf21e954f016c76c1ull, 0x0a6d4b56d4313c9eull},
     {"e3-perturbed-quick",      0x74b47f8f042f2ef4ull, 0xebd74733604ec8b6ull, 0x65038e08c23e141bull},
     {"e4-spectral-quick",       0x429518d575880af9ull, 0xd9e3bf40f2e26b98ull, 0x5b5d0d01fe241089ull},
-    {"e5-quick",                0xbacbb10d14d3ec94ull, 0xfb7d57425ca110c4ull, 0xf8245ea93ce88b29ull},
+    {"e5-quick",                0x877af8c268100f78ull, 0x0fd11cce5ae5d812ull, 0x143da614f72bc259ull},
     {"e6-routing-quick",        0x4a9382e06a1ff631ull, 0x5dedf0fdc6e5395bull, 0x92c8707101466d6cull},
     {"e7-connectivity-quick",   0x9c8322fa74c0433cull, 0x0ef47960c9743122ull, 0x391830a409420e35ull},
     {"e8-occupancy-quick",      0x1ff25bec20729210ull, 0x86c2be31a69147a0ull, 0x33354d480a2a3c66ull},
-    {"e9-rejection-quick",      0xf99bab2bc905eda9ull, 0xfdc43d1306b68c11ull, 0x5a5885d94babdbb9ull},
+    {"e9-rejection-quick",      0x9d99c07fb94c26ceull, 0x8a020bf8f609c0a8ull, 0xfcd1cb9e6beaac81ull},
 };
 // clang-format on
 

@@ -2,6 +2,7 @@
 // rejection sampling, and path averaging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -171,6 +172,23 @@ TEST(Geographic, AcceptanceWeightsAreProbabilities) {
     min_acc = std::min(min_acc, a);
   }
   EXPECT_LT(min_acc, 1.0);  // somebody has an oversized Voronoi cell
+}
+
+TEST(Geographic, AcceptanceReferenceIsTheCommittedQuantile) {
+  // With the minimum estimate as the reference, one node or two accepted
+  // for sure and the mean acceptance was about 0.05 at this size.
+  const auto g = make_graph(4096, 112);
+  Rng rng(113);
+  GeographicGossip protocol(g, std::vector<double>(g.node_count(), 0.0), rng);
+  const auto& acceptance = protocol.acceptance();
+  const auto sure = std::count(acceptance.begin(), acceptance.end(), 1.0);
+  EXPECT_GE(static_cast<double>(sure),
+            GeographicGossip::kReferenceQuantile *
+                static_cast<double>(g.node_count()));
+  const double mean =
+      std::accumulate(acceptance.begin(), acceptance.end(), 0.0) /
+      static_cast<double>(acceptance.size());
+  EXPECT_GE(mean, 0.25);
 }
 
 TEST(Geographic, DisabledRejectionSamplingSkipsEstimation) {
