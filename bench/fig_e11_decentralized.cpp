@@ -20,12 +20,13 @@
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
 #include "gossip/spanning_tree.hpp"
+#include "support/cli.hpp"
 #include "support/string_util.hpp"
 
 namespace gg = geogossip;
 using gg::core::ProtocolKind;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::uint64_t n = 4096;
   std::uint64_t master_seed = 9;
   double eps = 1e-3;
@@ -96,3 +97,5 @@ int main(int argc, char** argv) {
          "ZERO control transmissions: an empirical 'yes' to §8.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

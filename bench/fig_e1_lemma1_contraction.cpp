@@ -15,13 +15,14 @@
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
 #include "stats/regression.hpp"
+#include "support/cli.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
 
 namespace gg = geogossip;
 using gg::core::AlphaMode;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   // Independent runs per configuration; the harness --replicates flag
   // overrides this.
   const std::uint32_t replicates = 96;
@@ -110,3 +111,5 @@ int main(int argc, char** argv) {
   chart.print(std::cout);
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

@@ -15,12 +15,13 @@
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
 #include "stats/confidence.hpp"
+#include "support/cli.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
 
 namespace gg = geogossip;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::uint64_t n = 256;
   // Independent runs per t; the harness --replicates flag overrides this.
   const std::uint32_t replicates = 600;
@@ -67,3 +68,5 @@ int main(int argc, char** argv) {
                "tail sits below the Corollary 1 bound.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

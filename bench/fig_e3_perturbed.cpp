@@ -14,12 +14,13 @@
 #include "exp/probes.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
+#include "support/cli.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
 
 namespace gg = geogossip;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::uint64_t n = 64;
   // Independent runs per configuration; the harness --replicates flag
   // overrides this.
@@ -70,3 +71,5 @@ int main(int argc, char** argv) {
                "paper tightens eps_r per hierarchy level (Lemma 2 / §6).\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

@@ -12,12 +12,13 @@
 #include "exp/probes.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
+#include "support/cli.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
 
 namespace gg = geogossip;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::uint64_t seed = 41;
   std::uint32_t iterations = 800;
   // Coefficient draws per (n, family); the harness --replicates flag
@@ -57,3 +58,5 @@ int main(int argc, char** argv) {
                "1 - Theta(1/n) contraction; Lemma 1 promises >= 0.5.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

@@ -14,12 +14,13 @@
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
 #include "stats/regression.hpp"
+#include "support/cli.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
 
 namespace gg = geogossip;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::uint64_t pairs = 2000;
   std::uint64_t seed = 51;
   // Fresh graphs per n; the harness --replicates flag overrides this.
@@ -71,3 +72,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

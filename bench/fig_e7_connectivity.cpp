@@ -14,12 +14,13 @@
 #include "exp/probes.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
+#include "support/cli.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
 
 namespace gg = geogossip;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   // Graphs per (n, c); the harness --replicates flag overrides this.
   const std::uint32_t replicates = 60;
   std::uint64_t seed = 61;
@@ -60,3 +61,5 @@ int main(int argc, char** argv) {
                "comfortably inside the connected regime.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

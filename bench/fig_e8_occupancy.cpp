@@ -12,16 +12,17 @@
 #include <iostream>
 #include <vector>
 
-#include "geometry/grid.hpp"
 #include "exp/probes.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
+#include "geometry/grid.hpp"
+#include "support/cli.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
 
 namespace gg = geogossip;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   // Deployments per n; the harness --replicates flag overrides this.
   const std::uint32_t replicates = 200;
   std::uint64_t seed = 71;
@@ -75,3 +76,5 @@ int main(int argc, char** argv) {
          "(log n)^8-sized leaves.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

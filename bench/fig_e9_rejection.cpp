@@ -13,12 +13,13 @@
 #include "exp/probes.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
+#include "support/cli.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
 
 namespace gg = geogossip;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::uint64_t samples = 200000;
   std::uint64_t seed = 81;
   // Fresh graphs per cell; the harness --replicates flag overrides this.
@@ -60,3 +61,5 @@ int main(int argc, char** argv) {
                "buys uniformity for a constant-factor hop overhead.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

@@ -22,6 +22,7 @@
 #include "core/schedule.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
+#include "support/cli.hpp"
 #include "support/string_util.hpp"
 
 namespace gg = geogossip;
@@ -30,7 +31,7 @@ using gg::core::LeafCostModel;
 using gg::core::MultilevelConfig;
 using gg::core::ProtocolKind;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::uint64_t n = 16384;
   std::uint64_t master_seed = 5;
   double eps = 1e-3;
@@ -133,3 +134,5 @@ int main(int argc, char** argv) {
                "can leave the (1/3,1/2) window (see also E8).\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

@@ -17,12 +17,13 @@
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
 #include "gossip/spanning_tree.hpp"
+#include "support/cli.hpp"
 #include "support/string_util.hpp"
 
 namespace gg = geogossip;
 using gg::core::ProtocolKind;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::uint64_t master_seed = 1;
   double eps = 1e-3;
   double radius_multiplier = 1.2;
@@ -163,3 +164,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

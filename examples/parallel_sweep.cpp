@@ -56,11 +56,12 @@
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep_cli.hpp"
+#include "support/cli.hpp"
 #include "support/string_util.hpp"
 
 namespace gg = geogossip;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::string scenario_name = "e5-quick";
   bool list = false;
   bool list_names = false;
@@ -140,3 +141,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

@@ -13,7 +13,7 @@
 namespace gg = geogossip;
 using gg::core::ProtocolKind;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::uint64_t n = 2048;
   double eps = 1e-3;
   std::uint64_t seed = 27;
@@ -99,3 +99,5 @@ int main(int argc, char** argv) {
                "\"Reproducing the paper's figures\").\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

@@ -16,7 +16,7 @@
 
 namespace gg = geogossip;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::uint64_t n = 4096;
   double eps = 1e-3;
   std::uint64_t seed = 7;
@@ -64,3 +64,5 @@ int main(int argc, char** argv) {
             << " transmissions\n";
   return result.converged ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

@@ -53,7 +53,7 @@ class Canvas {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::uint64_t n = 900;
   std::uint64_t seed = 37;
 
@@ -132,3 +132,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

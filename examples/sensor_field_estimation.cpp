@@ -35,7 +35,7 @@ double temperature_at(gg::geometry::Vec2 p) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::uint64_t n = 8192;
   double eps = 1e-3;
   double sensor_noise = 0.5;
@@ -120,3 +120,5 @@ int main(int argc, char** argv) {
                "cost of getting there.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return gg::run_main(argc, argv, run); }

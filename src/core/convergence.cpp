@@ -93,8 +93,7 @@ TrialOutcome run_protocol_trial_impl(ProtocolKind kind,
                                      const std::vector<double>& x0, Rng& rng,
                                      const TrialOptions& options,
                                      const sim::CheckpointPolicy& checkpoints,
-                                     std::string_view resume,
-                                     unsigned route_lanes) {
+                                     std::string_view resume) {
   GG_CHECK_ARG(options.eps > 0.0 && options.eps < 1.0,
                "run_protocol_trial: eps must lie in (0, 1)");
   GG_CHECK_ARG(x0.size() == graph.node_count(),
@@ -116,8 +115,7 @@ TrialOutcome run_protocol_trial_impl(ProtocolKind kind,
       return from_run(run, sum_before, sum_of(protocol.values()));
     }
     case ProtocolKind::kDimakisGeographic: {
-      gossip::GeographicGossip protocol(graph, x0, rng, options.geographic,
-                                        route_lanes);
+      gossip::GeographicGossip protocol(graph, x0, rng, options.geographic);
       const auto run =
           sim::run_to_epsilon(protocol, rng, run_config, checkpoints, resume);
       return from_run(run, sum_before, sum_of(protocol.values()));
@@ -199,13 +197,12 @@ TrialOutcome run_protocol_trial(ProtocolKind kind,
                                 const std::vector<double>& x0, Rng& rng,
                                 const TrialOptions& options,
                                 const sim::CheckpointPolicy& checkpoints,
-                                std::string_view resume,
-                                unsigned route_lanes) {
+                                std::string_view resume) {
   obs::Span span("protocol_run", "n",
                  static_cast<std::int64_t>(graph.node_count()), "kind",
                  static_cast<std::int64_t>(kind));
   const TrialOutcome outcome = run_protocol_trial_impl(
-      kind, graph, x0, rng, options, checkpoints, resume, route_lanes);
+      kind, graph, x0, rng, options, checkpoints, resume);
   report_trial(outcome);
   return outcome;
 }

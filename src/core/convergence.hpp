@@ -74,16 +74,14 @@ TrialOutcome run_protocol_trial(ProtocolKind kind,
 /// non-empty `resume` payload restores a snapshotted trial of the SAME
 /// (kind, graph, x0, rng-seed) configuration and continues bit-identically.
 /// Round-based kinds snapshot between top rounds; tick kinds at tick
-/// cadence.  All kinds support the contract.  `route_lanes` threads, the
-/// caller's included, may route inside the trial (Dimakis geographic
-/// gossip only); the outcome and any snapshot are the same at every count.
+/// cadence.  All kinds support the contract.  A trial runs on the calling
+/// thread only.
 TrialOutcome run_protocol_trial(ProtocolKind kind,
                                 const graph::GeometricGraph& graph,
                                 const std::vector<double>& x0, Rng& rng,
                                 const TrialOptions& options,
                                 const sim::CheckpointPolicy& checkpoints,
-                                std::string_view resume,
-                                unsigned route_lanes = 1);
+                                std::string_view resume);
 
 }  // namespace geogossip::core
 

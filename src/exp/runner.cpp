@@ -91,8 +91,7 @@ ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed) {
 
 ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed,
                               const sim::CheckpointPolicy& checkpoints,
-                              std::string_view resume,
-                              unsigned route_lanes) {
+                              std::string_view resume) {
   GG_CHECK_ARG(cell.n >= 2, "run_replicate: cell.n >= 2");
   if (cell.trial) {
     // Probe trials: short, self-contained measurements with no engine
@@ -110,9 +109,8 @@ ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed,
   auto x0 = make_initial_field(cell, graph, rng);
   sim::center_and_normalize(x0);
 
-  const auto outcome =
-      core::run_protocol_trial(cell.kind, graph, x0, rng, cell.options,
-                               checkpoints, resume, route_lanes);
+  const auto outcome = core::run_protocol_trial(
+      cell.kind, graph, x0, rng, cell.options, checkpoints, resume);
 
   ReplicateResult result;
   result.seed = seed;
@@ -212,12 +210,6 @@ SweepSummary Runner::run(const Scenario& scenario) const {
   if (trace_tasks) task_times.resize(pending.size());
 
   ThreadPool pool(options_.threads);
-  // Workers the task stream can never occupy are lent to the replicates
-  // as route lanes (a lone replicate on 4 threads gets all 4).
-  const unsigned route_lanes =
-      pending.empty() ? 1
-                      : std::max(1u, static_cast<unsigned>(
-                                         pool.thread_count() / pending.size()));
   MemoryGate gate(options_.memory_budget_bytes);
   std::mutex progress_mu;
   const auto start = std::chrono::steady_clock::now();
@@ -266,8 +258,7 @@ SweepSummary Runner::run(const Scenario& scenario) const {
         obs::Span span("replicate", "cell",
                        static_cast<std::int64_t>(cell_index), "replicate",
                        replicate);
-        results[task] = run_replicate(cell, seed, policy, resume_payload,
-                                      route_lanes);
+        results[task] = run_replicate(cell, seed, policy, resume_payload);
       }
       if (trace_tasks) task_times[index][1] = obs::now_ns();
     } catch (...) {

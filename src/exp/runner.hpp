@@ -6,9 +6,11 @@
 // or the cell's pinned seed_stream for paired comparisons — and writes
 // into its own preallocated result slot, so aggregation happens in
 // deterministic index order after the pool drains: per-cell summaries are
-// bit-identical at any thread count.  Summaries reduce replicate outcomes through
-// stats::Quantiles / RunningStat, the same machinery the hand-rolled bench
-// loops used.
+// bit-identical at any thread count.  A replicate runs start to finish on
+// the worker that took it, so threads beyond the number of pending
+// replicates stay idle.  Summaries reduce replicate outcomes through
+// stats::Quantiles / RunningStat, the same machinery the hand-rolled
+// bench loops used.
 #ifndef GEOGOSSIP_EXP_RUNNER_HPP
 #define GEOGOSSIP_EXP_RUNNER_HPP
 
@@ -185,16 +187,12 @@ ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed);
 /// Checkpoint-aware variant: `checkpoints` snapshots the trial mid-flight
 /// at the policy's cadence and a non-empty `resume` payload continues a
 /// snapshotted trial of the same (cell, seed) bit-identically.  Probe
-/// cells ignore both (no engine state).  `route_lanes` threads, the
-/// caller's included, may route inside the trial (see
-/// core::run_protocol_trial); the result is the same at every count.
-/// Exposed for tests and custom experiment programs; Runner::run wires it
-/// to a SnapshotStore when RunnerOptions::snapshot_dir is set, and lends
-/// each replicate the workers its task stream cannot occupy.
+/// cells ignore both (no engine state).  Exposed for tests and custom
+/// experiment programs; Runner::run wires it to a SnapshotStore when
+/// RunnerOptions::snapshot_dir is set.
 ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed,
                               const sim::CheckpointPolicy& checkpoints,
-                              std::string_view resume,
-                              unsigned route_lanes = 1);
+                              std::string_view resume);
 
 /// Sorted union of metric keys across the cells of a summary — the column
 /// set used by both the console metrics table and the CSV sink.

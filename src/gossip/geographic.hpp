@@ -18,36 +18,22 @@
 // and return routes deliver, keeping the value sum exactly conserved (the
 // model assumes reliable in-slot delivery; failures are counted).
 //
-// Route lanes: given spare threads, each tick predicts the targets of its
-// rejection-sampling attempts from a copy of the RNG and routes them on
-// routing::RouteLanes while the tick consumes them in order.  The tick
-// still draws every target itself and uses a lane's route only when its
-// (source, target) matches bit for bit, so values, counters and snapshots
-// are identical at any lane count.
+// A tick gives up after 33 rejected attempts (hops still paid).  With the
+// committed reference an attempt is rejected about 63% of the time, so
+// that budget binds about once in four million ticks (DESIGN.md).
 #ifndef GEOGOSSIP_GOSSIP_GEOGRAPHIC_HPP
 #define GEOGOSSIP_GOSSIP_GEOGRAPHIC_HPP
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "geometry/vec2.hpp"
 #include "gossip/base.hpp"
-#include "routing/greedy.hpp"
-
-namespace geogossip::routing {
-class RouteLanes;
-}  // namespace geogossip::routing
 
 namespace geogossip::gossip {
 
 struct GeographicOptions {
   /// Rejection-sample targets towards the uniform node distribution.
   bool rejection_sampling = true;
-  /// Monte Carlo positions per node used to estimate Voronoi weights.
-  std::uint32_t weight_samples_per_node = 32;
-  /// Give up after this many rejected targets in one tick (hops still paid).
-  std::uint32_t max_rejections = 32;
 };
 
 class GeographicGossip final : public ValueProtocol {
@@ -59,12 +45,8 @@ class GeographicGossip final : public ValueProtocol {
   /// DESIGN.md gives the rule that chose this quantile and its sweep.
   static constexpr double kReferenceQuantile = 0.10;
 
-  /// `route_lanes` threads route each tick's attempts, the caller's
-  /// included; 1 (the default) routes everything inline.
   GeographicGossip(const graph::GeometricGraph& graph, std::vector<double> x0,
-                   Rng& rng, const GeographicOptions& options = {},
-                   unsigned route_lanes = 1);
-  ~GeographicGossip() override;
+                   Rng& rng, const GeographicOptions& options = {});
 
   std::string_view name() const override { return "dimakis-geographic"; }
   void on_tick(const sim::Tick& tick) override;
@@ -93,22 +75,12 @@ class GeographicGossip final : public ValueProtocol {
 
  private:
   void estimate_acceptance();
-  /// Publishes this tick's predicted attempt targets to the lanes.
-  void prefetch_attempts(graph::NodeId source);
-  /// Forward route of `attempt`: the lanes' when it matches, else inline.
-  routing::RouteResult route_attempt(graph::NodeId source,
-                                     geometry::Vec2 target,
-                                     std::uint32_t attempt);
 
   GeographicOptions options_;
   std::vector<double> acceptance_;
   std::uint64_t exchanges_ = 0;
   std::uint64_t rejections_ = 0;
   std::uint64_t failed_routes_ = 0;
-  /// Predicted attempt targets of the current tick (lanes only).
-  std::vector<geometry::Vec2> predicted_;
-  /// Null when routing inline.
-  std::unique_ptr<routing::RouteLanes> lanes_;
 };
 
 }  // namespace geogossip::gossip

@@ -66,10 +66,6 @@ GeometricGraph::GeometricGraph(std::vector<geometry::Vec2> points, double r,
   csr_ = CsrGraph::from_parts(std::move(offsets), std::move(targets));
 }
 
-void GeometricGraph::ensure_routing_mirror() const {
-  std::call_once(mirror_->once, [this] { build_routing_mirror(); });
-}
-
 void GeometricGraph::build_routing_mirror() const {
   obs::Span span("routing_mirror", "n",
                  static_cast<std::int64_t>(points_.size()));
@@ -103,9 +99,8 @@ void GeometricGraph::build_routing_mirror() const {
   // violating) asymmetric adjacency, where 2 * edge_count() would round
   // an odd arc count down and the fill loop would overrun by one.  The
   // fill writes every slot, so neither array is value-initialized.
-  mirror_->ids = std::make_unique_for_overwrite<NodeId[]>(offsets.back());
-  mirror_->annuli =
-      std::make_unique_for_overwrite<std::uint8_t[]>(offsets.back());
+  auto ids = std::make_unique_for_overwrite<NodeId[]>(offsets.back());
+  auto annuli = std::make_unique_for_overwrite<std::uint8_t[]>(offsets.back());
   std::vector<std::uint8_t> annulus_of;  // per-node scratch, reused
   for (std::size_t v = 0; v < points_.size(); ++v) {
     const auto neighbors = csr_.neighbors_unchecked(static_cast<NodeId>(v));
@@ -139,11 +134,13 @@ void GeometricGraph::build_routing_mirror() const {
     for (std::size_t k = 0; k < neighbors.size(); ++k) {
       const std::uint8_t a = annulus_of[k];
       const std::size_t slot = base + cursor[a]++;
-      mirror_->ids[slot] = neighbors[k];
-      mirror_->annuli[slot] = a;
+      ids[slot] = neighbors[k];
+      annuli[slot] = a;
     }
   }
-  mirror_->built.store(true, std::memory_order_release);
+  // Non-null ids mark the mirror built, so they go in last.
+  mirror_->annuli = std::move(annuli);
+  mirror_->ids = std::move(ids);
 }
 
 GeometricGraph GeometricGraph::sample(std::size_t n, double radius_multiplier,

@@ -11,18 +11,18 @@
 //
 // The routing-ordered adjacency mirror that greedy routing scans is LAZY:
 // it is built on the first ensure_routing_mirror() call, which the greedy
-// routers issue on entry (route lanes may issue it from helper threads,
-// hence the call_once), so workloads that never route (spectral probes,
+// routers issue on entry, so workloads that never route (spectral probes,
 // connectivity sweeps, nearest-neighbour gossip) never pay its build time
-// or its 5 bytes/arc (a node id and a one-byte annulus index).
+// or its 5 bytes/arc (a node id and a one-byte annulus index).  The build
+// is not synchronized: route once (or call ensure_routing_mirror()) before
+// sharing a graph across threads.  The Runner, perfbench and the probes
+// each build and route a graph on one thread.
 #ifndef GEOGOSSIP_GRAPH_GEOMETRIC_GRAPH_HPP
 #define GEOGOSSIP_GRAPH_GEOMETRIC_GRAPH_HPP
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -73,13 +73,16 @@ class GeometricGraph {
   /// Annuli per routing-ordered adjacency list (see routing_ids()).
   static constexpr int kRoutingAnnuli = 32;
 
-  /// Builds the routing-ordered mirror if it does not exist yet.  Safe to
-  /// call concurrently (std::call_once); the greedy routers call it once
-  /// per route entry, so plain library users never need to.
-  void ensure_routing_mirror() const;
+  /// Builds the routing-ordered mirror if it does not exist yet.  Not
+  /// safe to call concurrently with the first build (see the file
+  /// comment); the greedy routers call it once per route entry, so plain
+  /// library users never need to.
+  void ensure_routing_mirror() const {
+    if (!routing_mirror_built()) build_routing_mirror();
+  }
   /// Whether the mirror has been materialized.
   bool routing_mirror_built() const noexcept {
-    return mirror_->built.load(std::memory_order_acquire);
+    return mirror_->ids != nullptr;
   }
 
   /// Routing-ordered adjacency (ids unchecked — they must come from this
@@ -96,8 +99,8 @@ class GeometricGraph {
   /// far targets that prunes most of the list, exactly.  The row layout
   /// mirrors the CSR exactly (same per-node counts), so the CSR offsets
   /// slice both arrays.  Self-ensuring: the first call materializes the
-  /// lazy mirror; the steady-state cost is one relaxed call_once check,
-  /// noise against the row scan that follows.
+  /// lazy mirror; the steady-state cost is one null check, noise against
+  /// the row scan that follows.
   std::span<const NodeId> routing_ids(NodeId node) const {
     ensure_routing_mirror();
     return routing_ids_unchecked(node);
@@ -112,7 +115,7 @@ class GeometricGraph {
   }
 
   /// Unchecked variants for per-hop loops that have already ensured the
-  /// mirror once at route entry (greedy_step): no call_once check, and
+  /// mirror once at route entry (greedy_step): no null check, and
   /// noexcept.  Calling these before ensure_routing_mirror() is UB, like
   /// neighbors_unchecked with a foreign id.
   std::span<const NodeId> routing_ids_unchecked(NodeId node) const noexcept {
@@ -141,11 +144,9 @@ class GeometricGraph {
   std::string summary() const;
 
  private:
-  // Lazily-built routing mirror; boxed so the graph stays movable (the
-  // once_flag/atomic inside are neither copyable nor movable).
+  // Lazily-built routing mirror (null ids until built), behind a pointer
+  // so that the const routing entry points can fill it.
   struct RoutingMirror {
-    std::once_flag once;
-    std::atomic<bool> built{false};
     std::unique_ptr<NodeId[]> ids;
     std::unique_ptr<std::uint8_t[]> annuli;
     std::array<float, kRoutingAnnuli> bounds{};

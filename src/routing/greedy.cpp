@@ -103,30 +103,6 @@ inline NodeId greedy_step(const GeometricGraph& g,
   return merged;
 }
 
-/// Stamps a route's final state and, unless the caller reports it itself,
-/// feeds it to the telemetry tap.
-RouteResult& finish_route(RouteResult& result, RouteStatus status,
-                          NodeId final_node, std::uint64_t pruned,
-                          const RouteOptions& options) {
-  result.status = status;
-  result.final_node = final_node;
-  result.pruned = pruned;
-  if (options.report) report_route(result);
-  return result;
-}
-
-/// Pre-sizes a caller-supplied trace for the whole route up front; one
-/// reservation instead of log(budget) growth doublings, and reused
-/// capacity on the next round when the caller keeps the buffer.
-void prepare_trace(std::vector<NodeId>* trace, std::uint32_t budget,
-                   NodeId source) {
-  if (trace == nullptr) return;
-  trace->reserve(trace->size() + budget + 1);
-  trace->push_back(source);
-}
-
-}  // namespace
-
 /// Telemetry tap at route granularity: one counter bump per finished
 /// route, not per hop, so routing telemetry costs nothing on the per-hop
 /// path and a handful of adds per route when enabled.
@@ -143,6 +119,28 @@ void report_route(const RouteResult& result) {
   if (result.status == RouteStatus::kDeadEnd) obs::add(c_dead);
   if (result.status == RouteStatus::kHopBudget) obs::add(c_budget);
 }
+
+/// Stamps a route's final state and feeds it to the telemetry tap.
+RouteResult& finish_route(RouteResult& result, RouteStatus status,
+                          NodeId final_node, std::uint64_t pruned) {
+  result.status = status;
+  result.final_node = final_node;
+  result.pruned = pruned;
+  report_route(result);
+  return result;
+}
+
+/// Pre-sizes a caller-supplied trace for the whole route up front; one
+/// reservation instead of log(budget) growth doublings, and reused
+/// capacity on the next round when the caller keeps the buffer.
+void prepare_trace(std::vector<NodeId>* trace, std::uint32_t budget,
+                   NodeId source) {
+  if (trace == nullptr) return;
+  trace->reserve(trace->size() + budget + 1);
+  trace->push_back(source);
+}
+
+}  // namespace
 
 RouteResult route_to_node(const GeometricGraph& g, NodeId source,
                           NodeId destination, const RouteOptions& options) {
@@ -165,21 +163,18 @@ RouteResult route_to_node(const GeometricGraph& g, NodeId source,
   std::uint64_t pruned = 0;
   while (current != destination) {
     if (result.hops >= budget) {
-      return finish_route(result, RouteStatus::kHopBudget, current, pruned,
-                          options);
+      return finish_route(result, RouteStatus::kHopBudget, current, pruned);
     }
     const NodeId next =
         greedy_step(g, positions, current, target, cur_sq, pruned);
     if (next == current) {
-      return finish_route(result, RouteStatus::kDeadEnd, current, pruned,
-                          options);
+      return finish_route(result, RouteStatus::kDeadEnd, current, pruned);
     }
     current = next;
     ++result.hops;
     if (options.trace != nullptr) options.trace->push_back(current);
   }
-  return finish_route(result, RouteStatus::kArrived, current, pruned,
-                      options);
+  return finish_route(result, RouteStatus::kArrived, current, pruned);
 }
 
 RouteResult route_to_position(const GeometricGraph& g, NodeId source,
@@ -203,12 +198,10 @@ RouteResult route_to_position(const GeometricGraph& g, NodeId source,
     if (next == current) {
       // Local minimum w.r.t. the target position: this IS the destination
       // for position-targeted routing.
-      return finish_route(result, RouteStatus::kArrived, current, pruned,
-                          options);
+      return finish_route(result, RouteStatus::kArrived, current, pruned);
     }
     if (result.hops >= budget) {
-      return finish_route(result, RouteStatus::kHopBudget, current, pruned,
-                          options);
+      return finish_route(result, RouteStatus::kHopBudget, current, pruned);
     }
     current = next;
     ++result.hops;

@@ -48,15 +48,7 @@ struct RouteOptions {
   /// so a buffer reused across rounds (clear(), keep capacity) makes
   /// traced routing allocation-free after the first call.
   std::vector<graph::NodeId>* trace = nullptr;
-  /// Count the route in the routing.* telemetry counters on return.  A
-  /// speculative router passes false and calls report_route() for the
-  /// routes it commits to, so routes computed but never used go uncounted.
-  bool report = true;
 };
-
-/// The routing.* telemetry tap for one finished route (one counter bump
-/// per route, never per hop); a no-op while telemetry is off.
-void report_route(const RouteResult& result);
 
 /// Routes from `source` towards the fixed node `destination` (position
 /// known to the sender, per the geographic-gossip model).  Arrives when the

@@ -4,6 +4,7 @@
 #include <iostream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 
 #include "support/check.hpp"
@@ -101,6 +102,17 @@ const ArgParser::Flag* ArgParser::find(const std::string& name) const noexcept {
 
 int parse_exit_code(ParseResult result) noexcept {
   return result == ParseResult::kError ? 1 : 0;
+}
+
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const ArgumentError& error) {
+    const std::string_view path = argc > 0 ? argv[0] : "";
+    std::cerr << path.substr(path.find_last_of('/') + 1) << ": "
+              << error.what() << '\n';
+    return 1;
+  }
 }
 
 ParseResult ArgParser::parse(int argc, const char* const* argv) {

@@ -131,8 +131,8 @@ TEST(Telemetry, CounterTotalsBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(counters_1.at("routing.hops"), 0u);
   EXPECT_EQ(counters_1.at("trial.count"), 6u);
 
-  // One Dimakis replicate: at 4 threads the Runner lends it 4 route lanes,
-  // whose speculative routes must not reach the routing.* counters.
+  // One Dimakis replicate: at 4 threads three workers stay idle, and the
+  // counters must still equal the single-threaded run's.
   gg::exp::Scenario lone = tiny_scenario();
   lone.name = "obs-lone-dimakis";
   lone.replicates = 1;

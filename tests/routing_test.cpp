@@ -3,10 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
-#include <ctime>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "geometry/sampling.hpp"
@@ -15,7 +12,6 @@
 #include "graph/radius.hpp"
 #include "routing/flood.hpp"
 #include "routing/greedy.hpp"
-#include "routing/route_lanes.hpp"
 #include "routing/route_stats.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -181,78 +177,6 @@ TEST(RouteValidation, OutOfRangeEndpoints) {
   EXPECT_THROW(route_to_node(g, 0, 99), ArgumentError);
   EXPECT_THROW(route_to_node(g, 99, 0), ArgumentError);
   EXPECT_THROW(route_to_position(g, 99, {0.5, 0.5}), ArgumentError);
-}
-
-// ----------------------------------------------------------- RouteLanes ----
-
-std::vector<Vec2> random_targets(std::size_t count, Rng& rng) {
-  std::vector<Vec2> targets;
-  for (std::size_t k = 0; k < count; ++k) {
-    targets.push_back({rng.next_double(), rng.next_double()});
-  }
-  return targets;
-}
-
-TEST(RouteLanes, TakeEqualsInlineRoutingUntilTheFirstMismatch) {
-  const auto g = dense_graph(800, 60);
-  Rng rng(61);
-  // 16 lanes oversubscribe most hosts, so some lanes lose their CPU
-  // mid-route and the taking thread routes their entries itself.
-  for (const unsigned lane_count : {2u, 4u, 16u}) {
-    RouteLanes lanes(g, lane_count, 16);
-    for (int batch = 0; batch < 50; ++batch) {
-      const auto source = static_cast<NodeId>(rng.below(g.node_count()));
-      const auto targets = random_targets(16, rng);
-      lanes.publish(source, targets);
-      for (std::size_t k = 0; k < 8; ++k) {
-        const auto taken = lanes.take(k, source, targets[k]);
-        ASSERT_TRUE(taken.has_value());
-        const auto inline_route = route_to_position(g, source, targets[k]);
-        EXPECT_EQ(taken->status, inline_route.status);
-        EXPECT_EQ(taken->final_node, inline_route.final_node);
-        EXPECT_EQ(taken->hops, inline_route.hops);
-        EXPECT_EQ(taken->pruned, inline_route.pruned);
-      }
-      // A target off the prediction closes the batch: later entries stay
-      // unmatched even when they agree.
-      EXPECT_FALSE(lanes.take(8, source, {0.5, 0.5}).has_value());
-      EXPECT_FALSE(lanes.take(9, source, targets[9]).has_value());
-      lanes.retire();
-    }
-    EXPECT_FALSE(lanes.take(0, 0, {0.5, 0.5}).has_value());  // nothing open
-  }
-}
-
-TEST(RouteLanes, RoutingErrorsReachTheTakingThread) {
-  const auto g = dense_graph(50, 62);
-  RouteLanes lanes(g, 3, 4);
-  const std::vector<Vec2> targets{{0.5, 0.5}, {0.25, 0.75}};
-  lanes.publish(99, targets);  // out-of-range source
-  EXPECT_THROW((void)lanes.take(0, 99, targets[0]), ArgumentError);
-}
-
-TEST(RouteLanes, IdleLanesBlockAfterTheSpinWindow) {
-  const auto g = dense_graph(400, 63);
-  Rng rng(64);
-  RouteLanes lanes(g, 4, 8);
-  const auto run_batch = [&] {
-    const auto source = static_cast<NodeId>(rng.below(g.node_count()));
-    const auto targets = random_targets(8, rng);
-    lanes.publish(source, targets);
-    for (std::size_t k = 0; k < targets.size(); ++k) {
-      ASSERT_TRUE(lanes.take(k, source, targets[k]).has_value());
-    }
-    lanes.retire();
-  };
-  run_batch();
-  // Three lanes spinning through this pause would burn about 300 ms of
-  // CPU; blocked, they use their sub-millisecond spin windows.
-  const std::clock_t before = std::clock();
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  const double cpu_ms = 1e3 * static_cast<double>(std::clock() - before) /
-                        CLOCKS_PER_SEC;
-  EXPECT_LT(cpu_ms, 30.0);
-  run_batch();  // the next publish wakes them
 }
 
 // ---------------------------------------------------------------- Flood ----

@@ -201,25 +201,6 @@ TEST_P(FamilySnapshot, InterruptedRunFinishesBitIdentically) {
       << core::protocol_kind_name(kind) << ": resumed from tick "
       << mid_ticks << " ref_err=" << reference.final_error
       << " resumed_err=" << resumed.final_error;
-
-  if (kind != ProtocolKind::kDimakisGeographic) return;
-  // Under 4 route lanes the trial writes the same first snapshot, and
-  // that payload restores under 1 lane.
-  std::string lanes_payload;
-  policy.persist = [&](std::string_view payload, std::uint64_t) {
-    if (lanes_payload.empty()) {
-      lanes_payload.assign(payload.data(), payload.size());
-    }
-  };
-  Rng rng_c(4002);
-  const auto laned =
-      core::run_protocol_trial(kind, g, x0, rng_c, options, policy, {}, 4);
-  EXPECT_TRUE(outcomes_identical(reference, laned));
-  EXPECT_EQ(lanes_payload, mid_payload);
-  Rng rng_d(4002);
-  const auto resumed_serially = core::run_protocol_trial(
-      kind, g, x0, rng_d, options, sim::CheckpointPolicy{}, lanes_payload);
-  EXPECT_TRUE(outcomes_identical(reference, resumed_serially));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -350,10 +331,9 @@ TEST(FamilySnapshotContract, WallCadencePollsTheRoundLoopEveryTopRound) {
   }
 }
 
-TEST(FamilySnapshotContract, ThrowingPersistJoinsRouteLanes) {
-  // The trial's protocol owns its lane threads; unwinding out of a failed
-  // snapshot write must join them (an unjoined std::thread would end the
-  // process), and a later trial must run normally.
+TEST(FamilySnapshotContract, ThrowingPersistPropagates) {
+  // A failed snapshot write surfaces as the persist callback's IoError,
+  // and a later trial runs normally.
   Rng graph_rng(4200);
   const auto g = GeometricGraph::sample(256, 2.0, graph_rng);
   Rng field_rng(4201);
@@ -369,14 +349,13 @@ TEST(FamilySnapshotContract, ThrowingPersistJoinsRouteLanes) {
   };
   Rng rng(4202);
   EXPECT_THROW((void)core::run_protocol_trial(ProtocolKind::kDimakisGeographic,
-                                              g, x0, rng, options, policy, {},
-                                              4),
+                                              g, x0, rng, options, policy, {}),
                IoError);
 
   Rng again(4202);
   const auto outcome =
       core::run_protocol_trial(ProtocolKind::kDimakisGeographic, g, x0, again,
-                               options, sim::CheckpointPolicy{}, {}, 4);
+                               options, sim::CheckpointPolicy{}, {});
   EXPECT_TRUE(outcome.converged);
 }
 

@@ -385,6 +385,21 @@ TEST(Cli, ExitCodesDistinguishHelpFromError) {
   EXPECT_EQ(parse_exit_code(ParseResult::kOk), 0);
 }
 
+TEST(Cli, RunMainReportsAnArgumentErrorAndExitsOne) {
+  char program[] = "bench/fig_e2_tail_bound";
+  char* argv[] = {program, nullptr};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_main(1, argv,
+                     [](int, char**) -> int {
+                       throw ArgumentError("make_e2_tail: n >= 2");
+                     }),
+            1);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "fig_e2_tail_bound: make_e2_tail: n >= 2\n");
+  // Any other outcome is the body's own exit code.
+  EXPECT_EQ(run_main(1, argv, [](int, char**) { return 3; }), 3);
+}
+
 TEST(Cli, RejectsDuplicateRegistration) {
   std::uint32_t n = 0;
   ArgParser parser("prog", "test");
