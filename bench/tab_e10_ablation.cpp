@@ -1,4 +1,4 @@
-// E10: ablations over the design choices DESIGN.md calls out.
+// E10: ablations over the design choices DESIGN.md §2 and §3 call out.
 //
 //   (a) Affine gain: paper-literal beta = (2/5)E# vs harmonic-of-actual vs
 //       convex representative averaging (beta = 1/2).  Isolates the paper's
@@ -116,12 +116,12 @@ static int run(int argc, char** argv) {
 
   std::cout << "\n--- literal §4.1 schedule at this n (reported, never "
                "simulated) ---\n";
-  const auto profile = gg::core::compute_level_profile(n, 48.0);
+  const auto profile =
+      gg::core::compute_level_profile(n, gg::geometry::kLeafOccupancy);
   const auto paper =
       gg::core::make_paper_schedule(n, eps, 1e-2, 1.0, profile);
   std::cout << paper.to_string() << '\n';
-  const auto practical =
-      gg::core::make_practical_schedule(eps, 1.0, 10.0, profile);
+  const auto practical = gg::core::make_practical_schedule(eps, profile);
   std::cout << "\n--- practical schedule actually simulated ---\n"
             << practical.to_string() << '\n';
 

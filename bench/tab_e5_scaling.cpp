@@ -3,10 +3,11 @@
 // Reproduces the paper's central comparison: Boyd nearest-neighbour gossip
 // (O~(n^2)) vs Dimakis geographic gossip (O~(n^1.5)) vs this paper's affine
 // protocols (n^(1+o(1))).  Each protocol is swept over its own feasible n
-// range (DESIGN.md §2 honesty note); the sweep itself is a Scenario run by
-// the thread-parallel exp::Runner, the median transmissions-to-eps are
-// fitted to c * n^p, and the measured exponents + extrapolated crossovers
-// are printed alongside the theoretical predictions.
+// range (DESIGN.md §2, "What the simulable sizes can show"); the sweep
+// itself is a Scenario run by the thread-parallel exp::Runner, the median
+// transmissions-to-eps are fitted to c * n^p, and the measured exponents +
+// extrapolated crossovers are printed alongside the theoretical
+// predictions.
 #include <iostream>
 #include <memory>
 #include <vector>

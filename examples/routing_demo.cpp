@@ -95,9 +95,8 @@ static int run(int argc, char** argv) {
   canvas.print(std::cout);
 
   // --- 2. The paper's partition hierarchy ------------------------------
-  gg::geometry::HierarchyConfig hconfig;
-  hconfig.leaf_occupancy = 48.0;
-  const gg::geometry::PartitionHierarchy hierarchy(graph.points(), hconfig);
+  const gg::geometry::PartitionHierarchy hierarchy(
+      graph.points(), gg::geometry::HierarchyConfig{});
   std::cout << '\n' << hierarchy.summary() << "\n\n";
 
   Canvas reps(72, 28);

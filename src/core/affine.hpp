@@ -6,7 +6,7 @@
 // Both lines read the PRE-update values; the cross coefficients are swapped
 // (a_j feeds x_i' and vice versa), which makes the update sum-preserving for
 // every a_i, a_j:  x_i' + x_j' = x_i + x_j.  (The paper's matrix expression
-// transposes this — see DESIGN.md "paper typos".)  With a_i = 1/2 this is
+// transposes this — see DESIGN.md §5.)  With a_i = 1/2 this is
 // classical convex gossip; the paper draws a_i in (1/3, 1/2) at the square
 // level, which at the *node* level corresponds to the non-convex jump
 //     x_s  += beta (x_s' - x_s),   beta = (2/5) E#(square) = Omega(sqrt(n)).

@@ -102,17 +102,14 @@ void DecentralizedAffineGossip::far(NodeId node) {
       grid_.cell_rect(static_cast<int>(target_square));
   const Vec2 target{rng_->uniform(target_rect.lo().x, target_rect.hi().x),
                     rng_->uniform(target_rect.lo().y, target_rect.hi().y)};
-  routing::RouteOptions options;
-  options.max_hops = config_.max_hops;
-  const auto there =
-      routing::route_to_position(*graph_, node, target, options);
+  const auto there = routing::route_to_position(*graph_, node, target);
   meter_.add(sim::TxCategory::kLongRange, there.hops);
   if (!there.arrived()) return;
   const NodeId peer = there.final_node;
   if (peer == node || square_of_[peer] == home) return;
 
   // Reply packet back to the initiator (position known from the request).
-  const auto back = routing::route_to_node(*graph_, peer, node, options);
+  const auto back = routing::route_to_node(*graph_, peer, node);
   meter_.add(sim::TxCategory::kLongRange, back.hops);
   if (!back.arrived()) return;  // atomic commit, as in the baselines
 

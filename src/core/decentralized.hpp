@@ -52,8 +52,6 @@ struct DecentralizedConfig {
   /// Post-jump neighbourhood dilution (see header); disable to observe the
   /// raw instability.
   bool dilute_jumps = true;
-  /// Cap on routed hops per exchange (0 = default budget).
-  std::uint32_t max_hops = 0;
 };
 
 class DecentralizedAffineGossip final : public gossip::ValueProtocol {

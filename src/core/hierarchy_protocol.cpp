@@ -19,15 +19,10 @@ HierarchicalAffineProtocol::HierarchicalAffineProtocol(
     : ValueProtocol(graph, std::move(x0), rng),
       config_(config),
       hierarchy_(graph.points(), graph.region(),
-                 practical_hierarchy(config.leaf_threshold, config.max_depth)),
+                 practical_hierarchy(config.leaf_threshold,
+                                     geometry::kMaxDepth)),
       hops_(graph, hierarchy_) {
   GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
-  GG_CHECK_ARG(config.latency_factor >= 1.0, "latency_factor >= 1");
-  GG_CHECK_ARG(config.eps_decay > 1.0 && std::isfinite(config.eps_decay),
-               "eps_decay finite and > 1");
-  GG_CHECK_ARG(
-      config.round_constant > 0.0 && std::isfinite(config.round_constant),
-      "round_constant finite and > 0");
 
   const std::size_t n = graph.node_count();
   local_on_.assign(n, 0);
@@ -65,15 +60,13 @@ void HierarchicalAffineProtocol::compute_budgets() {
   // construction, so a reverse sweep is a valid post-order).
   for (std::size_t id = squares; id-- > 0;) {
     const SquareInfo& sq = hierarchy_.square(static_cast<int>(id));
-    const double eps_d =
-        config_.eps / std::pow(config_.eps_decay, sq.depth);
+    const double eps_d = eps_at_depth(config_.eps, sq.depth);
     if (sq.is_leaf()) {
       const double side_over_radius = sq.rect.width() / graph_->radius();
       const double mixing =
           std::max(1.0, side_over_radius * side_over_radius);
       const double m = std::max(2.0, sq.expected_occupancy);
-      t_avg_[id] = config_.budget_constant * mixing *
-                   2.0 * std::log(m / eps_d);
+      t_avg_[id] = kLeafBudgetConstant * mixing * 2.0 * std::log(m / eps_d);
     } else {
       double child_latency = 1.0;
       const auto nonempty = hops_.slots(static_cast<int>(id));
@@ -83,11 +76,10 @@ void HierarchicalAffineProtocol::compute_budgets() {
       }
       const double k =
           std::max<double>(2.0, static_cast<double>(nonempty.size()));
-      t_avg_[id] = config_.round_constant * std::log(k / eps_d) *
-                   config_.latency_factor * child_latency;
+      t_avg_[id] = kInnerRoundConstant * std::log(k / eps_d) *
+                   kLatencyFactor * child_latency;
     }
-    p_far_[id] =
-        std::min(1.0, 1.0 / (config_.latency_factor * t_avg_[id]));
+    p_far_[id] = std::min(1.0, 1.0 / (kLatencyFactor * t_avg_[id]));
     budget_[id] = ceil_to_count(std::max(1.0, t_avg_[id]), "budget");
   }
 }
@@ -174,7 +166,7 @@ void HierarchicalAffineProtocol::far(NodeId node, int square_id) {
              2 * std::uint64_t{hops_.sibling_hops(sq.parent, own, picked)});
 
   const double beta =
-      exchange_beta(config_.beta_mode, sq.expected_occupancy,
+      exchange_beta(BetaMode::kActualHarmonic, sq.expected_occupancy,
                     std::max<std::size_t>(1, sq.occupancy()),
                     std::max<std::size_t>(1, sibling.occupancy()));
   apply_affine_jump(node, peer, beta);

@@ -19,13 +19,14 @@
 // Substitutions vs. the literal paper (DESIGN.md §2): the Far rate
 // n^(-a)/time(...) and the counter budgets time(n, r, eps_r, delta_r) are
 // astronomically conservative; we compute budgets bottom-up from the same
-// structural recurrence with calibrated constants:
-//   T_avg(leaf)     = budget_constant * max(1,(L/r)^2) * 2 ln(E#/eps_d)
-//   T_avg(internal) = round_constant * ln(k/eps_d) * latency_factor *
+// structural recurrence with the calibrated constants of core/schedule.hpp
+// (eps_d = eps_at_depth(eps, d)):
+//   T_avg(leaf)     = kLeafBudgetConstant * max(1,(L/r)^2) * 2 ln(E#/eps_d)
+//   T_avg(internal) = kInnerRoundConstant * ln(k/eps_d) * kLatencyFactor *
 //                     T_avg(child)
-//   p_far(square)   = 1 / (latency_factor * T_avg(square))
+//   p_far(square)   = 1 / (kLatencyFactor * T_avg(square))
 // preserving the paper's separation property (exchanges are rarer than the
-// inverse averaging latency by latency_factor, the stand-in for n^a).  §6's
+// inverse averaging latency by kLatencyFactor, the stand-in for n^a).  §6's
 // key invariant — "w.h.p. there are no long-range transmissions made by any
 // node s while □(s) is active" — holds only w.h.p. under the literal n^(-a)
 // rates; we enforce it deterministically instead: a representative fires
@@ -33,16 +34,15 @@
 // gate, consecutive Fars of the same representative compound the Omega(
 // sqrt(n)) jump before local averaging spreads it, and the run can diverge.
 //
-// Default gain: BetaMode::kActualHarmonic (beta from the squares' actual
-// occupancies).  The paper's beta = (2/5) E# relies on every occupancy
-// concentrating within 10% of E#, which needs the (log n)^8-sized squares
-// of the asymptotic regime; at simulable occupancies (tens of sensors), a
-// persistently under-occupied square makes the effective alpha = beta / m
-// exceed 1 and the mirrored update amplifies instead of contracts.  The
-// harmonic gain keeps alpha in (0, 0.8) for every occupancy pair while
-// remaining a Theta(E#) non-convex affine jump — the paper's mechanism.
-// kExpected stays available for ablations (E10) and for configurations
-// with paper-scale occupancies.
+// Gain: BetaMode::kActualHarmonic (beta from the squares' actual
+// occupancies; DESIGN.md §2).  The paper's beta = (2/5) E# relies on every
+// occupancy concentrating within 10% of E#, which needs the (log n)^8-sized
+// squares of the asymptotic regime; at simulable occupancies (tens of
+// sensors), a persistently under-occupied square makes the effective
+// alpha = beta / m exceed 1 and the mirrored update amplifies instead of
+// contracts.  The harmonic gain keeps alpha in (0, 0.8) for every occupancy
+// pair while remaining a Theta(E#) non-convex affine jump — the paper's
+// mechanism.
 //
 // The root representative has no siblings: it never fires Far and never
 // deactivates — it turns the hierarchy on and the closed-loop engine stops
@@ -61,20 +61,11 @@
 namespace geogossip::core {
 
 struct HierarchyProtocolConfig {
-  /// Top-level accuracy driving the per-depth eps_r = eps / decay^r.
+  /// Top-level accuracy driving the per-depth eps_at_depth(eps, r).
   double eps = 1e-3;
-  double eps_decay = 10.0;
-  /// Hierarchy construction (practical threshold).
-  double leaf_threshold = 48.0;
-  int max_depth = 12;
-  /// Budget calibration constants (see header comment).
-  double budget_constant = 2.0;
-  double round_constant = 1.0;
-  /// Stand-in for the paper's n^a control-separation factor (>= 1).
-  double latency_factor = 4.0;
-  /// Affine gain mode for Far (see header comment; paper-literal is
-  /// kExpected, which requires paper-scale occupancy concentration).
-  BetaMode beta_mode = BetaMode::kActualHarmonic;
+  /// Leaf size of the practical hierarchy (expected occupancy); the depth
+  /// cap is geometry::kMaxDepth.
+  double leaf_threshold = geometry::kLeafOccupancy;
 };
 
 class HierarchicalAffineProtocol final : public gossip::ValueProtocol {

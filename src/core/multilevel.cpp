@@ -19,18 +19,11 @@ MultilevelAffineGossip::MultilevelAffineGossip(
     : ValueProtocol(graph, std::move(x0), rng),
       config_(config),
       hierarchy_(graph.points(), graph.region(),
-                 practical_hierarchy(config.leaf_threshold, config.max_depth)),
+                 practical_hierarchy(geometry::kLeafOccupancy,
+                                     config.max_depth)),
       hops_(graph, hierarchy_) {
   GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
   GG_CHECK_ARG(config.max_depth >= 1, "max_depth >= 1");
-  GG_CHECK_ARG(config.eps_decay > 1.0 && std::isfinite(config.eps_decay),
-               "eps_decay finite and > 1");
-  GG_CHECK_ARG(
-      config.round_constant > 0.0 && std::isfinite(config.round_constant),
-      "round_constant finite and > 0");
-  GG_CHECK_ARG(
-      config.leaf_constant > 0.0 && std::isfinite(config.leaf_constant),
-      "leaf_constant finite and > 0");
   GG_CHECK_ARG(config.leaf_noise >= 0.0 && std::isfinite(config.leaf_noise),
                "leaf_noise finite and >= 0");
   // run() refreshes the tracker on its own top-round cadence.
@@ -39,24 +32,15 @@ MultilevelAffineGossip::MultilevelAffineGossip(
   plan_.resize(hierarchy_.square_count());
   for (std::size_t id = 0; id < plan_.size(); ++id) {
     const SquareInfo& square = hierarchy_.square(static_cast<int>(id));
-    const double eps = eps_at_depth(square.depth);
+    const double eps = eps_at_depth(config_.eps, square.depth);
     const std::size_t slots = hops_.slots(static_cast<int>(id)).size();
-    if (slots >= 2) {
-      const double k = static_cast<double>(slots);
-      plan_[id].rounds = ceil_to_count(
-          config_.round_constant * k * std::log(k / eps), "rounds");
-    }
-    if (square.is_leaf() && square.members.size() >= 2 &&
-        config_.leaf_cost != LeafCostModel::kMeasured) {
+    if (slots >= 2) plan_[id].rounds = inner_rounds(slots, eps);
+    if (square.is_leaf() && square.members.size() >= 2) {
       plan_[id].leaf_charge = charged_leaf_cost(
           config_.leaf_cost, square.members.size(),
-          square.rect.width() / graph_->radius(), eps, config_.leaf_constant);
+          square.rect.width() / graph_->radius(), eps);
     }
   }
-}
-
-double MultilevelAffineGossip::eps_at_depth(int depth) const {
-  return config_.eps / std::pow(config_.eps_decay, depth);
 }
 
 void MultilevelAffineGossip::charge_activation(int square_id,
@@ -72,63 +56,10 @@ void MultilevelAffineGossip::charge_activation(int square_id,
   meter_.add(sim::TxCategory::kControl, 2 * hops_.fan_out_hops(square_id));
 }
 
-void MultilevelAffineGossip::measured_leaf_average(const SquareInfo& square,
-                                                   double eps) {
-  // Run actual nearest-neighbour gossip restricted to the square until the
-  // in-square deviation shrinks by eps (relative to the in-square start).
-  const auto& members = square.members;
-  const std::size_t m = members.size();
-
-  double mean = 0.0;
-  for (const auto node : members) mean += value(node);
-  mean /= static_cast<double>(m);
-  double dev_sq = 0.0;
-  for (const auto node : members) {
-    dev_sq += (value(node) - mean) * (value(node) - mean);
-  }
-  if (dev_sq == 0.0) return;
-  const double target_sq = dev_sq * eps * eps;
-
-  // Membership test for neighbour filtering.
-  const int leaf_id = hierarchy_.leaf_of(members.front());
-  const std::uint64_t tick_cap =
-      1000ull * m * static_cast<std::uint64_t>(
-                        std::ceil(std::log(static_cast<double>(m) / eps)));
-  std::uint64_t ticks = 0;
-  double current_sq = dev_sq;
-  while (current_sq > target_sq && ticks < tick_cap) {
-    ++ticks;
-    const auto node = members[rng_->below(m)];
-    // Uniform neighbour within the leaf square.
-    std::uint32_t in_leaf = 0;
-    NodeId chosen = node;
-    for (const NodeId u : graph_->neighbors(node)) {
-      if (hierarchy_.leaf_of(u) != leaf_id) continue;
-      ++in_leaf;
-      if (rng_->below(in_leaf) == 0) chosen = u;
-    }
-    if (in_leaf == 0 || chosen == node) continue;
-    const double avg = 0.5 * (value(node) + value(chosen));
-    // Update the in-square deviation incrementally.
-    const double di = value(node) - mean;
-    const double dj = value(chosen) - mean;
-    const double da = avg - mean;
-    current_sq += 2.0 * da * da - di * di - dj * dj;
-    set_value(node, avg);
-    set_value(chosen, avg);
-    meter_.add(sim::TxCategory::kLocal, 2);
-  }
-}
-
 void MultilevelAffineGossip::leaf_average(int square_id,
                                           const SquareInfo& square) {
   const auto& members = square.members;
   if (members.size() <= 1) return;
-
-  if (config_.leaf_cost == LeafCostModel::kMeasured) {
-    measured_leaf_average(square, eps_at_depth(square.depth));
-    return;
-  }
 
   // Idealized averaging: charge the model cost, set members to the mean,
   // optionally perturb (Lemma 2's imperfect-averaging noise).

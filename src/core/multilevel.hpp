@@ -1,5 +1,6 @@
 // The paper's hierarchical affine gossip, as a round-based simulator with
-// faithful transmission accounting (DESIGN.md: "idealized substrate" mode).
+// faithful transmission accounting: leaves are averaged exactly and charged
+// a leaf cost model (core/round_protocol.hpp) instead of running Near.
 //
 // Structure follows §3 exactly, applied recursively per §4:
 //   * the deployment square is partitioned per the hierarchy rule;
@@ -8,7 +9,7 @@
 //     representatives' values over measured greedy routes, apply the affine
 //     jump beta = (2/5) E#(child), re-average both children recursively;
 //     deactivate);
-//   * leaves run (or charge) nearest-neighbour averaging.
+//   * leaves charge nearest-neighbour averaging.
 //
 // The TOP level is closed-loop: rounds repeat until the measured global
 // error reaches the target epsilon, which is what the transmissions-to-eps
@@ -43,13 +44,14 @@
 
 namespace geogossip::core {
 
+/// The hierarchy has leaves of geometry::kLeafOccupancy expected members;
+/// a depth-r square averages to eps_at_depth(eps, r) in inner_rounds
+/// rounds (core/schedule.hpp).
 struct MultilevelConfig {
   /// Top-level accuracy target (closed loop).
   double eps = 1e-3;
-  /// Practical hierarchy leaf threshold (expected occupancy).
-  double leaf_threshold = 48.0;
   /// Depth cap; 1 reproduces the §3 one-level protocol.
-  int max_depth = 12;
+  int max_depth = geometry::kMaxDepth;
   LeafCostModel leaf_cost = LeafCostModel::kGrgMixing;
   /// Affine gain.  Default: harmonic-of-actual-occupancies, which keeps the
   /// effective alphas in (0, 0.8) for every occupancy pair.  The paper's
@@ -57,14 +59,8 @@ struct MultilevelConfig {
   /// 10% of E# — true in the (log n)^8-leaf asymptotic regime, but at
   /// simulable leaf sizes (tens of sensors) an under-occupied square makes
   /// alpha = beta/m exceed 1 and the update amplifies; kExpected remains
-  /// available for ablation E10 and the instability tests.
+  /// available for ablation E10 and the instability tests (DESIGN.md §2).
   BetaMode beta_mode = BetaMode::kActualHarmonic;
-  /// c in the inner-round budget ceil(c * k * ln(k / eps_r)).
-  double round_constant = 1.0;
-  /// eps_r = eps / eps_decay^r.
-  double eps_decay = 10.0;
-  /// Constant of the charged leaf-averaging models.
-  double leaf_constant = 1.0;
   /// Absolute bound of the noise injected after each idealized leaf
   /// averaging (Lemma 2 in vivo); 0 = perfect leaf averaging.
   double leaf_noise = 0.0;
@@ -127,7 +123,7 @@ class MultilevelAffineGossip final : public gossip::ValueProtocol {
   /// constructor: a replicate revisits each square hundreds of times (at
   /// n = 2^19, 11M leaf averages over about 24k leaves).
   struct SquarePlan {
-    /// Inner rounds ceil(c * k * ln(k / eps_r)) over k slots; 0 when k < 2.
+    /// inner_rounds(k, eps_r) over k slots; 0 when k < 2.
     std::uint32_t rounds = 0;
     /// Charged-model cost of averaging a leaf of two or more members.
     std::uint64_t leaf_charge = 0;
@@ -139,11 +135,9 @@ class MultilevelAffineGossip final : public gossip::ValueProtocol {
   /// drawn uniformly, then both children re-averaged.
   void exchange_round(int square_id);
   void leaf_average(int square_id, const geometry::SquareInfo& square);
-  void measured_leaf_average(const geometry::SquareInfo& square, double eps);
   /// One exchange between the children in slots `i` and `j` of `parent`.
   void exchange(int parent, std::size_t i, std::size_t j);
   void charge_activation(int square_id, const geometry::SquareInfo& square);
-  double eps_at_depth(int depth) const;
 
   MultilevelConfig config_;
   geometry::PartitionHierarchy hierarchy_;

@@ -1,21 +1,18 @@
 // Accounting primitives for the round-based simulators (§3's protocol and
 // its recursive generalization).
 //
-// The paper's cost model (DESIGN.md §5) charges:
+// The paper's cost model (DESIGN.md §3) charges:
 //   * a long-range exchange: measured greedy-route hops, there and back;
 //   * local averaging inside a square ("protocol A" at the leaves): the
 //     epsilon-averaging cost of nearest-neighbour gossip on the induced
-//     subgraph.  Three charge models are provided:
-//       kGrgMixing  — c * m * max(1, (L/r)^2) * ln(m/eps) exchanges, the
+//     subgraph.  Two charge models are provided:
+//       kGrgMixing  — m * max(1, (L/r)^2) * ln(m/eps) exchanges, the
 //                     Boyd et al. Theta(m * T_mix * log(1/eps)) bound with
 //                     T_mix ~ (L/r)^2 for a GRG patch of side L and radius r
 //                     (default; matches measured Near behaviour),
-//       kQuadratic  — c * m^2 * ln(m/eps), the conservative quadratic bound
+//       kQuadratic  — m^2 * ln(m/eps), the conservative quadratic bound
 //                     quoted by the paper (§5 "averaging time that is
-//                     quadratic"),
-//       kMeasured   — actually run Near gossip on the square's induced
-//                     subgraph until the measured in-square error reaches
-//                     eps (exact but only affordable at small n).
+//                     quadratic");
 //   * activation/deactivation control: one transmission per square member
 //     (level-1 flood) or one routed packet per child representative.
 //
@@ -105,7 +102,7 @@ class SquareHopTables {
   std::vector<std::uint64_t> fan_out_;     ///< all-ones until routed
 };
 
-enum class LeafCostModel { kGrgMixing, kQuadratic, kMeasured };
+enum class LeafCostModel { kGrgMixing, kQuadratic };
 
 std::string_view leaf_cost_model_name(LeafCostModel model) noexcept;
 
@@ -125,11 +122,9 @@ double exchange_beta(BetaMode mode, double expected_occupancy,
                      std::size_t occupancy_i, std::size_t occupancy_j);
 
 /// Charged transmissions for averaging a leaf square of `m` members whose
-/// side-to-radius ratio is `side_over_radius`, to accuracy `eps`, under the
-/// analytic models (kMeasured is handled by the caller running Near).
+/// side-to-radius ratio is `side_over_radius`, to accuracy `eps`.
 std::uint64_t charged_leaf_cost(LeafCostModel model, std::size_t m,
-                                double side_over_radius, double eps,
-                                double constant);
+                                double side_over_radius, double eps);
 
 }  // namespace geogossip::core
 

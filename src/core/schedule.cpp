@@ -11,6 +11,16 @@
 
 namespace geogossip::core {
 
+double eps_at_depth(double eps, int depth) {
+  return eps / std::pow(kEpsDecay, depth);
+}
+
+std::uint32_t inner_rounds(std::size_t k, double eps_r) {
+  const double kk = static_cast<double>(k);
+  return ceil_to_count(kInnerRoundConstant * kk * std::log(kk / eps_r),
+                       "rounds");
+}
+
 std::vector<LevelProfile> compute_level_profile(std::size_t n,
                                                 double leaf_threshold,
                                                 int max_depth) {
@@ -108,31 +118,19 @@ std::string PaperSchedule::to_string() const {
 }
 
 PracticalSchedule make_practical_schedule(
-    double eps0, double round_constant, double eps_decay,
-    const std::vector<LevelProfile>& profile) {
+    double eps0, const std::vector<LevelProfile>& profile) {
   GG_CHECK_ARG(eps0 > 0.0 && eps0 < 1.0, "eps0 in (0,1)");
-  GG_CHECK_ARG(round_constant > 0.0 && std::isfinite(round_constant),
-               "round_constant finite and > 0");
-  GG_CHECK_ARG(eps_decay > 1.0 && std::isfinite(eps_decay),
-               "eps_decay finite and > 1");
   GG_CHECK_ARG(!profile.empty(), "empty level profile");
 
   PracticalSchedule schedule;
-  schedule.round_constant = round_constant;
-  schedule.eps_decay = eps_decay;
   schedule.eps.resize(profile.size());
   schedule.rounds.assign(profile.size(), 0);
-
-  double eps = eps0;
   for (std::size_t r = 0; r < profile.size(); ++r) {
-    schedule.eps[r] = eps;
+    schedule.eps[r] = eps_at_depth(eps0, static_cast<int>(r));
     if (profile[r].fan_out > 0) {
-      // Observation 1: Theta(k log(k / eps_r)) sibling exchanges per round.
-      const double k = static_cast<double>(profile[r].fan_out);
-      schedule.rounds[r] =
-          ceil_to_count(round_constant * k * std::log(k / eps), "rounds");
+      schedule.rounds[r] = inner_rounds(
+          static_cast<std::size_t>(profile[r].fan_out), schedule.eps[r]);
     }
-    eps /= eps_decay;
   }
   return schedule;
 }
@@ -148,8 +146,8 @@ std::uint32_t ceil_to_count(double value, std::string_view what) {
 
 std::string PracticalSchedule::to_string() const {
   std::ostringstream os;
-  os << "practical schedule (c=" << round_constant
-     << ", decay=" << eps_decay << "):";
+  os << "practical schedule (c=" << kInnerRoundConstant
+     << ", decay=" << kEpsDecay << "):";
   for (std::size_t r = 0; r < eps.size(); ++r) {
     os << "\n  depth " << r << ": eps=" << format_sci(eps[r], 2)
        << " rounds=" << rounds[r];

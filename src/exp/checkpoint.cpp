@@ -11,6 +11,7 @@
 #include "sim/metrics.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
+#include "support/logging.hpp"
 
 namespace geogossip::exp {
 
@@ -221,6 +222,31 @@ void Checkpoint::load_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   GG_CHECK_ARG(in.is_open(), "Checkpoint: cannot open '" + path + "'");
   load(in);
+}
+
+std::shared_ptr<Checkpoint> fold_records(const Scenario& scenario,
+                                         const std::vector<std::string>& files,
+                                         std::string_view context) {
+  auto checkpoint =
+      std::make_shared<Checkpoint>(scenario.name, scenario.master_seed);
+  for (const std::string& path : files) checkpoint->load_file(path);
+  const CheckpointStats& stats = checkpoint->stats();
+  if (stats.malformed > 0) {
+    log_warn(context, ": skipped ", stats.malformed,
+             " malformed line(s) — those replicates will re-run");
+  }
+  if (stats.foreign > 0) {
+    log_warn(context, ": ignored ", stats.foreign,
+             " record(s) from another (scenario, master_seed)");
+  }
+  if (stats.duplicate > 0) {
+    log_warn(context, ": collapsed ", stats.duplicate,
+             " duplicate record(s)");
+  }
+  if (stats.torn_tail) {
+    log_warn(context, ": tolerated a torn final line (killed writer)");
+  }
+  return checkpoint;
 }
 
 namespace {

@@ -30,8 +30,11 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "exp/scenario.hpp"
 
@@ -82,6 +85,17 @@ class Checkpoint {
   std::map<Key, ReplicateResult> records_;
   CheckpointStats stats_;
 };
+
+/// Folds replicate-record files into one checkpoint for `scenario` and
+/// warns about every kind of line the tolerance policy above skipped:
+/// malformed, foreign, duplicate and torn.  Each warning starts with
+/// `context` ("resume", "fleet: batch 3 resume").  Warnings go through the
+/// leveled logger, not bare stderr: unattended sweeps read them from piped
+/// logs, where the timestamp and severity prefix is what makes them
+/// correlatable with heartbeat files.
+std::shared_ptr<Checkpoint> fold_records(const Scenario& scenario,
+                                         const std::vector<std::string>& files,
+                                         std::string_view context);
 
 /// Field-for-field equality over everything write_replicate persists (seed,
 /// convergence, errors, per-category transmissions, exchange counts,

@@ -1,6 +1,7 @@
 #include "exp/scenario.hpp"
 
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "exp/probes.hpp"
@@ -36,6 +37,8 @@ Cell& Scenario::add(core::ProtocolKind kind, std::size_t n) {
 
 Cell& Scenario::add(std::string label, core::ProtocolKind kind,
                     std::size_t n) {
+  GG_CHECK_ARG(n >= 2, "cell '" + label + "' has n = " + std::to_string(n) +
+                           "; a deployment needs n >= 2");
   Cell cell;
   cell.label = std::move(label);
   cell.kind = kind;

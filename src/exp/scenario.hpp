@@ -114,7 +114,9 @@ struct Scenario {
   /// and deque growth never invalidates references to existing elements.
   std::deque<Cell> cells;
 
-  /// Appends a cell labelled with the protocol kind name.
+  /// Appends a cell labelled with the protocol kind name.  Both overloads
+  /// throw ArgumentError, naming n, unless n >= 2: every builder adds its
+  /// cells here, so a bad size fails before a Runner starts.
   Cell& add(core::ProtocolKind kind, std::size_t n);
   /// Appends a cell with an explicit row label.
   Cell& add(std::string label, core::ProtocolKind kind, std::size_t n);

@@ -81,34 +81,6 @@ bool same_file(const std::string& a, const std::string& b) {
   return ca == cb;
 }
 
-/// Folds replicate-record files into one checkpoint for `scenario`.
-/// Anomalies go through the leveled logger, not bare stderr: unattended
-/// sweeps read these from piped logs, where the timestamp and severity
-/// prefix is what makes them correlatable with heartbeat files.
-std::shared_ptr<Checkpoint> fold_records(
-    const Scenario& scenario, const std::vector<std::string>& files) {
-  auto checkpoint =
-      std::make_shared<Checkpoint>(scenario.name, scenario.master_seed);
-  for (const std::string& path : files) checkpoint->load_file(path);
-  const CheckpointStats& stats = checkpoint->stats();
-  if (stats.malformed > 0) {
-    log_warn("resume: skipped ", stats.malformed,
-             " malformed line(s) — those replicates will re-run");
-  }
-  if (stats.foreign > 0) {
-    log_warn("resume: ignored ", stats.foreign,
-             " record(s) from another (scenario, master_seed)");
-  }
-  if (stats.duplicate > 0) {
-    log_warn("resume: collapsed ", stats.duplicate,
-             " duplicate record(s)");
-  }
-  if (stats.torn_tail) {
-    log_warn("resume: tolerated a torn final line (killed writer)");
-  }
-  return checkpoint;
-}
-
 /// Parses "--heartbeat=FILE,SECS" (",SECS" optional; split on the LAST
 /// comma so paths containing commas still work when an interval follows).
 /// A suffix that strtod reads whole is an interval; any other suffix
@@ -440,7 +412,7 @@ int SweepCli::run(Scenario scenario, std::ostream& out) {
         resume_into_same_file = true;
       }
     }
-    checkpoint_ = fold_records(scenario, resume_files_);
+    checkpoint_ = fold_records(scenario, resume_files_, "resume");
     out << "resume: " << checkpoint_->size()
         << " completed replicate(s) loaded\n";
   }
@@ -560,7 +532,7 @@ int SweepCli::run_merge(const Scenario& scenario, std::ostream& out) {
   } else {
     files = resume_files_;
   }
-  auto checkpoint = fold_records(scenario, files);
+  auto checkpoint = fold_records(scenario, files, "resume");
   out << "merge: " << checkpoint->size() << " replicate(s) from "
       << files.size() << " record file(s)\n";
 

@@ -79,18 +79,6 @@ class LeaseRenewer {
   std::thread thread_;
 };
 
-void print_checkpoint_anomalies(const exp::CheckpointStats& stats,
-                                std::uint32_t batch) {
-  if (stats.malformed > 0) {
-    log_warn("fleet: batch ", batch, " resume skipped ", stats.malformed,
-             " malformed record line(s) — those replicates re-run");
-  }
-  if (stats.torn_tail) {
-    log_warn("fleet: batch ", batch,
-             " resume tolerated a torn final line (killed writer)");
-  }
-}
-
 /// Runs one leased batch as Runner shard (batch, B): fold every record
 /// file previous owners left, append our own, share the snaps dir so a
 /// dead owner's mid-replicate snapshot resumes bit-identically.
@@ -106,15 +94,11 @@ void run_batch(const exp::Scenario& scenario, const FleetPlan& plan,
 
   // Fold the batch's existing records (other generations, other owners,
   // or our own killed predecessor) BEFORE opening our append sink.
-  auto checkpoint = std::make_shared<exp::Checkpoint>(scenario.name,
-                                                      scenario.master_seed);
+  const auto checkpoint = exp::fold_records(
+      scenario, batch_record_files(options.fleet_dir, lease.batch),
+      "fleet: batch " + std::to_string(lease.batch) + " resume");
   const std::string own_records = records_path(
       options.fleet_dir, lease.batch, lease.generation, lease.owner);
-  for (const std::string& path :
-       batch_record_files(options.fleet_dir, lease.batch)) {
-    checkpoint->load_file(path);
-  }
-  print_checkpoint_anomalies(checkpoint->stats(), lease.batch);
 
   exp::JsonLinesSink sink(own_records, exp::JsonLinesSink::Mode::kAppend);
 

@@ -6,7 +6,8 @@
 // The paper's literal threshold is (log n)^8, which exceeds n for every
 // simulable n (the constants are asymptotic); HierarchyConfig therefore also
 // offers a practical threshold that preserves the structure (depth ~
-// log log n, fan-out ~ sqrt(occupancy)).  See DESIGN.md §2.
+// log log n, fan-out ~ sqrt(occupancy)).  See DESIGN.md §2 ("Calibrated
+// schedule").
 //
 // Every square records its representative s(square) — the member sensor
 // nearest the square's centre — and each sensor gets the paper's Level:
@@ -25,6 +26,15 @@
 
 namespace geogossip::geometry {
 
+/// Leaf size of the practical threshold, the stand-in for the paper's
+/// (ln n)^8: leaves still hold Theta(polylog) sensors at simulable n.
+inline constexpr double kLeafOccupancy = 48.0;
+static_assert(kLeafOccupancy >= 1.0,
+              "below 1 every square splits down to the depth cap");
+/// Hard safety cap on recursion depth.
+inline constexpr int kMaxDepth = 12;
+static_assert(kMaxDepth >= 1, "the root must be allowed to split");
+
 struct HierarchyConfig {
   enum class Threshold {
     kPaper,      ///< split while expected occupancy > (ln n)^8 (literal §4.1)
@@ -32,11 +42,8 @@ struct HierarchyConfig {
   };
 
   Threshold threshold = Threshold::kPractical;
-  /// Leaf size for the practical threshold.  Chosen so leaves still hold
-  /// Theta(polylog) sensors at simulable n.
-  double leaf_occupancy = 48.0;
-  /// Hard safety cap on recursion depth.
-  int max_depth = 12;
+  double leaf_occupancy = kLeafOccupancy;
+  int max_depth = kMaxDepth;
 
   /// The value of the splitting threshold for a deployment of n sensors.
   double threshold_value(std::size_t n) const;

@@ -16,7 +16,7 @@ namespace {
 /// Monte Carlo positions per node used to estimate Voronoi weights.
 constexpr std::uint32_t kWeightSamplesPerNode = 32;
 /// Rejected targets one tick tolerates before it gives up (hops still
-/// paid); DESIGN.md says why this budget stays.
+/// paid); DESIGN.md §1 says why this budget stays.
 constexpr std::uint32_t kMaxRejections = 32;
 
 /// One bump per protocol-level outcome; the member tallies stay the

@@ -20,7 +20,7 @@
 //
 // A tick gives up after 33 rejected attempts (hops still paid).  With the
 // committed reference an attempt is rejected about 63% of the time, so
-// that budget binds about once in four million ticks (DESIGN.md).
+// that budget binds about once in four million ticks (DESIGN.md §1).
 #ifndef GEOGOSSIP_GOSSIP_GEOGRAPHIC_HPP
 #define GEOGOSSIP_GOSSIP_GEOGRAPHIC_HPP
 
@@ -42,7 +42,7 @@ class GeographicGossip final : public ValueProtocol {
   /// estimates, so at least this share of nodes accepts with probability
   /// 1.  The minimum (quantile 0) is one or two of the Monte Carlo
   /// samples, so noise sets it and mean acceptance falls near 0.05;
-  /// DESIGN.md gives the rule that chose this quantile and its sweep.
+  /// DESIGN.md §1 gives the rule that chose this quantile and its sweep.
   static constexpr double kReferenceQuantile = 0.10;
 
   GeographicGossip(const graph::GeometricGraph& graph, std::vector<double> x0,

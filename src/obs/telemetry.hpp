@@ -1,4 +1,5 @@
-// Pay-for-use telemetry: spans, events and named counters (DESIGN: obs).
+// Pay-for-use telemetry: spans, events and named counters (README.md,
+// "Observability").
 //
 // The subsystem is built for hours-long unattended sweeps: instrumentation
 // points stay in the binary permanently and cost one branch on a cached

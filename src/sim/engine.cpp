@@ -147,11 +147,6 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     protocol.on_tick(tick);
 
     dev_sq = protocol.deviation_sq();
-    if (config.trace_interval != 0 &&
-        (tick.index + 1) % config.trace_interval == 0) {
-      progress.trace.emplace_back(protocol.meter().total(),
-                                  std::sqrt(dev_sq / initial_dev_sq));
-    }
     if (dev_sq <= target_dev_sq) break;
 
     // Snapshots are taken after the convergence check, so a converging run
@@ -167,7 +162,6 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
   result.model_time = clock.now();
   result.final_error = std::sqrt(dev_sq / initial_dev_sq);
   result.transmissions = protocol.meter().snapshot();
-  result.trace = std::move(progress.trace);
   return result;
 }
 

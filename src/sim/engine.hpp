@@ -1,5 +1,5 @@
 // Asynchronous gossip engine: drives any protocol tick-by-tick until the
-// epsilon-averaging criterion (DESIGN.md §6) is met.
+// epsilon-averaging criterion (DESIGN.md §4) is met.
 #ifndef GEOGOSSIP_SIM_ENGINE_HPP
 #define GEOGOSSIP_SIM_ENGINE_HPP
 
@@ -80,7 +80,9 @@ struct RunProgress {
   std::uint64_t steps = 0;      ///< engine ticks, or top rounds
   double model_time = 0.0;      ///< engine clock time; 0 for a round loop
   double initial_dev_sq = 0.0;  ///< ||x(0) - mean||^2
-  /// (total transmissions, relative error) samples so far.
+  /// (total transmissions, relative error) samples so far; only the round
+  /// loop records any (MultilevelConfig::trace_every), but every payload
+  /// carries the count.
   std::vector<std::pair<std::uint64_t, double>> trace;
 };
 
@@ -122,9 +124,6 @@ struct RunConfig {
   /// Hard tick budget (0 = 10^7 * n heuristic is NOT applied; treat 0 as
   /// "caller must set" and checked).
   std::uint64_t max_ticks = 0;
-  /// When > 0, (transmissions, error) samples are recorded every
-  /// `trace_interval` ticks into RunResult::trace.
-  std::uint64_t trace_interval = 0;
 };
 
 struct RunResult {
@@ -134,8 +133,6 @@ struct RunResult {
   /// ||x(end) - mean|| / ||x(0) - mean||.
   double final_error = 1.0;
   TxSnapshot transmissions;
-  /// (total transmissions, relative error) samples, if tracing was enabled.
-  std::vector<std::pair<std::uint64_t, double>> trace;
 
   std::string to_string() const;
 };

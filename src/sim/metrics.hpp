@@ -1,4 +1,4 @@
-// Transmission accounting (DESIGN.md §5).
+// Transmission accounting (DESIGN.md §3).
 //
 // Every protocol charges each radio transmission to exactly one category so
 // benches can report both totals and the control-overhead share that the

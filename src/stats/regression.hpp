@@ -1,5 +1,6 @@
 // Least-squares fitting, including the log-log power-law fit used to
-// estimate transmission-scaling exponents (DESIGN.md experiment E5).
+// estimate transmission-scaling exponents (experiment E5,
+// bench/tab_e5_scaling.cpp).
 #ifndef GEOGOSSIP_STATS_REGRESSION_HPP
 #define GEOGOSSIP_STATS_REGRESSION_HPP
 

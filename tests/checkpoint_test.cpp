@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include "exp/checkpoint.hpp"
 #include "exp/sink.hpp"
 #include "support/check.hpp"
+#include "support/logging.hpp"
 
 namespace geogossip::exp {
 namespace {
@@ -339,6 +341,39 @@ TEST(SinkCrashSafety, WriteReplicateThrowsWhenTheStreamHasFailed) {
   EXPECT_THROW(
       sink.write_replicate("tiny", kSeed, cell, 0, 1, full_result(12)),
       IoError);
+}
+
+TEST(FoldRecords, ReportsEveryKindOfSkippedLine) {
+  // One interior malformed line, one foreign record, one duplicate and a
+  // torn tail: each gets a warning that starts with the caller's context.
+  const std::string path = testing::TempDir() + "checkpoint_test_fold.jsonl";
+  const std::string ours = record_lines({{{0, 0}, full_result(11)}});
+  const std::string torn = record_lines({{{0, 1}, full_result(12)}});
+  {
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    file << ours << "{\"not\": a record\n" << ours
+         << record_lines({{{0, 2}, full_result(13)}}, "other")
+         << torn.substr(0, torn.size() / 2);
+  }
+  Scenario scenario;
+  scenario.name = "tiny";
+  scenario.master_seed = kSeed;
+  std::ostringstream log;
+  LogConfig::set_sink(log);
+  const auto checkpoint =
+      fold_records(scenario, {path}, "fleet: batch 3 resume");
+  LogConfig::set_sink(std::cerr);
+  std::remove(path.c_str());
+
+  EXPECT_EQ(checkpoint->size(), 1u);
+  const std::string text = log.str();
+  for (const char* kind :
+       {"skipped 1 malformed line(s)", "ignored 1 record(s) from another",
+        "collapsed 1 duplicate record(s)", "tolerated a torn final line"}) {
+    EXPECT_NE(text.find(std::string("fleet: batch 3 resume: ") + kind),
+              std::string::npos)
+        << kind << " missing from:\n" << text;
+  }
 }
 
 TEST(SinkCrashSafety, AppendModeSealsATornTail) {

@@ -134,7 +134,7 @@ TEST(AsyncProtocol, RootTickActivatesChildren) {
 
 TEST(AsyncProtocol, GrowsSubquadraticallyInN) {
   // The async machine's constants are large at small n (its control budgets
-  // include the latency_factor stand-in for n^a), so it does not beat the
+  // include the kLatencyFactor stand-in for n^a), so it does not beat the
   // baselines in absolute terms at test scale — but its transmissions must
   // grow with an exponent well below Boyd's ~2: quadrupling n should cost
   // far less than 16x.
@@ -171,14 +171,9 @@ TEST(AsyncProtocol, Validation) {
                    g, std::vector<double>(g.node_count(), 0.0), rng, config),
                ArgumentError);
   config.eps = 1e-2;
-  config.latency_factor = 0.5;
-  EXPECT_THROW(HierarchicalAffineProtocol(
-                   g, std::vector<double>(g.node_count(), 0.0), rng, config),
-               ArgumentError);
 
-  // A leaf threshold below 1 splits every square down to max_depth; it is
-  // rejected before the hierarchy is built.
-  config.latency_factor = 4.0;
+  // A leaf threshold below 1 splits every square down to the depth cap;
+  // it is rejected before the hierarchy is built.
   for (const double threshold :
        {0.0, 0.5, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
     config.leaf_threshold = threshold;
@@ -190,22 +185,6 @@ TEST(AsyncProtocol, Validation) {
   config.leaf_threshold = 1.0;
   EXPECT_NO_THROW(HierarchicalAffineProtocol(
       g, std::vector<double>(g.node_count(), 0.0), rng, config));
-
-  // Schedule constants: eps_decay must exceed 1, and infinite constants
-  // or a budget past UINT32_MAX used to reach an undefined
-  // double-to-uint32 cast.
-  const double inf = std::numeric_limits<double>::infinity();
-  const auto rejects = [&](auto&& edit) {
-    HierarchyProtocolConfig bad;
-    edit(bad);
-    EXPECT_THROW(HierarchicalAffineProtocol(
-                     g, std::vector<double>(g.node_count(), 0.0), rng, bad),
-                 ArgumentError);
-  };
-  rejects([](HierarchyProtocolConfig& c) { c.eps_decay = 1.0; });
-  rejects([&](HierarchyProtocolConfig& c) { c.eps_decay = inf; });
-  rejects([&](HierarchyProtocolConfig& c) { c.round_constant = inf; });
-  rejects([](HierarchyProtocolConfig& c) { c.round_constant = 1e12; });
 }
 
 }  // namespace

@@ -179,19 +179,6 @@ TEST(Multilevel, QuadraticLeafModelChargesMore) {
             r1.transmissions[sim::TxCategory::kLocal]);
 }
 
-TEST(Multilevel, MeasuredLeafModeConvergesAndCostsRealExchanges) {
-  const auto g = make_graph(512, 620);
-  Rng rng(621);
-  auto x0 = make_field(g, rng);
-  MultilevelConfig config;
-  config.eps = 1e-2;
-  config.leaf_cost = LeafCostModel::kMeasured;
-  MultilevelAffineGossip protocol(g, x0, rng, config);
-  const auto result = protocol.run();
-  EXPECT_TRUE(result.converged);
-  EXPECT_GT(result.transmissions[sim::TxCategory::kLocal], 0u);
-}
-
 TEST(Multilevel, LeafNoiseInjectionStillConverges) {
   // Lemma 2 in vivo: small imperfect-averaging noise does not break
   // convergence to a coarser epsilon.
@@ -364,8 +351,7 @@ TEST(Multilevel, Validation) {
                ArgumentError);
 
   // Rejected at construction, before any square is built or averaged: a
-  // leaf threshold below 1 would split every square down to max_depth,
-  // and a bad leaf constant or noise bound used to throw only from run().
+  // bad noise bound used to throw only from run().
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const auto rejects = [&](auto&& edit) {
     MultilevelConfig bad;
@@ -374,28 +360,10 @@ TEST(Multilevel, Validation) {
                      g, std::vector<double>(g.node_count(), 0.0), rng, bad),
                  ArgumentError);
   };
-  rejects([](MultilevelConfig& c) { c.leaf_threshold = 0.0; });
-  rejects([](MultilevelConfig& c) { c.leaf_threshold = 0.5; });
-  rejects([&](MultilevelConfig& c) { c.leaf_threshold = nan; });
-  rejects([](MultilevelConfig& c) { c.leaf_constant = 0.0; });
-  rejects([](MultilevelConfig& c) { c.leaf_constant = -1.0; });
-  rejects([&](MultilevelConfig& c) { c.leaf_constant = nan; });
   rejects([](MultilevelConfig& c) { c.leaf_noise = -1e-6; });
   rejects([&](MultilevelConfig& c) { c.leaf_noise = nan; });
-  // Infinite constants, and a round count past UINT32_MAX, used to reach
-  // an undefined double-to-uint32 cast.
-  const double inf = std::numeric_limits<double>::infinity();
-  rejects([&](MultilevelConfig& c) { c.round_constant = inf; });
-  rejects([&](MultilevelConfig& c) { c.eps_decay = inf; });
-  rejects([](MultilevelConfig& c) { c.round_constant = 1e12; });
-  // The measured leaf model charges no constant, but the check is the same.
-  rejects([](MultilevelConfig& c) {
-    c.leaf_cost = LeafCostModel::kMeasured;
-    c.leaf_constant = 0.0;
-  });
 
   MultilevelConfig edge;  // the boundary values are valid
-  edge.leaf_threshold = 1.0;
   edge.leaf_noise = 0.0;
   EXPECT_NO_THROW(MultilevelAffineGossip(
       g, std::vector<double>(g.node_count(), 0.0), rng, edge));

@@ -106,7 +106,7 @@ TEST(PaperSchedule, Validation) {
 
 TEST(PracticalSchedule, RoundsFollowObservationOne) {
   const auto profile = compute_level_profile(65536, 48.0);
-  const auto schedule = make_practical_schedule(1e-3, 1.0, 10.0, profile);
+  const auto schedule = make_practical_schedule(1e-3, profile);
   ASSERT_EQ(schedule.rounds.size(), profile.size());
   for (std::size_t r = 0; r < profile.size(); ++r) {
     if (profile[r].fan_out == 0) {
@@ -114,7 +114,8 @@ TEST(PracticalSchedule, RoundsFollowObservationOne) {
       continue;
     }
     const double k = profile[r].fan_out;
-    const double expected = std::ceil(k * std::log(k / schedule.eps[r]));
+    const double expected =
+        std::ceil(kInnerRoundConstant * k * std::log(k / schedule.eps[r]));
     EXPECT_EQ(schedule.rounds[r], static_cast<std::uint32_t>(expected));
   }
   EXPECT_NE(schedule.to_string().find("rounds"), std::string::npos);
@@ -122,29 +123,36 @@ TEST(PracticalSchedule, RoundsFollowObservationOne) {
 
 TEST(PracticalSchedule, EpsDecaysGeometrically) {
   const auto profile = compute_level_profile(65536, 48.0);
-  const auto schedule = make_practical_schedule(1e-2, 2.0, 5.0, profile);
+  const auto schedule = make_practical_schedule(1e-2, profile);
   for (std::size_t r = 1; r < schedule.eps.size(); ++r) {
-    EXPECT_NEAR(schedule.eps[r - 1] / schedule.eps[r], 5.0, 1e-9);
+    EXPECT_NEAR(schedule.eps[r - 1] / schedule.eps[r], kEpsDecay, 1e-9);
   }
 }
 
 TEST(PracticalSchedule, Validation) {
   const auto profile = compute_level_profile(1000, 48.0);
-  EXPECT_THROW(make_practical_schedule(2.0, 1.0, 10.0, profile),
-               ArgumentError);
-  EXPECT_THROW(make_practical_schedule(0.5, 0.0, 10.0, profile),
-               ArgumentError);
-  EXPECT_THROW(make_practical_schedule(0.5, 1.0, 1.0, profile),
-               ArgumentError);
-  // Infinite constants, and a round count past UINT32_MAX, used to reach
-  // an undefined double-to-uint32 cast.
+  EXPECT_THROW(make_practical_schedule(2.0, profile), ArgumentError);
+}
+
+TEST(InnerRounds, RejectAnAccuracyThatUnderflows) {
+  // The schedule divides by kEpsDecay per level: a small enough eps
+  // reaches 0 at some depth, and ln(k / 0) is infinite.
+  const double eps_r = eps_at_depth(1e-320, 8);
+  ASSERT_EQ(eps_r, 0.0);
+  EXPECT_THROW(inner_rounds(4, eps_r), ArgumentError);
+  EXPECT_EQ(inner_rounds(4, eps_at_depth(1e-2, 1)),
+            static_cast<std::uint32_t>(std::ceil(4.0 * std::log(4e3))));
+}
+
+TEST(CeilToCount, AcceptsExactlyTheUint32Range) {
+  constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_EQ(ceil_to_count(0.2, "rounds"), 1u);
+  EXPECT_EQ(ceil_to_count(static_cast<double>(kMax), "rounds"), kMax);
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(make_practical_schedule(0.5, inf, 10.0, profile),
-               ArgumentError);
-  EXPECT_THROW(make_practical_schedule(0.5, 1.0, inf, profile),
-               ArgumentError);
-  EXPECT_THROW(make_practical_schedule(0.5, 1e12, 10.0, profile),
-               ArgumentError);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {static_cast<double>(kMax) + 1.0, inf, nan, -1.0}) {
+    EXPECT_THROW(ceil_to_count(bad, "rounds"), ArgumentError) << bad;
+  }
 }
 
 // ------------------------------------------------------------ Predictions ----
@@ -202,30 +210,26 @@ TEST(ExchangeBeta, ModesProduceDocumentedGains) {
 TEST(ChargedLeafCost, ModelsScaleAsDocumented) {
   // GRG-mixing: linear in m when the square is ~1 radius across.
   const auto linear_small =
-      charged_leaf_cost(LeafCostModel::kGrgMixing, 32, 1.0, 1e-3, 1.0);
+      charged_leaf_cost(LeafCostModel::kGrgMixing, 32, 1.0, 1e-3);
   const auto linear_large =
-      charged_leaf_cost(LeafCostModel::kGrgMixing, 64, 1.0, 1e-3, 1.0);
+      charged_leaf_cost(LeafCostModel::kGrgMixing, 64, 1.0, 1e-3);
   EXPECT_GT(linear_large, linear_small);
   EXPECT_LT(linear_large, 3 * linear_small);  // ~2x plus the log factor
 
   // Quadratic model: 2x members -> ~4x cost.
   const auto quad_small =
-      charged_leaf_cost(LeafCostModel::kQuadratic, 32, 1.0, 1e-3, 1.0);
+      charged_leaf_cost(LeafCostModel::kQuadratic, 32, 1.0, 1e-3);
   const auto quad_large =
-      charged_leaf_cost(LeafCostModel::kQuadratic, 64, 1.0, 1e-3, 1.0);
+      charged_leaf_cost(LeafCostModel::kQuadratic, 64, 1.0, 1e-3);
   EXPECT_GT(quad_large, 3 * quad_small);
   EXPECT_LT(quad_large, 5 * quad_small);
 
   // Side/radius ratio quadratically inflates the mixing model.
-  const auto wide =
-      charged_leaf_cost(LeafCostModel::kGrgMixing, 32, 4.0, 1e-3, 1.0);
+  const auto wide = charged_leaf_cost(LeafCostModel::kGrgMixing, 32, 4.0, 1e-3);
   EXPECT_NEAR(static_cast<double>(wide) / linear_small, 16.0, 1.0);
 
-  // Single node costs nothing; measured model cannot be charged.
-  EXPECT_EQ(charged_leaf_cost(LeafCostModel::kGrgMixing, 1, 1.0, 1e-3, 1.0),
-            0u);
-  EXPECT_THROW(charged_leaf_cost(LeafCostModel::kMeasured, 32, 1.0, 1e-3, 1.0),
-               ArgumentError);
+  // Single node costs nothing.
+  EXPECT_EQ(charged_leaf_cost(LeafCostModel::kGrgMixing, 1, 1.0, 1e-3), 0u);
 }
 
 // ------------------------------------------------------- SquareHopTables ----

@@ -120,6 +120,24 @@ TEST(Scenario, AddLabelsCellsWithKindName) {
   EXPECT_EQ(scenario.cells[3].label, "dimakis");
 }
 
+TEST(Scenario, AddRejectsDeploymentsBelowTwoNodes) {
+  // A builder's bad size fails where the cell is added, before a Runner
+  // starts, and the message names the size.
+  Scenario scenario;
+  try {
+    scenario.add(core::ProtocolKind::kBoydPairwise, 1);
+    FAIL() << "expected ArgumentError";
+  } catch (const ArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("n = 1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(scenario.add("empty", core::ProtocolKind::kBoydPairwise, 0),
+               ArgumentError);
+  EXPECT_TRUE(scenario.cells.empty());
+  EXPECT_THROW(make_e2_tail(1, {0.5}, 1, 1), ArgumentError);
+  EXPECT_NO_THROW(scenario.add(core::ProtocolKind::kBoydPairwise, 2));
+}
+
 TEST(Scenario, MakeProtocolSweepBuildsOneCellPerSize) {
   const auto sweep = make_protocol_sweep(
       "sweep", core::ProtocolKind::kDimakisGeographic, {64, 128, 256}, 5,

@@ -183,7 +183,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, GrgProperty,
 
 TEST(GeometricGraph, SampleIsConnectedAtPaperRadius) {
   // Multiplier 2 keeps moderate deployments connected in essentially every
-  // seed (DESIGN.md); verify across several seeds.
+  // seed (graph/radius.hpp, paper_radius); verify across several seeds.
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     Rng rng(seed);
     const auto g = GeometricGraph::sample(800, 2.0, rng);

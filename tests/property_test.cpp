@@ -1,5 +1,5 @@
 // Cross-module property suites: invariants that must hold across sweeps of
-// deployments, seeds and configurations (TEST_P-style, per DESIGN.md §7).
+// deployments, seeds and configurations (TEST_P-style).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -265,8 +265,8 @@ TEST(ErrorMetric, ScalesLinearly) {
 
 TEST(ScheduleSanity, PracticalRoundsGrowWithAccuracy) {
   const auto profile = core::compute_level_profile(65536, 48.0);
-  const auto loose = core::make_practical_schedule(1e-2, 1.0, 10.0, profile);
-  const auto tight = core::make_practical_schedule(1e-5, 1.0, 10.0, profile);
+  const auto loose = core::make_practical_schedule(1e-2, profile);
+  const auto tight = core::make_practical_schedule(1e-5, profile);
   for (std::size_t r = 0; r < profile.size(); ++r) {
     if (profile[r].fan_out == 0) continue;
     EXPECT_GT(tight.rounds[r], loose.rounds[r]);

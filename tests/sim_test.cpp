@@ -211,26 +211,6 @@ TEST(Engine, RespectsTickBudget) {
   EXPECT_GT(result.final_error, 1e-9);
 }
 
-TEST(Engine, TraceRecordsMonotoneTransmissions) {
-  Rng rng(79);
-  const auto graph = graph::GeometricGraph::sample(300, 2.0, rng);
-  auto x0 = gaussian_field(300, rng);
-  center_and_normalize(x0);
-  gossip::PairwiseGossip protocol(graph, x0, rng);
-  RunConfig config;
-  config.epsilon = 3e-2;
-  config.max_ticks = 10'000'000;
-  config.trace_interval = 500;
-  const auto result = run_to_epsilon(protocol, rng, config);
-  ASSERT_TRUE(result.converged);
-  ASSERT_GT(result.trace.size(), 2u);
-  for (std::size_t i = 1; i < result.trace.size(); ++i) {
-    EXPECT_GE(result.trace[i].first, result.trace[i - 1].first);
-  }
-  // Error at the end of the trace is below the start.
-  EXPECT_LT(result.trace.back().second, result.trace.front().second);
-}
-
 TEST(Engine, ValidatesConfig) {
   Rng rng(80);
   const auto graph = graph::GeometricGraph::sample(20, 2.0, rng);

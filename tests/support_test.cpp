@@ -45,6 +45,21 @@ TEST(Check, MessageContainsExpressionAndLocation) {
   }
 }
 
+TEST(Check, LibraryLocationIsRelativeToTheSourceTree) {
+  // The build maps the source directory away, so a diagnostic names
+  // src/support/rng.cpp, not the directory the binary was built in.
+  Rng rng(1);
+  try {
+    (void)rng.below(0);
+    FAIL() << "expected ArgumentError";
+  } catch (const ArgumentError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/support/rng.cpp:"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find(" at /"), std::string::npos) << what;
+  }
+}
+
 // ------------------------------------------------------------------ rng ----
 
 TEST(Rng, DeterministicForEqualSeeds) {
