@@ -359,10 +359,13 @@ TEST(FoldRecords, ReportsEveryKindOfSkippedLine) {
   scenario.name = "tiny";
   scenario.master_seed = kSeed;
   std::ostringstream log;
+  const LogLevel level = LogConfig::level();
+  LogConfig::set_level(LogLevel::kWarn);
   LogConfig::set_sink(log);
   const auto checkpoint =
       fold_records(scenario, {path}, "fleet: batch 3 resume");
   LogConfig::set_sink(std::cerr);
+  LogConfig::set_level(level);
   std::remove(path.c_str());
 
   EXPECT_EQ(checkpoint->size(), 1u);
