@@ -10,6 +10,7 @@
 // predictions.
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/exponent_fit.hpp"
@@ -18,22 +19,46 @@
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
 #include "gossip/spanning_tree.hpp"
+#include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/string_util.hpp"
 
 namespace gg = geogossip;
 using gg::core::ProtocolKind;
 
+/// One protocol's n sweep: its --<flag> list and the sizes --quick
+/// sweeps instead.
+struct Sweep {
+  ProtocolKind kind;
+  const char* flag;
+  const char* help;
+  std::vector<std::size_t> ns;
+  std::vector<std::size_t> quick_ns;
+};
+
 static int run(int argc, char** argv) {
   std::uint64_t master_seed = 1;
   double eps = 1e-3;
   double radius_multiplier = 1.2;
-  std::vector<std::size_t> boyd_ns{512, 1024, 2048, 4096, 8192};
-  std::vector<std::size_t> dimakis_ns{512, 1024, 2048, 4096, 8192, 16384};
-  std::vector<std::size_t> pathavg_ns{512, 1024, 2048, 4096, 8192, 16384};
-  std::vector<std::size_t> one_level_ns{512, 2048, 8192, 32768, 131072};
-  std::vector<std::size_t> multi_ns{2048, 8192, 32768, 131072};
-  std::vector<std::size_t> decentral_ns{1024, 4096, 16384};
+  std::vector<Sweep> sweeps{
+      {ProtocolKind::kBoydPairwise, "boyd-ns",
+       "comma-separated n sweep for Boyd", {512, 1024, 2048, 4096, 8192},
+       {256, 512, 1024}},
+      {ProtocolKind::kDimakisGeographic, "dimakis-ns", "n sweep for Dimakis",
+       {512, 1024, 2048, 4096, 8192, 16384}, {512, 1024, 2048}},
+      {ProtocolKind::kPathAveraging, "pathavg-ns",
+       "n sweep for path averaging", {512, 1024, 2048, 4096, 8192, 16384},
+       {512, 1024, 2048}},
+      {ProtocolKind::kAffineOneLevel, "onelevel-ns",
+       "n sweep for affine-1level", {512, 2048, 8192, 32768, 131072},
+       {512, 2048, 8192}},
+      {ProtocolKind::kAffineMultilevel, "multi-ns",
+       "n sweep for affine-multi", {2048, 8192, 32768, 131072},
+       {512, 2048, 8192}},
+      {ProtocolKind::kAffineDecentralized, "decentral-ns",
+       "n sweep for the decentralized extension", {1024, 4096, 16384},
+       {512, 2048}},
+  };
   bool quick = false;
 
   gg::exp::SweepCli cli("tab_e5_scaling",
@@ -42,37 +67,24 @@ static int run(int argc, char** argv) {
   cli.parser().add_flag("eps", &eps, "accuracy target");
   cli.parser().add_flag("radius-mult", &radius_multiplier,
                         "radius multiplier c in r = c sqrt(log n / n)");
-  cli.parser().add_flag("boyd-ns", &boyd_ns,
-                        "comma-separated n sweep for Boyd");
-  cli.parser().add_flag("dimakis-ns", &dimakis_ns, "n sweep for Dimakis");
-  cli.parser().add_flag("pathavg-ns", &pathavg_ns,
-                        "n sweep for path averaging");
-  cli.parser().add_flag("onelevel-ns", &one_level_ns,
-                        "n sweep for affine-1level");
-  cli.parser().add_flag("multi-ns", &multi_ns, "n sweep for affine-multi");
-  cli.parser().add_flag("decentral-ns", &decentral_ns,
-                        "n sweep for the decentralized extension");
+  for (Sweep& sweep : sweeps) {
+    cli.parser().add_flag(sweep.flag, &sweep.ns, sweep.help);
+  }
   cli.parser().add_flag("quick", &quick,
                         "shrink sweeps for a fast smoke run");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
   if (quick) {
-    boyd_ns = {256, 512, 1024};
-    dimakis_ns = {512, 1024, 2048};
-    pathavg_ns = {512, 1024, 2048};
-    one_level_ns = {512, 2048, 8192};
-    multi_ns = {512, 2048, 8192};
-    decentral_ns = {512, 2048};
+    for (Sweep& sweep : sweeps) {
+      // --quick replaces every list, so an explicit one would be dropped.
+      if (cli.parser().given(sweep.flag)) {
+        throw gg::ArgumentError(std::string("--quick sets its own sizes; "
+                                            "drop --quick or --") +
+                                sweep.flag);
+      }
+      sweep.ns = sweep.quick_ns;
+    }
   }
-
-  const std::vector<std::pair<ProtocolKind, std::vector<std::size_t>>> plans{
-      {ProtocolKind::kBoydPairwise, boyd_ns},
-      {ProtocolKind::kDimakisGeographic, dimakis_ns},
-      {ProtocolKind::kPathAveraging, pathavg_ns},
-      {ProtocolKind::kAffineOneLevel, one_level_ns},
-      {ProtocolKind::kAffineMultilevel, multi_ns},
-      {ProtocolKind::kAffineDecentralized, decentral_ns},
-  };
 
   gg::exp::Scenario scenario;
   scenario.name = "e5-scaling";
@@ -81,9 +93,9 @@ static int run(int argc, char** argv) {
   // overrides this.
   scenario.replicates = quick ? 3 : 4;
   scenario.master_seed = master_seed;
-  for (const auto& [kind, sizes] : plans) {
-    for (const std::size_t n : sizes) {
-      auto& cell = scenario.add(kind, n);
+  for (const Sweep& sweep : sweeps) {
+    for (const std::size_t n : sweep.ns) {
+      auto& cell = scenario.add(sweep.kind, n);
       cell.radius_multiplier = radius_multiplier;
       cell.options.eps = eps;
     }
@@ -100,18 +112,19 @@ static int run(int argc, char** argv) {
 
   // Fit tx ~ c n^p per protocol over the cells that mostly converged.
   std::vector<gg::analysis::ScalingReport> reports;
-  for (const auto& [kind, sizes] : plans) {
+  for (const Sweep& sweep : sweeps) {
     std::vector<double> ns;
     std::vector<double> medians;
     for (const auto& cs : summary.cells) {
-      if (cs.cell.kind != kind) continue;
+      if (cs.cell.kind != sweep.kind) continue;
       if (cs.converged_fraction <= 0.5) continue;
       ns.push_back(static_cast<double>(cs.cell.n));
       medians.push_back(cs.median_tx);
     }
     if (ns.size() >= 3) {
       reports.push_back(gg::analysis::fit_scaling(
-          std::string(gg::core::protocol_kind_name(kind)), ns, medians));
+          std::string(gg::core::protocol_kind_name(sweep.kind)), ns,
+          medians));
     }
   }
 

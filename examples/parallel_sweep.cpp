@@ -22,8 +22,10 @@
 //       --json-replicates=xl.jsonl --csv=xl.csv        (one command line)
 //   # or split one sweep across processes/machines (round-robin over the
 //   # flattened (cell, replicate) stream; output paths auto-suffixed)
-//   parallel_sweep --scenario=e5-scaling-xl --shard=0/2 --json-replicates=xl.jsonl
-//   parallel_sweep --scenario=e5-scaling-xl --shard=1/2 --json-replicates=xl.jsonl
+//   parallel_sweep --scenario=e5-scaling-xl --shard-index=0 --shard-count=2
+//       --json-replicates=xl.jsonl
+//   parallel_sweep --scenario=e5-scaling-xl --shard-index=1 --shard-count=2
+//       --json-replicates=xl.jsonl
 //   # then fold the shard files into the summaries and the canonical
 //   # record file a single uninterrupted run would emit (exit 1 unless
 //   # the records cover the scenario exactly)
@@ -32,10 +34,11 @@
 //       --json-replicates=xl.jsonl --csv=xl.csv
 //
 // Long replicates can additionally checkpoint MID-flight: --snapshot-dir
-// (+ --snapshot-every) periodically persists each running replicate's full
-// trajectory state, and re-running the same command line after a kill
-// restores those replicates at the snapshotted tick and finishes them
-// bit-identically to an uninterrupted run.
+// (+ --snapshot-every-seconds or --snapshot-every-ticks) periodically
+// persists each running replicate's full trajectory state, and re-running
+// the same command line after a kill restores those replicates at the
+// snapshotted tick and finishes them bit-identically to an uninterrupted
+// run.
 //
 // Fleet mode automates the sharding: workers on any machines sharing a
 // filesystem coordinate through one directory (leased batches, dead-lease
@@ -43,7 +46,7 @@
 //
 //   # same command on every machine; first founds the plan, rest adopt
 //   parallel_sweep --scenario=e5-scaling-xl --fleet-dir=/shared/fleet
-//       --fleet-batches=32 --fleet-ttl=60 --snapshot-every=300s
+//       --fleet-batches=32 --fleet-ttl=60 --snapshot-every-seconds=300
 //   parallel_sweep --fleet-dir=/shared/fleet --fleet-status  # live board
 //   parallel_sweep --scenario=e5-scaling-xl --fleet-dir=/shared/fleet
 //       --fleet-merge --csv=xl.csv                   # final tables

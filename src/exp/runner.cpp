@@ -286,7 +286,7 @@ SweepSummary Runner::run(const Scenario& scenario) const {
       std::chrono::steady_clock::now() - start;
 
   // Envelope spans: one per cell on the synthetic lane, spanning the
-  // min..max recorded times of its executed replicates.  Work-stealing
+  // min..max recorded times of its executed replicates.  The pool
   // interleaves cells across workers, so real RAII spans cannot express
   // "the cell" — the envelope is derived after the pool drains instead.
   if (trace_tasks) {

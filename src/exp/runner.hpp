@@ -1,7 +1,7 @@
 // Thread-parallel scenario runner.
 //
 // Runner fans every (cell, replicate) pair of a Scenario out across a
-// work-stealing ThreadPool.  Each task derives its Rng seed from
+// ThreadPool.  Each task derives its Rng seed from
 // replicate_seed(master, stream, replicate) — stream being the cell index,
 // or the cell's pinned seed_stream for paired comparisons — and writes
 // into its own preallocated result slot, so aggregation happens in

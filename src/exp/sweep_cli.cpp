@@ -1,7 +1,6 @@
 #include "exp/sweep_cli.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <random>
@@ -23,7 +22,6 @@
 #include "obs/trace_export.hpp"
 #include "support/atomic_file.hpp"
 #include "support/logging.hpp"
-#include "support/string_util.hpp"
 
 namespace geogossip::exp {
 
@@ -39,34 +37,6 @@ std::uint64_t gib_to_bytes(double gib) {
   return static_cast<std::uint64_t>(gib * 1024.0 * 1024.0 * 1024.0);
 }
 
-/// Parses "--shard=i/k".  Returns false (with a diagnostic) on bad specs;
-/// strict parse_int rejects negatives and trailing junk rather than
-/// letting "--shard=0/-1" degrade into a near-empty sweep.
-bool parse_shard_spec(const std::string& spec, std::uint32_t* shard_index,
-                      std::uint32_t* shard_count) {
-  const std::size_t slash = spec.find('/');
-  if (slash == std::string::npos || slash == 0 ||
-      slash + 1 >= spec.size()) {
-    std::cerr << "--shard expects i/k (e.g. --shard=0/4)\n";
-    return false;
-  }
-  try {
-    const std::int64_t index = parse_int(spec.substr(0, slash));
-    const std::int64_t count = parse_int(spec.substr(slash + 1));
-    if (count < 1 || index < 0 || index >= count ||
-        count > 0xFFFFFFFFll) {
-      std::cerr << "--shard=" << spec << ": need 0 <= i < k\n";
-      return false;
-    }
-    *shard_index = static_cast<std::uint32_t>(index);
-    *shard_count = static_cast<std::uint32_t>(count);
-    return true;
-  } catch (const ArgumentError&) {
-    std::cerr << "--shard=" << spec << ": not a valid i/k pair\n";
-    return false;
-  }
-}
-
 /// True when both paths name the same file on disk — resolved through
 /// the filesystem, so "./x" vs "x", relative vs absolute spellings and
 /// symlinks all count (a raw string compare here would let a resume
@@ -79,72 +49,6 @@ bool same_file(const std::string& a, const std::string& b) {
   const auto cb = std::filesystem::weakly_canonical(b, ec);
   if (ec) return false;
   return ca == cb;
-}
-
-/// Parses "--heartbeat=FILE,SECS" (",SECS" optional; split on the LAST
-/// comma so paths containing commas still work when an interval follows).
-/// A suffix that strtod reads whole is an interval; any other suffix
-/// belongs to the path.
-bool parse_heartbeat_spec(const std::string& spec, std::string* path,
-                          double* interval_seconds) {
-  *path = spec;
-  *interval_seconds = 5.0;
-  const std::size_t comma = spec.rfind(',');
-  if (comma != std::string::npos) {
-    const std::string suffix = trim(spec.substr(comma + 1));
-    char* end = nullptr;
-    const double secs = std::strtod(suffix.c_str(), &end);
-    if (!suffix.empty() && end == suffix.c_str() + suffix.size()) {
-      // A numeric yet bogus interval (nan, inf, 1e400, 0, 1e10) is more
-      // likely a typo than part of the path: reject it.
-      if (!(secs > 0.0 && secs <= obs::Heartbeat::kMaxIntervalSeconds)) {
-        std::cerr << "--heartbeat=" << spec
-                  << ": interval must be positive seconds, at most 1e9\n";
-        return false;
-      }
-      *path = spec.substr(0, comma);
-      *interval_seconds = secs;
-    }
-  }
-  if (path->empty()) {
-    std::cerr << "--heartbeat needs a file path\n";
-    return false;
-  }
-  return true;
-}
-
-/// Parses "--snapshot-every=N t|s": "20000t" = every 20000 engine ticks
-/// (top rounds for the round-based protocols), "30s" or a bare "30" =
-/// every 30 wall-clock seconds.
-bool parse_snapshot_every(const std::string& spec, std::uint64_t* ticks,
-                          double* seconds) {
-  *ticks = 0;
-  *seconds = 0.0;
-  if (spec.empty()) return true;
-  std::string body = spec;
-  char unit = 's';
-  const char last = body.back();
-  if (last == 't' || last == 's') {
-    unit = last;
-    body.pop_back();
-  }
-  try {
-    if (unit == 't') {
-      const std::int64_t value = parse_int(body);
-      if (value <= 0) throw ArgumentError("non-positive");
-      *ticks = static_cast<std::uint64_t>(value);
-    } else {
-      const double value = parse_double(body);
-      if (value <= 0.0) throw ArgumentError("non-positive");
-      *seconds = value;
-    }
-    return true;
-  } catch (const ArgumentError&) {
-    std::cerr << "--snapshot-every=" << spec
-              << ": expected a positive count with a t (ticks) or s "
-                 "(seconds) suffix, e.g. 20000t or 30s\n";
-    return false;
-  }
 }
 
 /// Default fleet worker id: "w<pid>-<hex>".  The pid alone collides when
@@ -184,11 +88,14 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
                    "partial results and --resume picks them back up).  "
                    "With --merge-only/--fleet-merge: write the merged "
                    "records here in (cell, replicate) order");
-  parser_.add_flag("shard", &shard_spec_,
-                   "run shard i of k (i/k): round-robin partition of the "
-                   "(cell, replicate) stream; --csv/--json/--json-replicates "
-                   "paths are suffixed per shard unless they carry a {shard} "
-                   "placeholder");
+  parser_.add_flag("shard-index", &shard_index_,
+                   "run shard i of --shard-count: a round-robin partition "
+                   "of the (cell, replicate) stream; --csv/--json/"
+                   "--json-replicates paths are suffixed per shard unless "
+                   "they carry a {shard} placeholder");
+  parser_.add_flag("shard-count", &shard_count_,
+                   "number of shards k the sweep is split into (1 = "
+                   "unsharded)");
   parser_.add_flag("resume", &resume_files_,
                    "comma-separated replicate-record files from earlier "
                    "(killed or sharded) runs of this scenario; completed "
@@ -206,10 +113,13 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
                    "enable telemetry and write a Chrome/Perfetto trace "
                    "(chrome://tracing or ui.perfetto.dev) of the sweep to "
                    "this file ({shard}-suffixed like the other outputs)");
-  parser_.add_flag("heartbeat", &heartbeat_spec_,
-                   "write a heartbeat JSONL file for unattended runs: "
-                   "FILE[,SECS] (default every 5s; torn-write safe via "
-                   "rename, so every line always parses)");
+  parser_.add_flag("heartbeat-file", &heartbeat_path_,
+                   "write a heartbeat JSONL file for unattended runs "
+                   "(torn-write safe via rename, so every line always "
+                   "parses)");
+  parser_.add_flag("heartbeat-every-seconds", &heartbeat_interval_seconds_,
+                   "heartbeat interval in (0, 1e9] seconds; needs "
+                   "--heartbeat-file");
   parser_.add_flag("log-level", &log_level_,
                    "diagnostic verbosity: debug|info|warn|error|off "
                    "(default warn)");
@@ -219,11 +129,14 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
                    "state (torn-write safe), and a re-run with the same "
                    "flags restores each interrupted replicate and continues "
                    "it bit-identically");
-  parser_.add_flag("snapshot-every", &snapshot_every_spec_,
-                   "snapshot cadence: Nt = every N engine ticks (top rounds "
-                   "for round-based protocols), Ns or bare N = every N "
-                   "wall-clock seconds (default 30s when --snapshot-dir is "
-                   "set)");
+  parser_.add_flag("snapshot-every-ticks", &snapshot_every_ticks_,
+                   "snapshot every N engine ticks (top rounds for "
+                   "round-based protocols; 0 = no tick cadence); needs "
+                   "--snapshot-dir or --fleet-dir");
+  parser_.add_flag("snapshot-every-seconds", &snapshot_every_seconds_,
+                   "snapshot every this many wall-clock seconds (0 = no "
+                   "wall cadence; 30 when --snapshot-dir is set and neither "
+                   "cadence is); needs --snapshot-dir or --fleet-dir");
   parser_.add_flag("fleet-dir", &fleet_dir_,
                    "join a fleet coordinated through this shared directory: "
                    "workers lease batches via atomic renames, renew a TTL "
@@ -269,12 +182,13 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
     return 1;
   }
 
-  if (!shard_spec_.empty() &&
-      !parse_shard_spec(shard_spec_, &shard_index_, &shard_count_)) {
+  if (!(shard_index_ < shard_count_)) {
+    std::cerr << "--shard-index=" << shard_index_
+              << " must lie below --shard-count=" << shard_count_ << "\n";
     return 1;
   }
   if (merge_only_ && shard_count_ > 1) {
-    std::cerr << "--merge-only folds ALL shards; drop --shard\n";
+    std::cerr << "--merge-only folds ALL shards; drop --shard-count\n";
     return 1;
   }
   if (merge_only_ && resume_files_.empty()) {
@@ -285,18 +199,23 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
     std::cerr << "--mem-budget must be in [0, 2^34) GiB\n";
     return 1;
   }
-  if (!heartbeat_spec_.empty() &&
-      !parse_heartbeat_spec(heartbeat_spec_, &heartbeat_path_,
-                            &heartbeat_interval_seconds_)) {
+  if (!(heartbeat_interval_seconds_ > 0.0 &&
+        heartbeat_interval_seconds_ <= obs::Heartbeat::kMaxIntervalSeconds)) {
+    std::cerr << "--heartbeat-every-seconds must be positive, at most 1e9\n";
     return 1;
   }
-  if (!parse_snapshot_every(snapshot_every_spec_, &snapshot_every_ticks_,
-                            &snapshot_every_seconds_)) {
+  if (heartbeat_path_.empty() && parser_.given("heartbeat-every-seconds")) {
+    std::cerr << "--heartbeat-every-seconds needs --heartbeat-file\n";
+    return 1;
+  }
+  if (snapshot_every_seconds_ < 0.0) {
+    std::cerr << "--snapshot-every-seconds must not be negative\n";
     return 1;
   }
   if (snapshot_dir_.empty() && fleet_dir_.empty() &&
-      !snapshot_every_spec_.empty()) {
-    std::cerr << "--snapshot-every needs --snapshot-dir (or --fleet-dir)\n";
+      (parser_.given("snapshot-every-ticks") ||
+       parser_.given("snapshot-every-seconds"))) {
+    std::cerr << "--snapshot-every-* needs --snapshot-dir (or --fleet-dir)\n";
     return 1;
   }
   if (!snapshot_dir_.empty() && snapshot_every_ticks_ == 0 &&
@@ -318,11 +237,13 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
                    "mode\")\n";
       return 1;
     };
-    if (!shard_spec_.empty()) return conflict("--shard");
+    if (parser_.given("shard-index") || parser_.given("shard-count")) {
+      return conflict("--shard-index/--shard-count");
+    }
     if (!resume_files_.empty()) return conflict("--resume");
     if (merge_only_) return conflict("--merge-only (use --fleet-merge)");
     if (!snapshot_dir_.empty()) return conflict("--snapshot-dir");
-    if (!heartbeat_spec_.empty()) return conflict("--heartbeat");
+    if (!heartbeat_path_.empty()) return conflict("--heartbeat-file");
     if (!fleet_merge_) {
       // Worker mode streams records into the fleet directory; summaries
       // and the canonical record file come from --fleet-merge afterwards.

@@ -5,9 +5,13 @@
 // replicate records, heartbeat files, telemetry traces and (new) durable
 // mid-replicate snapshots — and before SweepCli each driver re-registered
 // its own subset of the flags, so only parallel_sweep could actually
-// resume or shard.  SweepCli owns the harness flag set once; a driver
-// registers its experiment-specific flags on parser(), builds its
-// Scenario, and delegates execution:
+// resume or shard.  SweepCli owns the harness flag set once.  Every
+// harness value is one typed ArgParser flag with no sub-grammar: a shard
+// is --shard-index and --shard-count, a snapshot cadence
+// --snapshot-every-ticks or --snapshot-every-seconds, a heartbeat
+// --heartbeat-file with --heartbeat-every-seconds.  A driver registers its
+// experiment-specific flags on parser(), builds its Scenario, and
+// delegates execution:
 //
 //   gg::exp::SweepCli cli("tab_e5_scaling", "E5: scaling table");
 //   cli.parser().add_flag("eps", &eps, "accuracy target");
@@ -40,12 +44,15 @@ class SweepCli {
   /// parse().  Harness flag names (--threads, --csv, ...) are taken.
   ArgParser& parser() noexcept { return parser_; }
 
-  /// Parses argv and validates the harness flags (shard spec, heartbeat
-  /// spec, snapshot cadence, flag combinations).  Returns the process exit
-  /// code when the run should stop here (--help, malformed flags, and
-  /// --fleet-status, which prints the fleet board here because it reads
-  /// the plan, not a scenario); std::nullopt to continue.  Also applies
-  /// --log-level and enables telemetry when --trace is given.
+  /// Parses argv and validates the harness flags (shard coordinates,
+  /// heartbeat interval, snapshot cadence, flag combinations).  A cadence
+  /// flag without its output (--snapshot-every-* without --snapshot-dir or
+  /// --fleet-dir, --heartbeat-every-seconds without --heartbeat-file) is an
+  /// error, as is --shard-index at or above --shard-count.  Returns the
+  /// process exit code when the run should stop here (--help, malformed
+  /// flags, and --fleet-status, which prints the fleet board here because
+  /// it reads the plan, not a scenario); std::nullopt to continue.  Also
+  /// applies --log-level and enables telemetry when --trace is given.
   std::optional<int> parse(int argc, char** argv);
 
   /// Applies the generic scenario overrides (--replicates).  run() calls
@@ -87,21 +94,24 @@ class SweepCli {
   std::string program_;
   SweepSummary summary_;
 
-  // Flag storage; parse() validates the specs into the fields below.
+  // Flag storage; parse() checks what the flag types do not imply.
   std::uint32_t threads_ = 0;
   std::uint32_t replicates_ = 0;
   std::string csv_path_;
   std::string json_path_;
   std::string json_replicates_path_;
-  std::string shard_spec_;
+  std::uint32_t shard_index_ = 0;
+  std::uint32_t shard_count_ = 1;
   std::vector<std::string> resume_files_;
   bool merge_only_ = false;
   double mem_budget_gb_ = 0.0;
   std::string trace_path_;
-  std::string heartbeat_spec_;
+  std::string heartbeat_path_;
+  double heartbeat_interval_seconds_ = 5.0;
   std::string log_level_ = "warn";
   std::string snapshot_dir_;
-  std::string snapshot_every_spec_;
+  std::uint64_t snapshot_every_ticks_ = 0;
+  double snapshot_every_seconds_ = 0.0;
   std::string fleet_dir_;
   std::uint32_t fleet_batches_ = 0;
   double fleet_ttl_seconds_ = 30.0;
@@ -110,12 +120,6 @@ class SweepCli {
   bool fleet_merge_ = false;
   bool fleet_status_ = false;
 
-  std::uint32_t shard_index_ = 0;
-  std::uint32_t shard_count_ = 1;
-  std::string heartbeat_path_;
-  double heartbeat_interval_seconds_ = 5.0;
-  std::uint64_t snapshot_every_ticks_ = 0;
-  double snapshot_every_seconds_ = 0.0;
   std::shared_ptr<const Checkpoint> checkpoint_;
 };
 

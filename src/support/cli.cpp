@@ -93,11 +93,18 @@ void ArgParser::add_flag(const std::string& name, Target target,
   flags_.push_back(Flag{name, target, help, std::move(default_text)});
 }
 
-const ArgParser::Flag* ArgParser::find(const std::string& name) const noexcept {
-  for (const auto& f : flags_) {
+ArgParser::Flag* ArgParser::find(const std::string& name) noexcept {
+  for (auto& f : flags_) {
     if (f.name == name) return &f;
   }
   return nullptr;
+}
+
+bool ArgParser::given(const std::string& name) const {
+  for (const auto& f : flags_) {
+    if (f.name == name) return f.given;
+  }
+  throw ArgumentError("given: no flag --" + name + " is registered");
 }
 
 int parse_exit_code(ParseResult result) noexcept {
@@ -116,7 +123,7 @@ int run_main(int argc, char** argv, int (*body)(int, char**)) {
 }
 
 ParseResult ArgParser::parse(int argc, const char* const* argv) {
-  positional_.clear();
+  for (auto& f : flags_) f.given = false;
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -125,8 +132,11 @@ ParseResult ArgParser::parse(int argc, const char* const* argv) {
         return ParseResult::kHelp;
       }
       if (!starts_with(arg, "--")) {
-        positional_.push_back(arg);
-        continue;
+        // No program reads a bare word, so one is a mistake: a list
+        // spelled "--sizes 64 128" or a bool spelled "--quick false".
+        throw ArgumentError("stray word '" + arg +
+                            "': a value goes with its flag, as --name=value "
+                            "or --name=a,b for a list");
       }
       std::string name = arg.substr(2);
       std::optional<std::string> inline_value;
@@ -135,8 +145,9 @@ ParseResult ArgParser::parse(int argc, const char* const* argv) {
         inline_value = name.substr(eq + 1);
         name = name.substr(0, eq);
       }
-      const Flag* flag = find(name);
-      GG_CHECK_ARG(flag != nullptr, "unknown flag --" + name);
+      Flag* flag = find(name);
+      if (flag == nullptr) throw ArgumentError("unknown flag --" + name);
+      flag->given = true;
       if (!inline_value) {
         if (std::holds_alternative<bool*>(flag->target)) {
           // A bare boolean flag means "true"; an explicit value may follow
@@ -144,7 +155,9 @@ ParseResult ArgParser::parse(int argc, const char* const* argv) {
           *std::get<bool*>(flag->target) = true;
           continue;
         }
-        GG_CHECK_ARG(i + 1 < argc, "flag --" + name + " expects a value");
+        if (i + 1 == argc) {
+          throw ArgumentError("flag --" + name + " expects a value");
+        }
         inline_value = argv[++i];
       }
       try {
@@ -161,8 +174,7 @@ ParseResult ArgParser::parse(int argc, const char* const* argv) {
       }
     }
   } catch (const ArgumentError& error) {
-    std::cerr << program_ << ": " << error.what() << "\n"
-              << "run with --help for the flag list\n";
+    std::cerr << program_ << ": " << error.what() << "; see --help\n";
     return ParseResult::kError;
   }
   return ParseResult::kOk;

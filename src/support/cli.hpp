@@ -1,8 +1,10 @@
 // Tiny declarative command-line flag parser used by examples and benches.
 //
 // Supports --name=value and --name value forms, bool flags without a value
-// ("--verbose"), automatic --help text, and strict rejection of unknown
-// flags so typos in sweep scripts fail loudly.  The parser owns every
+// ("--verbose") and automatic --help text.  Every word on the command line
+// is a flag or a flag's value: an unknown flag or a stray word
+// ("--sizes 64 128", "--quick false") is a parse error, so typos in sweep
+// scripts fail loudly instead of running another sweep.  The parser owns every
 // range check a flag's type implies: counts are unsigned, so a negative
 // or out-of-range count is a parse error rather than a wrapped value, and
 // list flags take comma-separated values ("--sizes=512,2048") whose empty
@@ -26,7 +28,8 @@ namespace geogossip {
 enum class ParseResult {
   kOk,    ///< flags consumed; proceed
   kHelp,  ///< --help printed; exit 0 without running
-  kError, ///< unknown flag / malformed value, reported on stderr; exit 1
+  kError, ///< unknown flag, stray word or malformed value, reported on
+          ///< stderr; exit 1
 };
 
 /// Conventional process exit code for a non-kOk parse result.
@@ -59,16 +62,17 @@ class ArgParser {
                 const std::string& help);
 
   /// Parses argv.  Returns kHelp if --help was requested (help text already
-  /// printed to stdout) and kError on unknown flags or malformed values
-  /// (diagnostic already printed to stderr; the flag's target keeps its
-  /// previous value).  Never throws on bad input, so every main() can be a
-  /// simple result check.
+  /// printed to stdout) and kError on an unknown flag, a word that is no
+  /// flag's value, or a malformed value (a one-line diagnostic naming it
+  /// already printed to stderr; the flag's target keeps its previous
+  /// value).  Never throws on bad input, so every main() can be a simple
+  /// result check.
   ParseResult parse(int argc, const char* const* argv);
 
-  /// Positional arguments remaining after flag extraction.
-  const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
+  /// True when the last parse() named the registered flag `name`, so a
+  /// program can tell a flag set to its default from an absent one.
+  /// Throws ArgumentError when no flag `name` is registered.
+  bool given(const std::string& name) const;
 
   std::string help_text() const;
 
@@ -78,14 +82,14 @@ class ArgParser {
     Target target;
     std::string help;
     std::string default_text;
+    bool given = false;
   };
 
-  const Flag* find(const std::string& name) const noexcept;
+  Flag* find(const std::string& name) noexcept;
 
   std::string program_;
   std::string summary_;
   std::vector<Flag> flags_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace geogossip

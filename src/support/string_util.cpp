@@ -1,7 +1,6 @@
 #include "support/string_util.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -103,17 +102,6 @@ double parse_double(std::string_view text) {
                "parse_double: trailing garbage in '" + trimmed + "'");
   GG_CHECK_ARG(std::isfinite(value),
                "parse_double: '" + trimmed + "' is not a finite number");
-  return value;
-}
-
-std::int64_t parse_int(std::string_view text) {
-  const std::string trimmed = trim(text);
-  GG_CHECK_ARG(!trimmed.empty(), "parse_int: empty input");
-  std::int64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(
-      trimmed.data(), trimmed.data() + trimmed.size(), value);
-  GG_CHECK_ARG(ec == std::errc() && ptr == trimmed.data() + trimmed.size(),
-               "parse_int: malformed integer '" + trimmed + "'");
   return value;
 }
 

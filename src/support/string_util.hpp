@@ -39,9 +39,6 @@ std::string to_lower(std::string_view text);
 /// nan/inf and on values that overflow a double (e.g. "1e400").
 double parse_double(std::string_view text);
 
-/// Parses a signed 64-bit integer, throwing ArgumentError on malformed input.
-std::int64_t parse_int(std::string_view text);
-
 /// Parses "true/false/1/0/yes/no" (case-insensitive).
 bool parse_bool(std::string_view text);
 

@@ -1,7 +1,7 @@
-// Tests for the experiment-orchestration subsystem (src/exp/): the
-// work-stealing thread pool, the deterministic replicate seed-stream, the
-// parallel runner's aggregation, the scenario registry, the sinks, and
-// SweepCli's merge modes.
+// Tests for the experiment-orchestration subsystem (src/exp/): the thread
+// pool, the deterministic replicate seed-stream, the parallel runner's
+// aggregation, the scenario registry, the sinks, and SweepCli's flags and
+// merge modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1006,8 +1006,7 @@ TEST(SweepCliFlags, NonFiniteOrOverflowingNumbersExitOne) {
   // undefined.  A thread, replicate or batch count of 2^32 or more would
   // wrap when narrowed to 32 bits (2^32 threads to 0, hardware
   // concurrency), and a negative count would wrap to a huge one.  The
-  // heartbeat's directory exists, so only its interval can fail; a
-  // numeric interval must not fall back into the file name.
+  // heartbeat's directory exists, so only its interval can fail.
   const auto dir =
       (std::filesystem::path(::testing::TempDir()) / "ggflags").string();
   const auto heartbeat =
@@ -1016,7 +1015,7 @@ TEST(SweepCliFlags, NonFiniteOrOverflowingNumbersExitOne) {
       {"--mem-budget=nan"},
       {"--mem-budget=1e300"},
       {"--mem-budget=1e400"},
-      {"--snapshot-dir=" + dir, "--snapshot-every=nans"},
+      {"--snapshot-dir=" + dir, "--snapshot-every-seconds=nan"},
       {"--fleet-dir=" + dir, "--fleet-ttl=inf"},
       {"--fleet-dir=" + dir, "--fleet-ttl=1e300"},
       {"--threads=4294967296"},
@@ -1024,14 +1023,53 @@ TEST(SweepCliFlags, NonFiniteOrOverflowingNumbersExitOne) {
       {"--replicates=4294967297"},
       {"--fleet-dir=" + dir, "--fleet-batches=4294967296"},
       {"--fleet-dir=" + dir, "--fleet-max-batches=-1"},
-      {"--heartbeat=" + heartbeat + ",1e10"},
-      {"--heartbeat=" + heartbeat + ",inf"},
-      {"--heartbeat=" + heartbeat + ",nan"},
-      {"--heartbeat=" + heartbeat + ",1e400"}};
+      {"--heartbeat-file=" + heartbeat, "--heartbeat-every-seconds=1e10"},
+      {"--heartbeat-file=" + heartbeat, "--heartbeat-every-seconds=inf"},
+      {"--heartbeat-file=" + heartbeat, "--heartbeat-every-seconds=nan"},
+      {"--heartbeat-file=" + heartbeat, "--heartbeat-every-seconds=1e400"}};
   for (const auto& args : bad) {
     EXPECT_EQ(run_cli(tiny_scenario(1), args), 1) << args.back();
   }
-  EXPECT_FALSE(std::filesystem::exists(heartbeat + ",inf"));
+}
+
+TEST(SweepCliFlags, BadShardsAndCadencesWithoutAnOutputExitOne) {
+  // A shard outside its count, a negative cadence, and a cadence flag
+  // whose output was never named; then the retired compound spellings,
+  // which must fail as unknown flags rather than run.
+  const auto dir =
+      (std::filesystem::path(::testing::TempDir()) / "ggflags").string();
+  const auto heartbeat =
+      (std::filesystem::path(::testing::TempDir()) / "hb2.jsonl").string();
+  const std::vector<std::vector<std::string>> bad = {
+      {"--shard-index=2", "--shard-count=2"},
+      {"--shard-count=0"},
+      {"--snapshot-dir=" + dir, "--snapshot-every-seconds=-1"},
+      {"--snapshot-every-ticks=100"},
+      {"--snapshot-every-seconds=30"},
+      {"--heartbeat-every-seconds=2"},
+      {"--fleet-dir=" + dir, "--shard-count=1"},
+      {"--shard=0/2"},
+      {"--snapshot-dir=" + dir, "--snapshot-every=30s"},
+      {"--heartbeat=" + heartbeat + ",5"}};
+  for (const auto& args : bad) {
+    EXPECT_EQ(run_cli(tiny_scenario(1), args), 1) << args.back();
+  }
+  EXPECT_FALSE(std::filesystem::exists(heartbeat + ",5"));
+}
+
+TEST(SweepCliFlags, ShardFlagsWriteTheShardsOwnRecordFile) {
+  const auto scenario = tiny_scenario(3);
+  const std::filesystem::path dir = fresh_temp_dir("ggshard_flags");
+  std::filesystem::create_directories(dir);
+  const std::string records = (dir / "r.jsonl").string();
+  ASSERT_EQ(run_cli(scenario, {"--threads=1", "--shard-index=1",
+                               "--shard-count=2",
+                               "--json-replicates=" + records}),
+            0);
+  EXPECT_FALSE(std::filesystem::exists(records));
+  // One thread writes the shard's tasks in index order.
+  EXPECT_EQ(slurp((dir / "r.shard-1-of-2.jsonl").string()),
+            run_streaming(scenario, 1, 1, 2).second);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // CLI, logging, tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -260,13 +261,6 @@ TEST(StringUtil, ParseDouble) {
   EXPECT_THROW(parse_double("1e400"), ArgumentError);
 }
 
-TEST(StringUtil, ParseInt) {
-  EXPECT_EQ(parse_int("42"), 42);
-  EXPECT_EQ(parse_int("-7"), -7);
-  EXPECT_THROW(parse_int("4.2"), ArgumentError);
-  EXPECT_THROW(parse_int(""), ArgumentError);
-}
-
 TEST(StringUtil, ParseBool) {
   EXPECT_TRUE(parse_bool("true"));
   EXPECT_TRUE(parse_bool("YES"));
@@ -353,14 +347,54 @@ TEST(Cli, ParsesAllValueForms) {
   parser.add_flag("verbose", &verbose, "chatty");
 
   const char* argv[] = {"prog", "--n=42", "--eps", "0.125",
-                        "--name=run1", "--verbose", "positional"};
-  ASSERT_EQ(parser.parse(7, argv), ParseResult::kOk);
+                        "--name=run1", "--verbose"};
+  ASSERT_EQ(parser.parse(6, argv), ParseResult::kOk);
   EXPECT_EQ(n, 42);
   EXPECT_DOUBLE_EQ(eps, 0.125);
   EXPECT_EQ(name, "run1");
   EXPECT_TRUE(verbose);
-  ASSERT_EQ(parser.positional().size(), 1u);
-  EXPECT_EQ(parser.positional()[0], "positional");
+}
+
+TEST(Cli, RejectsStrayWords) {
+  // A list written with spaces or a bool given a separate value would
+  // otherwise run the default sweep: the word that follows is no flag's.
+  std::vector<std::size_t> sizes{512};
+  bool quick = false;
+  ArgParser parser("prog", "test");
+  parser.add_flag("sizes", &sizes, "n values");
+  parser.add_flag("quick", &quick, "small sweep");
+  const std::vector<std::vector<const char*>> cases = {
+      {"prog", "--sizes", "64", "128"},
+      {"prog", "--quick", "false"},
+      {"prog", "e7-connectivity-quick"}};
+  for (const auto& argv : cases) {
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(parser.parse(static_cast<int>(argv.size()), argv.data()),
+              ParseResult::kError)
+        << argv.back();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(std::string("'") + argv.back() + "'"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  }
+}
+
+TEST(Cli, GivenTellsANamedFlagFromItsDefault) {
+  double seconds = 5.0;
+  std::string path;
+  ArgParser parser("prog", "test");
+  parser.add_flag("seconds", &seconds, "interval");
+  parser.add_flag("path", &path, "output");
+  const char* named[] = {"prog", "--seconds=5"};
+  ASSERT_EQ(parser.parse(2, named), ParseResult::kOk);
+  EXPECT_TRUE(parser.given("seconds"));
+  EXPECT_FALSE(parser.given("path"));
+  // Each parse() starts afresh.
+  const char* none[] = {"prog"};
+  ASSERT_EQ(parser.parse(1, none), ParseResult::kOk);
+  EXPECT_FALSE(parser.given("seconds"));
+  EXPECT_THROW(parser.given("no-such-flag"), ArgumentError);
 }
 
 TEST(Cli, BoolExplicitValueForm) {
