@@ -20,6 +20,7 @@
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
 #include "gossip/spanning_tree.hpp"
+#include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/string_util.hpp"
 
@@ -45,6 +46,15 @@ static int run(int argc, char** argv) {
   cli.parser().add_flag("separations", &separations,
                         "comma-separated rate-separation factors");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
+  // Parsed before the banner, so a malformed factor prints one line.
+  std::vector<double> factors;
+  for (const std::string& text : separations) {
+    try {
+      factors.push_back(gg::parse_double(text));
+    } catch (const gg::ArgumentError& error) {
+      throw gg::ArgumentError(std::string("--separations: ") + error.what());
+    }
+  }
 
   std::cout << "=== E11: decentralized affine gossip at n="
             << gg::format_count(n) << ", eps=" << eps << " ===\n\n";
@@ -58,14 +68,13 @@ static int run(int argc, char** argv) {
   scenario.replicates = 3;
   scenario.master_seed = master_seed;
 
-  for (const std::string& sep_text : separations) {
-    const double sep = gg::parse_double(sep_text);
-    auto& cell = scenario.add("decentralized | separation " + sep_text,
+  for (std::size_t i = 0; i < factors.size(); ++i) {
+    auto& cell = scenario.add("decentralized | separation " + separations[i],
                               ProtocolKind::kAffineDecentralized, n);
     cell.radius_multiplier = radius_multiplier;
     cell.field = gg::exp::CellField::kGaussian;
     cell.options.eps = eps;
-    cell.options.decentralized.separation = sep;
+    cell.options.decentralized.separation = factors[i];
     // ~40x the expected convergence ticks at the default separation;
     // unstable configurations must not burn the whole bench.
     cell.options.max_ticks = static_cast<std::uint64_t>(

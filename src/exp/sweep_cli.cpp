@@ -114,9 +114,9 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
                    "(chrome://tracing or ui.perfetto.dev) of the sweep to "
                    "this file ({shard}-suffixed like the other outputs)");
   parser_.add_flag("heartbeat-file", &heartbeat_path_,
-                   "write a heartbeat JSONL file for unattended runs "
-                   "(torn-write safe via rename, so every line always "
-                   "parses)");
+                   "keep a heartbeat file for unattended runs: one JSON "
+                   "object, replaced each beat via rename, so it always "
+                   "parses");
   parser_.add_flag("heartbeat-every-seconds", &heartbeat_interval_seconds_,
                    "heartbeat interval in (0, 1e9] seconds; needs "
                    "--heartbeat-file");

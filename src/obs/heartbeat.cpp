@@ -37,12 +37,12 @@ Heartbeat::Heartbeat(Options options)
       log_warn("heartbeat: swept stale temp file " + tmp);
     }
   }
-  std::string image;
+  std::string beat;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    image = compose_locked();
+    beat = compose_locked();
   }
-  commit(image);
+  commit(beat);
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -82,18 +82,13 @@ void Heartbeat::stop() {
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-  std::string image;
+  std::string beat;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    image = compose_locked();  // final beat carries the end-state counts
+    beat = compose_locked();  // final beat carries the end-state counts
     stopped_ = true;
   }
-  commit(image);
-}
-
-std::uint64_t Heartbeat::beats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return seq_;
+  commit(beat);
 }
 
 void Heartbeat::loop() {
@@ -102,11 +97,11 @@ void Heartbeat::loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stopping_) {
     if (cv_.wait_for(lock, interval, [this] { return stopping_; })) break;
-    const std::string image = compose_locked();
+    const std::string beat = compose_locked();
     // Commit without the lock: a retrying filesystem must not block
     // note_start/note_done callers on the simulation's hot path.
     lock.unlock();
-    commit(image);
+    commit(beat);
     lock.lock();
   }
 }
@@ -143,18 +138,16 @@ std::string Heartbeat::compose_locked() {
   line += ",\"seq\":";
   line += std::to_string(seq_);
   line += "}\n";
-  lines_ += line;
   ++seq_;
-  return lines_;
+  return line;
 }
 
-void Heartbeat::commit(const std::string& image) {
-  // Readers either see the previous complete file or the new one, never a
-  // prefix of a line.  A commit that still fails after the helper's
-  // retries is logged, never thrown — heartbeats must not kill the host
-  // sweep.
+void Heartbeat::commit(const std::string& beat) {
+  // Readers either see the previous beat or the new one, never a prefix
+  // of either.  A commit that still fails after the helper's retries is
+  // logged, never thrown — heartbeats must not kill the host sweep.
   try {
-    atomic_write_file(options_.path, image);
+    atomic_write_file(options_.path, beat);
   } catch (const IoError& error) {
     log_error(error.what());
   }

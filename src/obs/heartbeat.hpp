@@ -1,12 +1,15 @@
 // Periodic heartbeat files: the liveness signal for unattended sweeps.
 //
 // A Heartbeat owns a background thread that, every `interval_seconds`,
-// appends one JSON line — shard coordinates, completed/total replicate
-// counts, the most recently started (cell, replicate), the process RSS
-// high-water and the flush wall-clock timestamp — and commits the WHOLE
-// file via atomic_write_file (temp sibling, fsync, rename), so a reader (the fleet coordinator
-// deciding whether a lease owner is alive, or a human tailing a remote
-// run) never observes a torn line: every line of the file parses, always.
+// replaces the file with one JSON object: the writer's current state —
+// shard coordinates, completed/total replicate counts, the most recently
+// started (cell, replicate), the process RSS high-water and the flush
+// wall-clock timestamp.  Each beat is committed via atomic_write_file
+// (temp sibling, fsync, rename), so a reader (the fleet coordinator
+// deciding whether a lease owner is alive, or a human running `cat` on a
+// remote run) sees the previous beat or the new one, never a torn one.
+// The file holds no history, so a beat costs the same after eight hours
+// as after one second.
 //
 // Heartbeats are observability, not results: a beat failure (full disk,
 // revoked mount) is retried with bounded backoff, then logged and
@@ -15,14 +18,14 @@
 // or retrying filesystem never blocks note_start/note_done callers on
 // the simulation's hot path.
 //
-// Schema (one object per line; see README "Observability"):
+// Schema (one object on one line; see README "Observability"):
 //   {"record":"heartbeat","scenario":S,"shard_index":i,"shard_count":k,
 //    "completed":c,"total":t,"cell":ci,"replicate":r,"rss_kb":m,
 //    "flush_unix_ms":w,"seq":q}
 // Fleet workers add two optional keys: "worker" (the stable worker id)
 // and "lease" (the lease currently held, e.g. "batch-3.g2"; absent
 // between batches).  `cell`/`replicate` are -1 until the first replicate
-// starts; `seq` increases by 1 per line, so a stuck `seq` means a dead
+// starts; `seq` increases by 1 per beat, so a stuck `seq` means a dead
 // writer.
 #ifndef GEOGOSSIP_OBS_HEARTBEAT_HPP
 #define GEOGOSSIP_OBS_HEARTBEAT_HPP
@@ -81,22 +84,18 @@ class Heartbeat {
   /// Writes a final beat and joins the timer thread.  Idempotent.
   void stop();
 
-  /// Lines written so far (tests; includes the initial and final beats).
-  std::uint64_t beats() const;
-
  private:
   void loop();
-  /// Appends the next line to the in-memory image and returns a copy of
-  /// the image to commit.  Caller holds mu_.
+  /// Composes the next beat and advances seq_.  Caller holds mu_.
   std::string compose_locked();
-  /// Commits a composed image with write-temp-then-rename, retrying
+  /// Commits a composed beat with write-temp-then-rename, retrying
   /// transient failures.  Never called concurrently: the constructor
   /// commits before the thread exists, the thread while it runs, and
   /// stop() after the join.  Caller must NOT hold mu_.
-  void commit(const std::string& image);
+  void commit(const std::string& beat);
 
   Options options_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   bool stopping_ = false;
   bool stopped_ = false;
@@ -106,7 +105,6 @@ class Heartbeat {
   std::int64_t current_replicate_ = -1;
   std::string lease_;
   std::uint64_t seq_ = 0;
-  std::string lines_;  ///< full file image, rewritten atomically per beat
   std::thread thread_;
 };
 

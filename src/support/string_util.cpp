@@ -95,13 +95,12 @@ std::string to_lower(std::string_view text) {
 
 double parse_double(std::string_view text) {
   const std::string trimmed = trim(text);
-  GG_CHECK_ARG(!trimmed.empty(), "parse_double: empty input");
   char* end = nullptr;
   const double value = std::strtod(trimmed.c_str(), &end);
-  GG_CHECK_ARG(end == trimmed.c_str() + trimmed.size(),
-               "parse_double: trailing garbage in '" + trimmed + "'");
-  GG_CHECK_ARG(std::isfinite(value),
-               "parse_double: '" + trimmed + "' is not a finite number");
+  if (trimmed.empty() || end != trimmed.c_str() + trimmed.size() ||
+      !std::isfinite(value)) {
+    throw ArgumentError("'" + trimmed + "' is not a finite number");
+  }
   return value;
 }
 

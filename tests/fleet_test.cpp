@@ -311,12 +311,15 @@ TEST(LeaseStore, RenewalKeepsALeaseAliveWellPastItsTtl) {
   fleet::ensure_plan(dir, fleet_scenario(), 1, fast_plan_options());
   fleet::LeaseStore store(dir);
 
-  auto lease = store.try_claim(0, "slow", 0.05, "hb/slow.jsonl");
+  // A 2 s TTL renewed every 0.5 s (under TTL/3, as a worker renews)
+  // for 2.5 s: the renewals span more than one TTL.  A shorter TTL
+  // flakes, because one fsynced renewal commit can take a few hundred
+  // ms on a loaded host and the stamp is taken before it.
+  auto lease = store.try_claim(0, "slow", 2.0, "hb/slow.jsonl");
   ASSERT_TRUE(lease.has_value());
-  // Outlive the 50ms TTL several times over, renewing along the way — an
-  // alive-but-slow owner must never look stealable.
+  // An alive-but-slow owner must never look stealable.
   for (int i = 0; i < 5; ++i) {
-    sleep_ms(20);
+    sleep_ms(500);
     ASSERT_TRUE(store.renew(*lease));
     EXPECT_FALSE(
         store.try_steal(*lease, "thief", 30.0, "hb/thief.jsonl").has_value())

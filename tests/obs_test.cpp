@@ -3,16 +3,18 @@
 // The promises under test are the ones sweeps rely on: enabling telemetry
 // never changes results (byte-identical sink output), a full event buffer
 // drops instead of blocking or growing, counter totals are bit-identical
-// at any thread count, heartbeat files always parse whole, and the spans
-// the Runner/graph record nest the way the trace exporter and
+// at any thread count, a heartbeat file is always one whole beat, and the
+// spans the Runner/graph record nest the way the trace exporter and
 // tools/trace_summary.py expect.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -26,6 +28,8 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
 #include "support/check.hpp"
+#include "support/json.hpp"
+#include "test_support.hpp"
 
 namespace gg = geogossip;
 
@@ -244,55 +248,94 @@ TEST(Telemetry, MaxRssReportsAndRunnerSurfacesIt) {
   EXPECT_NE(out.str().find("peak_rss_kb="), std::string::npos);
 }
 
-TEST(Heartbeat, EveryLineParsesAndNoTempFileRemains) {
-  const auto dir = std::filesystem::path(::testing::TempDir());
-  const auto path = (dir / "obs_heartbeat_test.jsonl").string();
-  std::filesystem::remove(path);
+namespace {
 
-  {
-    gg::obs::Heartbeat::Options options;
-    options.path = path;
-    options.interval_seconds = 0.02;
-    options.scenario = "obs-tiny";
-    options.total_replicates = 5;
-    gg::obs::Heartbeat heartbeat(options);
-    heartbeat.add_completed(2);
-    heartbeat.note_start(1, 0);
-    heartbeat.note_done();
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    heartbeat.stop();
-    EXPECT_GE(heartbeat.beats(), 2u);  // initial + final at minimum
-  }
+/// The heartbeat file's one beat, parsed; fails the test unless the file
+/// is exactly one newline-terminated line.  A torn file throws.
+gg::JsonValue read_beat(const std::string& path) {
+  const std::string text = gg::slurp(path);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+  EXPECT_TRUE(text.ends_with('\n')) << text;
+  return gg::parse_json(text);
+}
 
-  // Committed via rename: no temp sibling may remain, the target is present.
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    EXPECT_FALSE(entry.path().filename().string().starts_with(
-        "obs_heartbeat_test.jsonl.tmp"))
-        << entry.path();
+/// A beat field as a number; -2 flags a missing key.
+double beat_field(const gg::JsonValue& beat, std::string_view key) {
+  const gg::JsonValue* value = beat.get(key);
+  EXPECT_NE(value, nullptr) << key;
+  return value == nullptr ? -2.0 : value->number;
+}
+
+}  // namespace
+
+TEST(Heartbeat, FileHoldsOnlyTheLatestBeat) {
+  const std::string dir = gg::fresh_temp_dir("obs_heartbeat_latest");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/hb.jsonl";
+
+  gg::obs::Heartbeat::Options options;
+  options.path = path;
+  options.interval_seconds = 0.01;
+  options.scenario = "obs-tiny";
+  options.total_replicates = 5;
+  gg::obs::Heartbeat heartbeat(options);
+  heartbeat.add_completed(2);
+  heartbeat.note_start(1, 0);
+  heartbeat.note_done();
+  // Wait for a timer beat (seq 1), so the final beat is at least seq 2.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (beat_field(read_beat(path), "seq") < 1.0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no timer beat";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open());
-  std::string line;
-  std::size_t lines = 0;
-  std::size_t last_completed = 0;
-  while (std::getline(in, line)) {
-    ASSERT_FALSE(line.empty());
-    // Torn-write safety reduces to: every line is one complete object.
-    EXPECT_EQ(line.front(), '{') << line;
-    EXPECT_EQ(line.back(), '}') << line;
-    EXPECT_NE(line.find("\"record\":\"heartbeat\""), std::string::npos);
-    EXPECT_NE(line.find("\"scenario\":\"obs-tiny\""), std::string::npos);
-    EXPECT_NE(line.find("\"seq\":" + std::to_string(lines)),
-              std::string::npos);
-    const auto completed_at = line.find("\"completed\":");
-    ASSERT_NE(completed_at, std::string::npos);
-    last_completed = static_cast<std::size_t>(
-        std::stoul(line.substr(completed_at + 12)));
-    ++lines;
+  heartbeat.stop();
+
+  const gg::JsonValue beat = read_beat(path);
+  ASSERT_NE(beat.get("record"), nullptr);
+  EXPECT_EQ(beat.get("record")->text, "heartbeat");
+  ASSERT_NE(beat.get("scenario"), nullptr);
+  EXPECT_EQ(beat.get("scenario")->text, "obs-tiny");
+  EXPECT_GE(beat_field(beat, "seq"), 2.0);
+  EXPECT_EQ(beat_field(beat, "completed"), 3.0);  // 2 re-ingested + 1 done
+  EXPECT_EQ(beat_field(beat, "total"), 5.0);
+  EXPECT_EQ(beat_field(beat, "cell"), 1.0);
+  EXPECT_EQ(beat_field(beat, "replicate"), 0.0);
+  for (const char* key :
+       {"shard_index", "shard_count", "rss_kb", "flush_unix_ms"}) {
+    EXPECT_GE(beat_field(beat, key), 0.0) << key;
   }
-  EXPECT_GE(lines, 2u);
-  EXPECT_EQ(last_completed, 3u);  // 2 re-ingested + 1 noted done
-  std::filesystem::remove(path);
+  // Committed via rename: no temp sibling remains.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
+}
+
+// The Runner's pool workers feed the heartbeat's timer thread; the CI
+// tsan job runs this test to check that hand-off.
+TEST(Heartbeat, AFourThreadSweepEndsOnOneCompleteBeat) {
+  const std::string dir = gg::fresh_temp_dir("obs_heartbeat_sweep");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/hb.jsonl";
+  const gg::exp::Scenario scenario = tiny_scenario();
+  const std::uint64_t total = scenario.cells.size() * scenario.replicates;
+
+  gg::obs::Heartbeat::Options hb;
+  hb.path = path;
+  hb.interval_seconds = 0.001;
+  hb.scenario = scenario.name;
+  hb.total_replicates = total;
+  gg::obs::Heartbeat heartbeat(hb);
+  gg::exp::RunnerOptions options;
+  options.threads = 4;
+  options.heartbeat = &heartbeat;
+  const auto summary = gg::exp::Runner(options).run(scenario);
+  heartbeat.stop();
+
+  EXPECT_EQ(summary.executed_replicates, total);
+  const gg::JsonValue beat = read_beat(path);
+  EXPECT_EQ(beat_field(beat, "completed"), static_cast<double>(total));
+  EXPECT_EQ(beat_field(beat, "total"), static_cast<double>(total));
 }
 
 TEST(Heartbeat, RejectsEmptyPathAndNonPositiveInterval) {

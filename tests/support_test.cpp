@@ -424,6 +424,19 @@ TEST(Cli, RejectsUnknownFlagAndMissingValueWithKError) {
   testing::internal::CaptureStderr();
   EXPECT_EQ(parser.parse(2, malformed), ParseResult::kError);
   testing::internal::GetCapturedStderr();
+
+  // A double reports like a count: one plain line naming the value.
+  double budget = 0.0;
+  parser.add_flag("budget", &budget, "gigabytes");
+  for (const std::string bad : {"nan", "abc", ""}) {
+    const std::string arg = "--budget=" + bad;
+    const char* argv[] = {"prog", arg.c_str()};
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(parser.parse(2, argv), ParseResult::kError) << arg;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err, "prog: --budget: '" + bad +
+                       "' is not a finite number; see --help\n");
+  }
 }
 
 TEST(Cli, ExitCodesDistinguishHelpFromError) {

@@ -20,10 +20,10 @@ subsystem makes for sweep traces:
   - at least one "graph_build" and one "routing_mirror" span nest inside
     a replicate span (same tid, time containment)
 
-Heartbeat files (--heartbeat FILE) are validated line by line: every line
-parses as JSON, carries the schema keys, seq increases by exactly one and
-completed never exceeds total; --expect-complete additionally requires
-the final line to report completed == total.
+A heartbeat file (--heartbeat FILE) holds one JSON object, the writer's
+latest beat: it must parse, be a "heartbeat" record carrying every schema
+key, and report completed <= total; --expect-complete additionally
+requires completed == total.
 
 Exit codes: 0 ok, 1 validation failure, 2 usage/IO error.
 
@@ -163,57 +163,38 @@ def validate_trace(events, err):
     return failures
 
 
-def validate_heartbeat(path, expect_complete, err):
-    """Returns a list of failure strings (empty = valid)."""
-    failures = []
+def heartbeat_failure(path, expect_complete):
+    """The first thing wrong with a heartbeat file, or None."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        return [f"{path}: {exc}"]
-    lines = [line for line in text.split("\n") if line.strip()]
-    if not lines:
-        failures.append(f"{path}: empty heartbeat file")
-    last = None
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            record = json.loads(line)
-        except ValueError:
-            failures.append(f"{path}:{lineno}: unparsable line")
-            continue
-        if record.get("record") != "heartbeat":
-            failures.append(f"{path}:{lineno}: record != heartbeat")
-            continue
-        missing = [key for key in HEARTBEAT_KEYS if key not in record]
-        if missing:
-            failures.append(
-                f"{path}:{lineno}: missing keys: {', '.join(missing)}"
-            )
-            continue
-        if record["seq"] != lineno - 1:
-            failures.append(
-                f"{path}:{lineno}: seq {record['seq']} != {lineno - 1} "
-                "(lines lost or reordered)"
-            )
-        if record["completed"] > record["total"]:
-            failures.append(
-                f"{path}:{lineno}: completed {record['completed']} > "
-                f"total {record['total']}"
-            )
-        if last is not None and record["completed"] < last["completed"]:
-            failures.append(
-                f"{path}:{lineno}: completed went backwards "
-                f"({last['completed']} -> {record['completed']})"
-            )
-        last = record
-    if expect_complete and last is not None:
-        if last["completed"] != last["total"]:
-            failures.append(
-                f"{path}: final beat reports {last['completed']}/"
-                f"{last['total']} — sweep did not complete"
-            )
-    for failure in failures:
-        print(f"heartbeat validation: {failure}", file=err)
-    return failures
+        return f"{path}: {exc}"
+    if not text.strip():
+        return f"{path}: empty heartbeat file"
+    try:
+        beat = json.loads(text)
+    except ValueError:
+        return f"{path}: not one JSON object"
+    if not isinstance(beat, dict) or beat.get("record") != "heartbeat":
+        return f"{path}: record != heartbeat"
+    missing = [key for key in HEARTBEAT_KEYS if key not in beat]
+    if missing:
+        return f"{path}: missing keys: {', '.join(missing)}"
+    if beat["completed"] > beat["total"]:
+        return f"{path}: completed {beat['completed']} > total {beat['total']}"
+    if expect_complete and beat["completed"] != beat["total"]:
+        return (f"{path}: beat reports {beat['completed']}/{beat['total']}"
+                " — sweep did not complete")
+    return None
+
+
+def validate_heartbeat(path, expect_complete, err):
+    """Returns a list of failure strings (empty = valid)."""
+    failure = heartbeat_failure(path, expect_complete)
+    if failure is None:
+        return []
+    print(f"heartbeat validation: {failure}", file=err)
+    return [failure]
 
 
 def run(args, out, err):
@@ -244,9 +225,9 @@ def build_parser():
     parser.add_argument("--validate", action="store_true",
                         help="check span structure (cell/replicate nesting)")
     parser.add_argument("--heartbeat",
-                        help="also validate this heartbeat JSONL file")
+                        help="also validate this heartbeat file")
     parser.add_argument("--expect-complete", action="store_true",
-                        help="require the final heartbeat to be complete")
+                        help="require the heartbeat to report completion")
     parser.add_argument("--self-test", action="store_true",
                         help="run built-in unit tests and exit")
     return parser
@@ -367,29 +348,24 @@ def self_test():
     code, _, err = _run([], "not json")
     check("unparsable_trace", code == 2)
 
-    # Healthy heartbeat validates; --expect-complete distinguishes a
+    # A healthy beat validates; --expect-complete distinguishes a
     # finished sweep from a merely alive one.
-    healthy = "\n".join(
-        [_beat(0, 0, 4), _beat(1, 2, 4), _beat(2, 4, 4)]
-    ) + "\n"
+    healthy = _beat(2, 4, 4) + "\n"
     code, out, _ = _run([], valid, heartbeat_text=healthy)
     check("heartbeat_ok", code == 0 and "validation: ok" in out)
     code, _, _ = _run(["--expect-complete"], valid, heartbeat_text=healthy)
     check("complete_ok", code == 0)
-    alive = "\n".join([_beat(0, 0, 4), _beat(1, 2, 4)]) + "\n"
+    alive = _beat(1, 2, 4) + "\n"
     code, _, err = _run(["--expect-complete"], valid, heartbeat_text=alive)
     check("incomplete_fails", code == 1 and "did not complete" in err)
 
-    # Schema violations: torn line, missing key, seq gap, count overflow.
-    torn = _beat(0, 0, 4) + "\n" + _beat(1, 2, 4)[:15] + "\n"
+    # Schema violations: torn object, missing key, count overflow.
+    torn = _beat(1, 2, 4)[:15] + "\n"
     code, _, err = _run([], valid, heartbeat_text=torn)
-    check("torn_line_fails", code == 1 and "unparsable" in err)
+    check("torn_beat_fails", code == 1 and "not one JSON object" in err)
     missing_key = json.dumps({"record": "heartbeat", "seq": 0}) + "\n"
     code, _, err = _run([], valid, heartbeat_text=missing_key)
     check("missing_keys_fail", code == 1 and "missing keys" in err)
-    gap = _beat(0, 0, 4) + "\n" + _beat(2, 1, 4) + "\n"
-    code, _, err = _run([], valid, heartbeat_text=gap)
-    check("seq_gap_fails", code == 1 and "seq" in err)
     over = _beat(0, 9, 4) + "\n"
     code, _, err = _run([], valid, heartbeat_text=over)
     check("overflow_fails", code == 1 and ">" in err)
