@@ -25,7 +25,8 @@ static int run(int argc, char** argv) {
   parser.add_flag("eps", &eps, "relative accuracy target");
   parser.add_flag("seed", &seed, "random seed");
   parser.add_flag("field", &field,
-                  "initial field: spike|gradient|gaussian|checkerboard");
+                  "initial field: spike|gradient|gaussian|checkerboard|"
+                  "spiked-gaussian");
   const auto parsed = parser.parse(argc, argv);
   if (parsed != geogossip::ParseResult::kOk) {
     return geogossip::parse_exit_code(parsed);

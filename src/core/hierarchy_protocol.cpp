@@ -19,8 +19,8 @@ HierarchicalAffineProtocol::HierarchicalAffineProtocol(
     : ValueProtocol(graph, std::move(x0), rng),
       config_(config),
       hierarchy_(graph.points(), graph.region(),
-                 practical_hierarchy(config.leaf_threshold,
-                                     geometry::kMaxDepth)),
+                 geometry::HierarchyConfig{config.leaf_threshold,
+                                           geometry::kMaxDepth}),
       hops_(graph, hierarchy_) {
   GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
 

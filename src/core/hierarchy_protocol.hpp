@@ -63,8 +63,8 @@ namespace geogossip::core {
 struct HierarchyProtocolConfig {
   /// Top-level accuracy driving the per-depth eps_at_depth(eps, r).
   double eps = 1e-3;
-  /// Leaf size of the practical hierarchy (expected occupancy); the depth
-  /// cap is geometry::kMaxDepth.
+  /// The hierarchy's leaf occupancy (HierarchyConfig::leaf_occupancy, at
+  /// least 1); the depth cap is geometry::kMaxDepth.
   double leaf_threshold = geometry::kLeafOccupancy;
 };
 

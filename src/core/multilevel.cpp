@@ -19,8 +19,8 @@ MultilevelAffineGossip::MultilevelAffineGossip(
     : ValueProtocol(graph, std::move(x0), rng),
       config_(config),
       hierarchy_(graph.points(), graph.region(),
-                 practical_hierarchy(geometry::kLeafOccupancy,
-                                     config.max_depth)),
+                 geometry::HierarchyConfig{geometry::kLeafOccupancy,
+                                           config.max_depth}),
       hops_(graph, hierarchy_) {
   GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
   GG_CHECK_ARG(config.max_depth >= 1, "max_depth >= 1");

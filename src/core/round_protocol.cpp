@@ -20,16 +20,6 @@ std::uint64_t pair_count(std::uint64_t k) { return k * (k - 1) / 2; }
 
 }  // namespace
 
-geometry::HierarchyConfig practical_hierarchy(double leaf_threshold,
-                                              int max_depth) {
-  GG_CHECK_ARG(leaf_threshold >= 1.0, "leaf_threshold >= 1");
-  geometry::HierarchyConfig h;
-  h.threshold = geometry::HierarchyConfig::Threshold::kPractical;
-  h.leaf_occupancy = leaf_threshold;
-  h.max_depth = max_depth;
-  return h;
-}
-
 SquareHopTables::SquareHopTables(const graph::GeometricGraph& graph,
                                  const geometry::PartitionHierarchy& hierarchy)
     : graph_(&graph), root_(hierarchy.root()) {

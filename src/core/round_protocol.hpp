@@ -45,13 +45,6 @@
 
 namespace geogossip::core {
 
-/// The partition both hierarchical protocols run on: practical threshold,
-/// leaves of at most `leaf_threshold` expected members, `max_depth` levels.
-/// Requires leaf_threshold >= 1: below that every square splits down to
-/// max_depth, and the square count grows fourfold per level.
-geometry::HierarchyConfig practical_hierarchy(double leaf_threshold,
-                                              int max_depth);
-
 /// Greedy-route hop counts of the cost model's routed packets, tabled per
 /// hierarchy square.  A square's slots are its children that have a
 /// representative (exactly its non-empty children), in arena order.

@@ -60,28 +60,6 @@ class MemoryGate {
   std::uint64_t in_flight_ = 0;
 };
 
-std::vector<double> make_initial_field(const Cell& cell,
-                                       const graph::GeometricGraph& graph,
-                                       Rng& rng) {
-  switch (cell.field) {
-    case CellField::kSpikedGaussian: {
-      auto x0 = sim::gaussian_field(cell.n, rng);
-      x0[rng.below(cell.n)] += std::sqrt(static_cast<double>(cell.n));
-      return x0;
-    }
-    case CellField::kGaussian:
-      return sim::gaussian_field(cell.n, rng);
-    case CellField::kSpike:
-      return sim::make_field(sim::FieldKind::kSpike, graph.points(), rng);
-    case CellField::kGradient:
-      return sim::make_field(sim::FieldKind::kGradient, graph.points(), rng);
-    case CellField::kCheckerboard:
-      return sim::make_field(sim::FieldKind::kCheckerboard, graph.points(),
-                             rng);
-  }
-  throw ArgumentError("make_initial_field: bad field kind");
-}
-
 }  // namespace
 
 ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed) {
@@ -106,7 +84,7 @@ ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed,
   Rng rng(seed);
   const auto graph =
       graph::GeometricGraph::sample(cell.n, cell.radius_multiplier, rng);
-  auto x0 = make_initial_field(cell, graph, rng);
+  auto x0 = sim::make_field(cell.field, graph.points(), rng);
   sim::center_and_normalize(x0);
 
   const auto outcome = core::run_protocol_trial(

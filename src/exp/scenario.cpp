@@ -10,22 +10,6 @@
 
 namespace geogossip::exp {
 
-std::string_view cell_field_name(CellField field) noexcept {
-  switch (field) {
-    case CellField::kSpikedGaussian:
-      return "spiked-gaussian";
-    case CellField::kGaussian:
-      return "gaussian";
-    case CellField::kSpike:
-      return "spike";
-    case CellField::kGradient:
-      return "gradient";
-    case CellField::kCheckerboard:
-      return "checkerboard";
-  }
-  return "?";
-}
-
 double Cell::param(const std::string& key, double fallback) const {
   const auto it = params.find(key);
   return it == params.end() ? fallback : it->second;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/convergence.hpp"
+#include "sim/field.hpp"
 #include "sim/metrics.hpp"
 
 namespace geogossip::exp {
@@ -54,15 +55,7 @@ using TrialFn =
 
 /// Initial field x(0) drawn fresh for each replicate (centred and
 /// normalized by the runner before the trial starts).
-enum class CellField {
-  kSpikedGaussian,  ///< i.i.d. gaussians + a sqrt(n) spike at a random node
-  kGaussian,        ///< i.i.d. standard normals
-  kSpike,           ///< single spike (hardest case for local protocols)
-  kGradient,        ///< x + y of the node position
-  kCheckerboard,    ///< +-1 by spatial parity
-};
-
-std::string_view cell_field_name(CellField field) noexcept;
+using CellField = sim::FieldKind;
 
 /// Sentinel for Cell::seed_stream: derive the stream from the cell's index.
 inline constexpr std::size_t kAutoSeedStream =

@@ -1,9 +1,5 @@
 #include "exp/sink.hpp"
 
-#include <cmath>
-#include <iomanip>
-#include <sstream>
-
 #include "exp/schema.hpp"
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
@@ -26,21 +22,6 @@ const std::vector<std::string>& csv_columns() {
       "control_share",   "far_near_ratio",
       "master_seed",     "threads"};
   return columns;
-}
-
-/// Round-trip double formatting (17 significant digits).  Replicate
-/// records can carry non-finite values — the deviation tracker is
-/// NaN-propagating and probe TrialFns return arbitrary doubles — which
-/// strict JSON cannot represent; emit the Python-style extension tokens
-/// (NaN / Infinity / -Infinity) that json.loads accepts by default and
-/// exp::Checkpoint's parser understands, rather than the unloadable
-/// "nan"/"inf" iostreams would print.
-std::string format_double(double value) {
-  if (std::isnan(value)) return "NaN";
-  if (std::isinf(value)) return value > 0 ? "Infinity" : "-Infinity";
-  std::ostringstream os;
-  os << std::setprecision(17) << value;
-  return os.str();
 }
 
 /// Probe cells identify themselves by probe name, protocol cells by kind.
@@ -78,7 +59,7 @@ void CsvSink::write(const SweepSummary& summary) {
         .field(procedure_name(cs.cell))
         .field(static_cast<std::uint64_t>(cs.cell.n))
         .field(cs.cell.radius_multiplier)
-        .field(std::string(cell_field_name(cs.cell.field)))
+        .field(std::string(sim::field_kind_name(cs.cell.field)))
         .field(static_cast<std::uint64_t>(cs.replicates))
         .field(static_cast<std::uint64_t>(cs.converged))
         .field(cs.converged_fraction)
@@ -143,54 +124,44 @@ JsonLinesSink::JsonLinesSink(std::ostream& out) : out_(&out) {}
 
 void JsonLinesSink::write(const SweepSummary& summary) {
   for (const auto& cs : summary.cells) {
-    std::ostream& out = *out_;
-    out << "{\"scenario\":\"" << json_escape(summary.scenario) << "\""
-        << ",\"cell\":\"" << json_escape(cs.cell.label) << "\""
-        << ",\"protocol\":\"" << json_escape(procedure_name(cs.cell))
-        << "\""
-        << ",\"n\":" << cs.cell.n
-        << ",\"radius_mult\":" << format_double(cs.cell.radius_multiplier)
-        << ",\"field\":\"" << cell_field_name(cs.cell.field) << "\""
-        << ",\"replicates\":" << cs.replicates
-        << ",\"converged\":" << cs.converged
-        << ",\"converged_fraction\":"
-        << format_double(cs.converged_fraction)
-        << ",\"median_tx\":" << format_double(cs.median_tx)
-        << ",\"q25_tx\":" << format_double(cs.q25_tx)
-        << ",\"q75_tx\":" << format_double(cs.q75_tx)
-        << ",\"local_share\":" << format_double(cs.mean_local_share)
-        << ",\"long_range_share\":"
-        << format_double(cs.mean_long_range_share)
-        << ",\"control_share\":" << format_double(cs.mean_control_share)
-        << ",\"far_near_ratio\":" << format_double(cs.mean_far_near_ratio)
-        << ",\"master_seed\":" << summary.master_seed
-        << ",\"threads\":" << summary.threads;
+    JsonObject line;
+    line.field("scenario", summary.scenario)
+        .field("cell", cs.cell.label)
+        .field("protocol", procedure_name(cs.cell))
+        .field("n", cs.cell.n)
+        .field("radius_mult", cs.cell.radius_multiplier)
+        .field("field", sim::field_kind_name(cs.cell.field))
+        .field("replicates", cs.replicates)
+        .field("converged", cs.converged)
+        .field("converged_fraction", cs.converged_fraction)
+        .field("median_tx", cs.median_tx)
+        .field("q25_tx", cs.q25_tx)
+        .field("q75_tx", cs.q75_tx)
+        .field("local_share", cs.mean_local_share)
+        .field("long_range_share", cs.mean_long_range_share)
+        .field("control_share", cs.mean_control_share)
+        .field("far_near_ratio", cs.mean_far_near_ratio)
+        .field("master_seed", summary.master_seed)
+        .field("threads", summary.threads);
     if (!cs.cell.params.empty()) {
-      out << ",\"params\":{";
-      bool first = true;
-      for (const auto& [key, value] : cs.cell.params) {
-        if (!first) out << ",";
-        first = false;
-        out << "\"" << json_escape(key) << "\":" << format_double(value);
-      }
-      out << "}";
+      JsonObject params;
+      for (const auto& [key, value] : cs.cell.params) params.field(key, value);
+      line.field("params", params);
     }
     if (!cs.metrics.empty()) {
-      out << ",\"metrics\":{";
-      bool first = true;
+      JsonObject metrics;
       for (const auto& [key, ms] : cs.metrics) {
-        if (!first) out << ",";
-        first = false;
-        out << "\"" << json_escape(key) << "\":{\"count\":" << ms.count
-            << ",\"mean\":" << format_double(ms.mean)
-            << ",\"median\":" << format_double(ms.median)
-            << ",\"q95\":" << format_double(ms.q95)
-            << ",\"min\":" << format_double(ms.min)
-            << ",\"max\":" << format_double(ms.max) << "}";
+        metrics.field(key, JsonObject()
+                               .field("count", ms.count)
+                               .field("mean", ms.mean)
+                               .field("median", ms.median)
+                               .field("q95", ms.q95)
+                               .field("min", ms.min)
+                               .field("max", ms.max));
       }
-      out << "}";
+      line.field("metrics", metrics);
     }
-    out << "}\n";
+    *out_ << line.str() << '\n';
   }
   out_->flush();
 }
@@ -203,44 +174,39 @@ void JsonLinesSink::write_replicate(const std::string& scenario,
   obs::Span span("checkpoint_write", "cell",
                  static_cast<std::int64_t>(cell_index), "replicate",
                  replicate);
-  std::ostream& out = *out_;
-  out << "{\"record\":\"replicate\""
-      << ",\"schema\":" << kSchemaVersion
-      << ",\"scenario\":\"" << json_escape(scenario) << "\""
-      << ",\"master_seed\":" << master_seed
-      << ",\"cell\":\"" << json_escape(cell.label) << "\""
-      << ",\"cell_index\":" << cell_index
-      << ",\"replicate\":" << replicate
-      << ",\"seed\":" << result.seed
-      << ",\"converged\":" << (result.converged ? "true" : "false")
-      << ",\"final_error\":" << format_double(result.final_error)
-      << ",\"sum_drift\":" << format_double(result.sum_drift)
-      << ",\"transmissions\":" << result.transmissions.total();
+  JsonObject record;
+  record.field("record", "replicate")
+      .field("schema", kSchemaVersion)
+      .field("scenario", scenario)
+      .field("master_seed", master_seed)
+      .field("cell", cell.label)
+      .field("cell_index", cell_index)
+      .field("replicate", replicate)
+      .field("seed", result.seed)
+      .field("converged", result.converged)
+      .field("final_error", result.final_error)
+      .field("sum_drift", result.sum_drift)
+      .field("transmissions", result.transmissions.total());
   if (result.transmissions.total() > 0) {
     // Per-category breakdown: without it a resumed run could not rebuild
     // the local/long-range/control share aggregates bit-identically.
-    out << ",\"tx_local\":"
-        << result.transmissions[sim::TxCategory::kLocal]
-        << ",\"tx_long_range\":"
-        << result.transmissions[sim::TxCategory::kLongRange]
-        << ",\"tx_control\":"
-        << result.transmissions[sim::TxCategory::kControl];
+    record
+        .field("tx_local", result.transmissions[sim::TxCategory::kLocal])
+        .field("tx_long_range",
+               result.transmissions[sim::TxCategory::kLongRange])
+        .field("tx_control", result.transmissions[sim::TxCategory::kControl]);
   }
   if (result.near_exchanges > 0 || result.far_exchanges > 0) {
-    out << ",\"far_exchanges\":" << result.far_exchanges
-        << ",\"near_exchanges\":" << result.near_exchanges;
+    record.field("far_exchanges", result.far_exchanges)
+        .field("near_exchanges", result.near_exchanges);
   }
   if (!result.metrics.empty()) {
-    out << ",\"metrics\":{";
-    bool first = true;
-    for (const auto& [key, value] : result.metrics) {
-      if (!first) out << ",";
-      first = false;
-      out << "\"" << json_escape(key) << "\":" << format_double(value);
-    }
-    out << "}";
+    JsonObject metrics;
+    for (const auto& [key, value] : result.metrics) metrics.field(key, value);
+    record.field("metrics", metrics);
   }
-  out << "}\n";
+  std::ostream& out = *out_;
+  out << record.str() << '\n';
   // Flush per record, not per sweep: an interrupted XL run keeps every
   // finished replicate — the raw material for resumable sweeps.  A
   // recoverable flush hiccup (failbit: a shared-filesystem blip) is

@@ -23,27 +23,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Serializes a lease's JSON content (filename stays authoritative for
-/// batch/generation/owner; the content repeats them for human readers).
-std::string lease_content(const Lease& lease) {
-  std::string out = "{\"record\":\"fleet_lease\",\"batch\":";
-  out += std::to_string(lease.batch);
-  out += ",\"generation\":";
-  out += std::to_string(lease.generation);
-  out += ",\"owner\":\"";
-  out += lease.owner;  // valid_owner() restricts to JSON-safe characters
-  out += "\",\"ttl_seconds\":";
-  out += std::to_string(lease.ttl_seconds);
-  out += ",\"acquired_unix_ms\":";
-  out += std::to_string(lease.acquired_unix_ms);
-  out += ",\"expires_unix_ms\":";
-  out += std::to_string(lease.expires_unix_ms);
-  out += ",\"heartbeat\":\"";
-  out += lease.heartbeat;
-  out += "\"}\n";
-  return out;
-}
-
 /// A lease time stamp as renew writes it: a digits-only integer in int64
 /// range.  Anything else (fractions, negatives, NaN, infinities, wider
 /// integers) reads as 0, "never renewed", instead of an overflowing cast.
@@ -119,6 +98,19 @@ bool valid_owner(const std::string& owner) noexcept {
     if (!ok) return false;
   }
   return true;
+}
+
+void write_lease_file(const Lease& lease) {
+  JsonObject content;
+  content.field("record", "fleet_lease")
+      .field("batch", lease.batch)
+      .field("generation", lease.generation)
+      .field("owner", lease.owner)
+      .field("ttl_seconds", lease.ttl_seconds)
+      .field("acquired_unix_ms", lease.acquired_unix_ms)
+      .field("expires_unix_ms", lease.expires_unix_ms)
+      .field("heartbeat", lease.heartbeat);
+  atomic_write_file(lease.path, content.str() + "\n");
 }
 
 std::string lease_filename(std::uint32_t batch, std::uint32_t generation,
@@ -292,7 +284,7 @@ bool LeaseStore::renew(Lease& lease) const {
   Lease renewed = lease;
   renewed.expires_unix_ms = expires;
   try {
-    atomic_write_file(lease.path, lease_content(renewed));
+    write_lease_file(renewed);
   } catch (const IoError& error) {
     // Could not commit the extension; the lease file still holds the old
     // expiry, so the lease is not lost yet — the next renewal retries.

@@ -60,6 +60,14 @@ struct Lease {
 /// Owner ids become filename segments; restrict them to [A-Za-z0-9_-].
 bool valid_owner(const std::string& owner) noexcept;
 
+/// Commits `lease`'s content to `lease.path` (atomic_write_file; throws
+/// IoError when its retries run out).  Queue tickets are written through
+/// it too, as an unowned generation-0 Lease that expires at 0: the
+/// claiming rename then needs no rewrite to leave a parseable lease, and
+/// a claimant killed before its first renewal leaves one that reads as
+/// expired (instantly reclaimable).
+void write_lease_file(const Lease& lease);
+
 /// "batch-<id>.g<gen>.<owner>.lease"
 std::string lease_filename(std::uint32_t batch, std::uint32_t generation,
                            const std::string& owner);

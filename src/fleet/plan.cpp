@@ -42,33 +42,12 @@ std::uint64_t json_uint(const JsonValue& doc, std::string_view key,
   return v->uint_value;
 }
 
-std::string plan_content(const FleetPlan& plan) {
-  std::string out = "{\"record\":\"fleet_plan\",\"schema\":";
-  out += std::to_string(exp::kSchemaVersion);
-  out += ",\"scenario\":\"";
-  out += plan.scenario;  // scenario names are identifier-style
-  out += "\",\"master_seed\":";
-  out += std::to_string(plan.master_seed);
-  out += ",\"replicates\":";
-  out += std::to_string(plan.replicates);
-  out += ",\"cells\":";
-  out += std::to_string(plan.cells);
-  out += ",\"batches\":";
-  out += std::to_string(plan.batches);
-  out += "}\n";
-  return out;
-}
-
-/// An unclaimed ticket IS a lease file in waiting: same record type, no
-/// owner, expiry 0 — so the claiming rename needs no content rewrite to
-/// make the file parseable, and a claimant killed before its first
-/// renewal reads as an expired lease (instantly reclaimable).
-std::string ticket_content(std::uint32_t batch) {
-  std::string out = "{\"record\":\"fleet_lease\",\"batch\":";
-  out += std::to_string(batch);
-  out += ",\"generation\":0,\"owner\":\"\",\"ttl_seconds\":0,"
-         "\"acquired_unix_ms\":0,\"expires_unix_ms\":0,\"heartbeat\":\"\"}\n";
-  return out;
+/// Queue tickets are leases in waiting (see write_lease_file).
+void write_ticket(const std::string& fleet_dir, std::uint32_t batch) {
+  Lease ticket;
+  ticket.batch = batch;
+  ticket.path = queue_ticket_path(fleet_dir, batch);
+  write_lease_file(ticket);
 }
 
 }  // namespace
@@ -245,10 +224,17 @@ FleetPlan ensure_plan(const std::string& fleet_dir,
         }
       }
       for (std::uint32_t batch = 0; batch < batches; ++batch) {
-        atomic_write_file(queue_ticket_path(fleet_dir, batch),
-                          ticket_content(batch));
+        write_ticket(fleet_dir, batch);
       }
-      atomic_write_file(plan_path(fleet_dir), plan_content(plan));
+      JsonObject content;
+      content.field("record", "fleet_plan")
+          .field("schema", exp::kSchemaVersion)
+          .field("scenario", plan.scenario)
+          .field("master_seed", plan.master_seed)
+          .field("replicates", plan.replicates)
+          .field("cells", plan.cells)
+          .field("batches", plan.batches);
+      atomic_write_file(plan_path(fleet_dir), content.str() + "\n");
       log_info("fleet: planned '", fleet_dir, "' — ", batches,
                " batches over ", plan.total_tasks(), " replicates");
       return plan;
@@ -302,23 +288,18 @@ void write_done_marker(const std::string& fleet_dir, std::uint32_t batch,
                        const std::string& owner,
                        const std::string& records_file,
                        std::uint64_t completed_replicates) {
-  std::string content = "{\"record\":\"fleet_done\",\"batch\":";
-  content += std::to_string(batch);
-  content += ",\"owner\":\"";
-  content += owner;
-  content += "\",\"records\":\"";
-  content += records_file;
-  content += "\",\"completed_replicates\":";
-  content += std::to_string(completed_replicates);
-  content += ",\"completed_unix_ms\":";
-  content += std::to_string(LeaseStore::now_unix_ms());
-  content += "}\n";
-  atomic_write_file(done_marker_path(fleet_dir, batch), content);
+  JsonObject content;
+  content.field("record", "fleet_done")
+      .field("batch", batch)
+      .field("owner", owner)
+      .field("records", records_file)
+      .field("completed_replicates", completed_replicates)
+      .field("completed_unix_ms", LeaseStore::now_unix_ms());
+  atomic_write_file(done_marker_path(fleet_dir, batch), content.str() + "\n");
 }
 
 void requeue_batch(const std::string& fleet_dir, std::uint32_t batch) {
-  atomic_write_file(queue_ticket_path(fleet_dir, batch),
-                    ticket_content(batch));
+  write_ticket(fleet_dir, batch);
 }
 
 bool parse_records_filename(const std::string& name, std::uint32_t* batch) {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <string_view>
@@ -43,16 +44,14 @@ std::vector<fs::path> sorted_entries(const std::string& dir) {
   return out;
 }
 
-/// The file's last non-empty line as JSON; null when it does not parse.
-JsonValue last_json_line(const fs::path& path) {
+/// The file as one JSON document (a heartbeat or done marker holds one
+/// object); null when it does not parse.
+JsonValue read_json_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
-  std::string line;
-  std::string last;
-  while (std::getline(in, line)) {
-    if (!line.empty()) last = line;
-  }
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
   try {
-    return parse_json(last);
+    return parse_json(text);
   } catch (const JsonParseError&) {
     return {};
   }
@@ -90,7 +89,7 @@ std::vector<std::string> print_board(const std::string& dir,
   for (const fs::path& path : sorted_entries(done_dir(dir))) {
     std::uint32_t batch = 0;
     if (!parse_ticket_filename(path.filename().string(), &batch)) continue;
-    batches[batch].done_by = field(last_json_line(path), "owner");
+    batches[batch].done_by = field(read_json_file(path), "owner");
     if (batch < plan.batches) ++done;
   }
   for (const std::string& path : all_record_files(dir)) {
@@ -150,7 +149,7 @@ std::vector<std::string> print_board(const std::string& dir,
 
   for (const fs::path& path : sorted_entries(hb_dir(dir))) {
     if (path.extension() != ".jsonl") continue;
-    const JsonValue beat = last_json_line(path);
+    const JsonValue beat = read_json_file(path);
     out << "worker " << path.stem().string() << ": ";
     if (beat.kind != JsonValue::Kind::kObject) {
       out << "heartbeat unreadable\n";

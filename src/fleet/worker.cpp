@@ -17,6 +17,7 @@
 #include "obs/telemetry.hpp"
 #include "support/atomic_file.hpp"
 #include "support/check.hpp"
+#include "support/json.hpp"
 #include "support/logging.hpp"
 #include "support/retry.hpp"
 
@@ -317,33 +318,23 @@ void write_worker_stats(const std::string& fleet_dir,
                         const std::string& worker,
                         const WorkerReport& report) {
   const obs::Snapshot snapshot = obs::snapshot();
-  std::string content = "{\"record\":\"fleet_worker_stats\",\"worker\":\"";
-  content += worker;
-  content += "\",\"batches_completed\":";
-  content += std::to_string(report.batches_completed);
-  content += ",\"batches_claimed\":";
-  content += std::to_string(report.batches_claimed);
-  content += ",\"batches_stolen\":";
-  content += std::to_string(report.batches_stolen);
-  content += ",\"replicates_executed\":";
-  content += std::to_string(report.replicates_executed);
-  content += ",\"replicates_resumed\":";
-  content += std::to_string(report.replicates_resumed);
-  content += ",\"fleet_complete\":";
-  content += report.fleet_complete ? "true" : "false";
-  content += ",\"counters\":{";
-  bool first = true;
+  JsonObject counters;
   for (const auto& [name, value] : snapshot.counters) {
-    if (!first) content += ",";
-    first = false;
-    content += "\"";
-    content += name;  // counter names are dotted identifiers
-    content += "\":";
-    content += std::to_string(value);
+    counters.field(name, value);
   }
-  content += "}}\n";
+  JsonObject content;
+  content.field("record", "fleet_worker_stats")
+      .field("worker", worker)
+      .field("batches_completed", report.batches_completed)
+      .field("batches_claimed", report.batches_claimed)
+      .field("batches_stolen", report.batches_stolen)
+      .field("replicates_executed", report.replicates_executed)
+      .field("replicates_resumed", report.replicates_resumed)
+      .field("fleet_complete", report.fleet_complete)
+      .field("counters", counters);
   try {
-    atomic_write_file(worker_stats_path(fleet_dir, worker), content);
+    atomic_write_file(worker_stats_path(fleet_dir, worker),
+                      content.str() + "\n");
   } catch (const IoError& error) {
     log_error("fleet: writing worker stats failed: ", error.what());
   }

@@ -10,23 +10,13 @@
 
 namespace geogossip::geometry {
 
-double HierarchyConfig::threshold_value(std::size_t n) const {
-  switch (threshold) {
-    case Threshold::kPaper: {
-      const double ln_n = std::log(static_cast<double>(std::max<std::size_t>(n, 2)));
-      return std::pow(ln_n, 8.0);
-    }
-    case Threshold::kPractical:
-      return leaf_occupancy;
-  }
-  return leaf_occupancy;
-}
-
 PartitionHierarchy::PartitionHierarchy(const std::vector<Vec2>& points,
                                        const Rect& region,
                                        const HierarchyConfig& config)
     : points_(&points) {
   GG_CHECK_ARG(!points.empty(), "PartitionHierarchy: no points");
+  GG_CHECK_ARG(config.leaf_occupancy >= 1.0,
+               "PartitionHierarchy: leaf_occupancy >= 1");
   build(region, config);
   finalize_levels();
 }
@@ -58,7 +48,6 @@ std::int32_t nearest_member(const std::vector<Vec2>& points,
 void PartitionHierarchy::build(const Rect& region,
                                const HierarchyConfig& config) {
   const std::size_t n = points_->size();
-  const double threshold = config.threshold_value(n);
 
   // Root: whole region, all sensors.
   SquareInfo root_square;
@@ -71,7 +60,7 @@ void PartitionHierarchy::build(const Rect& region,
   }
   squares_.push_back(std::move(root_square));
 
-  // Breadth-first subdivision per §4.1: split while E# > threshold.
+  // Breadth-first subdivision per §4.1: split while E# > leaf occupancy.
   std::deque<int> queue{0};
   while (!queue.empty()) {
     const int id = queue.front();
@@ -79,7 +68,9 @@ void PartitionHierarchy::build(const Rect& region,
 
     const double expected = squares_[static_cast<std::size_t>(id)].expected_occupancy;
     const int depth = squares_[static_cast<std::size_t>(id)].depth;
-    if (expected <= threshold || depth >= config.max_depth) continue;
+    if (expected <= config.leaf_occupancy || depth >= config.max_depth) {
+      continue;
+    }
 
     const std::int64_t subsquares = paper_subsquare_count(expected);
     const int side = static_cast<int>(std::llround(

@@ -1,13 +1,13 @@
 // The paper's recursive square hierarchy (§4.1).
 //
 // The unit square is split into n1 subsquares, n1 = nearest_even_square(
-// sqrt(n)); each subsquare with expected occupancy m above a leaf threshold
-// is split again into nearest_even_square(sqrt(m)) subsquares, and so on.
-// The paper's literal threshold is (log n)^8, which exceeds n for every
-// simulable n (the constants are asymptotic); HierarchyConfig therefore also
-// offers a practical threshold that preserves the structure (depth ~
-// log log n, fan-out ~ sqrt(occupancy)).  See DESIGN.md §2 ("Calibrated
-// schedule").
+// sqrt(n)); each subsquare with expected occupancy m above the leaf
+// occupancy is split again into nearest_even_square(sqrt(m)) subsquares,
+// and so on.  The paper's literal threshold is (log n)^8, which exceeds n
+// for every simulable n (the constants are asymptotic) and would leave the
+// root unsplit; the one split rule here uses a calibrated leaf occupancy
+// instead, which preserves the structure (depth ~ log log n, fan-out ~
+// sqrt(occupancy)).  See DESIGN.md §2 ("Calibrated schedule").
 //
 // Every square records its representative s(square) — the member sensor
 // nearest the square's centre — and each sensor gets the paper's Level:
@@ -36,17 +36,11 @@ inline constexpr int kMaxDepth = 12;
 static_assert(kMaxDepth >= 1, "the root must be allowed to split");
 
 struct HierarchyConfig {
-  enum class Threshold {
-    kPaper,      ///< split while expected occupancy > (ln n)^8 (literal §4.1)
-    kPractical,  ///< split while expected occupancy > leaf_occupancy
-  };
-
-  Threshold threshold = Threshold::kPractical;
+  /// A square splits while its expected occupancy exceeds this.  At least
+  /// 1: below that every square splits down to max_depth, and the square
+  /// count grows fourfold per level.
   double leaf_occupancy = kLeafOccupancy;
   int max_depth = kMaxDepth;
-
-  /// The value of the splitting threshold for a deployment of n sensors.
-  double threshold_value(std::size_t n) const;
 };
 
 /// One square of the hierarchy.  Squares form an arena-indexed tree; index 0
@@ -68,6 +62,8 @@ struct SquareInfo {
 class PartitionHierarchy {
  public:
   /// Builds the hierarchy over `points` in `region` (paper: unit square).
+  /// Throws ArgumentError when `points` is empty or the leaf occupancy is
+  /// below 1 (or NaN).
   PartitionHierarchy(const std::vector<Vec2>& points, const Rect& region,
                      const HierarchyConfig& config);
 

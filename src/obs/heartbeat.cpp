@@ -107,39 +107,21 @@ void Heartbeat::loop() {
 }
 
 std::string Heartbeat::compose_locked() {
-  std::string line = "{\"record\":\"heartbeat\",\"scenario\":\"";
-  line += json_escape(options_.scenario);
-  line += "\",\"shard_index\":";
-  line += std::to_string(options_.shard_index);
-  line += ",\"shard_count\":";
-  line += std::to_string(options_.shard_count);
-  line += ",\"completed\":";
-  line += std::to_string(completed_);
-  line += ",\"total\":";
-  line += std::to_string(total_);
-  line += ",\"cell\":";
-  line += std::to_string(current_cell_);
-  line += ",\"replicate\":";
-  line += std::to_string(current_replicate_);
-  line += ",\"rss_kb\":";
-  line += std::to_string(max_rss_kb());
-  line += ",\"flush_unix_ms\":";
-  line += std::to_string(unix_millis_now());
-  if (!options_.worker.empty()) {
-    line += ",\"worker\":\"";
-    line += json_escape(options_.worker);
-    line += "\"";
-  }
-  if (!lease_.empty()) {
-    line += ",\"lease\":\"";
-    line += json_escape(lease_);
-    line += "\"";
-  }
-  line += ",\"seq\":";
-  line += std::to_string(seq_);
-  line += "}\n";
-  ++seq_;
-  return line;
+  JsonObject beat;
+  beat.field("record", "heartbeat")
+      .field("scenario", options_.scenario)
+      .field("shard_index", options_.shard_index)
+      .field("shard_count", options_.shard_count)
+      .field("completed", completed_)
+      .field("total", total_)
+      .field("cell", current_cell_)
+      .field("replicate", current_replicate_)
+      .field("rss_kb", max_rss_kb())
+      .field("flush_unix_ms", unix_millis_now());
+  if (!options_.worker.empty()) beat.field("worker", options_.worker);
+  if (!lease_.empty()) beat.field("lease", lease_);
+  beat.field("seq", seq_++);
+  return beat.str() + "\n";
 }
 
 void Heartbeat::commit(const std::string& beat) {

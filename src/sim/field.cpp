@@ -18,6 +18,8 @@ std::string_view field_kind_name(FieldKind kind) noexcept {
       return "gaussian";
     case FieldKind::kCheckerboard:
       return "checkerboard";
+    case FieldKind::kSpikedGaussian:
+      return "spiked-gaussian";
   }
   return "?";
 }
@@ -28,6 +30,7 @@ FieldKind parse_field_kind(const std::string& name) {
   if (lowered == "gradient") return FieldKind::kGradient;
   if (lowered == "gaussian") return FieldKind::kGaussian;
   if (lowered == "checkerboard") return FieldKind::kCheckerboard;
+  if (lowered == "spiked-gaussian") return FieldKind::kSpikedGaussian;
   throw ArgumentError("unknown field kind '" + name + "'");
 }
 
@@ -78,6 +81,12 @@ std::vector<double> make_field(FieldKind kind,
       return gaussian_field(points.size(), rng);
     case FieldKind::kCheckerboard:
       return checkerboard_field(points, 8);
+    case FieldKind::kSpikedGaussian: {
+      auto x = gaussian_field(points.size(), rng);
+      x[rng.below(points.size())] +=
+          std::sqrt(static_cast<double>(points.size()));
+      return x;
+    }
   }
   throw ArgumentError("make_field: bad kind");
 }

@@ -3,8 +3,9 @@
 // The paper proves worst-case bounds over all x(0); simulations follow the
 // gossip literature (Boyd et al., Dimakis et al.) and sweep representative
 // fields: a single spike (hardest for local protocols), a linear gradient
-// (smooth spatial correlation), i.i.d. Gaussians, and a checkerboard
-// (high-frequency spatial field).
+// (smooth spatial correlation), i.i.d. Gaussians, a checkerboard
+// (high-frequency spatial field), and Gaussians with a sqrt(n) spike (the
+// sweeps' default).
 #ifndef GEOGOSSIP_SIM_FIELD_HPP
 #define GEOGOSSIP_SIM_FIELD_HPP
 
@@ -16,11 +17,18 @@
 
 namespace geogossip::sim {
 
-enum class FieldKind { kSpike, kGradient, kGaussian, kCheckerboard };
+enum class FieldKind {
+  kSpike,           ///< single spike (hardest case for local protocols)
+  kGradient,        ///< x + y of the node position
+  kGaussian,        ///< i.i.d. standard normals
+  kCheckerboard,    ///< +-1 by spatial parity
+  kSpikedGaussian,  ///< i.i.d. gaussians + a sqrt(n) spike at a random node
+};
 
 std::string_view field_kind_name(FieldKind kind) noexcept;
 
-/// Parses "spike" / "gradient" / "gaussian" / "checkerboard".
+/// Parses "spike" / "gradient" / "gaussian" / "checkerboard" /
+/// "spiked-gaussian".
 FieldKind parse_field_kind(const std::string& name);
 
 /// All ones at a single random node, zero elsewhere (before centering).

@@ -1,6 +1,7 @@
 #include "support/json.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -270,6 +271,46 @@ std::string json_escape(std::string_view text) {
     }
   }
   return out;
+}
+
+void JsonObject::key(std::string_view key) {
+  if (text_.size() > 1) text_ += ',';
+  text_ += '"';
+  text_ += json_escape(key);
+  text_ += "\":";
+}
+
+JsonObject& JsonObject::field(std::string_view key, std::string_view value) {
+  this->key(key);
+  text_ += '"';
+  text_ += json_escape(value);
+  text_ += '"';
+  return *this;
+}
+
+JsonObject& JsonObject::field(std::string_view key, double value) {
+  if (std::isnan(value)) return number(key, "NaN");
+  if (std::isinf(value)) {
+    return number(key, value > 0 ? "Infinity" : "-Infinity");
+  }
+  char buf[32];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), value,
+                                  std::chars_format::general, 17)
+                        .ptr;
+  return number(key, std::string_view(buf, end));
+}
+
+JsonObject& JsonObject::field(std::string_view key, const JsonObject& value) {
+  this->key(key);
+  text_ += value.text_;
+  text_ += '}';
+  return *this;
+}
+
+JsonObject& JsonObject::number(std::string_view key, std::string_view token) {
+  this->key(key);
+  text_ += token;
+  return *this;
 }
 
 }  // namespace geogossip

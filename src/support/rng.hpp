@@ -10,7 +10,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace geogossip {
 
@@ -50,9 +49,6 @@ class Rng {
   /// unbiased bounded generation.
   std::uint64_t below(std::uint64_t n);
 
-  /// Uniform integer in [lo, hi] inclusive.  Requires lo <= hi (checked).
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
 
@@ -65,27 +61,8 @@ class Rng {
   /// Normal with given mean / stddev.
   double normal(double mean, double stddev) noexcept;
 
-  /// Poisson-distributed count with the given mean.  Knuth's method for
-  /// small means, normal approximation (rounded, clamped at 0) above 64.
-  std::uint64_t poisson(double mean);
-
   /// Uniform index != exclude, in [0, n).  Requires n >= 2 (checked).
   std::uint64_t below_excluding(std::uint64_t n, std::uint64_t exclude);
-
-  /// Fisher–Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    if (v.size() < 2) return;
-    for (std::size_t i = v.size() - 1; i > 0; --i) {
-      const std::size_t j = static_cast<std::size_t>(below(i + 1));
-      using std::swap;
-      swap(v[i], v[j]);
-    }
-  }
-
-  /// k distinct indices from [0, n), in random order.  Requires k <= n.
-  std::vector<std::uint64_t> sample_without_replacement(std::uint64_t n,
-                                                        std::uint64_t k);
 
   /// Re-seeds the engine in place.
   void reseed(std::uint64_t seed) noexcept;

@@ -78,7 +78,7 @@ TEST(Checkpoint, RoundTripsEveryPersistedField) {
   const ReplicateResult* loaded = checkpoint.find(2, 5);
   ASSERT_NE(loaded, nullptr);
   // Bit-identical re-ingestion: every field survives the text round trip
-  // (format_double emits 17 significant digits, which round-trip doubles).
+  // (JsonObject writes doubles with 17 significant digits, which round-trip).
   EXPECT_TRUE(results_equal(original, *loaded));
   EXPECT_EQ(loaded->seed, 12345u);
   EXPECT_EQ(loaded->transmissions.total(), 33u);

@@ -242,7 +242,7 @@ TEST(SquareHopTables, EqualDirectRoutingWithTheStraightLineFallback) {
   const auto points = geometry::sample_unit_square(1000, rng);
   const graph::GeometricGraph g(points, 0.6 * graph::threshold_radius(1000));
   const geometry::PartitionHierarchy hierarchy(
-      g.points(), g.region(), practical_hierarchy(8.0, 12));
+      g.points(), g.region(), geometry::HierarchyConfig{8.0, 12});
   SquareHopTables tables(g, hierarchy);
 
   std::size_t arrived = 0;
@@ -303,7 +303,7 @@ TEST(SquareHopTables, TinyRadiusCapsTheStraightLineFallback) {
   const auto points = geometry::sample_unit_square(100, rng);
   const graph::GeometricGraph g(points, 1e-12);
   const geometry::PartitionHierarchy hierarchy(
-      g.points(), g.region(), practical_hierarchy(8.0, 12));
+      g.points(), g.region(), geometry::HierarchyConfig{8.0, 12});
   SquareHopTables tables(g, hierarchy);
   const int root = hierarchy.root();
   const auto slots = tables.slots(root);
@@ -331,7 +331,7 @@ TEST(SquareHopTables, RouteAnInnerSquaresWholeTableOnItsFirstMiss) {
   Rng rng(36);
   const auto g = graph::GeometricGraph::sample(2048, 1.2, rng);
   const geometry::PartitionHierarchy hierarchy(
-      g.points(), g.region(), practical_hierarchy(8.0, 12));
+      g.points(), g.region(), geometry::HierarchyConfig{8.0, 12});
   SquareHopTables tables(g, hierarchy);
   const int root = hierarchy.root();
   ASSERT_GE(tables.slots(root).size(), 3u);

@@ -39,6 +39,7 @@
 #include "fleet/worker.hpp"
 #include "support/atomic_file.hpp"
 #include "support/check.hpp"
+#include "support/json.hpp"
 #include "test_support.hpp"
 
 namespace geogossip {
@@ -484,6 +485,36 @@ TEST(FleetPlan, RequeueRestoresAClaimableTicket) {
   EXPECT_EQ(store.queued(), (std::vector<std::uint32_t>{0, 1}));
 }
 
+TEST(FleetPlan, AQuotedScenarioNameReadsBack) {
+  const std::string dir = fresh_temp_dir("ggfleet_quoted_name");
+  exp::Scenario scenario = fleet_scenario();
+  scenario.name = "quote \" and back\\slash";
+  fleet::ensure_plan(dir, scenario, 2, fast_plan_options());
+  const std::optional<fleet::FleetPlan> plan = fleet::try_load_plan(dir);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->scenario, scenario.name);
+}
+
+TEST(FleetPlan, ATicketIsAnUnownedGenerationZeroLease) {
+  const std::string dir = planned_fleet("ticket_is_lease");
+  const std::string ticket = fleet::queue_ticket_path(dir, 1);
+  fleet::Lease unowned;
+  unowned.batch = 1;
+  unowned.path = dir + "/unowned.lease";
+  fleet::write_lease_file(unowned);
+  EXPECT_EQ(slurp(ticket), slurp(unowned.path));
+  EXPECT_EQ(parse_json(slurp(ticket)).get("record")->text, "fleet_lease");
+
+  // Claimed by the rename alone, before any renewal: expired.
+  fs::rename(ticket, fleet::leases_dir(dir) + "/" +
+                         fleet::lease_filename(1, 0, "w"));
+  const std::vector<fleet::Lease> leases = fleet::LeaseStore(dir).leases();
+  ASSERT_EQ(leases.size(), 1u);
+  EXPECT_EQ(leases[0].batch, 1u);
+  EXPECT_EQ(leases[0].expires_unix_ms, 0);
+  EXPECT_TRUE(leases[0].expired(fleet::LeaseStore::now_unix_ms()));
+}
+
 // -------------------------------------------------------- status board ----
 
 TEST(FleetStatus, ALiveFleetShowsEachBatchAndFlagsOnlyStaleTemps) {
@@ -494,8 +525,8 @@ TEST(FleetStatus, ALiveFleetShowsEachBatchAndFlagsOnlyStaleTemps) {
   spit(fleet::records_path(dir, 0, 0, "w"), "");
   const std::int64_t now = fleet::LeaseStore::now_unix_ms();
   spit(fleet::heartbeat_path(dir, "w"),
-       "{\"completed\":0,\"total\":2}\n{\"completed\":1,\"total\":2,"
-       "\"lease\":\"batch-0.g0\",\"flush_unix_ms\":" +
+       "{\"completed\":1,\"total\":2,\"lease\":\"batch-0.g0\","
+       "\"flush_unix_ms\":" +
            std::to_string(now) + "}\n");
   spit(fleet::heartbeat_path(dir, "w") + ".tmp.7", "half a heartbeat");
 

@@ -400,18 +400,10 @@ TEST(BucketGrid, RejectsOutOfRegionPoints) {
 
 // ---------------------------------------------------- PartitionHierarchy ----
 
-HierarchyConfig practical_config(double leaf, int max_depth = 12) {
-  HierarchyConfig config;
-  config.threshold = HierarchyConfig::Threshold::kPractical;
-  config.leaf_occupancy = leaf;
-  config.max_depth = max_depth;
-  return config;
-}
-
 TEST(Hierarchy, RootHoldsEverything) {
   Rng rng(11);
   const auto points = sample_unit_square(600, rng);
-  const PartitionHierarchy h(points, practical_config(32.0));
+  const PartitionHierarchy h(points, HierarchyConfig{32.0});
   const auto& root = h.square(h.root());
   EXPECT_EQ(root.depth, 0);
   EXPECT_EQ(root.parent, -1);
@@ -423,7 +415,7 @@ TEST(Hierarchy, RootHoldsEverything) {
 TEST(Hierarchy, ChildrenPartitionParentMembers) {
   Rng rng(12);
   const auto points = sample_unit_square(900, rng);
-  const PartitionHierarchy h(points, practical_config(24.0));
+  const PartitionHierarchy h(points, HierarchyConfig{24.0});
   for (std::size_t id = 0; id < h.square_count(); ++id) {
     const auto& sq = h.square(static_cast<int>(id));
     if (sq.is_leaf()) continue;
@@ -447,7 +439,7 @@ TEST(Hierarchy, ChildrenPartitionParentMembers) {
 TEST(Hierarchy, FanOutFollowsPaperRule) {
   Rng rng(13);
   const auto points = sample_unit_square(1024, rng);
-  const PartitionHierarchy h(points, practical_config(16.0));
+  const PartitionHierarchy h(points, HierarchyConfig{16.0});
   const auto& root = h.square(h.root());
   EXPECT_EQ(static_cast<std::int64_t>(root.children.size()),
             paper_subsquare_count(1024.0));  // 36
@@ -456,7 +448,7 @@ TEST(Hierarchy, FanOutFollowsPaperRule) {
 TEST(Hierarchy, LeavesRespectThresholdOrDepthCap) {
   Rng rng(14);
   const auto points = sample_unit_square(2000, rng);
-  const HierarchyConfig config = practical_config(40.0, 3);
+  const HierarchyConfig config{40.0, 3};
   const PartitionHierarchy h(points, config);
   for (const int leaf : h.leaves()) {
     const auto& sq = h.square(leaf);
@@ -469,7 +461,7 @@ TEST(Hierarchy, LeavesRespectThresholdOrDepthCap) {
 TEST(Hierarchy, RepresentativeIsNearestMemberToCenter) {
   Rng rng(15);
   const auto points = sample_unit_square(500, rng);
-  const PartitionHierarchy h(points, practical_config(30.0));
+  const PartitionHierarchy h(points, HierarchyConfig{30.0});
   for (std::size_t id = 0; id < h.square_count(); ++id) {
     const auto& sq = h.square(static_cast<int>(id));
     if (sq.members.empty()) {
@@ -489,7 +481,7 @@ TEST(Hierarchy, RepresentativeIsNearestMemberToCenter) {
 TEST(Hierarchy, NodeLevelsFollowPaperRule) {
   Rng rng(16);
   const auto points = sample_unit_square(800, rng);
-  const PartitionHierarchy h(points, practical_config(28.0));
+  const PartitionHierarchy h(points, HierarchyConfig{28.0});
   const int ell = h.levels();
   // Root representative has the top Level.
   const auto& root = h.square(h.root());
@@ -517,7 +509,7 @@ TEST(Hierarchy, NodeLevelsFollowPaperRule) {
 TEST(Hierarchy, LeafOfAndAncestorWalk) {
   Rng rng(17);
   const auto points = sample_unit_square(400, rng);
-  const PartitionHierarchy h(points, practical_config(20.0));
+  const PartitionHierarchy h(points, HierarchyConfig{20.0});
   for (std::uint32_t node = 0; node < points.size(); ++node) {
     const int leaf = h.leaf_of(node);
     ASSERT_GE(leaf, 0);
@@ -533,43 +525,21 @@ TEST(Hierarchy, LeafOfAndAncestorWalk) {
   }
 }
 
-TEST(Hierarchy, PaperThresholdNeverSplitsAtSimulableN) {
-  // (ln n)^8 > n for all n <= ~10^6, so the literal paper threshold gives a
-  // single-square hierarchy — documenting why the practical mode exists.
-  Rng rng(18);
-  const auto points = sample_unit_square(4096, rng);
-  HierarchyConfig config;
-  config.threshold = HierarchyConfig::Threshold::kPaper;
-  const PartitionHierarchy h(points, config);
-  EXPECT_EQ(h.square_count(), 1u);
-  EXPECT_EQ(h.levels(), 1);
-}
-
 TEST(Hierarchy, ClusteredDeploymentYieldsEmptySquares) {
   Rng rng(19);
   const auto points =
       sample_clustered(600, Rect::unit_square(), 2, 0.02, rng);
-  const PartitionHierarchy h(points, practical_config(30.0));
+  const PartitionHierarchy h(points, HierarchyConfig{30.0});
   EXPECT_GT(h.empty_squares(), 0);  // failure-injection fixture is real
 }
 
 TEST(Hierarchy, SummaryMentionsLevels) {
   Rng rng(20);
   const auto points = sample_unit_square(300, rng);
-  const PartitionHierarchy h(points, practical_config(25.0));
+  const PartitionHierarchy h(points, HierarchyConfig{25.0});
   const std::string text = h.summary();
   EXPECT_NE(text.find("levels"), std::string::npos);
   EXPECT_NE(text.find("depth 0"), std::string::npos);
-}
-
-TEST(HierarchyConfig, ThresholdValues) {
-  HierarchyConfig paper;
-  paper.threshold = HierarchyConfig::Threshold::kPaper;
-  const double v = paper.threshold_value(1000000);
-  EXPECT_NEAR(v, std::pow(std::log(1e6), 8.0), 1e-6);
-  HierarchyConfig practical;
-  practical.leaf_occupancy = 99.0;
-  EXPECT_DOUBLE_EQ(practical.threshold_value(12345), 99.0);
 }
 
 }  // namespace

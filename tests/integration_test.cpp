@@ -232,7 +232,8 @@ TEST(Integration, EveryFieldKindAverages) {
   options.eps = 3e-2;
   for (const auto kind :
        {sim::FieldKind::kSpike, sim::FieldKind::kGradient,
-        sim::FieldKind::kGaussian, sim::FieldKind::kCheckerboard}) {
+        sim::FieldKind::kGaussian, sim::FieldKind::kCheckerboard,
+        sim::FieldKind::kSpikedGaussian}) {
     Rng rng(919);
     auto x0 = sim::make_field(kind, g.points(), rng);
     sim::center_and_normalize(x0);

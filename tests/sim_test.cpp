@@ -142,10 +142,13 @@ TEST(Field, KindParsingAndDispatch) {
   EXPECT_EQ(parse_field_kind("gradient"), FieldKind::kGradient);
   EXPECT_THROW(parse_field_kind("nope"), ArgumentError);
   EXPECT_EQ(field_kind_name(FieldKind::kCheckerboard), "checkerboard");
+  EXPECT_EQ(parse_field_kind("spiked-gaussian"), FieldKind::kSpikedGaussian);
+  EXPECT_EQ(field_kind_name(FieldKind::kSpikedGaussian), "spiked-gaussian");
   Rng rng(75);
   const auto points = geometry::sample_unit_square(20, rng);
-  for (const auto kind : {FieldKind::kSpike, FieldKind::kGradient,
-                          FieldKind::kGaussian, FieldKind::kCheckerboard}) {
+  for (const auto kind :
+       {FieldKind::kSpike, FieldKind::kGradient, FieldKind::kGaussian,
+        FieldKind::kCheckerboard, FieldKind::kSpikedGaussian}) {
     EXPECT_EQ(make_field(kind, points, rng).size(), 20u);
   }
 }

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -127,21 +129,6 @@ TEST(Rng, BelowExcludingNeverReturnsExcluded) {
   EXPECT_THROW(rng.below_excluding(1, 0), ArgumentError);
 }
 
-TEST(Rng, UniformIntInclusiveBounds) {
-  Rng rng(7);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 20000; ++i) {
-    const auto v = rng.uniform_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, BernoulliEdgeCasesAndRate) {
   Rng rng(8);
   EXPECT_FALSE(rng.bernoulli(0.0));
@@ -172,49 +159,6 @@ TEST(Rng, NormalMoments) {
   }
   EXPECT_NEAR(sum / kDraws, 0.0, 0.02);
   EXPECT_NEAR(sum_sq / kDraws, 1.0, 0.02);
-}
-
-TEST(Rng, PoissonMeanSmallAndLargeRegimes) {
-  Rng rng(11);
-  for (const double mean : {0.5, 8.0, 200.0}) {
-    double total = 0.0;
-    constexpr int kDraws = 20000;
-    for (int i = 0; i < kDraws; ++i) {
-      total += static_cast<double>(rng.poisson(mean));
-    }
-    EXPECT_NEAR(total / kDraws, mean, mean * 0.05 + 0.05) << "mean=" << mean;
-  }
-  EXPECT_EQ(Rng(1).poisson(0.0), 0u);
-}
-
-TEST(Rng, SampleWithoutReplacementIsDistinctAndComplete) {
-  Rng rng(12);
-  const auto sample = rng.sample_without_replacement(100, 100);
-  std::set<std::uint64_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 100u);
-  EXPECT_EQ(*unique.begin(), 0u);
-  EXPECT_EQ(*unique.rbegin(), 99u);
-  EXPECT_THROW(rng.sample_without_replacement(3, 4), ArgumentError);
-}
-
-TEST(Rng, SampleWithoutReplacementSubset) {
-  Rng rng(13);
-  for (int round = 0; round < 50; ++round) {
-    const auto sample = rng.sample_without_replacement(50, 7);
-    std::set<std::uint64_t> unique(sample.begin(), sample.end());
-    EXPECT_EQ(unique.size(), 7u);
-    for (const auto v : unique) EXPECT_LT(v, 50u);
-  }
-}
-
-TEST(Rng, ShuffleIsAPermutation) {
-  Rng rng(14);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
-  auto shuffled = v;
-  rng.shuffle(shuffled);
-  std::multiset<int> a(v.begin(), v.end());
-  std::multiset<int> b(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(a, b);
 }
 
 // ---------------------------------------------------------- string_util ----
@@ -331,6 +275,61 @@ TEST(Sinks, JsonEscapeHandlesQuotesBackslashesAndControls) {
   for (char c = 0; c < 0x20; ++c) all_controls += c;
   const std::string text = "q\"b\\" + all_controls + "z";
   EXPECT_EQ(parse_json("\"" + json_escape(text) + "\"").text, text);
+}
+
+TEST(Sinks, JsonObjectRoundTripsEveryFieldKind) {
+  std::string controls;
+  for (char c = 0; c < 0x20; ++c) controls += c;
+  const std::string text = "q\"b\\" + controls + "z";
+  const double inf = std::numeric_limits<double>::infinity();
+  const double digits17 = 0.12345678901234567;
+  const std::string line =
+      JsonObject()
+          .field(text, text)
+          .field("literal", "yes")
+          .field("yes", true)
+          .field("no", false)
+          .field("int64_min", INT64_MIN)
+          .field("uint64_max", UINT64_MAX)
+          .field("tenth", 0.1)
+          .field("subnormal", 1e-310)
+          .field("digits17", digits17)
+          .field("nan", std::numeric_limits<double>::quiet_NaN())
+          .field("inf", inf)
+          .field("minus_inf", -inf)
+          .field("nested", JsonObject().field("x", 3).field("y", "z"))
+          .field("empty", JsonObject())
+          .str();
+  EXPECT_NE(line.find("\"int64_min\":-9223372036854775808,"),
+            std::string::npos)
+      << line;
+
+  const JsonValue doc = parse_json(line);
+  ASSERT_EQ(doc.members.size(), 14u);
+  EXPECT_EQ(doc.members[0].first, text);
+  EXPECT_EQ(doc.members[0].second.text, text);
+  EXPECT_EQ(doc.members[1].first, "literal");  // members in call order
+  EXPECT_EQ(doc.get("literal")->kind, JsonValue::Kind::kString);
+  EXPECT_EQ(doc.get("literal")->text, "yes");
+  EXPECT_EQ(doc.get("yes")->kind, JsonValue::Kind::kBool);
+  EXPECT_TRUE(doc.get("yes")->boolean);
+  EXPECT_EQ(doc.get("no")->kind, JsonValue::Kind::kBool);
+  EXPECT_FALSE(doc.get("no")->boolean);
+  EXPECT_EQ(doc.get("int64_min")->number, -0x1p63);
+  ASSERT_TRUE(doc.get("uint64_max")->is_uint);
+  EXPECT_EQ(doc.get("uint64_max")->uint_value, UINT64_MAX);
+  EXPECT_EQ(doc.get("tenth")->number, 0.1);
+  EXPECT_EQ(doc.get("subnormal")->number, 1e-310);
+  EXPECT_EQ(doc.get("digits17")->number, digits17);
+  EXPECT_TRUE(std::isnan(doc.get("nan")->number));
+  EXPECT_EQ(doc.get("inf")->number, inf);
+  EXPECT_EQ(doc.get("minus_inf")->number, -inf);
+  const JsonValue* nested = doc.get("nested");
+  ASSERT_EQ(nested->kind, JsonValue::Kind::kObject);
+  EXPECT_EQ(nested->get("x")->uint_value, 3u);
+  EXPECT_EQ(nested->get("y")->text, "z");
+  EXPECT_EQ(doc.get("empty")->kind, JsonValue::Kind::kObject);
+  EXPECT_TRUE(doc.get("empty")->members.empty());
 }
 
 // ------------------------------------------------------------------ cli ----
