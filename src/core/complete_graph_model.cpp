@@ -67,7 +67,6 @@ void CompleteGraphModel::step() {
     x_[i] += nu;
     x_[j] -= nu;
   }
-  ++steps_;
 }
 
 void CompleteGraphModel::run(std::uint64_t steps) {

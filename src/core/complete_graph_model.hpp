@@ -48,9 +48,7 @@ class CompleteGraphModel {
   void run(std::uint64_t steps);
 
   std::span<const double> values() const noexcept { return x_; }
-  std::uint64_t steps_elapsed() const noexcept { return steps_; }
   double norm_squared() const noexcept;
-  double initial_norm_squared() const noexcept { return initial_norm_sq_; }
 
   /// ||x(t)|| / ||x(0)||.
   double relative_norm() const;
@@ -62,7 +60,6 @@ class CompleteGraphModel {
   std::vector<double> x_;
   std::vector<double> alpha_;
   Rng* rng_;
-  std::uint64_t steps_ = 0;
   double initial_norm_sq_ = 0.0;
 };
 

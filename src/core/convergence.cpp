@@ -1,6 +1,7 @@
 #include "core/convergence.hpp"
 
 #include <cmath>
+#include <memory>
 
 #include "gossip/pairwise.hpp"
 #include "obs/telemetry.hpp"
@@ -72,16 +73,6 @@ std::uint64_t default_tick_cap(ProtocolKind kind, std::size_t n, double eps) {
   return 0;
 }
 
-TrialOutcome from_run(const sim::RunResult& run, double sum_before,
-                      double sum_after) {
-  TrialOutcome outcome;
-  outcome.converged = run.converged;
-  outcome.final_error = run.final_error;
-  outcome.transmissions = run.transmissions;
-  outcome.sum_drift = std::abs(sum_after - sum_before);
-  return outcome;
-}
-
 double sum_of(std::span<const double> values) {
   double total = 0.0;
   for (const double v : values) total += v;
@@ -99,6 +90,47 @@ TrialOutcome run_protocol_trial_impl(ProtocolKind kind,
   GG_CHECK_ARG(x0.size() == graph.node_count(),
                "x0 size must match the graph");
   const double sum_before = sum_of(x0);
+  TrialOutcome outcome;
+
+  std::unique_ptr<sim::GossipProtocol> protocol;
+  switch (kind) {
+    case ProtocolKind::kBoydPairwise:
+      protocol = std::make_unique<gossip::PairwiseGossip>(graph, x0, rng);
+      break;
+    case ProtocolKind::kDimakisGeographic:
+      protocol = std::make_unique<gossip::GeographicGossip>(
+          graph, x0, rng, options.geographic);
+      break;
+    case ProtocolKind::kPathAveraging:
+      protocol = std::make_unique<gossip::PathAveragingGossip>(graph, x0, rng);
+      break;
+    case ProtocolKind::kAffineAsync: {
+      HierarchyProtocolConfig config = options.async_protocol;
+      config.eps = options.eps;
+      protocol = std::make_unique<HierarchicalAffineProtocol>(graph, x0, rng,
+                                                              config);
+      break;
+    }
+    case ProtocolKind::kAffineDecentralized:
+      protocol = std::make_unique<DecentralizedAffineGossip>(
+          graph, x0, rng, options.decentralized);
+      break;
+    case ProtocolKind::kAffineOneLevel:
+    case ProtocolKind::kAffineMultilevel: {
+      // Round-based: the protocol drives its own top loop, no tick engine.
+      MultilevelConfig config = options.multilevel;
+      config.eps = options.eps;
+      if (kind == ProtocolKind::kAffineOneLevel) config.max_depth = 1;
+      MultilevelAffineGossip multilevel(graph, x0, rng, config);
+      const auto result = multilevel.run(checkpoints, resume);
+      outcome.converged = result.converged;
+      outcome.final_error = result.final_error;
+      outcome.transmissions = result.transmissions;
+      outcome.sum_drift = std::abs(multilevel.tracked_sum() - sum_before);
+      return outcome;
+    }
+  }
+  if (!protocol) throw ArgumentError("run_protocol_trial: bad kind");
 
   sim::RunConfig run_config;
   run_config.epsilon = options.eps;
@@ -106,60 +138,18 @@ TrialOutcome run_protocol_trial_impl(ProtocolKind kind,
                              ? options.max_ticks
                              : default_tick_cap(kind, graph.node_count(),
                                                 options.eps);
-
-  switch (kind) {
-    case ProtocolKind::kBoydPairwise: {
-      gossip::PairwiseGossip protocol(graph, x0, rng);
-      const auto run =
-          sim::run_to_epsilon(protocol, rng, run_config, checkpoints, resume);
-      return from_run(run, sum_before, sum_of(protocol.values()));
-    }
-    case ProtocolKind::kDimakisGeographic: {
-      gossip::GeographicGossip protocol(graph, x0, rng, options.geographic);
-      const auto run =
-          sim::run_to_epsilon(protocol, rng, run_config, checkpoints, resume);
-      return from_run(run, sum_before, sum_of(protocol.values()));
-    }
-    case ProtocolKind::kPathAveraging: {
-      gossip::PathAveragingGossip protocol(graph, x0, rng);
-      const auto run =
-          sim::run_to_epsilon(protocol, rng, run_config, checkpoints, resume);
-      return from_run(run, sum_before, sum_of(protocol.values()));
-    }
-    case ProtocolKind::kAffineAsync: {
-      HierarchyProtocolConfig config = options.async_protocol;
-      config.eps = options.eps;
-      HierarchicalAffineProtocol protocol(graph, x0, rng, config);
-      const auto run =
-          sim::run_to_epsilon(protocol, rng, run_config, checkpoints, resume);
-      return from_run(run, sum_before, sum_of(protocol.values()));
-    }
-    case ProtocolKind::kAffineDecentralized: {
-      DecentralizedAffineGossip protocol(graph, x0, rng,
-                                         options.decentralized);
-      const auto run =
-          sim::run_to_epsilon(protocol, rng, run_config, checkpoints, resume);
-      auto outcome = from_run(run, sum_before, sum_of(protocol.values()));
-      outcome.far_exchanges = protocol.far_exchanges();
-      outcome.near_exchanges = protocol.near_exchanges();
-      return outcome;
-    }
-    case ProtocolKind::kAffineOneLevel:
-    case ProtocolKind::kAffineMultilevel: {
-      MultilevelConfig config = options.multilevel;
-      config.eps = options.eps;
-      if (kind == ProtocolKind::kAffineOneLevel) config.max_depth = 1;
-      MultilevelAffineGossip protocol(graph, x0, rng, config);
-      const auto result = protocol.run(checkpoints, resume);
-      TrialOutcome outcome;
-      outcome.converged = result.converged;
-      outcome.final_error = result.final_error;
-      outcome.transmissions = result.transmissions;
-      outcome.sum_drift = std::abs(protocol.tracked_sum() - sum_before);
-      return outcome;
-    }
+  const auto run =
+      sim::run_to_epsilon(*protocol, rng, run_config, checkpoints, resume);
+  outcome.converged = run.converged;
+  outcome.final_error = run.final_error;
+  outcome.transmissions = run.transmissions;
+  outcome.sum_drift = std::abs(sum_of(protocol->values()) - sum_before);
+  if (const auto* decentralized =
+          dynamic_cast<const DecentralizedAffineGossip*>(protocol.get())) {
+    outcome.far_exchanges = decentralized->far_exchanges();
+    outcome.near_exchanges = decentralized->near_exchanges();
   }
-  throw ArgumentError("run_protocol_trial: bad kind");
+  return outcome;
 }
 
 /// Trial-end counter flush: one add per category per trial, never inside
@@ -187,21 +177,13 @@ void report_trial(const TrialOutcome& outcome) {
 TrialOutcome run_protocol_trial(ProtocolKind kind,
                                 const graph::GeometricGraph& graph,
                                 const std::vector<double>& x0, Rng& rng,
-                                const TrialOptions& options) {
-  return run_protocol_trial(kind, graph, x0, rng, options,
-                            sim::CheckpointPolicy{}, std::string_view{});
-}
-
-TrialOutcome run_protocol_trial(ProtocolKind kind,
-                                const graph::GeometricGraph& graph,
-                                const std::vector<double>& x0, Rng& rng,
                                 const TrialOptions& options,
                                 const sim::CheckpointPolicy& checkpoints,
                                 std::string_view resume) {
   obs::Span span("protocol_run", "n",
                  static_cast<std::int64_t>(graph.node_count()), "kind",
                  static_cast<std::int64_t>(kind));
-  const TrialOutcome outcome = run_protocol_trial_impl(
+  TrialOutcome outcome = run_protocol_trial_impl(
       kind, graph, x0, rng, options, checkpoints, resume);
   report_trial(outcome);
   return outcome;

@@ -8,6 +8,7 @@
 #define GEOGOSSIP_CORE_CONVERGENCE_HPP
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/multilevel.hpp"
 #include "gossip/geographic.hpp"
 #include "graph/geometric_graph.hpp"
+#include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "support/rng.hpp"
 
@@ -50,26 +52,33 @@ struct TrialOptions {
   gossip::GeographicOptions geographic;
 };
 
+/// Outcome of one replicate, from the protocol run to the record file: what
+/// run_protocol_trial returns, what exp::ReplicateResult names, and what
+/// exp::replicate_record writes and exp::Checkpoint reads back.  Protocol
+/// trials fill the transmission fields; probe trials (E1-E4, E6-E9
+/// measurements that run no gossip protocol) report through the
+/// open-ended `metrics` map, one named scalar per observable.
 struct TrialOutcome {
+  /// The replicate's Rng seed; the harness sets it (0 from a bare
+  /// run_protocol_trial).
+  std::uint64_t seed = 0;
   bool converged = false;
   double final_error = 1.0;
-  sim::TxSnapshot transmissions;
   /// Conservation check: |sum x(end) - sum x(0)|.
   double sum_drift = 0.0;
+  sim::TxSnapshot transmissions;
   /// Exchange counts reported by the decentralized protocol (E11's
   /// far/near rate-separation diagnostic); 0 for every other kind.
   std::uint64_t far_exchanges = 0;
   std::uint64_t near_exchanges = 0;
+  /// Named per-trial observables (hop counts, spectral estimates,
+  /// acceptance rates, ...).  std::map, not unordered: deterministic key
+  /// order keeps aggregation and record output stable.
+  std::map<std::string, double> metrics;
 };
 
 /// Runs one protocol once.  `x0` should already be centred (the harness
-/// does not modify it).
-TrialOutcome run_protocol_trial(ProtocolKind kind,
-                                const graph::GeometricGraph& graph,
-                                const std::vector<double>& x0, Rng& rng,
-                                const TrialOptions& options = {});
-
-/// Checkpoint-aware variant: `checkpoints` periodically serializes the
+/// does not modify it).  `checkpoints` periodically serializes the
 /// mid-trial protocol + RNG + clock state (see sim::CheckpointPolicy); a
 /// non-empty `resume` payload restores a snapshotted trial of the SAME
 /// (kind, graph, x0, rng-seed) configuration and continues bit-identically.
@@ -79,9 +88,9 @@ TrialOutcome run_protocol_trial(ProtocolKind kind,
 TrialOutcome run_protocol_trial(ProtocolKind kind,
                                 const graph::GeometricGraph& graph,
                                 const std::vector<double>& x0, Rng& rng,
-                                const TrialOptions& options,
-                                const sim::CheckpointPolicy& checkpoints,
-                                std::string_view resume);
+                                const TrialOptions& options = {},
+                                const sim::CheckpointPolicy& checkpoints = {},
+                                std::string_view resume = {});
 
 }  // namespace geogossip::core
 

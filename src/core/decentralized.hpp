@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "geometry/grid.hpp"
 #include "gossip/base.hpp"
 #include "graph/geometric_graph.hpp"
 
@@ -66,7 +65,7 @@ class DecentralizedAffineGossip final : public gossip::ValueProtocol {
   double far_probability() const noexcept { return far_probability_; }
   std::uint64_t far_exchanges() const noexcept { return far_exchanges_; }
   std::uint64_t near_exchanges() const noexcept { return near_exchanges_; }
-  int square_count() const noexcept { return grid_.cell_count(); }
+  int square_count() const noexcept { return side_ * side_; }
 
  protected:
   /// Only the exchange counters are trajectory state; the occupancy grid,
@@ -80,7 +79,8 @@ class DecentralizedAffineGossip final : public gossip::ValueProtocol {
   void dilute(graph::NodeId node);
 
   DecentralizedConfig config_;
-  geometry::SquareGrid grid_;
+  /// The region is cut into side_ x side_ squares (paper_subsquare_count).
+  int side_;
   std::vector<std::uint16_t> square_of_;       ///< node -> flat square id
   std::vector<std::uint32_t> occupancy_;       ///< per-square sensor count
   std::vector<std::uint32_t> nonempty_squares_;

@@ -161,10 +161,6 @@ void MultilevelAffineGossip::restore_scratch(SnapshotReader& r) {
   alpha_out_of_range_ = r.u64();
 }
 
-MultilevelResult MultilevelAffineGossip::run() {
-  return run(sim::CheckpointPolicy{}, std::string_view{});
-}
-
 MultilevelResult MultilevelAffineGossip::run(
     const sim::CheckpointPolicy& checkpoints, std::string_view resume) {
   MultilevelResult result;

@@ -96,19 +96,17 @@ class MultilevelAffineGossip final : public gossip::ValueProtocol {
   /// ArgumentError unless the root has two or more non-empty children.
   void on_tick(const sim::Tick& tick) override;
 
-  /// Runs the closed top-level loop to the epsilon target.
-  MultilevelResult run();
-
-  /// Checkpoint-aware variant.  Snapshots are taken between top rounds,
-  /// the natural commit point of the closed loop, in run_to_epsilon's
-  /// layout (sim::Checkpointer): CheckpointPolicy::every_ticks counts top
-  /// rounds, the wall cadence is polled every round, and the model time is
-  /// 0.  A non-empty `resume` payload restores values, tracker, meter, RNG
-  /// and the round count, and the completed run is bit-identical to an
-  /// uninterrupted one.  Degenerate deployments (leaf root, a single
-  /// nonempty child) finish in one open-loop pass and never snapshot.
-  MultilevelResult run(const sim::CheckpointPolicy& checkpoints,
-                       std::string_view resume);
+  /// Runs the closed top-level loop to the epsilon target.  Snapshots are
+  /// taken between top rounds, the natural commit point of the closed
+  /// loop, in run_to_epsilon's layout (sim::Checkpointer):
+  /// CheckpointPolicy::every_ticks counts top rounds, the wall cadence is
+  /// polled every round, and the model time is 0.  A non-empty `resume`
+  /// payload restores values, tracker, meter, RNG and the round count, and
+  /// the completed run is bit-identical to an uninterrupted one.
+  /// Degenerate deployments (leaf root, a single nonempty child) finish in
+  /// one open-loop pass and never snapshot.
+  MultilevelResult run(const sim::CheckpointPolicy& checkpoints = {},
+                       std::string_view resume = {});
 
   const geometry::PartitionHierarchy& hierarchy() const noexcept {
     return hierarchy_;

@@ -111,6 +111,45 @@ bool is_blank(std::string_view line) noexcept {
 
 }  // namespace
 
+std::string replicate_record(std::string_view scenario,
+                             std::uint64_t master_seed,
+                             std::string_view cell_label,
+                             std::size_t cell_index, std::uint32_t replicate,
+                             const ReplicateResult& result) {
+  JsonObject record;
+  record.field("record", "replicate")
+      .field("schema", kSchemaVersion)
+      .field("scenario", scenario)
+      .field("master_seed", master_seed)
+      .field("cell", cell_label)
+      .field("cell_index", cell_index)
+      .field("replicate", replicate)
+      .field("seed", result.seed)
+      .field("converged", result.converged)
+      .field("final_error", result.final_error)
+      .field("sum_drift", result.sum_drift)
+      .field("transmissions", result.transmissions.total());
+  if (result.transmissions.total() > 0) {
+    // Per-category breakdown: without it a resumed run could not rebuild
+    // the local/long-range/control share aggregates bit-identically.
+    record
+        .field("tx_local", result.transmissions[sim::TxCategory::kLocal])
+        .field("tx_long_range",
+               result.transmissions[sim::TxCategory::kLongRange])
+        .field("tx_control", result.transmissions[sim::TxCategory::kControl]);
+  }
+  if (result.near_exchanges > 0 || result.far_exchanges > 0) {
+    record.field("far_exchanges", result.far_exchanges)
+        .field("near_exchanges", result.near_exchanges);
+  }
+  if (!result.metrics.empty()) {
+    JsonObject metrics;
+    for (const auto& [key, value] : result.metrics) metrics.field(key, value);
+    record.field("metrics", metrics);
+  }
+  return record.str();
+}
+
 Checkpoint::Checkpoint(std::string scenario, std::uint64_t master_seed)
     : scenario_(std::move(scenario)), master_seed_(master_seed) {}
 

@@ -1,12 +1,15 @@
-// Checkpoint model for resumable, sharded sweeps.
+// The replicate record and the checkpoint model for resumable, sharded
+// sweeps.
 //
 // A running sweep streams one JSON-lines record per finished replicate
-// (JsonLinesSink::write_replicate, flushed after every line), keyed by
-// (scenario, master_seed, cell_index, replicate).  Checkpoint reads such a
-// file — possibly truncated mid-record by a killed process — back into a
-// completed-set carrying the full ReplicateResult, so the Runner can skip
-// finished work and re-ingest its results: resumed aggregates are
-// bit-identical to an uninterrupted run at any thread count.
+// (replicate_record's text, written by JsonLinesSink::write_replicate and
+// flushed after every line), keyed by (scenario, master_seed, cell_index,
+// replicate).  Checkpoint reads such a file — possibly truncated
+// mid-record by a killed process — back into a completed-set carrying the
+// full ReplicateResult, so the Runner can skip finished work and re-ingest
+// its results: resumed aggregates are bit-identical to an uninterrupted
+// run at any thread count.  The record's writer, its reader and
+// results_equal live here together, so a field is added in one module.
 //
 // Tolerance policy (each case is tested in tests/checkpoint_test.cpp):
 //   - empty file: a valid, empty checkpoint
@@ -50,6 +53,17 @@ struct CheckpointStats {
   std::size_t other_lines = 0; ///< non-replicate records (cell summaries)
   bool torn_tail = false;      ///< final line was crash debris
 };
+
+/// The text of one replicate record ({"record":"replicate", ...}, no
+/// trailing newline): the schema stamp, the identity Checkpoint keys on
+/// and the full result payload (per-category transmissions, exchange
+/// counts, metrics), so a resumed run re-ingests it bit-identically
+/// instead of re-running.
+std::string replicate_record(std::string_view scenario,
+                             std::uint64_t master_seed,
+                             std::string_view cell_label,
+                             std::size_t cell_index, std::uint32_t replicate,
+                             const ReplicateResult& result);
 
 /// Completed-set of replicate records for ONE (scenario, master_seed).
 class Checkpoint {
@@ -97,10 +111,10 @@ std::shared_ptr<Checkpoint> fold_records(const Scenario& scenario,
                                          const std::vector<std::string>& files,
                                          std::string_view context);
 
-/// Field-for-field equality over everything write_replicate persists (seed,
-/// convergence, errors, per-category transmissions, exchange counts,
-/// metrics).  NaN compares equal to NaN — two loads of one record are a
-/// duplicate, never a conflict.  Used to tell benign duplicates from
+/// Field-for-field equality over everything replicate_record persists
+/// (seed, convergence, errors, per-category transmissions, exchange
+/// counts, metrics).  NaN compares equal to NaN — two loads of one record
+/// are a duplicate, never a conflict.  Used to tell benign duplicates from
 /// conflicting records.
 bool results_equal(const ReplicateResult& a,
                    const ReplicateResult& b) noexcept;

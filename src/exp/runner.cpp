@@ -62,11 +62,6 @@ class MemoryGate {
 
 }  // namespace
 
-ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed) {
-  return run_replicate(cell, seed, sim::CheckpointPolicy{},
-                       std::string_view{});
-}
-
 ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed,
                               const sim::CheckpointPolicy& checkpoints,
                               std::string_view resume) {
@@ -87,17 +82,9 @@ ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed,
   auto x0 = sim::make_field(cell.field, graph.points(), rng);
   sim::center_and_normalize(x0);
 
-  const auto outcome = core::run_protocol_trial(
+  ReplicateResult result = core::run_protocol_trial(
       cell.kind, graph, x0, rng, cell.options, checkpoints, resume);
-
-  ReplicateResult result;
   result.seed = seed;
-  result.converged = outcome.converged;
-  result.final_error = outcome.final_error;
-  result.sum_drift = outcome.sum_drift;
-  result.transmissions = outcome.transmissions;
-  result.far_exchanges = outcome.far_exchanges;
-  result.near_exchanges = outcome.near_exchanges;
   return result;
 }
 

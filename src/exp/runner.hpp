@@ -33,8 +33,8 @@ class Heartbeat;
 
 namespace geogossip::exp {
 
-// ReplicateResult lives in scenario.hpp (cells carry TrialFn, which
-// returns it); re-exported here through that include.
+// ReplicateResult (core::TrialOutcome) is named in scenario.hpp: cells
+// carry TrialFn, which returns it.
 
 /// Order statistics of one named per-trial metric over a cell's
 /// replicates.  Aggregated in replicate-index order, so bit-identical at
@@ -181,18 +181,14 @@ class Runner {
 /// Runs a single replicate.  Probe cells (cell.trial set) invoke their
 /// TrialFn; protocol cells sample the graph and the initial field from a
 /// fresh Rng(seed), centre/normalize, and execute the cell's protocol.
-/// Exposed for tests and custom drivers.
-ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed);
-
-/// Checkpoint-aware variant: `checkpoints` snapshots the trial mid-flight
-/// at the policy's cadence and a non-empty `resume` payload continues a
-/// snapshotted trial of the same (cell, seed) bit-identically.  Probe
-/// cells ignore both (no engine state).  Exposed for tests and custom
-/// experiment programs; Runner::run wires it to a SnapshotStore when
-/// RunnerOptions::snapshot_dir is set.
+/// `checkpoints` snapshots the trial mid-flight at the policy's cadence and
+/// a non-empty `resume` payload continues a snapshotted trial of the same
+/// (cell, seed) bit-identically.  Probe cells ignore both (no engine
+/// state).  Exposed for tests and custom experiment programs; Runner::run
+/// wires it to a SnapshotStore when RunnerOptions::snapshot_dir is set.
 ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed,
-                              const sim::CheckpointPolicy& checkpoints,
-                              std::string_view resume);
+                              const sim::CheckpointPolicy& checkpoints = {},
+                              std::string_view resume = {});
 
 /// Sorted union of metric keys across the cells of a summary — the column
 /// set used by both the console metrics table and the CSV sink.

@@ -21,31 +21,15 @@
 
 #include "core/convergence.hpp"
 #include "sim/field.hpp"
-#include "sim/metrics.hpp"
 
 namespace geogossip::exp {
 
 struct Cell;
 
-/// Outcome of one (cell, replicate) trial.  Protocol trials fill the
-/// transmission fields; probe trials (E1-E4, E6-E9 measurements that do not
-/// run a gossip protocol) report through the open-ended `metrics` map, one
-/// named scalar per observable.  The runner aggregates every key it sees.
-struct ReplicateResult {
-  std::uint64_t seed = 0;
-  bool converged = false;
-  double final_error = 1.0;
-  /// Conservation check |sum x(end) - sum x(0)|.
-  double sum_drift = 0.0;
-  sim::TxSnapshot transmissions;
-  /// Long-range / near exchange counts (decentralized protocol only).
-  std::uint64_t far_exchanges = 0;
-  std::uint64_t near_exchanges = 0;
-  /// Named per-trial observables (hop counts, spectral estimates,
-  /// acceptance rates, ...).  std::map, not unordered: deterministic key
-  /// order keeps aggregation and sink output stable.
-  std::map<std::string, double> metrics;
-};
+/// Outcome of one (cell, replicate) trial: the one result struct that
+/// core::run_protocol_trial returns and probe trials fill through its
+/// `metrics` map.  The runner aggregates every metric key it sees.
+using ReplicateResult = core::TrialOutcome;
 
 /// A cell's measurement procedure: pure function of (cell, seed), so the
 /// scenario stays bit-reproducible at any thread count.  Empty = run the

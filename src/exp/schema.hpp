@@ -1,5 +1,5 @@
 // Record-format versioning shared by the durable artifacts of a sweep:
-// streaming replicate records (JsonLinesSink / Checkpoint) and mid-replicate
+// streaming replicate records (replicate_record / Checkpoint) and mid-replicate
 // snapshot files (SnapshotStore).
 //
 // The version is stamped into every record a process writes; loaders reject

@@ -1,10 +1,9 @@
 #include "exp/sink.hpp"
 
-#include "exp/schema.hpp"
+#include "exp/checkpoint.hpp"
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
-#include "support/retry.hpp"
 
 namespace geogossip::exp {
 
@@ -174,62 +173,23 @@ void JsonLinesSink::write_replicate(const std::string& scenario,
   obs::Span span("checkpoint_write", "cell",
                  static_cast<std::int64_t>(cell_index), "replicate",
                  replicate);
-  JsonObject record;
-  record.field("record", "replicate")
-      .field("schema", kSchemaVersion)
-      .field("scenario", scenario)
-      .field("master_seed", master_seed)
-      .field("cell", cell.label)
-      .field("cell_index", cell_index)
-      .field("replicate", replicate)
-      .field("seed", result.seed)
-      .field("converged", result.converged)
-      .field("final_error", result.final_error)
-      .field("sum_drift", result.sum_drift)
-      .field("transmissions", result.transmissions.total());
-  if (result.transmissions.total() > 0) {
-    // Per-category breakdown: without it a resumed run could not rebuild
-    // the local/long-range/control share aggregates bit-identically.
-    record
-        .field("tx_local", result.transmissions[sim::TxCategory::kLocal])
-        .field("tx_long_range",
-               result.transmissions[sim::TxCategory::kLongRange])
-        .field("tx_control", result.transmissions[sim::TxCategory::kControl]);
-  }
-  if (result.near_exchanges > 0 || result.far_exchanges > 0) {
-    record.field("far_exchanges", result.far_exchanges)
-        .field("near_exchanges", result.near_exchanges);
-  }
-  if (!result.metrics.empty()) {
-    JsonObject metrics;
-    for (const auto& [key, value] : result.metrics) metrics.field(key, value);
-    record.field("metrics", metrics);
-  }
-  std::ostream& out = *out_;
-  out << record.str() << '\n';
+  *out_ << replicate_record(scenario, master_seed, cell.label, cell_index,
+                            replicate, result)
+        << '\n';
   // Flush per record, not per sweep: an interrupted XL run keeps every
-  // finished replicate — the raw material for resumable sweeps.  A
-  // recoverable flush hiccup (failbit: a shared-filesystem blip) is
-  // retried with backoff so it cannot kill an hours-long sweep, but
-  // badbit is fatal on the spot: the stream lost data (disk full, device
-  // gone), the buffered line cannot be re-emitted atomically into an
-  // append stream, and the Runner must never mark a replicate complete
-  // without its record on disk.
-  const std::string what =
-      "JsonLinesSink::write_replicate: persisting cell_index " +
-      std::to_string(cell_index) + " replicate " +
-      std::to_string(replicate);
-  retry_io(RetryPolicy{}, what, [&out, &what] {
-    out.flush();
-    if (out.good()) return true;
-    if (out.bad()) {
-      throw IoError(what +
-                    ": stream is bad (disk full or lost device) — the "
-                    "record cannot be made durable");
-    }
-    out.clear();  // failbit is sticky; the retried flush needs it off
-    return false;
-  });
+  // finished replicate — the raw material for resumable sweeps.  A stream
+  // that is not good after the flush lost the line (a failed write or
+  // flush sets badbit) or never wrote it (it held failbit already), so
+  // the Runner must not count the replicate complete.
+  out_->flush();
+  if (!out_->good()) {
+    throw IoError("JsonLinesSink::write_replicate: persisting cell_index " +
+                  std::to_string(cell_index) + " replicate " +
+                  std::to_string(replicate) +
+                  ": stream is not good after the flush (disk full, lost "
+                  "device or an earlier failure) — the record is not on "
+                  "disk");
+  }
 }
 
 void write_sinks(const SweepSummary& summary, const std::string& csv_path,

@@ -1,10 +1,10 @@
 // Result sinks: uniform machine-readable emission of sweep summaries.
 //
-// Every ported bench funnels its per-cell aggregates through a Sink instead
-// of hand-rolling CSV columns.  CsvSink writes one RFC-4180 row per cell
-// (via support/csv.hpp); JsonLinesSink writes one JSON object per cell.
-// Both embed the scenario metadata (name, master seed, replicate count) in
-// every row so concatenated outputs from different sweeps stay
+// Every ported bench funnels its per-cell aggregates through these sinks
+// instead of hand-rolling CSV columns.  CsvSink writes one RFC-4180 row
+// per cell (via support/csv.hpp); JsonLinesSink writes one JSON object per
+// cell.  Both embed the scenario metadata (name, master seed, replicate
+// count) in every row so concatenated outputs from different sweeps stay
 // self-describing.
 #ifndef GEOGOSSIP_EXP_SINK_HPP
 #define GEOGOSSIP_EXP_SINK_HPP
@@ -20,14 +20,6 @@
 
 namespace geogossip::exp {
 
-class Sink {
- public:
-  virtual ~Sink() = default;
-  /// Appends every cell of `summary`.  May be called multiple times; the
-  /// header (CSV) is emitted once.
-  virtual void write(const SweepSummary& summary) = 0;
-};
-
 /// Column order: scenario, cell, protocol, n, radius_mult, field,
 /// replicates, converged, converged_fraction, median_tx, q25_tx, q75_tx,
 /// local_share, long_range_share, control_share, far_near_ratio,
@@ -39,12 +31,14 @@ class Sink {
 /// the FIRST summary written; later summaries fill only those columns
 /// (absent keys emit empty fields, novel keys are dropped) so appended
 /// output stays rectangular.
-class CsvSink final : public Sink {
+class CsvSink {
  public:
   explicit CsvSink(const std::string& path);
   explicit CsvSink(std::ostream& out);
 
-  void write(const SweepSummary& summary) override;
+  /// Appends every cell of `summary`.  May be called multiple times; the
+  /// header is emitted once.
+  void write(const SweepSummary& summary);
 
  private:
   CsvWriter writer_;
@@ -53,15 +47,12 @@ class CsvSink final : public Sink {
   std::vector<std::string> metric_keys_;
 };
 
-/// One JSON object per line per cell (JSON Lines / ndjson).  Also speaks a
-/// replicate-level record (write_replicate) that is flushed after EVERY
-/// line, so a sweep killed mid-flight — an XL cell can run for hours —
-/// keeps everything finished so far on disk.  Replicate records carry
-/// (scenario, master_seed, cell_index, replicate) — the identity
-/// exp::Checkpoint keys on — plus the full ReplicateResult payload
-/// (per-category transmissions, exchange counts, metrics), so a resumed
-/// run re-ingests them bit-identically instead of re-running.
-class JsonLinesSink final : public Sink {
+/// One JSON object per line per cell (JSON Lines / ndjson).  Also writes
+/// replicate records (write_replicate) and flushes after EVERY one, so a
+/// sweep killed mid-flight — an XL cell can run for hours — keeps
+/// everything finished so far on disk.  The record's fields are
+/// exp::replicate_record's (checkpoint.hpp), next to their reader.
+class JsonLinesSink {
  public:
   enum class Mode {
     kTruncate,  ///< start a fresh file
@@ -77,14 +68,15 @@ class JsonLinesSink final : public Sink {
                          Mode mode = Mode::kTruncate);
   explicit JsonLinesSink(std::ostream& out);
 
-  void write(const SweepSummary& summary) override;
+  /// Appends one object per cell of `summary` and flushes.
+  void write(const SweepSummary& summary);
 
-  /// Appends one replicate record ({"record":"replicate", ...}) and
-  /// flushes immediately.  Wire into RunnerOptions::progress to stream a
-  /// sweep; records interleave safely with the per-cell write() lines
-  /// because each carries its own "record" discriminator.  Throws IoError
-  /// when the stream is failed after the flush: the Runner then aborts
-  /// instead of reporting replicates complete that the file does not hold.
+  /// Appends one replicate record (replicate_record) and flushes
+  /// immediately.  Wire into RunnerOptions::progress to stream a sweep;
+  /// records interleave safely with the per-cell write() lines because
+  /// each carries its own "record" discriminator.  Throws IoError when the
+  /// stream is not good after the flush: the Runner then aborts instead of
+  /// reporting replicates complete that the file does not hold.
   void write_replicate(const std::string& scenario,
                        std::uint64_t master_seed, const Cell& cell,
                        std::size_t cell_index, std::uint32_t replicate,

@@ -2,7 +2,7 @@
 //
 // parallel_sweep and the E1-E11 bench mains all run Scenarios through the
 // same machinery — thread pool, sharding, resume checkpoints, streaming
-// replicate records, heartbeat files, telemetry traces and (new) durable
+// replicate records, heartbeat files, telemetry traces and durable
 // mid-replicate snapshots — and before SweepCli each driver re-registered
 // its own subset of the flags, so only parallel_sweep could actually
 // resume or shard.  SweepCli owns the harness flag set once.  Every

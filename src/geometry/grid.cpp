@@ -1,5 +1,6 @@
 #include "geometry/grid.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/check.hpp"
@@ -29,74 +30,6 @@ std::int64_t paper_subsquare_count(double expected_occupancy) {
   GG_CHECK_ARG(expected_occupancy > 0.0,
                "paper_subsquare_count: occupancy must be positive");
   return nearest_even_square(std::sqrt(expected_occupancy));
-}
-
-SquareGrid::SquareGrid(const Rect& region, int side)
-    : region_(region), side_(side) {
-  GG_CHECK_ARG(side >= 1, "SquareGrid requires side >= 1");
-}
-
-int SquareGrid::cell_of(Vec2 p) const {
-  return region_.subsquare_index(p, side_);
-}
-
-Rect SquareGrid::cell_rect(int cell) const {
-  return region_.subsquare(cell, side_);
-}
-
-Vec2 SquareGrid::cell_center(int cell) const {
-  return cell_rect(cell).center();
-}
-
-std::pair<int, int> SquareGrid::cell_coords(int cell) const {
-  GG_CHECK_ARG(cell >= 0 && cell < cell_count(), "cell index out of range");
-  return {cell / side_, cell % side_};
-}
-
-int SquareGrid::cell_index(int row, int col) const {
-  GG_CHECK_ARG(row >= 0 && row < side_ && col >= 0 && col < side_,
-               "cell coords out of range");
-  return row * side_ + col;
-}
-
-std::vector<int> SquareGrid::neighbors_of(int cell) const {
-  const auto [row, col] = cell_coords(cell);
-  std::vector<int> out;
-  out.reserve(8);
-  for (int dr = -1; dr <= 1; ++dr) {
-    for (int dc = -1; dc <= 1; ++dc) {
-      if (dr == 0 && dc == 0) continue;
-      const int r = row + dr;
-      const int c = col + dc;
-      if (r < 0 || r >= side_ || c < 0 || c >= side_) continue;
-      out.push_back(cell_index(r, c));
-    }
-  }
-  return out;
-}
-
-std::vector<std::vector<std::uint32_t>> SquareGrid::assign(
-    const std::vector<Vec2>& points) const {
-  std::vector<std::vector<std::uint32_t>> members(
-      static_cast<std::size_t>(cell_count()));
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const int cell = cell_of(points[i]);
-    GG_CHECK(cell >= 0, "assign: point outside the grid region");
-    members[static_cast<std::size_t>(cell)].push_back(
-        static_cast<std::uint32_t>(i));
-  }
-  return members;
-}
-
-std::vector<std::uint32_t> SquareGrid::occupancy(
-    const std::vector<Vec2>& points) const {
-  std::vector<std::uint32_t> counts(static_cast<std::size_t>(cell_count()), 0);
-  for (const Vec2& p : points) {
-    const int cell = cell_of(p);
-    GG_CHECK(cell >= 0, "occupancy: point outside the grid region");
-    ++counts[static_cast<std::size_t>(cell)];
-  }
-  return counts;
 }
 
 }  // namespace geogossip::geometry

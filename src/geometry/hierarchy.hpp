@@ -97,10 +97,6 @@ class PartitionHierarchy {
   /// All leaf arena indices.
   std::vector<int> leaves() const;
 
-  /// Number of sensors that represent more than one square.  The paper
-  /// argues this is 0 w.h.p.; tests observe it.
-  int representative_conflicts() const noexcept { return rep_conflicts_; }
-
   /// Number of squares that contain no sensor at all (possible under
   /// adversarial deployments; the protocol must tolerate them).
   int empty_squares() const noexcept { return empty_squares_; }
@@ -119,6 +115,8 @@ class PartitionHierarchy {
   std::vector<int> represented_by_node_;  ///< shallowest represented square
   std::vector<int> node_levels_;
   int levels_ = 1;
+  /// Sensors that represent more than one square (the paper argues 0
+  /// w.h.p.); summary() reports them.
   int rep_conflicts_ = 0;
   int empty_squares_ = 0;
 };

@@ -40,12 +40,6 @@ std::string RunResult::to_string() const {
   return os.str();
 }
 
-RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
-                         const RunConfig& config) {
-  return run_to_epsilon(protocol, rng, config, CheckpointPolicy{},
-                        std::string_view{});
-}
-
 bool Checkpointer::due(std::uint64_t steps) const {
   if (policy_->every_ticks > 0 && steps % policy_->every_ticks == 0) {
     return true;

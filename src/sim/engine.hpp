@@ -142,20 +142,18 @@ double deviation_norm(std::span<const double> values);
 
 /// Runs `protocol` on a fresh AsyncClock(n, rng) until convergence or the
 /// tick budget, testing convergence after every tick, so the reported
-/// tick count is exact.  Requires config.max_ticks > 0.
-RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
-                         const RunConfig& config);
-
-/// Checkpoint-aware variant.  With a non-empty `resume` payload (produced
-/// by an earlier CheckpointPolicy::persist of the same run configuration)
-/// the engine restores the clock, the RNG and the protocol to the
-/// snapshotted tick and continues; the completed run is bit-identical to
-/// an uninterrupted one.  The payload self-identifies (protocol name, n)
-/// and restore fails loudly on any mismatch or truncation.
+/// tick count is exact.  Requires config.max_ticks > 0.  `checkpoints`
+/// snapshots the run at its cadence.  With a non-empty `resume` payload
+/// (produced by an earlier CheckpointPolicy::persist of the same run
+/// configuration) the engine restores the clock, the RNG and the protocol
+/// to the snapshotted tick and continues; the completed run is
+/// bit-identical to an uninterrupted one.  The payload self-identifies
+/// (protocol name, n) and restore fails loudly on any mismatch or
+/// truncation.
 RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
                          const RunConfig& config,
-                         const CheckpointPolicy& checkpoints,
-                         std::string_view resume);
+                         const CheckpointPolicy& checkpoints = {},
+                         std::string_view resume = {});
 
 }  // namespace geogossip::sim
 

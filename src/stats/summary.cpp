@@ -45,10 +45,6 @@ double RunningStat::variance() const noexcept {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
 }
 
-double RunningStat::population_variance() const noexcept {
-  return count_ == 0 ? 0.0 : m2_ / static_cast<double>(count_);
-}
-
 double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
 
 double RunningStat::standard_error() const noexcept {

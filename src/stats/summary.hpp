@@ -26,8 +26,6 @@ class RunningStat {
   double mean() const noexcept;
   /// Unbiased sample variance (n-1 denominator); 0 for fewer than 2 samples.
   double variance() const noexcept;
-  /// Population variance (n denominator); 0 when empty.
-  double population_variance() const noexcept;
   double stddev() const noexcept;
   /// Standard error of the mean; 0 for fewer than 2 samples.
   double standard_error() const noexcept;

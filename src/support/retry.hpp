@@ -1,13 +1,13 @@
 // Bounded retry with exponential backoff and jitter for transient I/O.
 //
-// Durable-state writers (replicate record sinks, heartbeat commits, fleet
-// lease renewals) run on shared — sometimes networked — filesystems where
-// a single flush or rename can fail transiently (NFS hiccup, momentary
-// ENOSPC, overloaded metadata server).  Failing the whole sweep on the
-// first such blip wastes hours of work; retrying forever hides a dead
-// mount.  retry_io is the shared middle ground: a bounded number of
-// attempts with exponentially growing, jittered sleeps, then a LOUD
-// give-up (IoError) the caller cannot miss.
+// Durable-state writers (heartbeat commits, fleet lease renewals, snapshot
+// files: every atomic_write_file) run on shared — sometimes networked —
+// filesystems where a single flush or rename can fail transiently (NFS
+// hiccup, momentary ENOSPC, overloaded metadata server).  Failing the
+// whole sweep on the first such blip wastes hours of work; retrying
+// forever hides a dead mount.  retry_io is the shared middle ground: a
+// bounded number of attempts with exponentially growing, jittered sleeps,
+// then a LOUD give-up (IoError) the caller cannot miss.
 //
 // Jitter decorrelates the retry schedules of fleet workers hammering one
 // shared directory — without it, k workers that failed together retry

@@ -343,6 +343,20 @@ TEST(SinkCrashSafety, WriteReplicateThrowsWhenTheStreamHasFailed) {
       IoError);
 }
 
+TEST(SinkCrashSafety, WriteReplicateThrowsWhenTheLineWasNeverWritten) {
+  // A stream that already holds failbit writes nothing, yet its flush
+  // succeeds; the replicate must not be reported as persisted.
+  std::ostringstream out;
+  JsonLinesSink sink(out);
+  Cell cell;
+  cell.n = 64;
+  out.setstate(std::ios::failbit);
+  EXPECT_THROW(
+      sink.write_replicate("tiny", kSeed, cell, 0, 0, full_result(11)),
+      IoError);
+  EXPECT_TRUE(out.str().empty());
+}
+
 TEST(FoldRecords, ReportsEveryKindOfSkippedLine) {
   // One interior malformed line, one foreign record, one duplicate and a
   // torn tail: each gets a warning that starts with the caller's context.

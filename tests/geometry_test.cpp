@@ -146,47 +146,6 @@ TEST(PaperSubsquareCount, FollowsRule) {
   EXPECT_EQ(paper_subsquare_count(1024.0), 36);
 }
 
-// ----------------------------------------------------------- SquareGrid ----
-
-TEST(SquareGrid, CellMappingAndCoords) {
-  const SquareGrid grid(Rect::unit_square(), 4);
-  EXPECT_EQ(grid.cell_count(), 16);
-  EXPECT_EQ(grid.cell_of({0.1, 0.1}), 0);
-  EXPECT_EQ(grid.cell_of({0.9, 0.9}), 15);
-  EXPECT_EQ(grid.cell_of({1.0, 1.0}), 15);  // closed outer edge clamped
-  EXPECT_EQ(grid.cell_of({2.0, 0.0}), -1);
-  const auto [row, col] = grid.cell_coords(6);
-  EXPECT_EQ(row, 1);
-  EXPECT_EQ(col, 2);
-  EXPECT_EQ(grid.cell_index(1, 2), 6);
-}
-
-TEST(SquareGrid, NeighborsCornerEdgeInterior) {
-  const SquareGrid grid(Rect::unit_square(), 4);
-  EXPECT_EQ(grid.neighbors_of(0).size(), 3u);    // corner
-  EXPECT_EQ(grid.neighbors_of(1).size(), 5u);    // edge
-  EXPECT_EQ(grid.neighbors_of(5).size(), 8u);    // interior
-}
-
-TEST(SquareGrid, AssignPartitionsAllPoints) {
-  Rng rng(42);
-  const auto points = sample_unit_square(500, rng);
-  const SquareGrid grid(Rect::unit_square(), 5);
-  const auto members = grid.assign(points);
-  std::size_t total = 0;
-  for (std::size_t cell = 0; cell < members.size(); ++cell) {
-    for (const auto idx : members[cell]) {
-      EXPECT_EQ(grid.cell_of(points[idx]), static_cast<int>(cell));
-    }
-    total += members[cell].size();
-  }
-  EXPECT_EQ(total, points.size());
-  const auto occupancy = grid.occupancy(points);
-  for (std::size_t cell = 0; cell < members.size(); ++cell) {
-    EXPECT_EQ(occupancy[cell], members[cell].size());
-  }
-}
-
 // ------------------------------------------------------------- Sampling ----
 
 TEST(Sampling, UniformPointsAreInsideRegion) {
