@@ -1,14 +1,15 @@
 #include "exp/checkpoint.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <istream>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 
 #include "exp/schema.hpp"
 #include "sim/metrics.hpp"
+#include "support/atomic_file.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
 #include "support/logging.hpp"
@@ -160,8 +161,11 @@ const ReplicateResult* Checkpoint::find(std::size_t cell_index,
 }
 
 void Checkpoint::load(std::istream& in) {
-  const std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
+  load_text(std::string{std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>()});
+}
+
+void Checkpoint::load_text(std::string_view text) {
   std::size_t pos = 0;
   while (pos < text.size()) {
     const std::size_t newline = text.find('\n', pos);
@@ -258,9 +262,9 @@ void Checkpoint::load(std::istream& in) {
 }
 
 void Checkpoint::load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  GG_CHECK_ARG(in.is_open(), "Checkpoint: cannot open '" + path + "'");
-  load(in);
+  const std::optional<std::string> text = read_file(path);
+  GG_CHECK_ARG(text.has_value(), "Checkpoint: cannot open '" + path + "'");
+  load_text(*text);
 }
 
 std::shared_ptr<Checkpoint> fold_records(const Scenario& scenario,

@@ -77,7 +77,8 @@ class Checkpoint {
   /// above).  May be called repeatedly to fold shard files together;
   /// throws ArgumentError on conflicting payloads for the same key.
   void load(std::istream& in);
-  /// Opens and loads `path`; throws ArgumentError if it cannot be opened.
+  /// Opens and loads `path`; throws ArgumentError if it cannot be opened
+  /// and IoError if a read fails once it is open.
   void load_file(const std::string& path);
 
   const std::string& scenario() const noexcept { return scenario_; }
@@ -94,6 +95,8 @@ class Checkpoint {
   }
 
  private:
+  void load_text(std::string_view text);
+
   std::string scenario_;
   std::uint64_t master_seed_ = 0;
   std::map<Key, ReplicateResult> records_;

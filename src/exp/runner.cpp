@@ -6,8 +6,14 @@
 #include <cstdint>
 #include <cmath>
 #include <condition_variable>
+#include <deque>
+#include <exception>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <string_view>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include "exp/snapshot_store.hpp"
@@ -60,6 +66,138 @@ class MemoryGate {
   std::uint64_t in_flight_ = 0;
 };
 
+/// Commits a run's mid-replicate snapshots on one background thread, so a
+/// replicate hands its payload over and carries on instead of waiting for
+/// the fsync.  Each slot (cell, replicate) has at most one queued job: a
+/// newer save replaces a queued one, and retire() turns a queued save
+/// into a removal, since the replicate's record is durable and the file
+/// would be deleted right after its commit.  One thread runs the jobs in
+/// queue order, so a slot's file is removed only after any commit of it
+/// already in progress.  Memory stays at about one payload per running
+/// replicate plus the one being committed.  The destructor commits every
+/// queued job, so a run whose pool threw still leaves each interrupted
+/// replicate's latest snapshot on disk.
+class SnapshotCommitter {
+ public:
+  explicit SnapshotCommitter(const SnapshotStore& store) : store_(store) {
+    try {
+      thread_ = std::thread([this] { commit_loop(); });
+    } catch (const std::system_error&) {
+      // Without the thread, each save and retire runs on its caller.
+    }
+  }
+  SnapshotCommitter(const SnapshotCommitter&) = delete;
+  SnapshotCommitter& operator=(const SnapshotCommitter&) = delete;
+  ~SnapshotCommitter() { stop(); }
+
+  void save(std::size_t cell_index, std::uint32_t replicate,
+            std::uint64_t seed, std::uint64_t ticks,
+            std::string_view payload) {
+    if (!thread_.joinable()) {
+      store_.save(cell_index, replicate, seed, ticks, payload);
+      return;
+    }
+    std::string copy(payload);
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      Job& job = queued(cell_index, replicate);
+      job.seed = seed;
+      job.ticks = ticks;
+      job.retire = false;
+      job.payload.swap(copy);
+    }
+    cv_.notify_one();
+  }
+
+  void retire(std::size_t cell_index, std::uint32_t replicate) {
+    if (!thread_.joinable()) {
+      store_.remove(cell_index, replicate);
+      return;
+    }
+    std::string dropped;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      Job& job = queued(cell_index, replicate);
+      job.retire = true;
+      job.payload.swap(dropped);
+    }
+    cv_.notify_one();
+  }
+
+  /// Commits every queued job, stops the thread and rethrows the first
+  /// commit failure: a checkpoint that cannot be written fails the run.
+  void finish() {
+    stop();
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  struct Job {
+    std::size_t cell_index = 0;
+    std::uint32_t replicate = 0;
+    std::uint64_t seed = 0;
+    std::uint64_t ticks = 0;
+    std::string payload;
+    bool retire = false;
+  };
+
+  /// The slot's queued job, appended when it has none.  Requires mu_.
+  /// The queue holds at most one job per running or retired replicate.
+  Job& queued(std::size_t cell_index, std::uint32_t replicate) {
+    for (Job& job : queue_) {
+      if (job.cell_index == cell_index && job.replicate == replicate) {
+        return job;
+      }
+    }
+    Job& job = queue_.emplace_back();
+    job.cell_index = cell_index;
+    job.replicate = replicate;
+    return job;
+  }
+
+  void commit_loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;
+      Job job = std::move(queue_.front());
+      queue_.pop_front();
+      lock.unlock();
+      try {
+        if (job.retire) {
+          store_.remove(job.cell_index, job.replicate);
+        } else {
+          store_.save(job.cell_index, job.replicate, job.seed, job.ticks,
+                      job.payload);
+        }
+      } catch (...) {
+        // Read by finish() only after the join.
+        if (!error_) error_ = std::current_exception();
+      }
+      job = Job{};  // frees the payload outside the lock
+      lock.lock();
+    }
+  }
+
+  void stop() noexcept {
+    if (!thread_.joinable()) return;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      stopping_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+
+  const SnapshotStore& store_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<Job> queue_;
+  bool stopping_ = false;
+  std::exception_ptr error_;
+  std::thread thread_;
+};
+
 }  // namespace
 
 ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed,
@@ -106,11 +244,14 @@ SweepSummary Runner::run(const Scenario& scenario) const {
   }
 
   // Mid-replicate snapshot store (see RunnerOptions::snapshot_dir).  Tasks
-  // own disjoint slots, so workers never touch the same file.
+  // own disjoint slots and restore on their own worker; the committer
+  // writes and removes the files.
   std::unique_ptr<SnapshotStore> store;
+  std::optional<SnapshotCommitter> committer;
   if (!options_.snapshot_dir.empty()) {
     store = std::make_unique<SnapshotStore>(
         options_.snapshot_dir, scenario.name, scenario.master_seed);
+    committer.emplace(*store);
   }
 
   const std::size_t cell_count = scenario.cells.size();
@@ -150,7 +291,7 @@ SweepSummary Runner::run(const Scenario& scenario) const {
         ++resumed;
         // The record is durable; a stale mid-replicate snapshot for the
         // slot would only be reloaded pointlessly on the next resume.
-        if (store != nullptr) store->remove(cell_index, replicate);
+        if (committer) committer->retire(cell_index, replicate);
         continue;
       }
     }
@@ -209,10 +350,10 @@ SweepSummary Runner::run(const Scenario& scenario) const {
         }
         policy.every_ticks = options_.snapshot_every_ticks;
         policy.every_seconds = options_.snapshot_every_seconds;
-        SnapshotStore* slot_store = store.get();
-        policy.persist = [slot_store, cell_index, replicate, seed](
+        SnapshotCommitter* slot_committer = &*committer;
+        policy.persist = [slot_committer, cell_index, replicate, seed](
                              std::string_view payload, std::uint64_t ticks) {
-          slot_store->save(cell_index, replicate, seed, ticks, payload);
+          slot_committer->save(cell_index, replicate, seed, ticks, payload);
         };
       }
       // Envelope timestamps bracket the replicate Span's lifetime (not
@@ -244,9 +385,12 @@ SweepSummary Runner::run(const Scenario& scenario) const {
     // sink is wired, persisted): a crash between the progress throw above
     // and here keeps the snapshot, so the replicate resumes instead of
     // restarting.
-    if (store != nullptr) store->remove(cell_index, replicate);
+    if (committer) committer->retire(cell_index, replicate);
     if (options_.heartbeat != nullptr) options_.heartbeat->note_done();
   });
+  // A throw above unwinds through the committer's destructor, which still
+  // commits every queued save.
+  if (committer) committer->finish();
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
 

@@ -8,7 +8,9 @@
 // deterministic index order after the pool drains: per-cell summaries are
 // bit-identical at any thread count.  A replicate runs start to finish on
 // the worker that took it, so threads beyond the number of pending
-// replicates stay idle.  Summaries reduce replicate outcomes through
+// replicates stay idle.  A run with a snapshot directory starts one more
+// thread, which commits the replicates' snapshots (see
+// RunnerOptions::snapshot_dir).  Summaries reduce replicate outcomes through
 // stats::Quantiles / RunningStat, the same machinery the hand-rolled
 // bench loops used.
 #ifndef GEOGOSSIP_EXP_RUNNER_HPP
@@ -150,11 +152,17 @@ struct RunnerOptions {
   /// (scenario, master_seed, cell_index, replicate); a later run with the
   /// same options restores interrupted replicates mid-flight and finishes
   /// them bit-identically to an uninterrupted run (snapshots are pure
-  /// reads of run state, so enabling them never changes results).  A
-  /// replicate's snapshot is deleted once its result is durable — either
-  /// persisted via `progress` or re-ingested from `resume_from`.  Probe
-  /// cells (Cell::trial) run uncheckpointed: they are short, self-contained
-  /// measurements with no engine state to persist.
+  /// reads of run state, so enabling them never changes results).  The
+  /// replicate hands each snapshot to one committer thread and carries
+  /// on; the committer keeps only a slot's newest uncommitted snapshot
+  /// and writes it through SnapshotStore::save.  A replicate's snapshot
+  /// is deleted once its result is durable — either persisted via
+  /// `progress` or re-ingested from `resume_from` — after any commit of it
+  /// already in progress, and a snapshot still queued then is never
+  /// written.  run() returns only after every queued commit, and throws
+  /// IoError when one failed; a throw from the pool still commits the
+  /// queue first.  Probe cells (Cell::trial) run uncheckpointed: they are
+  /// short, self-contained measurements with no engine state to persist.
   std::string snapshot_dir;
   /// Snapshot every N engine ticks (round-based protocols: top rounds);
   /// 0 = no tick cadence.

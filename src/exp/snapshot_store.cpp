@@ -1,8 +1,6 @@
 #include "exp/snapshot_store.hpp"
 
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <utility>
 
 #include "exp/schema.hpp"
@@ -81,8 +79,8 @@ std::optional<LoadedSnapshot> SnapshotStore::try_load(
     std::size_t cell_index, std::uint32_t replicate,
     std::uint64_t seed) const {
   const std::string path = path_for(cell_index, replicate);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
+  const std::optional<std::string> file = read_file(path);
+  if (!file) {
     // No committed snapshot — but an orphaned temp here means a writer
     // died mid-save for this very slot; count it so fleets can tell "no
     // snapshot cadence fired yet" apart from "the save itself was torn".
@@ -98,16 +96,15 @@ std::optional<LoadedSnapshot> SnapshotStore::try_load(
   obs::Span span("snapshot_restore", "cell",
                  static_cast<std::int64_t>(cell_index), "replicate",
                  replicate);
-  const std::string bytes{std::istreambuf_iterator<char>(in),
-                          std::istreambuf_iterator<char>()};
+  const std::string_view bytes = *file;
   if (bytes.size() < kMagic.size() ||
-      std::string_view(bytes).substr(0, kMagic.size()) != kMagic) {
+      bytes.substr(0, kMagic.size()) != kMagic) {
     log_warn("snapshot '", path,
              "': bad magic (torn or foreign file) — replicate restarts");
     return std::nullopt;
   }
   try {
-    SnapshotReader r(std::string_view(bytes).substr(kMagic.size()));
+    SnapshotReader r(bytes.substr(kMagic.size()));
     const std::uint32_t schema = r.u32();
     if (schema != kSchemaVersion) {
       throw ArgumentError(

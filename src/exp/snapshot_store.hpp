@@ -13,7 +13,12 @@
 // distinguishes crash debris (truncation, bad checksum: warn and re-run the
 // replicate from scratch) from misconfiguration (schema or identity
 // mismatch: throw — restoring a snapshot into the wrong run would produce
-// silently wrong results).
+// silently wrong results) and from a file that cannot be read (IoError).
+//
+// The store is synchronous: save() returns once the file is committed.
+// Runner::run calls it from its one committer thread, so a replicate does
+// not wait for the fsync; perfbench's exp.snapshot_write_ms times save()
+// directly.
 #ifndef GEOGOSSIP_EXP_SNAPSHOT_STORE_HPP
 #define GEOGOSSIP_EXP_SNAPSHOT_STORE_HPP
 
@@ -58,7 +63,8 @@ class SnapshotStore {
   /// Truncated or checksum-corrupt file -> nullopt with a logged warning
   /// (the replicate re-runs from scratch; torn debris must never poison a
   /// resume).  A schema-version or identity mismatch (scenario,
-  /// master_seed, cell_index, replicate, seed) throws ArgumentError.
+  /// master_seed, cell_index, replicate, seed) throws ArgumentError; a
+  /// file that opens but cannot be read (a directory, EIO) throws IoError.
   std::optional<LoadedSnapshot> try_load(std::size_t cell_index,
                                          std::uint32_t replicate,
                                          std::uint64_t seed) const;

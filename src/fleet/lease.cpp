@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string_view>
 #include <system_error>
 #include <utility>
@@ -40,12 +38,10 @@ void read_lease_content(Lease* lease) {
   lease->acquired_unix_ms = 0;
   lease->expires_unix_ms = 0;
   lease->heartbeat.clear();
-  std::ifstream in(lease->path, std::ios::binary);
-  if (!in.is_open()) return;
-  const std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
+  const std::optional<std::string> text = read_file(lease->path);
+  if (!text) return;
   try {
-    const JsonValue doc = parse_json(text);
+    const JsonValue doc = parse_json(*text);
     const JsonValue* record = doc.get("record");
     if (record == nullptr || record->text != "fleet_lease") return;
     if (const JsonValue* v = doc.get("ttl_seconds")) {

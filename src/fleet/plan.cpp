@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string_view>
 #include <system_error>
 #include <thread>
@@ -100,12 +98,10 @@ FleetPlan plan_for(const exp::Scenario& scenario, std::uint32_t batches) {
 
 std::optional<FleetPlan> try_load_plan(const std::string& fleet_dir) {
   const std::string path = plan_path(fleet_dir);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return std::nullopt;
-  const std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
+  const std::optional<std::string> text = read_file(path);
+  if (!text) return std::nullopt;
   try {
-    const JsonValue doc = parse_json(text);
+    const JsonValue doc = parse_json(*text);
     const JsonValue* record = doc.get("record");
     if (record == nullptr || record->text != "fleet_plan") {
       throw ArgumentError("fleet plan '" + path +

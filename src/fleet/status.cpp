@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <optional>
 #include <string_view>
@@ -45,13 +43,12 @@ std::vector<fs::path> sorted_entries(const std::string& dir) {
 }
 
 /// The file as one JSON document (a heartbeat or done marker holds one
-/// object); null when it does not parse.
+/// object); null when it is missing or does not parse.
 JsonValue read_json_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  const std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
+  const std::optional<std::string> text = read_file(path.string());
+  if (!text) return {};
   try {
-    return parse_json(text);
+    return parse_json(*text);
   } catch (const JsonParseError&) {
     return {};
   }

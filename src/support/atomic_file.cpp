@@ -1,5 +1,6 @@
 #include "support/atomic_file.hpp"
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -9,6 +10,7 @@
 #include <unistd.h>
 #endif
 
+#include "support/check.hpp"
 #include "support/retry.hpp"
 
 namespace geogossip {
@@ -53,6 +55,25 @@ void atomic_write_file(const std::string& path, std::string_view content) {
     fs::remove(tmp, ec);
     return false;
   });
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return std::nullopt;
+  std::string text;
+  char buffer[1 << 16];
+  std::size_t got = 0;
+  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
+    text.append(buffer, got);
+  }
+  const bool failed = std::ferror(file) != 0;
+  const int error = errno;
+  std::fclose(file);
+  if (failed) {
+    throw IoError("cannot read '" + path +
+                  "': " + std::generic_category().message(error));
+  }
+  return text;
 }
 
 std::vector<std::string> temp_siblings(const std::string& path) {

@@ -1,4 +1,5 @@
-// Atomic whole-file commit: the library's one write-temp-then-rename.
+// Whole-file I/O: the library's one write-temp-then-rename commit, and
+// its one whole-file read.
 //
 // Durable state that readers open while writers replace it (snapshot
 // slots, heartbeat files, fleet plans, tickets, leases and markers, the
@@ -13,6 +14,7 @@
 #ifndef GEOGOSSIP_SUPPORT_ATOMIC_FILE_HPP
 #define GEOGOSSIP_SUPPORT_ATOMIC_FILE_HPP
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,6 +26,12 @@ namespace geogossip {
 /// attempt removing its temp file; throws IoError when the retries run
 /// out.
 void atomic_write_file(const std::string& path, std::string_view content);
+
+/// The whole file at `path`, or nullopt when it cannot be opened (absent,
+/// or not readable); each caller decides what a missing file means.  A
+/// read that fails once the file is open (a directory at the path, EIO)
+/// throws IoError naming the path.
+std::optional<std::string> read_file(const std::string& path);
 
 /// Every temp sibling of `path` now on disk, whichever process left it.
 std::vector<std::string> temp_siblings(const std::string& path);

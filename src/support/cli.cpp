@@ -112,13 +112,18 @@ int parse_exit_code(ParseResult result) noexcept {
 }
 
 int run_main(int argc, char** argv, int (*body)(int, char**)) {
-  try {
-    return body(argc, argv);
-  } catch (const ArgumentError& error) {
+  const auto report = [&](const std::exception& error) {
     const std::string_view path = argc > 0 ? argv[0] : "";
     std::cerr << path.substr(path.find_last_of('/') + 1) << ": "
               << error.what() << '\n';
     return 1;
+  };
+  try {
+    return body(argc, argv);
+  } catch (const ArgumentError& error) {
+    return report(error);
+  } catch (const IoError& error) {
+    return report(error);
   }
 }
 

@@ -37,10 +37,11 @@ int parse_exit_code(ParseResult result) noexcept;
 
 /// A program's entry point: returns body(argc, argv).  A value the flags
 /// accept but the program cannot use (`--n=1`, an empty `--sizes`)
-/// throws ArgumentError from a scenario builder or the Runner; it is
-/// printed as "<program>: <message>" on stderr, <program> being argv[0]'s
-/// base name, and the exit code is 1.  Every bench driver and example
-/// main() is one call to this.
+/// throws ArgumentError from a scenario builder or the Runner, and a
+/// failed file operation (a full disk, an unreadable snapshot) throws
+/// IoError; either is printed as "<program>: <message>" on stderr,
+/// <program> being argv[0]'s base name, and the exit code is 1.  Every
+/// bench driver and example main() is one call to this.
 int run_main(int argc, char** argv, int (*body)(int, char**));
 
 class ArgParser {

@@ -257,6 +257,8 @@ TEST(Checkpoint, LoadFileThrowsOnMissingPath) {
   Checkpoint checkpoint("tiny", kSeed);
   EXPECT_THROW(checkpoint.load_file("/no/such/dir/ckpt.jsonl"),
                ArgumentError);
+  // A directory opens but cannot be read: an IoError naming the path.
+  EXPECT_THROW(checkpoint.load_file(::testing::TempDir()), IoError);
 }
 
 TEST(Checkpoint, LoadAccumulatesAcrossShardFiles) {

@@ -7,11 +7,15 @@
 // crash/resume path.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/convergence.hpp"
@@ -444,6 +448,16 @@ TEST(SnapshotStore, SchemaMismatchThrowsLoudly) {
   EXPECT_THROW((void)store.try_load(0, 0, 11), ArgumentError);
 }
 
+TEST(SnapshotStore, UnreadableSlotThrowsIoError) {
+  // A directory at the slot path opens but cannot be read.  That is an
+  // environment failure, not crash debris: it must not restart the
+  // replicate silently, nor escape as a stream exception.
+  const exp::SnapshotStore store(fresh_temp_dir("ggsnap_unreadable"), "tiny",
+                                 7);
+  std::filesystem::create_directory(store.path_for(0, 0));
+  EXPECT_THROW((void)store.try_load(0, 0, 11), IoError);
+}
+
 TEST(SnapshotStore, ForeignFileWithBadMagicRestarts) {
   const exp::SnapshotStore store(fresh_temp_dir("ggsnap_magic"), "tiny", 7);
   spit(store.path_for(0, 0), "not a snapshot at all");
@@ -620,6 +634,79 @@ TEST(RunnerSnapshots, CrashAfterPersistResumesBitIdentically) {
   const auto resumed = exp::Runner(resuming).run(scenario);
   EXPECT_TRUE(summaries_identical(reference, resumed));
   EXPECT_EQ(snapshot_files(dir), 0u);
+}
+
+TEST(RunnerSnapshots, FailedCommitFailsTheSweep) {
+  // A checkpoint that cannot be written is an environment failure, on
+  // whichever thread commits it.  A directory at each slot's temp path
+  // makes every retry's fopen fail.  A save still queued when its
+  // replicate's record is written is dropped, and these replicates take
+  // well under a millisecond, so a slow record write gives the commits
+  // time to start.
+  const auto scenario = snapshot_scenario();
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string dir = fresh_temp_dir("ggsnap_runner_failed_commit");
+    const exp::SnapshotStore store(dir, scenario.name, scenario.master_seed);
+    for (std::size_t cell = 0; cell < scenario.cells.size(); ++cell) {
+      for (std::uint32_t r = 0; r < scenario.replicates; ++r) {
+        std::filesystem::create_directory(store.path_for(cell, r) + ".tmp." +
+                                          std::to_string(::getpid()));
+      }
+    }
+    exp::RunnerOptions options;
+    options.threads = threads;
+    options.snapshot_dir = dir;
+    options.snapshot_every_ticks = 300;
+    options.progress = [](const exp::Cell&, std::size_t, std::uint32_t,
+                          const exp::ReplicateResult&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    };
+    EXPECT_THROW((void)exp::Runner(options).run(scenario), IoError)
+        << threads << " thread(s)";
+  }
+}
+
+TEST(RunnerSnapshots, SupersededAndDroppedSavesLeaveNoFiles) {
+  // A save every tick outpaces the commits: a newer payload replaces the
+  // slot's queued one, and a replicate that finishes drops its queued
+  // save.  Neither may change results or leave a file behind.
+  const auto scenario = snapshot_scenario();
+  exp::RunnerOptions plain;
+  plain.threads = 4;
+  const auto reference = exp::Runner(plain).run(scenario);
+
+  const std::string dir = fresh_temp_dir("ggsnap_runner_every_tick");
+  exp::RunnerOptions snapshotting = plain;
+  snapshotting.snapshot_dir = dir;
+  snapshotting.snapshot_every_ticks = 1;
+  obs::reset();
+  obs::set_enabled(true);
+  const auto checked = exp::Runner(snapshotting).run(scenario);
+  obs::set_enabled(false);
+  EXPECT_TRUE(summaries_identical(reference, checked));
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+#if !defined(GEOGOSSIP_OBS_DISABLE)
+  // Fewer commits than saves: queued saves were replaced or dropped.
+  std::uint64_t commits = 0;
+  for (const obs::Event& e : obs::snapshot().events) {
+    if (e.name != nullptr && std::string_view(e.name) == "snapshot_write") {
+      ++commits;
+    }
+  }
+  std::uint64_t saves = 0;
+  sim::CheckpointPolicy counting;
+  counting.every_ticks = 1;
+  counting.persist = [&](std::string_view, std::uint64_t) { ++saves; };
+  for (std::size_t c = 0; c < scenario.cells.size(); ++c) {
+    for (std::uint32_t r = 0; r < scenario.replicates; ++r) {
+      (void)exp::run_replicate(
+          scenario.cells[c], exp::replicate_seed(scenario.master_seed, c, r),
+          counting);
+    }
+  }
+  EXPECT_LT(commits, saves);
+#endif
+  obs::reset();
 }
 
 }  // namespace

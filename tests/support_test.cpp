@@ -457,6 +457,15 @@ TEST(Cli, RunMainReportsAnArgumentErrorAndExitsOne) {
             1);
   EXPECT_EQ(testing::internal::GetCapturedStderr(),
             "fig_e2_tail_bound: make_e2_tail: n >= 2\n");
+  // A failed file operation is reported the same way.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_main(1, argv,
+                     [](int, char**) -> int {
+                       throw IoError("cannot read 'snaps/snap-c0-r0.ggsnap'");
+                     }),
+            1);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "fig_e2_tail_bound: cannot read 'snaps/snap-c0-r0.ggsnap'\n");
   // Any other outcome is the body's own exit code.
   EXPECT_EQ(run_main(1, argv, [](int, char**) { return 3; }), 3);
 }
