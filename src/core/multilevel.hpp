@@ -99,8 +99,8 @@ class MultilevelAffineGossip final : public gossip::ValueProtocol {
   /// Runs the closed top-level loop to the epsilon target.  Snapshots are
   /// taken between top rounds, the natural commit point of the closed
   /// loop, in run_to_epsilon's layout (sim::Checkpointer):
-  /// CheckpointPolicy::every_ticks counts top rounds, the wall cadence is
-  /// polled every round, and the model time is 0.  A non-empty `resume`
+  /// CheckpointPolicy::every_ticks counts top rounds and the wall cadence
+  /// is polled every round.  A non-empty `resume`
   /// payload restores values, tracker, meter, RNG and the round count, and
   /// the completed run is bit-identical to an uninterrupted one.
   /// Degenerate deployments (leaf root, a single nonempty child) finish in

@@ -76,7 +76,9 @@ class MemoryGate {
 /// already in progress.  Memory stays at about one payload per running
 /// replicate plus the one being committed.  The destructor commits every
 /// queued job, so a run whose pool threw still leaves each interrupted
-/// replicate's latest snapshot on disk.
+/// replicate's latest snapshot on disk.  A slot whose commit failed gets
+/// no further save (its retire still runs), and finish() rethrows the
+/// first failure.
 class SnapshotCommitter {
  public:
   explicit SnapshotCommitter(const SnapshotStore& store) : store_(store) {
@@ -163,16 +165,18 @@ class SnapshotCommitter {
       Job job = std::move(queue_.front());
       queue_.pop_front();
       lock.unlock();
+      const std::pair slot{job.cell_index, job.replicate};
       try {
         if (job.retire) {
           store_.remove(job.cell_index, job.replicate);
-        } else {
+        } else if (!failed_.contains(slot)) {
           store_.save(job.cell_index, job.replicate, job.seed, job.ticks,
                       job.payload);
         }
       } catch (...) {
         // Read by finish() only after the join.
         if (!error_) error_ = std::current_exception();
+        failed_.insert(slot);
       }
       job = Job{};  // frees the payload outside the lock
       lock.lock();
@@ -195,6 +199,10 @@ class SnapshotCommitter {
   std::deque<Job> queue_;
   bool stopping_ = false;
   std::exception_ptr error_;
+  /// Slots whose commit threw.  Their later saves are dropped: the run
+  /// fails anyway, and each retry would wait out atomic_write_file's
+  /// backoff again.  Only the committer's thread touches it.
+  std::set<std::pair<std::size_t, std::uint32_t>> failed_;
   std::thread thread_;
 };
 

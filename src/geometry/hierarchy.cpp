@@ -150,27 +150,6 @@ void PartitionHierarchy::finalize_levels() {
   }
 }
 
-const SquareInfo& PartitionHierarchy::square(int id) const {
-  GG_CHECK_ARG(id >= 0 && static_cast<std::size_t>(id) < squares_.size(),
-               "square id out of range");
-  return squares_[static_cast<std::size_t>(id)];
-}
-
-int PartitionHierarchy::node_level(std::uint32_t node) const {
-  GG_CHECK_ARG(node < node_levels_.size(), "node index out of range");
-  return node_levels_[node];
-}
-
-int PartitionHierarchy::represented_square(std::uint32_t node) const {
-  GG_CHECK_ARG(node < represented_by_node_.size(), "node index out of range");
-  return represented_by_node_[node];
-}
-
-int PartitionHierarchy::leaf_of(std::uint32_t node) const {
-  GG_CHECK_ARG(node < leaf_of_node_.size(), "node index out of range");
-  return leaf_of_node_[node];
-}
-
 int PartitionHierarchy::square_of_at_depth(std::uint32_t node,
                                            int depth) const {
   int id = leaf_of(node);

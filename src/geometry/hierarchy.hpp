@@ -23,6 +23,7 @@
 
 #include "geometry/rect.hpp"
 #include "geometry/vec2.hpp"
+#include "support/check.hpp"
 
 namespace geogossip::geometry {
 
@@ -73,20 +74,34 @@ class PartitionHierarchy {
 
   int root() const noexcept { return 0; }
   std::size_t square_count() const noexcept { return squares_.size(); }
-  const SquareInfo& square(int id) const;
+  const SquareInfo& square(int id) const {
+    GG_CHECK_ARG(id >= 0 && static_cast<std::size_t>(id) < squares_.size(),
+                 "square id out of range");
+    return squares_[static_cast<std::size_t>(id)];
+  }
 
   /// Number of levels "ell" = 1 + deepest square depth (paper §4.1).
   int levels() const noexcept { return levels_; }
 
   /// Paper Level of a sensor: levels - r when it represents a depth-r
   /// square (deepest such square if it represents several), else 0.
-  int node_level(std::uint32_t node) const;
+  int node_level(std::uint32_t node) const {
+    GG_CHECK_ARG(node < node_levels_.size(), "node index out of range");
+    return node_levels_[node];
+  }
 
   /// Arena index of the shallowest square represented by this sensor, or -1.
-  int represented_square(std::uint32_t node) const;
+  int represented_square(std::uint32_t node) const {
+    GG_CHECK_ARG(node < represented_by_node_.size(),
+                 "node index out of range");
+    return represented_by_node_[node];
+  }
 
   /// Arena index of the leaf square containing this sensor.
-  int leaf_of(std::uint32_t node) const;
+  int leaf_of(std::uint32_t node) const {
+    GG_CHECK_ARG(node < leaf_of_node_.size(), "node index out of range");
+    return leaf_of_node_[node];
+  }
 
   /// The depth-d ancestor square of the sensor's leaf (d <= leaf depth).
   int square_of_at_depth(std::uint32_t node, int depth) const;

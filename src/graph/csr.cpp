@@ -110,12 +110,6 @@ CsrGraph CsrGraph::from_adjacency(
   return g;
 }
 
-std::span<const NodeId> CsrGraph::neighbors(NodeId node) const {
-  GG_CHECK_ARG(node < node_count(), "node out of range");
-  return {targets_.data() + offsets_[node],
-          targets_.data() + offsets_[node + 1]};
-}
-
 std::size_t CsrGraph::degree(NodeId node) const {
   GG_CHECK_ARG(node < node_count(), "node out of range");
   return static_cast<std::size_t>(offsets_[node + 1] - offsets_[node]);

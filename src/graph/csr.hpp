@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/check.hpp"
+
 namespace geogossip::graph {
 
 using NodeId = std::uint32_t;
@@ -55,7 +57,11 @@ class CsrGraph {
   /// Number of undirected edges.
   std::size_t edge_count() const noexcept { return targets_.size() / 2; }
 
-  std::span<const NodeId> neighbors(NodeId node) const;
+  std::span<const NodeId> neighbors(NodeId node) const {
+    GG_CHECK_ARG(node < node_count(), "node out of range");
+    return {targets_.data() + offsets_[node],
+            targets_.data() + offsets_[node + 1]};
+  }
   /// Unchecked neighbour slice: `node` must come from this graph.
   std::span<const NodeId> neighbors_unchecked(NodeId node) const noexcept {
     return {targets_.data() + offsets_[node],

@@ -1,7 +1,5 @@
 #include "sim/deviation_tracker.hpp"
 
-#include <algorithm>
-
 #include "support/snapshot.hpp"
 
 namespace geogossip::sim {
@@ -36,18 +34,6 @@ void DeviationTracker::apply_average(
   }
   sum_dev_sq_.add(static_cast<double>(indices.size()) * d_avg * d_avg -
                   removed);
-}
-
-double DeviationTracker::deviation_sq() const noexcept {
-  if (n_ == 0) return 0.0;
-  const double s1 = sum_dev_.value();
-  const double raw =
-      sum_dev_sq_.value() - s1 * s1 / static_cast<double>(n_);
-  // Clamp only the tiny negative FP residue; a diverged protocol's NaN/inf
-  // must propagate (std::max would silently swallow NaN into 0, reporting
-  // a diverged run as converged).
-  if (std::isnan(raw)) return raw;
-  return std::max(0.0, raw);
 }
 
 double DeviationTracker::sum() const noexcept {

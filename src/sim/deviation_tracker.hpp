@@ -18,6 +18,8 @@
 #ifndef GEOGOSSIP_SIM_DEVIATION_TRACKER_HPP
 #define GEOGOSSIP_SIM_DEVIATION_TRACKER_HPP
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -69,7 +71,17 @@ class DeviationTracker {
                      std::span<const std::uint32_t> indices) noexcept;
 
   /// ||x - mean(x)||^2, clamped at 0 against FP residue.
-  double deviation_sq() const noexcept;
+  double deviation_sq() const noexcept {
+    if (n_ == 0) return 0.0;
+    const double s1 = sum_dev_.value();
+    const double raw =
+        sum_dev_sq_.value() - s1 * s1 / static_cast<double>(n_);
+    // Clamp only the tiny negative FP residue; a diverged protocol's NaN/inf
+    // must propagate (std::max would silently swallow NaN into 0, reporting
+    // a diverged run as converged).
+    if (std::isnan(raw)) return raw;
+    return std::max(0.0, raw);
+  }
 
   /// Tracked sum(x) (diagnostics; exact conservation checks should still
   /// recompute from the values).

@@ -13,8 +13,9 @@ namespace geogossip::sim {
 namespace {
 
 /// Leading tag of every run snapshot payload, tick loop or round loop;
-/// restore_run rejects payloads from other producers up front.
-constexpr std::string_view kRunPayloadTag = "geogossip-engine-run";
+/// restore_run rejects payloads from other producers, and from the older
+/// "geogossip-engine-run" layout that carried a model time, up front.
+constexpr std::string_view kRunPayloadTag = "geogossip-engine-run-v2";
 
 /// The wall-clock snapshot cadence polls the clock only every this many
 /// ticks, so the per-tick hot path stays free of clock syscalls.
@@ -59,7 +60,6 @@ void Checkpointer::persist(const GossipProtocol& protocol, const Rng& rng,
   w.str(protocol.name());
   w.u64(protocol.values().size());
   w.u64(progress.steps);
-  w.f64(progress.model_time);
   w.f64(progress.initial_dev_sq);
   w.u64(progress.trace.size());
   for (const auto& [tx, err] : progress.trace) {
@@ -75,8 +75,10 @@ void Checkpointer::persist(const GossipProtocol& protocol, const Rng& rng,
 RunProgress restore_run(std::string_view payload, GossipProtocol& protocol,
                         Rng& rng) {
   SnapshotReader r(payload);
-  GG_CHECK_ARG(r.str() == kRunPayloadTag,
-               "restore_run: resume payload is not a run snapshot");
+  const std::string tag = r.str();
+  GG_CHECK_ARG(tag == kRunPayloadTag,
+               "restore_run: resume payload has tag '" + tag + "', not '" +
+                   std::string(kRunPayloadTag) + "'");
   const std::string snap_name = r.str();
   GG_CHECK_ARG(snap_name == protocol.name(),
                "restore_run: snapshot is for protocol '" + snap_name +
@@ -85,7 +87,6 @@ RunProgress restore_run(std::string_view payload, GossipProtocol& protocol,
                "restore_run: snapshot n mismatch");
   RunProgress progress;
   progress.steps = r.u64();
-  progress.model_time = r.f64();
   progress.initial_dev_sq = r.f64();
   const std::uint64_t trace_count = r.u64();
   progress.trace.reserve(trace_count);
@@ -116,7 +117,7 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
 
   if (!resume.empty()) {
     progress = restore_run(resume, protocol, rng);
-    clock.restore(progress.model_time, progress.steps);
+    clock.restore(progress.steps);
   } else {
     progress.initial_dev_sq = protocol.deviation_sq();
     if (progress.initial_dev_sq <= 0.0) {
@@ -147,13 +148,11 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     // never persists its final tick.
     if (!snapshotting || !checkpointer.due(tick.index + 1)) continue;
     progress.steps = clock.ticks_elapsed();
-    progress.model_time = clock.now();
     checkpointer.persist(protocol, rng, progress);
   }
 
   result.converged = dev_sq <= target_dev_sq;
   result.ticks = clock.ticks_elapsed();
-  result.model_time = clock.now();
   result.final_error = std::sqrt(dev_sq / initial_dev_sq);
   result.transmissions = protocol.meter().snapshot();
   return result;

@@ -78,7 +78,6 @@ struct CheckpointPolicy {
 /// What a run loop carries besides the RNG and the protocol.
 struct RunProgress {
   std::uint64_t steps = 0;      ///< engine ticks, or top rounds
-  double model_time = 0.0;      ///< engine clock time; 0 for a round loop
   double initial_dev_sq = 0.0;  ///< ||x(0) - mean||^2
   /// (total transmissions, relative error) samples so far; only the round
   /// loop records any (MultilevelConfig::trace_every), but every payload
@@ -113,23 +112,23 @@ class Checkpointer {
 /// Restores a Checkpointer payload into a freshly constructed `protocol`
 /// and its `rng` and returns the loop's part.  The initial deviation is
 /// restored, never recomputed, so the target stays the one the interrupted
-/// run was chasing.  Throws a std::logic_error when the payload is for
-/// another protocol or n, and IoError when it is truncated.
+/// run was chasing.  Throws a std::logic_error when the payload carries
+/// another tag (an older layout, or not a run snapshot) or is for another
+/// protocol or n, and IoError when it is truncated.
 RunProgress restore_run(std::string_view payload, GossipProtocol& protocol,
                         Rng& rng);
 
 struct RunConfig {
   /// Convergence target: ||x(t) - mean|| <= epsilon * ||x(0) - mean||.
   double epsilon = 1e-3;
-  /// Hard tick budget (0 = 10^7 * n heuristic is NOT applied; treat 0 as
-  /// "caller must set" and checked).
+  /// Hard tick budget.  There is no default: the caller must set it, and
+  /// run_to_epsilon rejects 0.
   std::uint64_t max_ticks = 0;
 };
 
 struct RunResult {
   bool converged = false;
   std::uint64_t ticks = 0;
-  double model_time = 0.0;
   /// ||x(end) - mean|| / ||x(0) - mean||.
   double final_error = 1.0;
   TxSnapshot transmissions;

@@ -7,14 +7,6 @@
 
 namespace geogossip {
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ULL;
   std::uint64_t z = state;
@@ -43,55 +35,9 @@ void Rng::reseed(std::uint64_t seed) noexcept {
   has_spare_normal_ = false;
 }
 
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::next_double() noexcept {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   GG_CHECK_ARG(lo < hi, "uniform() requires lo < hi");
   return lo + (hi - lo) * next_double();
-}
-
-std::uint64_t Rng::below(std::uint64_t n) {
-  GG_CHECK_ARG(n > 0, "below() requires n > 0");
-  // Lemire's nearly-divisionless unbiased method.
-  std::uint64_t x = next_u64();
-  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < n) {
-    const std::uint64_t threshold = -n % n;
-    while (lo < threshold) {
-      x = next_u64();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-bool Rng::bernoulli(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
-}
-
-double Rng::exponential(double rate) {
-  GG_CHECK_ARG(rate > 0.0, "exponential() requires rate > 0");
-  // -log(1 - U) avoids log(0) since next_double() < 1.
-  return -std::log1p(-next_double()) / rate;
 }
 
 double Rng::normal() noexcept {

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "support/check.hpp"
+
 namespace geogossip {
 
 class SnapshotReader;
@@ -37,23 +39,52 @@ class Rng {
   }
 
   result_type operator()() noexcept { return next_u64(); }
-  result_type next_u64() noexcept;
+  result_type next_u64() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double next_double() noexcept;
+  double next_double() noexcept {
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).  Requires lo < hi (checked).
   double uniform(double lo, double hi);
 
   /// Uniform integer in [0, n).  Requires n > 0 (checked).  Uses Lemire's
   /// unbiased bounded generation.
-  std::uint64_t below(std::uint64_t n);
+  std::uint64_t below(std::uint64_t n) {
+    GG_CHECK_ARG(n > 0, "below() requires n > 0");
+    // Lemire's nearly-divisionless unbiased method.
+    std::uint64_t x = next_u64();
+    __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < n) {
+      const std::uint64_t threshold = -n % n;
+      while (lo < threshold) {
+        x = next_u64();
+        m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept;
-
-  /// Exponential with the given rate (mean 1/rate).  Requires rate > 0.
-  double exponential(double rate);
+  bool bernoulli(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return next_double() < p;
+  }
 
   /// Standard normal via Marsaglia polar method (cached spare).
   double normal() noexcept;
@@ -76,6 +107,10 @@ class Rng {
   void restore(SnapshotReader& r);
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;

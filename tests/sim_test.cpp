@@ -14,6 +14,7 @@
 #include "stats/summary.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "support/snapshot.hpp"
 
 namespace geogossip::sim {
 namespace {
@@ -30,32 +31,30 @@ TEST(AsyncClock, TickOwnersAreUniform) {
   EXPECT_EQ(clock.ticks_elapsed(), static_cast<std::uint64_t>(kTicks));
 }
 
-TEST(AsyncClock, InterArrivalIsExponentialWithRateN) {
+TEST(AsyncClock, EachTickDrawsTheDiscardedGapThenItsOwner) {
+  // The clock keeps no model time, but each tick still takes its Exp(n)
+  // gap's one next_u64() before the owner draw, so every pinned trajectory
+  // (the golden table) stays on the same stream.
+  constexpr std::uint32_t kN = 37;
   Rng rng(71);
-  constexpr std::uint32_t kN = 50;
+  Rng mirror(71);
   AsyncClock clock(kN, rng);
-  stats::RunningStat gaps;
-  double previous = 0.0;
-  for (int i = 0; i < 100000; ++i) {
+  for (int i = 0; i < 4000; ++i) {
     const Tick tick = clock.next();
-    gaps.push(tick.time - previous);
-    previous = tick.time;
+    (void)mirror.next_u64();
+    ASSERT_EQ(tick.node, mirror.below(kN)) << "tick " << i;
   }
-  // Mean gap = 1/n; stddev of an exponential equals its mean.
-  EXPECT_NEAR(gaps.mean(), 1.0 / kN, 2e-4);
-  EXPECT_NEAR(gaps.stddev(), 1.0 / kN, 2e-4);
+  SnapshotWriter a;
+  SnapshotWriter b;
+  rng.save(a);
+  mirror.save(b);
+  EXPECT_EQ(a.bytes(), b.bytes());
 }
 
-TEST(AsyncClock, TimeAndIndexAdvanceMonotonically) {
+TEST(AsyncClock, IndexAdvancesMonotonically) {
   Rng rng(72);
   AsyncClock clock(3, rng);
-  double last_time = 0.0;
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    const Tick tick = clock.next();
-    EXPECT_EQ(tick.index, i);
-    EXPECT_GT(tick.time, last_time);
-    last_time = tick.time;
-  }
+  for (std::uint64_t i = 0; i < 100; ++i) EXPECT_EQ(clock.next().index, i);
   EXPECT_THROW(AsyncClock(0, rng), ArgumentError);
 }
 

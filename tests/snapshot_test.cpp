@@ -26,10 +26,13 @@
 #include "exp/sink.hpp"
 #include "exp/snapshot_store.hpp"
 #include "geometry/sampling.hpp"
+#include "gossip/pairwise.hpp"
 #include "graph/geometric_graph.hpp"
 #include "obs/telemetry.hpp"
+#include "sim/engine.hpp"
 #include "sim/field.hpp"
 #include "support/check.hpp"
+#include "support/logging.hpp"
 #include "support/rng.hpp"
 #include "support/snapshot.hpp"
 #include "test_support.hpp"
@@ -279,6 +282,43 @@ TEST(FamilySnapshotContract, ResumePayloadSelfIdentifiesProtocolAndSize) {
   auto bigger_x0 = sim::gaussian_field(bigger.node_count(), field_rng);
   sim::center_and_normalize(bigger_x0);
   rejects(ProtocolKind::kAffineMultilevel, bigger, bigger_x0, multi_payload);
+}
+
+TEST(FamilySnapshotContract, OldLayoutPayloadIsRefusedNotMisread) {
+  // Run payloads used to carry the engine's model time after the step
+  // count, under the tag "geogossip-engine-run".  Read with today's layout
+  // that time would become the initial deviation and the deviation's bits
+  // a trace count (a reserve of ~4.6e18 entries); the tag check must
+  // refuse the payload before any of that is read.
+  Rng graph_rng(4400);
+  const auto g = GeometricGraph::sample(64, 2.0, graph_rng);
+  Rng field_rng(4401);
+  auto x0 = sim::gaussian_field(g.node_count(), field_rng);
+  sim::center_and_normalize(x0);
+  Rng rng(4402);
+  const gossip::PairwiseGossip protocol(g, x0, rng);
+
+  SnapshotWriter w;
+  w.str("geogossip-engine-run");
+  w.str(protocol.name());
+  w.u64(protocol.values().size());
+  w.u64(4096);                     // steps
+  w.f64(64.3);                     // model time
+  w.f64(protocol.deviation_sq());  // initial deviation
+  w.u64(0);                        // trace count
+  rng.save(w);
+  protocol.snapshot(w);
+
+  Rng fresh(4402);
+  gossip::PairwiseGossip restored(g, x0, fresh);
+  try {
+    (void)sim::restore_run(w.bytes(), restored, fresh);
+    FAIL() << "an old-layout payload was restored";
+  } catch (const ArgumentError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tag 'geogossip-engine-run'"), std::string::npos)
+        << what;
+  }
 }
 
 /// Runs `kind` on a 256-node deployment with a wall cadence so short that
@@ -663,6 +703,48 @@ TEST(RunnerSnapshots, FailedCommitFailsTheSweep) {
     };
     EXPECT_THROW((void)exp::Runner(options).run(scenario), IoError)
         << threads << " thread(s)";
+  }
+}
+
+TEST(RunnerSnapshots, FailingSlotIsCommittedOnceNotOncePerSave) {
+  // One boyd replicate at n = 8192 saves every 1000 ticks and runs far
+  // longer than one failed commit (5 attempts, about 0.15 s of backoff),
+  // so saves keep arriving for a slot whose commit already failed.  They
+  // are dropped: the slot logs its retries once, and run() still throws.
+  exp::Scenario scenario;
+  scenario.name = "snap-failing-slot";
+  scenario.replicates = 1;
+  scenario.master_seed = 17;
+  scenario.add(core::ProtocolKind::kBoydPairwise, 8192).options.eps = 1e-2;
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string dir = fresh_temp_dir("ggsnap_runner_failing_slot");
+    const exp::SnapshotStore store(dir, scenario.name, scenario.master_seed);
+    const std::string slot = store.path_for(0, 0);
+    std::filesystem::create_directory(slot + ".tmp." +
+                                      std::to_string(::getpid()));
+    exp::RunnerOptions options;
+    options.threads = threads;
+    options.snapshot_dir = dir;
+    options.snapshot_every_ticks = 1000;
+
+    std::ostringstream log;
+    const LogLevel level = LogConfig::level();
+    LogConfig::set_sink(log);
+    LogConfig::set_level(LogLevel::kWarn);
+    EXPECT_THROW((void)exp::Runner(options).run(scenario), IoError)
+        << threads << " thread(s)";
+    LogConfig::set_sink(std::cerr);
+    LogConfig::set_level(level);
+
+    std::size_t first_attempts = 0;
+    std::istringstream lines(log.str());
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find(slot) != std::string::npos &&
+          line.find("attempt 1 of 5") != std::string::npos) {
+        ++first_attempts;
+      }
+    }
+    EXPECT_EQ(first_attempts, 1u) << threads << " thread(s)\n" << log.str();
   }
 }
 
