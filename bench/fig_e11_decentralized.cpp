@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "core/convergence.hpp"
+#include "core/schedule.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
-#include "gossip/spanning_tree.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/string_util.hpp"
@@ -95,7 +95,7 @@ static int run(int argc, char** argv) {
   if (const int exit_code = cli.run(scenario, std::cout)) return exit_code;
 
   std::cout << "\ncentralized spanning-tree floor: "
-            << gg::format_count(gg::gossip::spanning_tree_floor(n))
+            << gg::format_count(gg::core::spanning_tree_floor(n))
             << " transmissions (2(n-1))\n";
   std::cout
       << "\nReading guide: tiny separation factors fire long-range affine\n"

@@ -11,14 +11,14 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "analysis/exponent_fit.hpp"
 #include "core/convergence.hpp"
 #include "core/schedule.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
-#include "gossip/spanning_tree.hpp"
+#include "stats/regression.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/string_util.hpp"
@@ -111,7 +111,11 @@ static int run(int argc, char** argv) {
   const auto& summary = cli.summary();
 
   // Fit tx ~ c n^p per protocol over the cells that mostly converged.
-  std::vector<gg::analysis::ScalingReport> reports;
+  struct Fitted {
+    std::string protocol;
+    gg::stats::PowerLawFit fit;
+  };
+  std::vector<Fitted> fits;
   for (const Sweep& sweep : sweeps) {
     std::vector<double> ns;
     std::vector<double> medians;
@@ -122,45 +126,43 @@ static int run(int argc, char** argv) {
       medians.push_back(cs.median_tx);
     }
     if (ns.size() >= 3) {
-      reports.push_back(gg::analysis::fit_scaling(
-          std::string(gg::core::protocol_kind_name(sweep.kind)), ns,
-          medians));
+      fits.push_back({std::string(gg::core::protocol_kind_name(sweep.kind)),
+                      gg::stats::fit_power_law(ns, medians)});
     }
   }
 
   std::cout << "\n--- fitted scaling exponents (tx ~ c n^p) ---\n";
-  for (const auto& report : reports) {
-    std::cout << "  " << report.to_string() << '\n';
+  for (const auto& f : fits) {
+    std::cout << "  " << f.protocol << ": " << f.fit.to_string() << '\n';
   }
 
-  // Extrapolated crossovers between consecutive complexity classes.
-  const auto find = [&](const std::string& name)
-      -> const gg::analysis::ScalingReport* {
-    for (const auto& r : reports) {
-      if (r.protocol == name) return &r;
+  // Extrapolated crossovers between consecutive complexity classes: the
+  // n past which the second protocol of a pair costs less than the first.
+  const auto find = [&](const std::string& name) -> const Fitted* {
+    for (const auto& f : fits) {
+      if (f.protocol == name) return &f;
     }
     return nullptr;
   };
-  const auto* boyd = find("boyd");
-  const auto* dimakis = find("dimakis");
-  const auto* multi = find("affine-multi");
   std::cout << "\n--- extrapolated crossovers ---\n";
-  if (boyd && dimakis) {
-    std::cout << "  dimakis beats boyd past n ~ "
-              << gg::format_si(
-                     gg::analysis::crossover_n(boyd->fit, dimakis->fit))
-              << '\n';
-  }
-  if (dimakis && multi) {
-    std::cout << "  affine-multi beats dimakis past n ~ "
-              << gg::format_si(
-                     gg::analysis::crossover_n(dimakis->fit, multi->fit))
-              << '\n';
+  for (const auto& [a_name, b_name] :
+       {std::pair{"boyd", "dimakis"}, std::pair{"dimakis", "affine-multi"}}) {
+    const Fitted* a = find(a_name);
+    const Fitted* b = find(b_name);
+    if (!a || !b) continue;
+    const double n = gg::stats::crossover_n(a->fit, b->fit);
+    if (n < 0.0) {
+      std::cout << "  " << b_name << " does not overtake " << a_name
+                << " at any n\n";
+    } else {
+      std::cout << "  " << b_name << " beats " << a_name << " past n ~ "
+                << gg::format_si(n) << '\n';
+    }
   }
 
   std::cout << "\n--- centralized reference ---\n"
                "  spanning-tree floor 2(n-1): n=16,384 -> "
-            << gg::format_count(gg::gossip::spanning_tree_floor(16384))
+            << gg::format_count(gg::core::spanning_tree_floor(16384))
             << " transmissions (no robustness, single point of failure)\n";
 
   std::cout << "\n--- paper predictions (shape overlays, c=1) ---\n";

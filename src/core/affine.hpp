@@ -9,11 +9,11 @@
 // transposes this — see DESIGN.md §5.)  With a_i = 1/2 this is
 // classical convex gossip; the paper draws a_i in (1/3, 1/2) at the square
 // level, which at the *node* level corresponds to the non-convex jump
-//     x_s  += beta (x_s' - x_s),   beta = (2/5) E#(square) = Omega(sqrt(n)).
+//     x_s  += beta (x_s' - x_s),   beta = (2/5) E#(square) = Omega(sqrt(n)),
+// the update with a_i = a_j = beta that the protocols apply through
+// gossip::ValueProtocol::apply_affine_jump.
 #ifndef GEOGOSSIP_CORE_AFFINE_HPP
 #define GEOGOSSIP_CORE_AFFINE_HPP
-
-#include <utility>
 
 #include "support/rng.hpp"
 
@@ -34,16 +34,6 @@ inline void affine_pair_update(double& xi, double& xj, double ai,
   const double old_j = xj;
   xi = (1.0 - ai) * old_i + aj * old_j;
   xj = (1.0 - aj) * old_j + ai * old_i;
-}
-
-/// The symmetric "jump" form used by Far: both endpoints move by
-/// beta * (other - self), evaluated on pre-update values.  Equivalent to
-/// affine_pair_update with a_i = a_j = beta.
-inline void affine_jump_update(double& xs, double& xt, double beta) noexcept {
-  const double old_s = xs;
-  const double old_t = xt;
-  xs = old_s + beta * (old_t - old_s);
-  xt = old_t + beta * (old_s - old_t);
 }
 
 /// Draws a coefficient uniformly from the paper's interval (1/3, 1/2).

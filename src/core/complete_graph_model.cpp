@@ -11,8 +11,6 @@ std::string_view alpha_mode_name(AlphaMode mode) noexcept {
   switch (mode) {
     case AlphaMode::kPaperFixed:
       return "paper-fixed";
-    case AlphaMode::kPaperPerStep:
-      return "paper-per-step";
     case AlphaMode::kConvexHalf:
       return "convex-1/2";
     case AlphaMode::kEndpointThird:
@@ -34,9 +32,6 @@ CompleteGraphModel::CompleteGraphModel(const CompleteGraphConfig& config,
       case AlphaMode::kPaperFixed:
         alpha_[i] = draw_alpha(*rng_);
         break;
-      case AlphaMode::kPaperPerStep:
-        alpha_[i] = 0.0;  // redrawn per step
-        break;
       case AlphaMode::kConvexHalf:
         alpha_[i] = 0.5;
         break;
@@ -52,13 +47,7 @@ void CompleteGraphModel::step() {
   const std::size_t i = rng_->below(config_.n);
   const std::size_t j = rng_->below_excluding(config_.n, i);
 
-  double ai = alpha_[i];
-  double aj = alpha_[j];
-  if (config_.alpha_mode == AlphaMode::kPaperPerStep) {
-    ai = draw_alpha(*rng_);
-    aj = draw_alpha(*rng_);
-  }
-  affine_pair_update(x_[i], x_[j], ai, aj);
+  affine_pair_update(x_[i], x_[j], alpha_[i], alpha_[j]);
 
   if (config_.noise_bound > 0.0) {
     // Lemma 2's perturbation: +nu at i, -nu at j (mass-preserving).
@@ -111,34 +100,6 @@ double lemma2_failure_probability(std::size_t n, double a) {
   GG_CHECK_ARG(n >= 2, "lemma2_failure_probability: n >= 2");
   GG_CHECK_ARG(a > 0.0, "lemma2_failure_probability: a > 0");
   return std::min(1.0, 5.0 / std::pow(static_cast<double>(n), a));
-}
-
-std::vector<std::pair<std::uint64_t, double>> mean_norm_trajectory(
-    const CompleteGraphConfig& config, const std::vector<double>& x0,
-    std::uint64_t steps, std::uint64_t sample_every, std::uint32_t trials,
-    std::uint64_t seed) {
-  GG_CHECK_ARG(sample_every >= 1, "sample_every >= 1");
-  GG_CHECK_ARG(trials >= 1, "trials >= 1");
-
-  const std::uint64_t samples = steps / sample_every + 1;
-  std::vector<std::pair<std::uint64_t, double>> out(samples);
-  for (std::uint64_t s = 0; s < samples; ++s) {
-    out[s] = {s * sample_every, 0.0};
-  }
-
-  for (std::uint32_t trial = 0; trial < trials; ++trial) {
-    Rng rng(derive_seed(seed, trial));
-    CompleteGraphModel model(config, x0, rng);
-    out[0].second += model.norm_squared();
-    for (std::uint64_t s = 1; s < samples; ++s) {
-      model.run(sample_every);
-      out[s].second += model.norm_squared();
-    }
-  }
-  for (auto& [t, norm_sq] : out) {
-    norm_sq /= static_cast<double>(trials);
-  }
-  return out;
 }
 
 }  // namespace geogossip::core

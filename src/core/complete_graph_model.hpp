@@ -17,12 +17,12 @@
 
 namespace geogossip::core {
 
-/// How per-node coefficients alpha_i are chosen.
+/// How per-node coefficients alpha_i are chosen.  The values are fixed: E1
+/// writes a mode's value into its param_alpha_mode CSV column.
 enum class AlphaMode {
-  kPaperFixed,    ///< drawn once per node from U(1/3, 1/2) — lemma statement
-  kPaperPerStep,  ///< redrawn from U(1/3, 1/2) at every exchange
-  kConvexHalf,    ///< alpha = 1/2 exactly — classical convex gossip
-  kEndpointThird, ///< alpha = 1/3 + tiny — worst coefficient in the range
+  kPaperFixed = 0,     ///< drawn once per node from U(1/3, 1/2) — Lemma 1
+  kConvexHalf = 2,     ///< alpha = 1/2 exactly — classical convex gossip
+  kEndpointThird = 3,  ///< alpha = 1/3 + tiny — worst coefficient in range
 };
 
 std::string_view alpha_mode_name(AlphaMode mode) noexcept;
@@ -75,14 +75,6 @@ double lemma2_envelope(std::size_t n, std::uint64_t t, double a,
 
 /// Failure probability of the Lemma 2 envelope: 5 / n^a.
 double lemma2_failure_probability(std::size_t n, double a);
-
-/// Runs `trials` independent simulations of `steps` steps from x0 and
-/// returns the empirical mean of ||x(t)||^2 at each sampled step multiple.
-/// Output: (t, mean ||x(t)||^2) pairs at t = 0, sample_every, 2*sample_every...
-std::vector<std::pair<std::uint64_t, double>> mean_norm_trajectory(
-    const CompleteGraphConfig& config, const std::vector<double>& x0,
-    std::uint64_t steps, std::uint64_t sample_every, std::uint32_t trials,
-    std::uint64_t seed);
 
 }  // namespace geogossip::core
 

@@ -8,7 +8,6 @@
 #include "gossip/path_averaging.hpp"
 #include "sim/engine.hpp"
 #include "support/check.hpp"
-#include "support/string_util.hpp"
 
 namespace geogossip::core {
 
@@ -30,20 +29,6 @@ std::string_view protocol_kind_name(ProtocolKind kind) noexcept {
       return "affine-decentral";
   }
   return "?";
-}
-
-ProtocolKind parse_protocol_kind(const std::string& name) {
-  const std::string lowered = to_lower(name);
-  if (lowered == "boyd") return ProtocolKind::kBoydPairwise;
-  if (lowered == "dimakis") return ProtocolKind::kDimakisGeographic;
-  if (lowered == "path-avg") return ProtocolKind::kPathAveraging;
-  if (lowered == "affine-1level") return ProtocolKind::kAffineOneLevel;
-  if (lowered == "affine-multi") return ProtocolKind::kAffineMultilevel;
-  if (lowered == "affine-async") return ProtocolKind::kAffineAsync;
-  if (lowered == "affine-decentral") {
-    return ProtocolKind::kAffineDecentralized;
-  }
-  throw ArgumentError("unknown protocol '" + name + "'");
 }
 
 namespace {

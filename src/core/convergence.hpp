@@ -35,7 +35,6 @@ enum class ProtocolKind {
 };
 
 std::string_view protocol_kind_name(ProtocolKind kind) noexcept;
-ProtocolKind parse_protocol_kind(const std::string& name);
 
 struct TrialOptions {
   double eps = 1e-3;

@@ -107,28 +107,6 @@ std::uint64_t SquareHopTables::fan_out_hops(int square) {
   return sum;
 }
 
-std::string_view leaf_cost_model_name(LeafCostModel model) noexcept {
-  switch (model) {
-    case LeafCostModel::kGrgMixing:
-      return "grg-mixing";
-    case LeafCostModel::kQuadratic:
-      return "quadratic";
-  }
-  return "?";
-}
-
-std::string_view beta_mode_name(BetaMode mode) noexcept {
-  switch (mode) {
-    case BetaMode::kExpected:
-      return "expected(2E#/5)";
-    case BetaMode::kActualHarmonic:
-      return "harmonic(2HM/5)";
-    case BetaMode::kConvexRep:
-      return "convex(1/2)";
-  }
-  return "?";
-}
-
 double exchange_beta(BetaMode mode, double expected_occupancy,
                      std::size_t occupancy_i, std::size_t occupancy_j) {
   GG_CHECK_ARG(occupancy_i >= 1 && occupancy_j >= 1,

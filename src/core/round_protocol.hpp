@@ -37,7 +37,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "geometry/hierarchy.hpp"
@@ -97,8 +96,6 @@ class SquareHopTables {
 
 enum class LeafCostModel { kGrgMixing, kQuadratic };
 
-std::string_view leaf_cost_model_name(LeafCostModel model) noexcept;
-
 /// How the affine gain beta is derived for an exchange between squares of
 /// actual occupancy (m_i, m_j) and common expected occupancy E#.
 enum class BetaMode {
@@ -107,8 +104,6 @@ enum class BetaMode {
   kConvexRep,       ///< beta = 1/2 — representatives merely average
                     ///< (the convex-combination ablation: no amplification)
 };
-
-std::string_view beta_mode_name(BetaMode mode) noexcept;
 
 /// Affine gain for one exchange under `mode`.
 double exchange_beta(BetaMode mode, double expected_occupancy,

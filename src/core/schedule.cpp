@@ -176,4 +176,8 @@ double boyd_predicted_transmissions(std::size_t n, double eps, double c) {
   return c * nn * nn * std::log(1.0 / eps) / std::log(nn);
 }
 
+std::uint64_t spanning_tree_floor(std::size_t n) noexcept {
+  return n < 2 ? 0 : 2 * (static_cast<std::uint64_t>(n) - 1);
+}
+
 }  // namespace geogossip::core

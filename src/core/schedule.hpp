@@ -107,6 +107,12 @@ double dimakis_predicted_transmissions(std::size_t n, double eps, double c);
 /// Boyd et al. prediction on G(n, r): c * n^2 * log(1/eps) / log(n).
 double boyd_predicted_transmissions(std::size_t n, double eps, double c);
 
+/// The centralized floor E5 and E11 print beside the gossip costs: a
+/// spanning tree's converge-cast and broadcast of the mean cost 2 (n - 1)
+/// transmissions, at the price of global coordination and a single point
+/// of failure.
+std::uint64_t spanning_tree_floor(std::size_t n) noexcept;
+
 }  // namespace geogossip::core
 
 #endif  // GEOGOSSIP_CORE_SCHEDULE_HPP

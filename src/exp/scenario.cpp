@@ -39,26 +39,6 @@ std::uint64_t replicate_seed(std::uint64_t master_seed,
   return derive_seed(derive_seed(master_seed, cell_index), replicate);
 }
 
-Scenario make_protocol_sweep(std::string name, core::ProtocolKind kind,
-                             const std::vector<std::size_t>& sizes,
-                             std::uint32_t replicates,
-                             std::uint64_t master_seed,
-                             double radius_multiplier,
-                             const core::TrialOptions& options) {
-  GG_CHECK_ARG(!sizes.empty(), "make_protocol_sweep: at least one size");
-  GG_CHECK_ARG(replicates >= 1, "make_protocol_sweep: replicates >= 1");
-  Scenario scenario;
-  scenario.name = std::move(name);
-  scenario.replicates = replicates;
-  scenario.master_seed = master_seed;
-  for (const std::size_t n : sizes) {
-    Cell& cell = scenario.add(kind, n);
-    cell.radius_multiplier = radius_multiplier;
-    cell.options = options;
-  }
-  return scenario;
-}
-
 ScenarioRegistry& ScenarioRegistry::instance() {
   static ScenarioRegistry registry;
   return registry;
@@ -206,9 +186,12 @@ Scenario e11_quick() {
 void register_builtin_scenarios() {
   auto& registry = ScenarioRegistry::instance();
   registry.add("e5-quick", e5_quick);
-  // Long-form alias: sweep drivers and CI jobs name the quick scaling
-  // sweep both ways.  The built Scenario keeps the name "e5-quick", so
+  // Long-form alias: parallel_sweep users and CI jobs name this preset
+  // both ways.  The built Scenario keeps the name "e5-quick", so
   // checkpoints written under either spelling resume interchangeably.
+  // `tab_e5_scaling --quick` is not this preset: it builds its own
+  // scenario "e5-scaling" (six protocols at per-protocol sizes, 3
+  // replicates), so its records do not resume e5-quick's or the reverse.
   registry.add("e5-scaling-quick", e5_quick);
   registry.add("e5-scaling-xl", e5_scaling_xl);
   registry.add("e10-ablation-quick", e10_quick);

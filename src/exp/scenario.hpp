@@ -106,14 +106,6 @@ std::uint64_t replicate_seed(std::uint64_t master_seed,
                              std::size_t cell_index,
                              std::uint32_t replicate) noexcept;
 
-/// Builds the common sweep shape: one cell per size, shared kind/options.
-Scenario make_protocol_sweep(std::string name, core::ProtocolKind kind,
-                             const std::vector<std::size_t>& sizes,
-                             std::uint32_t replicates,
-                             std::uint64_t master_seed,
-                             double radius_multiplier = 1.2,
-                             const core::TrialOptions& options = {});
-
 /// Process-wide map from scenario name to factory.  Factories rebuild the
 /// scenario on every make() so callers can mutate the result freely.
 class ScenarioRegistry {

@@ -103,12 +103,6 @@ class PartitionHierarchy {
     return leaf_of_node_[node];
   }
 
-  /// The depth-d ancestor square of the sensor's leaf (d <= leaf depth).
-  int square_of_at_depth(std::uint32_t node, int depth) const;
-
-  /// All arena indices at exactly this depth.
-  std::vector<int> squares_at_depth(int depth) const;
-
   /// All leaf arena indices.
   std::vector<int> leaves() const;
 
@@ -123,6 +117,8 @@ class PartitionHierarchy {
  private:
   void build(const Rect& region, const HierarchyConfig& config);
   void finalize_levels();
+  /// All arena indices at exactly this depth.
+  std::vector<int> squares_at_depth(int depth) const;
 
   const std::vector<Vec2>* points_;
   std::vector<SquareInfo> squares_;

@@ -20,38 +20,8 @@ bool Rect::contains_closed(Vec2 p) const noexcept {
   return p.x >= lo_.x && p.x <= hi_.x && p.y >= lo_.y && p.y <= hi_.y;
 }
 
-bool Rect::intersects(const Rect& other) const noexcept {
-  return lo_.x < other.hi_.x && other.lo_.x < hi_.x && lo_.y < other.hi_.y &&
-         other.lo_.y < hi_.y;
-}
-
 Vec2 Rect::clamp(Vec2 p) const noexcept {
   return {std::clamp(p.x, lo_.x, hi_.x), std::clamp(p.y, lo_.y, hi_.y)};
-}
-
-double Rect::distance_sq_to(Vec2 p) const noexcept {
-  return distance_sq(p, clamp(p));
-}
-
-std::vector<Rect> Rect::subdivide(int side) const {
-  GG_CHECK_ARG(side >= 1, "subdivide requires side >= 1");
-  std::vector<Rect> cells;
-  cells.reserve(static_cast<std::size_t>(side) *
-                static_cast<std::size_t>(side));
-  const double dx = width() / side;
-  const double dy = height() / side;
-  for (int row = 0; row < side; ++row) {
-    for (int col = 0; col < side; ++col) {
-      // Compute edges multiplicatively from the parent's corners so adjacent
-      // cells share bit-identical boundaries (no FP gaps or overlaps).
-      const double x0 = lo_.x + col * dx;
-      const double x1 = (col == side - 1) ? hi_.x : lo_.x + (col + 1) * dx;
-      const double y0 = lo_.y + row * dy;
-      const double y1 = (row == side - 1) ? hi_.y : lo_.y + (row + 1) * dy;
-      cells.emplace_back(Vec2{x0, y0}, Vec2{x1, y1});
-    }
-  }
-  return cells;
 }
 
 int Rect::subsquare_index(Vec2 p, int side) const {
@@ -68,7 +38,9 @@ Rect Rect::subsquare(int index, int side) const {
   GG_CHECK_ARG(side >= 1, "subsquare requires side >= 1");
   GG_CHECK_ARG(index >= 0 && index < side * side,
                "subsquare index out of range");
-  // Reuse subdivide's edge arithmetic for exact agreement.
+  // Edges are computed multiplicatively from the parent's corners, and the
+  // last row/column ends exactly on hi, so adjacent subsquares share
+  // bit-identical boundaries (no FP gaps or overlaps).
   const int row = index / side;
   const int col = index % side;
   const double dx = width() / side;

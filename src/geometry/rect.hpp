@@ -8,7 +8,6 @@
 #define GEOGOSSIP_GEOMETRY_RECT_HPP
 
 #include <string>
-#include <vector>
 
 #include "geometry/vec2.hpp"
 
@@ -36,24 +35,17 @@ class Rect {
   /// Closed membership (both edges included); for the outermost square.
   bool contains_closed(Vec2 p) const noexcept;
 
-  bool intersects(const Rect& other) const noexcept;
-
   /// Nearest point of the (closed) rectangle to p; p itself if inside.
   Vec2 clamp(Vec2 p) const noexcept;
-
-  /// Squared distance from p to the rectangle (0 if inside).
-  double distance_sq_to(Vec2 p) const noexcept;
-
-  /// Splits into side*side equal subrectangles, row-major from lo corner:
-  /// index = row*side + col, row along y, col along x.  Requires side >= 1.
-  std::vector<Rect> subdivide(int side) const;
 
   /// Index of the subsquare of a side*side subdivision containing p, or -1
   /// if p is outside.  Points on the global top/right edge are clamped into
   /// the last row/column so the closed unit square is fully covered.
   int subsquare_index(Vec2 p, int side) const;
 
-  /// The subrectangle of a side*side subdivision at `index` (row-major).
+  /// The subrectangle at `index` of a side*side subdivision, row-major from
+  /// the lo corner: index = row*side + col, row along y, col along x.
+  /// Requires side >= 1.  Adjacent subsquares share bit-identical edges.
   Rect subsquare(int index, int side) const;
 
   std::string to_string() const;

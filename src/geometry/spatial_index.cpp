@@ -97,12 +97,6 @@ std::size_t BucketGrid::fill_within(Vec2 p, double radius,
   return count;
 }
 
-std::vector<std::uint32_t> BucketGrid::within(Vec2 p, double radius) const {
-  std::vector<std::uint32_t> out;
-  out.resize(fill_within(p, radius, out));
-  return out;
-}
-
 std::optional<std::uint32_t> BucketGrid::nearest(Vec2 p) const {
   if (points_->empty()) return std::nullopt;
   const int pcol = col_of(p);
@@ -150,23 +144,6 @@ std::optional<std::uint32_t> BucketGrid::nearest(Vec2 p) const {
       if (ring_min * ring_min > best_sq) break;
     }
     if (!scanned_any && ring > side_) break;
-  }
-  if (!found) return std::nullopt;
-  return best;
-}
-
-std::optional<std::uint32_t> BucketGrid::nearest_in_rect(
-    Vec2 p, const Rect& rect) const {
-  double best_sq = std::numeric_limits<double>::infinity();
-  std::uint32_t best = 0;
-  bool found = false;
-  for (const std::uint32_t idx : points_in_rect(rect)) {
-    const double d_sq = distance_sq((*points_)[idx], p);
-    if (d_sq < best_sq || (d_sq == best_sq && found && idx < best)) {
-      best_sq = d_sq;
-      best = idx;
-      found = true;
-    }
   }
   if (!found) return std::nullopt;
   return best;

@@ -50,17 +50,10 @@ class BucketGrid {
   std::size_t fill_within(Vec2 p, double radius,
                           std::vector<std::uint32_t>& out) const;
 
-  /// Indices of all points within `radius` of p (inclusive).
-  std::vector<std::uint32_t> within(Vec2 p, double radius) const;
-
   /// Index of the point nearest to p (ties: lowest index), or nullopt when
   /// the point set is empty.  Expanding ring search: O(1) expected for
   /// roughly uniform points.
   std::optional<std::uint32_t> nearest(Vec2 p) const;
-
-  /// Nearest point to p among those lying inside `rect`, or nullopt if the
-  /// rect holds no points.  Membership follows points_in_rect().
-  std::optional<std::uint32_t> nearest_in_rect(Vec2 p, const Rect& rect) const;
 
   /// All point indices inside `rect`.  Membership is half-open (lo <= p <
   /// hi), EXCEPT where a rect edge reaches the indexed region's own closed

@@ -6,7 +6,6 @@
 
 namespace geogossip::routing {
 
-using geometry::Vec2;
 using graph::NodeId;
 
 namespace {
@@ -45,20 +44,6 @@ RouteCampaignResult measure_routes(const graph::GeometricGraph& g,
     const RouteResult route = route_to_node(g, src, dst);
     accumulate(out, route, distance(g.position(src), g.position(dst)),
                g.radius());
-  }
-  return out;
-}
-
-RouteCampaignResult measure_position_routes(const graph::GeometricGraph& g,
-                                            std::uint64_t pairs, Rng& rng) {
-  GG_CHECK_ARG(g.node_count() >= 2, "measure_position_routes: need >= 2 nodes");
-  RouteCampaignResult out;
-  for (std::uint64_t i = 0; i < pairs; ++i) {
-    const auto src = static_cast<NodeId>(rng.below(g.node_count()));
-    const Vec2 target{rng.uniform(g.region().lo().x, g.region().hi().x),
-                      rng.uniform(g.region().lo().y, g.region().hi().y)};
-    const RouteResult route = route_to_position(g, src, target);
-    accumulate(out, route, distance(g.position(src), target), g.radius());
   }
   return out;
 }

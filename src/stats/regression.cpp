@@ -87,6 +87,16 @@ PowerLawFit fit_power_law(const std::vector<double>& xs,
   return fit;
 }
 
+double crossover_n(const PowerLawFit& a, const PowerLawFit& b) {
+  GG_CHECK_ARG(a.coefficient > 0.0 && b.coefficient > 0.0,
+               "crossover_n: coefficients must be positive");
+  // c_a n^p_a = c_b n^p_b  =>  n = (c_b / c_a)^(1 / (p_a - p_b)); past it
+  // the smaller exponent wins.
+  const double dp = a.exponent - b.exponent;
+  if (!(dp > 0.0)) return -1.0;
+  return std::pow(b.coefficient / a.coefficient, 1.0 / dp);
+}
+
 double ExponentialFit::predict(double x) const {
   return coefficient * std::pow(rate, x);
 }

@@ -1,6 +1,6 @@
 // Least-squares fitting, including the log-log power-law fit used to
-// estimate transmission-scaling exponents (experiment E5,
-// bench/tab_e5_scaling.cpp).
+// estimate transmission-scaling exponents and their extrapolated
+// crossovers (experiment E5, bench/tab_e5_scaling.cpp).
 #ifndef GEOGOSSIP_STATS_REGRESSION_HPP
 #define GEOGOSSIP_STATS_REGRESSION_HPP
 
@@ -39,6 +39,12 @@ struct PowerLawFit {
 
 PowerLawFit fit_power_law(const std::vector<double>& xs,
                           const std::vector<double>& ys);
+
+/// The n past which law `b` costs less than law `a` (extrapolated, the
+/// point where the two fits cross), or a negative value when b's exponent
+/// is not the smaller one: then b never overtakes a.  Requires positive
+/// coefficients.
+double crossover_n(const PowerLawFit& a, const PowerLawFit& b);
 
 /// Fits y = C * rho^x, i.e. an exponential decay/growth; returns rho and C.
 /// Used to recover per-step contraction factors from ||x(t)||^2 traces.

@@ -124,12 +124,4 @@ double l2_norm(const std::vector<double>& values) noexcept {
   return std::sqrt(accum);
 }
 
-double deviation_from_mean(const std::vector<double>& values) {
-  GG_CHECK_ARG(!values.empty(), "deviation_from_mean: empty input");
-  const double m = mean_of(values);
-  double accum = 0.0;
-  for (const double v : values) accum += (v - m) * (v - m);
-  return std::sqrt(accum / static_cast<double>(values.size()));
-}
-
 }  // namespace geogossip::stats

@@ -80,10 +80,6 @@ double variance_of(const std::vector<double>& values);
 /// Euclidean norm.
 double l2_norm(const std::vector<double>& values) noexcept;
 
-/// Root-mean-square deviation of `values` from their own mean — the quantity
-/// driven to zero by an averaging protocol.
-double deviation_from_mean(const std::vector<double>& values);
-
 }  // namespace geogossip::stats
 
 #endif  // GEOGOSSIP_STATS_SUMMARY_HPP

@@ -372,12 +372,5 @@ TEST(SquareHopTables, RouteAnInnerSquaresWholeTableOnItsFirstMiss) {
 }
 #endif
 
-TEST(Names, EnumsHaveStableNames) {
-  EXPECT_EQ(leaf_cost_model_name(LeafCostModel::kGrgMixing), "grg-mixing");
-  EXPECT_EQ(leaf_cost_model_name(LeafCostModel::kQuadratic), "quadratic");
-  EXPECT_EQ(beta_mode_name(BetaMode::kExpected), "expected(2E#/5)");
-  EXPECT_EQ(beta_mode_name(BetaMode::kConvexRep), "convex(1/2)");
-}
-
 }  // namespace
 }  // namespace geogossip::core

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/affine.hpp"
 #include "gossip/base.hpp"
 #include "gossip/pairwise.hpp"
 #include "graph/geometric_graph.hpp"
@@ -146,6 +147,30 @@ TEST(ValueProtocol, UpdateApiTracksDeviationAndConservesSum) {
   const double exact2 = exact_deviation_sq(
       {protocol.values().begin(), protocol.values().end()});
   EXPECT_NEAR(protocol.deviation_sq(), exact2, 1e-9 * exact2);
+}
+
+TEST(ValueProtocol, AffineJumpIsTheMirroredUpdateWithEqualGains) {
+  // The jump every affine protocol applies is DESIGN.md §5's A with
+  // a_i = a_j = beta, and its tracked deviation stays exact.
+  Rng rng(45);
+  const auto graph = graph::GeometricGraph::sample(64, 2.0, rng);
+  ScriptedProtocol protocol(graph, sim::gaussian_field(64, rng), rng);
+  for (const double beta : {0.05, 1.0 / 3.0, 0.5, 0.9, 1.3, 1.95}) {
+    const auto a = static_cast<graph::NodeId>(rng.below(64));
+    const auto b = static_cast<graph::NodeId>(rng.below_excluding(64, a));
+    double want_a = protocol.values()[a];
+    double want_b = protocol.values()[b];
+    core::affine_pair_update(want_a, want_b, beta, beta);
+    protocol.apply_affine_jump(a, b, beta);
+    EXPECT_NEAR(protocol.values()[a], want_a, 1e-12 * std::abs(want_a))
+        << "beta " << beta;
+    EXPECT_NEAR(protocol.values()[b], want_b, 1e-12 * std::abs(want_b))
+        << "beta " << beta;
+    const double exact = exact_deviation_sq(
+        {protocol.values().begin(), protocol.values().end()});
+    EXPECT_NEAR(protocol.deviation_sq(), exact, 1e-12 * exact)
+        << "beta " << beta;
+  }
 }
 
 TEST(ValueProtocol, RefreshCadenceIsHonored) {

@@ -12,7 +12,6 @@
 #include "exp/runner.hpp"
 #include "geometry/sampling.hpp"
 #include "gossip/pairwise.hpp"
-#include "gossip/spanning_tree.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/geometric_graph.hpp"
 #include "sim/clock.hpp"
@@ -36,27 +35,12 @@ TEST(EdgeCases, TwoNodeGraphEverythingWorks) {
   const GeometricGraph g(points, 0.5);
   ASSERT_TRUE(graph::is_connected(g.adjacency()));
 
-  const auto tree = gossip::spanning_tree_average(g, {1.0, 3.0});
-  EXPECT_TRUE(tree.complete);
-  EXPECT_DOUBLE_EQ(tree.mean, 2.0);
-  EXPECT_EQ(tree.transmissions.total(), 2u);
-
   Rng rng(2000);
   core::TrialOptions options;
   options.eps = 1e-6;
   const auto outcome = core::run_protocol_trial(
       core::ProtocolKind::kBoydPairwise, g, {1.0, 3.0}, rng, options);
   EXPECT_TRUE(outcome.converged);
-}
-
-TEST(EdgeCases, SingleNodeSpanningTree) {
-  const std::vector<Vec2> points{{0.5, 0.5}};
-  const GeometricGraph g(points, 0.1);
-  const auto tree = gossip::spanning_tree_average(g, {42.0});
-  EXPECT_TRUE(tree.complete);
-  EXPECT_DOUBLE_EQ(tree.mean, 42.0);
-  EXPECT_EQ(tree.transmissions.total(), 0u);
-  EXPECT_EQ(gossip::spanning_tree_floor(1), 0u);
 }
 
 // -------------------------------------------------- zero-convergence agg ----

@@ -1,5 +1,5 @@
-// Tests for the extension modules: the spanning-tree centralized floor and
-// the §8 decentralized affine gossip variant.
+// Tests for the extensions: the spanning-tree centralized floor and the §8
+// decentralized affine gossip variant.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,14 +7,11 @@
 
 #include "core/convergence.hpp"
 #include "core/decentralized.hpp"
-#include "geometry/sampling.hpp"
-#include "gossip/spanning_tree.hpp"
-#include "graph/connectivity.hpp"
+#include "core/schedule.hpp"
 #include "graph/geometric_graph.hpp"
 #include "sim/clock.hpp"
 #include "sim/engine.hpp"
 #include "sim/field.hpp"
-#include "stats/summary.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "test_support.hpp"
@@ -22,55 +19,12 @@
 namespace geogossip {
 namespace {
 
-using graph::GeometricGraph;
-
 // ---------------------------------------------------------- SpanningTree ----
 
-TEST(SpanningTree, ComputesTheExactMeanAtTheFloorCost) {
-  const auto g = make_graph(1000, 950);
-  Rng rng(951);
-  std::vector<double> x0(g.node_count());
-  for (auto& v : x0) v = rng.uniform(-5.0, 5.0);
-  const double mean = stats::mean_of(x0);
-
-  const auto result = gossip::spanning_tree_average(g, x0);
-  ASSERT_TRUE(result.complete);
-  EXPECT_EQ(result.reached, g.node_count());
-  EXPECT_NEAR(result.mean, mean, 1e-12);
-  for (const double v : result.values) EXPECT_DOUBLE_EQ(v, result.mean);
-  EXPECT_EQ(result.transmissions.total(),
-            gossip::spanning_tree_floor(g.node_count()));
-  EXPECT_GT(result.depth, 0u);
-}
-
 TEST(SpanningTree, FloorFormula) {
-  EXPECT_EQ(gossip::spanning_tree_floor(1), 0u);
-  EXPECT_EQ(gossip::spanning_tree_floor(2), 2u);
-  EXPECT_EQ(gossip::spanning_tree_floor(1000), 1998u);
-}
-
-TEST(SpanningTree, DisconnectedGraphAveragesTheRootComponent) {
-  // Two clusters out of radio range of each other.
-  std::vector<geometry::Vec2> points;
-  Rng rng(952);
-  for (int i = 0; i < 40; ++i) {
-    points.push_back({rng.uniform(0.4, 0.6), rng.uniform(0.4, 0.6)});
-  }
-  for (int i = 0; i < 10; ++i) {
-    points.push_back({rng.uniform(0.0, 0.03), rng.uniform(0.0, 0.03)});
-  }
-  const GeometricGraph g(points, 0.1);
-  ASSERT_FALSE(graph::is_connected(g.adjacency()));
-
-  std::vector<double> x0(g.node_count(), 1.0);
-  for (std::size_t i = 40; i < 50; ++i) x0[i] = -1.0;
-  const auto result = gossip::spanning_tree_average(g, x0);
-  EXPECT_FALSE(result.complete);
-  EXPECT_EQ(result.reached, 40u);
-  // Root is nearest the centre -> in the big cluster; its mean is 1.
-  EXPECT_NEAR(result.mean, 1.0, 1e-12);
-  // Unreached sensors keep their readings.
-  EXPECT_DOUBLE_EQ(result.values[45], -1.0);
+  EXPECT_EQ(core::spanning_tree_floor(1), 0u);
+  EXPECT_EQ(core::spanning_tree_floor(2), 2u);
+  EXPECT_EQ(core::spanning_tree_floor(1000), 1998u);
 }
 
 TEST(SpanningTree, BeatsEveryGossipProtocolOnTransmissions) {
@@ -78,7 +32,6 @@ TEST(SpanningTree, BeatsEveryGossipProtocolOnTransmissions) {
   Rng rng(954);
   auto x0 = sim::gaussian_field(g.node_count(), rng);
   sim::center_and_normalize(x0);
-  const auto tree = gossip::spanning_tree_average(g, x0);
 
   core::TrialOptions options;
   options.eps = 1e-2;
@@ -88,7 +41,7 @@ TEST(SpanningTree, BeatsEveryGossipProtocolOnTransmissions) {
   ASSERT_TRUE(gossip_outcome.converged);
   // Even the cheapest gossip protocol costs multiples of the tree floor.
   EXPECT_GT(gossip_outcome.transmissions.total(),
-            2 * tree.transmissions.total());
+            2 * core::spanning_tree_floor(g.node_count()));
 }
 
 // -------------------------------------------------------- Decentralized ----
@@ -192,8 +145,6 @@ TEST(Decentralized, IntegratesWithTheTrialHarness) {
       core::ProtocolKind::kAffineDecentralized, g, x0, rng, options);
   EXPECT_TRUE(outcome.converged);
   EXPECT_LT(outcome.sum_drift, 1e-8);
-  EXPECT_EQ(core::parse_protocol_kind("affine-decentral"),
-            core::ProtocolKind::kAffineDecentralized);
 }
 
 TEST(Decentralized, Validation) {

@@ -63,21 +63,13 @@ TEST(Rect, ClampAndDistance) {
   const Rect r({0.0, 0.0}, {1.0, 1.0});
   EXPECT_EQ(r.clamp({-1.0, 0.5}), Vec2(0.0, 0.5));
   EXPECT_EQ(r.clamp({0.5, 0.5}), Vec2(0.5, 0.5));
-  EXPECT_DOUBLE_EQ(r.distance_sq_to({2.0, 0.5}), 1.0);
-  EXPECT_DOUBLE_EQ(r.distance_sq_to({0.5, 0.5}), 0.0);
-}
-
-TEST(Rect, Intersects) {
-  const Rect a({0.0, 0.0}, {1.0, 1.0});
-  EXPECT_TRUE(a.intersects(Rect({0.5, 0.5}, {2.0, 2.0})));
-  EXPECT_FALSE(a.intersects(Rect({1.0, 0.0}, {2.0, 1.0})));  // share an edge
-  EXPECT_FALSE(a.intersects(Rect({5.0, 5.0}, {6.0, 6.0})));
 }
 
 TEST(Rect, SubdivideCoversExactly) {
+  // The cells the hierarchy and the decentralized protocol build.
   const Rect r({0.0, 0.0}, {1.0, 1.0});
-  const auto cells = r.subdivide(4);
-  ASSERT_EQ(cells.size(), 16u);
+  std::vector<Rect> cells;
+  for (int idx = 0; idx < 16; ++idx) cells.push_back(r.subsquare(idx, 4));
   double total_area = 0.0;
   for (const auto& c : cells) total_area += c.area();
   EXPECT_NEAR(total_area, 1.0, 1e-12);
@@ -91,11 +83,9 @@ TEST(Rect, SubdivideCoversExactly) {
 TEST(Rect, SubsquareIndexRoundTrip) {
   const Rect r({0.0, 0.0}, {2.0, 2.0});
   for (int side : {1, 2, 3, 5}) {
-    const auto cells = r.subdivide(side);
     for (int idx = 0; idx < side * side; ++idx) {
-      const Vec2 c = cells[static_cast<std::size_t>(idx)].center();
+      const Vec2 c = r.subsquare(idx, side).center();
       EXPECT_EQ(r.subsquare_index(c, side), idx);
-      EXPECT_EQ(r.subsquare(idx, side).center(), c);
     }
   }
   EXPECT_EQ(r.subsquare_index({5.0, 5.0}, 2), -1);
@@ -203,23 +193,21 @@ TEST_P(BucketGridProperty, WithinMatchesBruteForce) {
   for (int probe = 0; probe < 25; ++probe) {
     const Vec2 q{rng.next_double(), rng.next_double()};
     const double radius = rng.uniform(0.01, 0.3);
-    auto got = index.within(q, radius);
-    std::sort(got.begin(), got.end());
     std::vector<std::uint32_t> expected;
     for (std::size_t i = 0; i < n; ++i) {
       if (distance(points[i], q) <= radius) {
         expected.push_back(static_cast<std::uint32_t>(i));
       }
     }
-    EXPECT_EQ(got, expected) << "probe " << probe << " radius " << radius;
-    // The CSR build scans with one buffer per worker; whatever earlier
-    // queries left in it, the count and the prefix are this query's.
-    ASSERT_EQ(index.fill_within(q, radius, reused), expected.size());
+    // The CSR build scans with one reused buffer; whatever earlier queries
+    // left in it, the count and the prefix are this query's.
+    ASSERT_EQ(index.fill_within(q, radius, reused), expected.size())
+        << "probe " << probe << " radius " << radius;
     std::vector<std::uint32_t> prefix(
         reused.begin(),
         reused.begin() + static_cast<std::ptrdiff_t>(expected.size()));
     std::sort(prefix.begin(), prefix.end());
-    EXPECT_EQ(prefix, expected) << "probe " << probe;
+    EXPECT_EQ(prefix, expected) << "probe " << probe << " radius " << radius;
   }
 }
 
@@ -265,17 +253,6 @@ TEST(BucketGrid, PointsInRectMatchesBruteForce) {
   EXPECT_EQ(got, expected);
 }
 
-TEST(BucketGrid, NearestInRect) {
-  const std::vector<Vec2> points{{0.1, 0.1}, {0.4, 0.4}, {0.9, 0.9}};
-  const BucketGrid index(points, Rect::unit_square(), 0.2);
-  const Rect query({0.3, 0.3}, {1.0, 1.0});
-  const auto got = index.nearest_in_rect({0.0, 0.0}, query);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 1u);  // (0.4, 0.4) is the nearest member of the rect
-  const Rect empty_query({0.6, 0.05}, {0.8, 0.15});
-  EXPECT_FALSE(index.nearest_in_rect({0.0, 0.0}, empty_query).has_value());
-}
-
 TEST(BucketGrid, RectQueryIncludesClosedRegionBoundary) {
   // The constructor accepts points sitting exactly on the region's closed
   // top/right boundary (contains_closed); rect queries whose edges reach
@@ -297,11 +274,6 @@ TEST(BucketGrid, RectQueryIncludesClosedRegionBoundary) {
   EXPECT_TRUE(index.points_in_rect(Rect({0.3, 0.3}, {0.5, 0.5})).empty());
   auto interior = index.points_in_rect(Rect({0.2, 0.2}, {0.3, 0.3}));
   EXPECT_EQ(interior, (std::vector<std::uint32_t>{3}));
-
-  // nearest_in_rect sees boundary sitters through the same rule.
-  const auto corner = index.nearest_in_rect({2.0, 2.0}, Rect({0.9, 0.9}, {1.0, 1.0}));
-  ASSERT_TRUE(corner.has_value());
-  EXPECT_EQ(*corner, 2u);
 }
 
 TEST(BucketGrid, BucketIntrospectionCoversAllPoints) {
@@ -332,7 +304,8 @@ TEST(BucketGrid, HugeRadiusReturnsEveryPoint) {
   const BucketGrid index(points, Rect::unit_square(), 0.1);
   for (const double radius :
        {1e300, std::numeric_limits<double>::infinity()}) {
-    auto got = index.within({0.3, 0.7}, radius);
+    std::vector<std::uint32_t> got;
+    got.resize(index.fill_within({0.3, 0.7}, radius, got));
     std::sort(got.begin(), got.end());
     ASSERT_EQ(got.size(), points.size()) << "radius " << radius;
     for (std::uint32_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], i);
@@ -476,11 +449,16 @@ TEST(Hierarchy, LeafOfAndAncestorWalk) {
     EXPECT_TRUE(sq.is_leaf());
     EXPECT_NE(std::find(sq.members.begin(), sq.members.end(), node),
               sq.members.end());
-    EXPECT_EQ(h.square_of_at_depth(node, 0), h.root());
-    const int mid = h.square_of_at_depth(node, 1);
-    EXPECT_EQ(h.square(mid).depth, 1);
-    EXPECT_TRUE(h.square(mid).rect.contains(points[node]) ||
-                h.square(mid).rect.contains_closed(points[node]));
+    // The parent links the §4.2 machine follows climb one depth per step,
+    // through squares that hold the sensor, to the root.
+    int id = leaf;
+    while (h.square(id).parent >= 0) {
+      const int parent = h.square(id).parent;
+      EXPECT_EQ(h.square(parent).depth, h.square(id).depth - 1);
+      EXPECT_TRUE(h.square(parent).rect.contains_closed(points[node]));
+      id = parent;
+    }
+    EXPECT_EQ(id, h.root());
   }
 }
 

@@ -108,18 +108,6 @@ TEST(Integration, ScalingExponentOrderingMatchesTheory) {
   EXPECT_GT(dimakis, 1.40);  // measured 1.67, the n^1.5 row
 }
 
-TEST(Integration, ProtocolKindRoundTrip) {
-  for (const auto kind :
-       {ProtocolKind::kBoydPairwise, ProtocolKind::kDimakisGeographic,
-        ProtocolKind::kPathAveraging, ProtocolKind::kAffineOneLevel,
-        ProtocolKind::kAffineMultilevel, ProtocolKind::kAffineAsync,
-        ProtocolKind::kAffineDecentralized}) {
-    EXPECT_EQ(parse_protocol_kind(std::string(protocol_kind_name(kind))),
-              kind);
-  }
-  EXPECT_THROW(parse_protocol_kind("nope"), ArgumentError);
-}
-
 TEST(Integration, EveryKindRejectsEpsOutsideTheUnitInterval) {
   // Checked once, before any tick budget is derived from ln(1/eps): an eps
   // of 2 used to cast a negative budget to an unsigned count, and let the

@@ -202,9 +202,11 @@ TEST(Conservation, MixedUpdateSequencePreservesSumToFpAccuracy) {
         core::affine_pair_update(x[i], x[j], core::draw_alpha(rng),
                                  core::draw_alpha(rng));
         break;
-      case 2:  // non-convex jump
-        core::affine_jump_update(x[i], x[j], rng.uniform(1.0, 2.0));
+      case 2: {  // non-convex jump: the mirrored update with a_i = a_j
+        const double beta = rng.uniform(1.0, 2.0);
+        core::affine_pair_update(x[i], x[j], beta, beta);
         break;
+      }
       case 3: {  // mass-preserving perturbation pair
         const double nu = rng.uniform(-1e-3, 1e-3);
         x[i] += nu;

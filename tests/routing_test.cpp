@@ -233,15 +233,6 @@ TEST(RouteStats, CampaignDeliversAndMeasures) {
   EXPECT_GE(result.stretch.mean(), 1.0);
 }
 
-TEST(RouteStats, PositionCampaign) {
-  const auto g = dense_graph(1500, 61);
-  Rng rng(62);
-  const auto result = measure_position_routes(g, 300, rng);
-  EXPECT_EQ(result.attempted, 300u);
-  EXPECT_EQ(result.delivered, 300u);  // position routing always arrives
-  EXPECT_GT(result.hops.mean(), 1.0);
-}
-
 TEST(RouteStats, HopsGrowWithN) {
   // O(sqrt(n / log n)) growth: quadrupling n should grow mean hops by
   // roughly 2x (within loose bounds).

