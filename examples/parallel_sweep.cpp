@@ -1,10 +1,13 @@
 // Demo of the experiment-orchestration subsystem (src/exp/).
 //
-// Picks a registered scenario (see exp::register_builtin_scenarios), runs
-// it across a thread pool, prints the per-cell summary table, and — with
-// --compare — re-runs single-threaded to show both the wall-clock speedup
-// and that the aggregated numbers are bit-identical at any thread count
-// (the deterministic seed-stream at work).
+// Picks a built-in scenario preset (exp::find_preset, the table in
+// src/exp/scenario.cpp), runs it across a thread pool, prints the per-cell
+// summary table, and — with --compare — re-runs single-threaded to show
+// both the wall-clock speedup and that every aggregate is bit-identical at
+// any thread count (the deterministic seed-stream at work): both summaries
+// are rendered as CSV, whose 17 significant digits make equal text mean
+// equal bits.  --compare needs a sweep in this process, so it refuses
+// --fleet-dir and --merge-only.
 //
 //   parallel_sweep --list
 //   parallel_sweep --list-names   (bare names, for shell loops / CI)
@@ -51,18 +54,27 @@
 //   parallel_sweep --scenario=e5-scaling-xl --fleet-dir=/shared/fleet
 //       --fleet-merge --csv=xl.csv                   # final tables
 //
-// The registry covers every experiment E1-E11: protocol sweeps (E5, E10,
+// The presets cover every experiment E1-E11: protocol sweeps (E5, E10,
 // E11) and measurement probes (E1-E4, E6-E9), each with a -quick preset
-// sized for CI smoke runs (probes also register a -paper preset).
+// sized for CI smoke runs (probes also ship a -paper preset).
 #include <iostream>
+#include <sstream>
+#include <string>
 
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "exp/sink.hpp"
 #include "exp/sweep_cli.hpp"
 #include "support/cli.hpp"
 #include "support/string_util.hpp"
 
 namespace gg = geogossip;
+
+static std::string csv_text(const gg::exp::SweepSummary& summary) {
+  std::ostringstream out;
+  gg::exp::CsvSink(out).write(summary);
+  return out.str();
+}
 
 static int run(int argc, char** argv) {
   std::string scenario_name = "e5-quick";
@@ -71,30 +83,33 @@ static int run(int argc, char** argv) {
   bool compare = false;
 
   gg::exp::SweepCli cli("parallel_sweep",
-                        "run a registered scenario on the parallel harness");
+                        "run a built-in scenario on the parallel harness");
   cli.parser().add_flag("scenario", &scenario_name,
-                        "registered scenario name");
+                        "built-in scenario name");
   cli.parser().add_flag("list", &list,
-                        "list registered scenarios and exit");
+                        "list the built-in scenarios and exit");
   cli.parser().add_flag("list-names", &list_names,
                         "print bare scenario names (one per line) and exit");
   cli.parser().add_flag(
       "compare", &compare,
       "re-run with 1 thread and check bit-identical aggregates");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
-
-  gg::exp::register_builtin_scenarios();
-  auto& registry = gg::exp::ScenarioRegistry::instance();
+  if (compare && (cli.fleet_mode() || cli.merge_only())) {
+    std::cerr << "parallel_sweep: --compare conflicts with "
+              << (cli.fleet_mode() ? "--fleet-dir" : "--merge-only")
+              << ": this process runs no sweep to compare\n";
+    return 1;
+  }
 
   if (list_names) {
-    for (const auto& name : registry.names()) std::cout << name << '\n';
+    for (const auto& name : gg::exp::preset_names()) std::cout << name << '\n';
     return 0;
   }
 
   if (list) {
     std::cout << "registered scenarios:\n";
-    for (const auto& name : registry.names()) {
-      const auto scenario = registry.make(name);
+    for (const auto& name : gg::exp::preset_names()) {
+      const auto scenario = *gg::exp::find_preset(name);
       std::cout << "  " << name << " — " << scenario.description << " ("
                 << scenario.cells.size() << " cells x "
                 << scenario.replicates << " replicates)\n";
@@ -102,32 +117,28 @@ static int run(int argc, char** argv) {
     return 0;
   }
 
-  if (!registry.contains(scenario_name)) {
+  auto scenario = gg::exp::find_preset(scenario_name);
+  if (!scenario) {
     std::cerr << "parallel_sweep: unknown scenario '" << scenario_name
-              << "' (run with --list for the registered names)\n";
+              << "' (run with --list for the built-in names)\n";
     return 1;
   }
-  auto scenario = registry.make(scenario_name);
-  cli.apply_overrides(scenario);
-  std::cout << "scenario " << scenario.name << ": " << scenario.description
+  cli.apply_overrides(*scenario);
+  std::cout << "scenario " << scenario->name << ": " << scenario->description
             << "\n\n";
 
-  if (const int exit_code = cli.run(scenario, std::cout)) return exit_code;
+  if (const int exit_code = cli.run(*scenario, std::cout)) return exit_code;
   const auto& parallel = cli.summary();
 
   if (compare) {
     gg::exp::RunnerOptions serial_options = cli.base_options();
     serial_options.threads = 1;
-    const auto serial = gg::exp::Runner(serial_options).run(scenario);
-
-    bool identical = parallel.cells.size() == serial.cells.size();
-    for (std::size_t i = 0; identical && i < parallel.cells.size(); ++i) {
-      const auto& a = parallel.cells[i];
-      const auto& b = serial.cells[i];
-      identical = a.converged == b.converged && a.median_tx == b.median_tx &&
-                  a.q25_tx == b.q25_tx && a.q75_tx == b.q75_tx &&
-                  a.mean_control_share == b.mean_control_share;
-    }
+    auto serial = gg::exp::Runner(serial_options).run(*scenario);
+    // The CSV carries every aggregate, per-trial metrics included, at 17
+    // significant digits; the thread count is the one column that may
+    // differ.
+    serial.threads = parallel.threads;
+    const bool identical = csv_text(parallel) == csv_text(serial);
     std::cout << "\n--- threads=" << parallel.threads << " vs threads=1 ---\n"
               << "  wall: " << gg::format_fixed(parallel.wall_seconds, 2)
               << "s vs " << gg::format_fixed(serial.wall_seconds, 2)

@@ -476,113 +476,4 @@ Scenario make_e9_rejection(const std::vector<std::size_t>& sizes,
   return scenario;
 }
 
-void register_probe_scenarios() {
-  auto& registry = ScenarioRegistry::instance();
-
-  registry.add("e1-contraction-quick", [] {
-    auto s = make_e1_contraction({32, 128}, 24, 11);
-    s.name = "e1-contraction-quick";
-    return s;
-  });
-  registry.add("e1-contraction-paper", [] {
-    auto s = make_e1_contraction({32, 128, 512}, 96, 11);
-    s.name = "e1-contraction-paper";
-    return s;
-  });
-
-  registry.add("e2-tail-quick", [] {
-    auto s = make_e2_tail(64, {0.5, 0.3, 0.1}, 60, 21);
-    s.name = "e2-tail-quick";
-    return s;
-  });
-  registry.add("e2-tail-paper", [] {
-    auto s = make_e2_tail(256, {0.5, 0.3, 0.1}, 600, 21);
-    s.name = "e2-tail-paper";
-    return s;
-  });
-
-  registry.add("e3-perturbed-quick", [] {
-    auto s = make_e3_perturbed(32, 1.0, {1e-5, 1e-4}, 40, 31);
-    s.name = "e3-perturbed-quick";
-    return s;
-  });
-  registry.add("e3-perturbed-paper", [] {
-    auto s = make_e3_perturbed(64, 1.0, {1e-6, 1e-5, 1e-4}, 300, 31);
-    s.name = "e3-perturbed-paper";
-    return s;
-  });
-
-  registry.add("e4-spectral-quick", [] {
-    auto s = make_e4_spectral({8, 16, 32}, 200, 2, 41);
-    s.name = "e4-spectral-quick";
-    return s;
-  });
-  registry.add("e4-spectral-paper", [] {
-    auto s = make_e4_spectral({8, 16, 32, 64, 128, 256, 512}, 800, 3, 41);
-    s.name = "e4-spectral-paper";
-    return s;
-  });
-
-  registry.add("e6-routing-quick", [] {
-    auto s = make_e6_routing({512, 1024, 2048}, 200, 1.2, 3, 51);
-    s.name = "e6-routing-quick";
-    return s;
-  });
-  registry.add("e6-routing-paper", [] {
-    auto s = make_e6_routing(
-        {1024, 2048, 4096, 8192, 16384, 32768, 65536}, 2000, 1.2, 3, 51);
-    s.name = "e6-routing-paper";
-    return s;
-  });
-  registry.add("e6-hops-xl", [] {
-    auto s = make_e6_routing({std::size_t{1} << 17, std::size_t{1} << 18,
-                              std::size_t{1} << 19, std::size_t{1} << 20},
-                             1000, 1.2, 2, 51);
-    s.name = "e6-hops-xl";
-    s.description =
-        "XL E6 hop scaling at n = 2^17..2^20 with per-replicate memory "
-        "hints (pair with --mem-budget to bound concurrent graph builds)";
-    for (auto& cell : s.cells) {
-      cell.mem_hint_bytes = graph::estimate_build_memory_bytes(
-          cell.n, cell.radius_multiplier, /*with_routing_mirror=*/true);
-    }
-    return s;
-  });
-
-  registry.add("e7-connectivity-quick", [] {
-    auto s = make_e7_connectivity({256, 512}, {0.6, 1.0, 1.5}, 12, 61);
-    s.name = "e7-connectivity-quick";
-    return s;
-  });
-  registry.add("e7-connectivity-paper", [] {
-    auto s = make_e7_connectivity({500, 2000, 8000},
-                                  {0.6, 0.8, 1.0, 1.2, 1.5, 2.0}, 60, 61);
-    s.name = "e7-connectivity-paper";
-    return s;
-  });
-
-  registry.add("e8-occupancy-quick", [] {
-    auto s = make_e8_occupancy({1024, 4096}, 20, 71);
-    s.name = "e8-occupancy-quick";
-    return s;
-  });
-  registry.add("e8-occupancy-paper", [] {
-    auto s = make_e8_occupancy(
-        {1024, 4096, 16384, 65536, 262144, 1048576}, 200, 71);
-    s.name = "e8-occupancy-paper";
-    return s;
-  });
-
-  registry.add("e9-rejection-quick", [] {
-    auto s = make_e9_rejection({512}, 20000, 1.2, 2, 81);
-    s.name = "e9-rejection-quick";
-    return s;
-  });
-  registry.add("e9-rejection-paper", [] {
-    auto s = make_e9_rejection({1024, 4096}, 200000, 1.2, 3, 81);
-    s.name = "e9-rejection-paper";
-    return s;
-  });
-}
-
 }  // namespace geogossip::exp

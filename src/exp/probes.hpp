@@ -77,11 +77,6 @@ Scenario make_e9_rejection(const std::vector<std::size_t>& sizes,
                            std::uint32_t replicates,
                            std::uint64_t master_seed);
 
-/// Registers a quick ("eN-*-quick", CI smoke scale) and a paper-scale
-/// ("eN-*-paper") preset for each probe figure.  Called by
-/// register_builtin_scenarios(); idempotent.
-void register_probe_scenarios();
-
 }  // namespace geogossip::exp
 
 #endif  // GEOGOSSIP_EXP_PROBES_HPP

@@ -1,5 +1,6 @@
 #include "exp/scenario.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -37,45 +38,6 @@ std::uint64_t replicate_seed(std::uint64_t master_seed,
   // Two SplitMix64 derivations chain (master -> cell stream -> replicate
   // stream); each hop decorrelates nearby indices.
   return derive_seed(derive_seed(master_seed, cell_index), replicate);
-}
-
-ScenarioRegistry& ScenarioRegistry::instance() {
-  static ScenarioRegistry registry;
-  return registry;
-}
-
-void ScenarioRegistry::add(const std::string& name, Factory factory) {
-  GG_CHECK_ARG(!name.empty(), "ScenarioRegistry: name required");
-  GG_CHECK_ARG(static_cast<bool>(factory), "ScenarioRegistry: factory");
-  std::lock_guard<std::mutex> lock(mu_);
-  factories_[name] = std::move(factory);
-}
-
-bool ScenarioRegistry::contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return factories_.count(name) != 0;
-}
-
-Scenario ScenarioRegistry::make(const std::string& name) const {
-  Factory factory;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = factories_.find(name);
-    GG_CHECK_ARG(it != factories_.end(),
-                 "unknown scenario '" + name + "'");
-    factory = it->second;
-  }
-  Scenario scenario = factory();
-  if (scenario.name.empty()) scenario.name = name;
-  return scenario;
-}
-
-std::vector<std::string> ScenarioRegistry::names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;
 }
 
 namespace {
@@ -181,22 +143,80 @@ Scenario e11_quick() {
   return scenario;
 }
 
+Scenario e6_hops_xl() {
+  auto scenario = make_e6_routing(
+      {std::size_t{1} << 17, std::size_t{1} << 18, std::size_t{1} << 19,
+       std::size_t{1} << 20},
+      1000, 1.2, 2, 51);
+  scenario.description =
+      "XL E6 hop scaling at n = 2^17..2^20 with per-replicate memory "
+      "hints (pair with --mem-budget to bound concurrent graph builds)";
+  for (auto& cell : scenario.cells) {
+    cell.mem_hint_bytes = graph::estimate_build_memory_bytes(
+        cell.n, cell.radius_multiplier, /*with_routing_mirror=*/true);
+  }
+  return scenario;
+}
+
+/// A built-in preset.  find_preset() names the built scenario after the
+/// entry (the probe builders name theirs after the figure, "e1-contraction"),
+/// except for an alias, which keeps the name its builder gives.
+struct Preset {
+  std::string_view name;
+  Scenario (*build)();
+  bool alias = false;
+};
+
+// clang-format off
+constexpr Preset kPresets[] = {
+    {"e1-contraction-quick",    [] { return make_e1_contraction({32, 128}, 24, 11); }},
+    {"e1-contraction-paper",    [] { return make_e1_contraction({32, 128, 512}, 96, 11); }},
+    {"e2-tail-quick",           [] { return make_e2_tail(64, {0.5, 0.3, 0.1}, 60, 21); }},
+    {"e2-tail-paper",           [] { return make_e2_tail(256, {0.5, 0.3, 0.1}, 600, 21); }},
+    {"e3-perturbed-quick",      [] { return make_e3_perturbed(32, 1.0, {1e-5, 1e-4}, 40, 31); }},
+    {"e3-perturbed-paper",      [] { return make_e3_perturbed(64, 1.0, {1e-6, 1e-5, 1e-4}, 300, 31); }},
+    {"e4-spectral-quick",       [] { return make_e4_spectral({8, 16, 32}, 200, 2, 41); }},
+    {"e4-spectral-paper",       [] { return make_e4_spectral({8, 16, 32, 64, 128, 256, 512}, 800, 3, 41); }},
+    {"e5-quick",                e5_quick},
+    // Long-form alias: parallel_sweep users and CI jobs name this preset
+    // both ways.  The built Scenario keeps the name "e5-quick", so
+    // checkpoints written under either spelling resume interchangeably.
+    // `tab_e5_scaling --quick` is not this preset: it builds its own
+    // scenario "e5-scaling" (six protocols at per-protocol sizes, 3
+    // replicates), so its records do not resume e5-quick's or the reverse.
+    {"e5-scaling-quick",        e5_quick, /*alias=*/true},
+    {"e5-scaling-xl",           e5_scaling_xl},
+    {"e6-routing-quick",        [] { return make_e6_routing({512, 1024, 2048}, 200, 1.2, 3, 51); }},
+    {"e6-routing-paper",        [] { return make_e6_routing({1024, 2048, 4096, 8192, 16384, 32768, 65536}, 2000, 1.2, 3, 51); }},
+    {"e6-hops-xl",              e6_hops_xl},
+    {"e7-connectivity-quick",   [] { return make_e7_connectivity({256, 512}, {0.6, 1.0, 1.5}, 12, 61); }},
+    {"e7-connectivity-paper",   [] { return make_e7_connectivity({500, 2000, 8000}, {0.6, 0.8, 1.0, 1.2, 1.5, 2.0}, 60, 61); }},
+    {"e8-occupancy-quick",      [] { return make_e8_occupancy({1024, 4096}, 20, 71); }},
+    {"e8-occupancy-paper",      [] { return make_e8_occupancy({1024, 4096, 16384, 65536, 262144, 1048576}, 200, 71); }},
+    {"e9-rejection-quick",      [] { return make_e9_rejection({512}, 20000, 1.2, 2, 81); }},
+    {"e9-rejection-paper",      [] { return make_e9_rejection({1024, 4096}, 200000, 1.2, 3, 81); }},
+    {"e10-ablation-quick",      e10_quick},
+    {"e11-decentralized-quick", e11_quick},
+};
+// clang-format on
+
 }  // namespace
 
-void register_builtin_scenarios() {
-  auto& registry = ScenarioRegistry::instance();
-  registry.add("e5-quick", e5_quick);
-  // Long-form alias: parallel_sweep users and CI jobs name this preset
-  // both ways.  The built Scenario keeps the name "e5-quick", so
-  // checkpoints written under either spelling resume interchangeably.
-  // `tab_e5_scaling --quick` is not this preset: it builds its own
-  // scenario "e5-scaling" (six protocols at per-protocol sizes, 3
-  // replicates), so its records do not resume e5-quick's or the reverse.
-  registry.add("e5-scaling-quick", e5_quick);
-  registry.add("e5-scaling-xl", e5_scaling_xl);
-  registry.add("e10-ablation-quick", e10_quick);
-  registry.add("e11-decentralized-quick", e11_quick);
-  register_probe_scenarios();
+std::optional<Scenario> find_preset(std::string_view name) {
+  for (const Preset& preset : kPresets) {
+    if (preset.name != name) continue;
+    Scenario scenario = preset.build();
+    if (!preset.alias) scenario.name = preset.name;
+    return scenario;
+  }
+  return std::nullopt;
+}
+
+std::vector<std::string> preset_names() {
+  std::vector<std::string> names;
+  for (const Preset& preset : kPresets) names.emplace_back(preset.name);
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 }  // namespace geogossip::exp

@@ -5,8 +5,10 @@
 // count and a master seed.  Replicate k of cell c always draws the seed
 // replicate_seed(master, c, k), which depends only on those three integers —
 // never on thread interleaving — so a scenario is reproducible bit-for-bit
-// at any worker count.  The process-wide ScenarioRegistry maps names to
-// factories so drivers, examples and tests can share definitions.
+// at any worker count.  The built-in presets (one per experiment at CI
+// smoke scale, plus paper and XL sizes) are one constant table in
+// scenario.cpp, looked up by name with find_preset(); a sweep of one's own
+// is a Scenario passed straight to exp::Runner.
 #ifndef GEOGOSSIP_EXP_SCENARIO_HPP
 #define GEOGOSSIP_EXP_SCENARIO_HPP
 
@@ -14,7 +16,7 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,33 +108,14 @@ std::uint64_t replicate_seed(std::uint64_t master_seed,
                              std::size_t cell_index,
                              std::uint32_t replicate) noexcept;
 
-/// Process-wide map from scenario name to factory.  Factories rebuild the
-/// scenario on every make() so callers can mutate the result freely.
-class ScenarioRegistry {
- public:
-  using Factory = std::function<Scenario()>;
+/// The built-in preset called `name`, built afresh so the caller may
+/// mutate it; std::nullopt for a name preset_names() does not list.
+std::optional<Scenario> find_preset(std::string_view name);
 
-  static ScenarioRegistry& instance();
-
-  /// Registers (or replaces) a named factory.
-  void add(const std::string& name, Factory factory);
-  bool contains(const std::string& name) const;
-  /// Builds the named scenario; throws ArgumentError on unknown names.
-  Scenario make(const std::string& name) const;
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, Factory> factories_;
-};
-
-/// Registers every built-in scenario: the protocol sweeps ("e5-quick",
-/// "e10-ablation-quick", "e11-decentralized-quick") plus, via
-/// register_probe_scenarios(), a quick and a paper-scale preset for each
-/// measurement figure (E1-E4, E6-E9).  After this call the registry names
-/// cover all eleven experiments.  Idempotent.
-void register_builtin_scenarios();
+/// Every built-in preset's name, sorted: a quick preset for each
+/// experiment E1-E11, a paper-scale one for each probe figure (E1-E4,
+/// E6-E9), the XL presets and the e5-scaling-quick alias.
+std::vector<std::string> preset_names();
 
 }  // namespace geogossip::exp
 

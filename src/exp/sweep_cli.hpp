@@ -82,6 +82,10 @@ class SweepCli {
   /// of executing the scenario directly.
   bool fleet_mode() const noexcept { return !fleet_dir_.empty(); }
 
+  /// True when parse() selected --merge-only: run() folds the --resume
+  /// records instead of executing the scenario.
+  bool merge_only() const noexcept { return merge_only_; }
+
  private:
   int run_fleet_worker(const Scenario& scenario, std::ostream& out);
   /// --merge-only (records from --resume) and --fleet-merge (records from

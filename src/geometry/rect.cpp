@@ -20,10 +20,6 @@ bool Rect::contains_closed(Vec2 p) const noexcept {
   return p.x >= lo_.x && p.x <= hi_.x && p.y >= lo_.y && p.y <= hi_.y;
 }
 
-Vec2 Rect::clamp(Vec2 p) const noexcept {
-  return {std::clamp(p.x, lo_.x, hi_.x), std::clamp(p.y, lo_.y, hi_.y)};
-}
-
 int Rect::subsquare_index(Vec2 p, int side) const {
   GG_CHECK_ARG(side >= 1, "subsquare_index requires side >= 1");
   if (!contains_closed(p)) return -1;

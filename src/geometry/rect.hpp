@@ -35,9 +35,6 @@ class Rect {
   /// Closed membership (both edges included); for the outermost square.
   bool contains_closed(Vec2 p) const noexcept;
 
-  /// Nearest point of the (closed) rectangle to p; p itself if inside.
-  Vec2 clamp(Vec2 p) const noexcept;
-
   /// Index of the subsquare of a side*side subdivision containing p, or -1
   /// if p is outside.  Points on the global top/right edge are clamped into
   /// the last row/column so the closed unit square is fully covered.

@@ -47,10 +47,6 @@ double RunningStat::variance() const noexcept {
 
 double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
 
-double RunningStat::standard_error() const noexcept {
-  return count_ < 2 ? 0.0 : stddev() / std::sqrt(static_cast<double>(count_));
-}
-
 double RunningStat::min() const noexcept { return count_ == 0 ? 0.0 : min_; }
 double RunningStat::max() const noexcept { return count_ == 0 ? 0.0 : max_; }
 

@@ -27,8 +27,6 @@ class RunningStat {
   /// Unbiased sample variance (n-1 denominator); 0 for fewer than 2 samples.
   double variance() const noexcept;
   double stddev() const noexcept;
-  /// Standard error of the mean; 0 for fewer than 2 samples.
-  double standard_error() const noexcept;
   double min() const noexcept;
   double max() const noexcept;
   double sum() const noexcept;
@@ -56,8 +54,6 @@ class Quantiles {
   /// q outside [0,1].
   double quantile(double q) const;
   double median() const { return quantile(0.5); }
-  /// Inter-quartile range.
-  double iqr() const { return quantile(0.75) - quantile(0.25); }
   double min() const { return quantile(0.0); }
   double max() const { return quantile(1.0); }
   double mean() const;

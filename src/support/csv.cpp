@@ -80,7 +80,6 @@ void CsvWriter::end_row() {
                " fields, header has " + std::to_string(header_columns_));
   *out_ << '\n';
   row_open_ = false;
-  ++rows_written_;
 }
 
 void CsvWriter::row(const std::vector<std::string>& fields) {

@@ -40,9 +40,6 @@ class CsvWriter {
   /// Convenience: writes an entire row of already-stringified fields.
   void row(const std::vector<std::string>& fields);
 
-  /// Number of data rows fully written (header excluded).
-  std::size_t rows_written() const noexcept { return rows_written_; }
-
  private:
   void write_field_raw(const std::string& value);
 
@@ -52,7 +49,6 @@ class CsvWriter {
   bool row_open_ = false;
   std::size_t header_columns_ = 0;
   std::size_t fields_in_row_ = 0;
-  std::size_t rows_written_ = 0;
 };
 
 /// Escapes a single CSV field per RFC 4180.

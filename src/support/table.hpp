@@ -36,8 +36,6 @@ class ConsoleTable {
   ConsoleTable& cell(std::uint64_t value);
   void end_row();
 
-  std::size_t row_count() const noexcept { return rows_.size(); }
-
   /// Renders with two spaces between columns.
   void print(std::ostream& out) const;
   std::string to_string() const;

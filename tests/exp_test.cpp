@@ -1,7 +1,7 @@
 // Tests for the experiment-orchestration subsystem (src/exp/): the thread
 // pool, the deterministic replicate seed-stream, the parallel runner's
-// aggregation, the scenario registry, the sinks, and SweepCli's flags and
-// merge modes.
+// aggregation, the built-in scenario presets, the sinks, and SweepCli's
+// flags and merge modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -138,19 +138,42 @@ TEST(Scenario, AddRejectsDeploymentsBelowTwoNodes) {
   EXPECT_NO_THROW(scenario.add(core::ProtocolKind::kBoydPairwise, 2));
 }
 
-TEST(ScenarioRegistry, BuiltinsRegisterAndUnknownNamesThrow) {
-  register_builtin_scenarios();
-  auto& registry = ScenarioRegistry::instance();
-  EXPECT_TRUE(registry.contains("e5-quick"));
-  const auto scenario = registry.make("e5-quick");
+TEST(ScenarioPresets, BuiltinsAreFoundAndUnknownNamesAreNot) {
+  ASSERT_TRUE(find_preset("e5-quick").has_value());
+  const auto scenario = *find_preset("e5-quick");
   EXPECT_FALSE(scenario.cells.empty());
-  EXPECT_THROW(registry.make("no-such-scenario"), ArgumentError);
+  EXPECT_FALSE(find_preset("no-such-scenario").has_value());
 }
 
-TEST(ScenarioRegistry, EveryExperimentHasAConstructibleQuickScenario) {
-  register_builtin_scenarios();
-  auto& registry = ScenarioRegistry::instance();
-  const auto names = registry.names();
+TEST(ScenarioPresets, EveryNameBuildsTheScenarioOfThatName) {
+  // The scenario name is stamped into every record, so a preset named
+  // after its builder ("e6-routing" for e6-routing-paper) would write
+  // records that resume no other run of it.  The list is the 22 names
+  // parallel_sweep --list-names has always printed.
+  const std::vector<std::string> expected = {
+      "e1-contraction-paper",  "e1-contraction-quick",
+      "e10-ablation-quick",    "e11-decentralized-quick",
+      "e2-tail-paper",         "e2-tail-quick",
+      "e3-perturbed-paper",    "e3-perturbed-quick",
+      "e4-spectral-paper",     "e4-spectral-quick",
+      "e5-quick",              "e5-scaling-quick",
+      "e5-scaling-xl",         "e6-hops-xl",
+      "e6-routing-paper",      "e6-routing-quick",
+      "e7-connectivity-paper", "e7-connectivity-quick",
+      "e8-occupancy-paper",    "e8-occupancy-quick",
+      "e9-rejection-paper",    "e9-rejection-quick"};
+  ASSERT_EQ(preset_names(), expected);
+  for (const std::string& name : expected) {
+    const auto scenario = find_preset(name);
+    ASSERT_TRUE(scenario.has_value()) << name;
+    // The one alias builds its target under the target's name.
+    EXPECT_EQ(scenario->name,
+              name == "e5-scaling-quick" ? std::string("e5-quick") : name);
+  }
+}
+
+TEST(ScenarioPresets, EveryExperimentHasAConstructibleQuickScenario) {
+  const auto names = preset_names();
   for (int figure = 1; figure <= 11; ++figure) {
     // Incremental += rather than one operator+ chain: GCC 12's -Wrestrict
     // fires a false positive (PR105329) on the chained form under -Werror.
@@ -164,23 +187,22 @@ TEST(ScenarioRegistry, EveryExperimentHasAConstructibleQuickScenario) {
         continue;
       }
       found = true;
-      const auto scenario = registry.make(name);
-      EXPECT_FALSE(scenario.cells.empty()) << name;
-      EXPECT_GE(scenario.replicates, 1u) << name;
+      const auto scenario = find_preset(name);
+      ASSERT_TRUE(scenario.has_value()) << name;
+      EXPECT_FALSE(scenario->cells.empty()) << name;
+      EXPECT_GE(scenario->replicates, 1u) << name;
     }
-    EXPECT_TRUE(found) << "no -quick scenario registered for E" << figure;
+    EXPECT_TRUE(found) << "no -quick scenario listed for E" << figure;
   }
 }
 
-TEST(ScenarioRegistry, ProbeScenariosAlsoShipPaperPresets) {
-  register_builtin_scenarios();
-  auto& registry = ScenarioRegistry::instance();
+TEST(ScenarioPresets, ProbeScenariosAlsoShipPaperPresets) {
   for (const int figure : {1, 2, 3, 4, 6, 7, 8, 9}) {
     bool found = false;
     std::string prefix = "e";  // += avoids the GCC 12 -Wrestrict FP
     prefix += std::to_string(figure);
     prefix += '-';
-    for (const auto& name : registry.names()) {
+    for (const auto& name : preset_names()) {
       if (name.rfind(prefix, 0) == 0 && name.size() >= 6 &&
           name.substr(name.size() - 6) == "-paper") {
         found = true;
@@ -190,17 +212,15 @@ TEST(ScenarioRegistry, ProbeScenariosAlsoShipPaperPresets) {
   }
 }
 
-TEST(ScenarioRegistry, XlPresetsAreRegisteredWithMemoryHints) {
-  register_builtin_scenarios();
-  auto& registry = ScenarioRegistry::instance();
+TEST(ScenarioPresets, XlPresetsAreListedWithMemoryHints) {
   for (const char* name : {"e5-scaling-xl", "e6-hops-xl"}) {
-    ASSERT_TRUE(registry.contains(name)) << name;
-    // --list visibility is exactly names() membership (parallel_sweep
-    // renders that list), so assert through the same call.
-    const auto names = registry.names();
+    ASSERT_TRUE(find_preset(name).has_value()) << name;
+    // --list visibility is exactly preset_names() membership
+    // (parallel_sweep renders that list), so assert through the same call.
+    const auto names = preset_names();
     EXPECT_NE(std::find(names.begin(), names.end(), std::string(name)),
               names.end());
-    const auto scenario = registry.make(name);
+    const auto scenario = *find_preset(name);
     ASSERT_FALSE(scenario.cells.empty()) << name;
     std::size_t top_n = 0;
     for (const auto& cell : scenario.cells) {
@@ -470,8 +490,7 @@ TEST(Metrics, AggregationIsBitIdenticalAcrossThreadCounts) {
 
 TEST(Metrics, ProbeQuickScenarioIsBitIdenticalAcrossThreadCounts) {
   // End-to-end over a real probe: E7 quick builds fast graphs only.
-  register_builtin_scenarios();
-  auto scenario = ScenarioRegistry::instance().make("e7-connectivity-quick");
+  auto scenario = *find_preset("e7-connectivity-quick");
   scenario.replicates = 3;
 
   RunnerOptions serial;

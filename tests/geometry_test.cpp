@@ -59,12 +59,6 @@ TEST(Rect, GeometryAccessors) {
   EXPECT_THROW(Rect({1.0, 0.0}, {0.0, 1.0}), ArgumentError);
 }
 
-TEST(Rect, ClampAndDistance) {
-  const Rect r({0.0, 0.0}, {1.0, 1.0});
-  EXPECT_EQ(r.clamp({-1.0, 0.5}), Vec2(0.0, 0.5));
-  EXPECT_EQ(r.clamp({0.5, 0.5}), Vec2(0.5, 0.5));
-}
-
 TEST(Rect, SubdivideCoversExactly) {
   // The cells the hierarchy and the decentralized protocol build.
   const Rect r({0.0, 0.0}, {1.0, 1.0});
